@@ -13,7 +13,9 @@ pass), 1 a check failed, 2 usage, config or IO error.
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -29,17 +31,18 @@ from .density import (
     split_check,
 )
 from .gaussian import (
+    DEFAULT_INVARIANCE_TOL,
+    DEFAULT_PSD_TOL,
     Covariance,
     char_fn,
     check_gaussian_rp,
-    check_theta_invariance,
     cross_block,
     decompose_pq,
     free_field_covariance,
     theta_inner,
     verify_convolution_identity,
 )
-from .lattice import build_lattice, positive_support
+from .lattice import Lattice, build_lattice
 from .rp_verify import (
     FAIL,
     IllConditionedWeightsError,
@@ -48,14 +51,12 @@ from .rp_verify import (
     gram_mc_direct,
     gram_mc_factorized,
     random_test_functions,
+    require_positive_support,
     schur_product,
     small_lambda_probe,
 )
 
 STRUCTURAL_PSD_FLOOR = -1e-10
-
-DEFAULT_PSD_TOL = 1e-10
-DEFAULT_INVARIANCE_TOL = 1e-12
 
 
 class ConfigError(Exception):
@@ -92,17 +93,17 @@ def read_matrix_csv(path):
     return np.array(rows, dtype=np.float64)
 
 
+@dataclasses.dataclass
 class Resolved:
     """Config after validation, defaulting and seed overrides."""
 
-    def __init__(self, lattice, covariance, density, phis, mc, tolerances, echo):
-        self.lattice = lattice
-        self.covariance = covariance
-        self.density = density
-        self.phis = phis
-        self.mc = mc
-        self.tolerances = tolerances
-        self.echo = echo
+    lattice: Lattice
+    covariance: Covariance | None
+    density: Potential | None
+    phis: list | None
+    mc: McParams | None
+    tolerances: dict
+    echo: dict
 
 
 def load_config(path):
@@ -119,10 +120,27 @@ def load_config(path):
     return raw
 
 
-def resolve_config(raw, config_dir, seed_override=None, need_mc=False, need_density=False):
+def _section(raw, name):
+    """The named config section, {} when absent; anything but an object is an error."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        _fail(f"config section '{name}' must be a JSON object")
+    return section
+
+
+def _number(section, name, key, default, kind=float):
+    """section[key], or default when absent, converted by kind (float or int)."""
+    value = section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        _fail(f"{name}.{key} must be a number, got {value!r}")
+
+
+def resolve_config(raw, config_dir, seed_override=None):
     if "lattice" not in raw:
         _fail("config is missing the 'lattice' section")
-    lat_cfg = raw["lattice"]
+    lat_cfg = _section(raw, "lattice")
     try:
         lattice = build_lattice(
             lat_cfg["time_extent"], lat_cfg.get("spatial_extents", [])
@@ -130,58 +148,54 @@ def resolve_config(raw, config_dir, seed_override=None, need_mc=False, need_dens
     except (KeyError, TypeError, ValueError) as exc:
         _fail(f"invalid lattice section: {exc}")
 
-    tol_cfg = raw.get("tolerances", {})
+    tol_cfg = _section(raw, "tolerances")
     tolerances = {
-        "psd_tol": float(tol_cfg.get("psd_tol", DEFAULT_PSD_TOL)),
-        "invariance_tol": float(tol_cfg.get("invariance_tol", DEFAULT_INVARIANCE_TOL)),
+        "psd_tol": _number(tol_cfg, "tolerances", "psd_tol", DEFAULT_PSD_TOL),
+        "invariance_tol": _number(tol_cfg, "tolerances", "invariance_tol", DEFAULT_INVARIANCE_TOL),
     }
-    if tolerances["psd_tol"] < 0 or tolerances["invariance_tol"] < 0:
-        _fail("tolerances must be nonnegative")
+    if not all(math.isfinite(t) and t >= 0 for t in tolerances.values()):
+        _fail("tolerances must be finite and nonnegative")
+    echo = {
+        "lattice": {
+            "time_extent": lattice.time_extent,
+            "spatial_extents": list(lattice.spatial_extents),
+        },
+        "tolerances": tolerances,
+    }
 
-    mc_cfg = raw.get("mc")
-    if need_mc and mc_cfg is None:
-        _fail("this command needs an 'mc' section")
     mc = None
-    mc_echo = None
-    if mc_cfg is not None:
+    if "mc" in raw:
+        mc_cfg = _section(raw, "mc")
         if "n_samples" not in mc_cfg:
             _fail("mc section needs n_samples")
-        seed = int(mc_cfg.get("seed", 0))
+        seed = _number(mc_cfg, "mc", "seed", 0, int)
         if seed_override is not None:
             seed = int(seed_override)
         try:
             mc = McParams(
-                n_samples=int(mc_cfg["n_samples"]),
+                n_samples=_number(mc_cfg, "mc", "n_samples", None, int),
                 seed=seed,
-                n_outer=int(mc_cfg.get("n_outer", 10_000)),
-                n_inner=int(mc_cfg.get("n_inner", 1_000)),
+                n_outer=_number(mc_cfg, "mc", "n_outer", 10_000, int),
+                n_inner=_number(mc_cfg, "mc", "n_inner", 1_000, int),
                 share_inner=bool(mc_cfg.get("share_inner", True)),
             )
         except ValueError as exc:
             _fail(f"invalid mc section: {exc}")
-        mc_echo = {
-            "n_samples": mc.n_samples,
-            "seed": mc.seed,
-            "n_outer": mc.n_outer,
-            "n_inner": mc.n_inner,
-            "share_inner": mc.share_inner,
-        }
+        echo["mc"] = _fields(mc)
 
     covariance = None
-    cov_echo = None
     if "covariance" in raw:
-        cov_cfg = raw["covariance"]
+        cov_cfg = _section(raw, "covariance")
         kind = cov_cfg.get("kind")
         if kind == "free_field":
             if "mass" not in cov_cfg:
                 _fail("free_field covariance needs a mass")
+            mass = _number(cov_cfg, "covariance", "mass", None)
             try:
-                covariance = free_field_covariance(
-                    lattice, float(cov_cfg["mass"]), tolerances["psd_tol"]
-                )
+                covariance = free_field_covariance(lattice, mass, tolerances["psd_tol"])
             except ValueError as exc:
                 _fail(f"invalid covariance: {exc}")
-            cov_echo = {"kind": "free_field", "mass": float(cov_cfg["mass"])}
+            echo["covariance"] = {"kind": "free_field", "mass": mass}
         elif kind == "explicit":
             if "matrix_file" not in cov_cfg:
                 _fail("explicit covariance needs a matrix_file")
@@ -195,7 +209,7 @@ def resolve_config(raw, config_dir, seed_override=None, need_mc=False, need_dens
                 covariance = Covariance(matrix, tolerances["psd_tol"])
             except ValueError as exc:
                 _fail(f"invalid covariance: {exc}")
-            cov_echo = {
+            echo["covariance"] = {
                 "kind": "explicit",
                 "matrix_file": str(cov_cfg["matrix_file"]),
                 "matrix": matrix.tolist(),
@@ -204,105 +218,72 @@ def resolve_config(raw, config_dir, seed_override=None, need_mc=False, need_dens
             _fail(f"unknown covariance kind {kind!r}")
 
     density = None
-    density_echo = None
     if "density" in raw:
         try:
             density = potential_from_obj(lattice, raw["density"])
         except (KeyError, TypeError, ValueError) as exc:
             _fail(f"invalid density: {exc}")
-        density_echo = potential_to_obj(lattice, density)
-    if need_density and density is None:
-        _fail("this command needs a 'density' section")
+        echo["density"] = potential_to_obj(lattice, density)
 
     phis = None
-    tf_echo = None
     if "test_functions" in raw:
-        tf_cfg = raw["test_functions"]
+        tf_cfg = _section(raw, "test_functions")
         kind = tf_cfg.get("kind", "random")
         if kind == "random":
-            count = int(tf_cfg.get("count", 4))
+            count = _number(tf_cfg, "test_functions", "count", 4, int)
             if count < 1:
                 _fail("test_functions count must be >= 1")
-            tf_seed = int(tf_cfg.get("seed", mc.seed if mc is not None else 0))
+            tf_seed = _number(tf_cfg, "test_functions", "seed", mc.seed if mc is not None else 0, int)
             phis = random_test_functions(lattice, count, tf_seed)
-            tf_echo = {"kind": "random", "count": count, "seed": tf_seed}
+            echo["test_functions"] = {"kind": "random", "count": count, "seed": tf_seed}
         elif kind == "explicit":
             vectors = tf_cfg.get("vectors")
-            if not vectors:
+            if not isinstance(vectors, list) or not vectors:
                 _fail("explicit test_functions need a nonempty 'vectors' list")
-            phis = []
-            for i, vec in enumerate(vectors):
-                arr = np.asarray(vec, dtype=np.float64)
-                if arr.shape != (lattice.site_count,):
-                    _fail(f"test function {i} has length {arr.shape}, lattice has {lattice.site_count} sites")
-                if not positive_support(lattice, arr):
-                    _fail(f"test function {i} is not supported on positive times")
-                phis.append(arr)
-            tf_echo = {"kind": "explicit", "vectors": [list(map(float, v)) for v in vectors]}
+            try:
+                phis = [np.asarray(vec, dtype=np.float64) for vec in vectors]
+                require_positive_support(lattice, phis)
+            except (TypeError, ValueError) as exc:
+                _fail(f"invalid explicit test_functions: {exc}")
+            echo["test_functions"] = {"kind": "explicit", "vectors": [list(map(float, v)) for v in vectors]}
         else:
             _fail(f"unknown test_functions kind {kind!r}")
-
-    echo = {"lattice": {
-        "time_extent": lattice.time_extent,
-        "spatial_extents": list(lattice.spatial_extents),
-    }, "tolerances": tolerances}
-    if cov_echo is not None:
-        echo["covariance"] = cov_echo
-    if density_echo is not None:
-        echo["density"] = density_echo
-    if tf_echo is not None:
-        echo["test_functions"] = tf_echo
-    if mc_echo is not None:
-        echo["mc"] = mc_echo
 
     return Resolved(lattice, covariance, density, phis, mc, tolerances, echo)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _fields(report, omit=()):
+    """A report dataclass as a dict of its fields, minus those named in omit."""
+    return {
+        f.name: getattr(report, f.name)
+        for f in dataclasses.fields(report)
+        if f.name not in omit
+    }
+
+
+def _numpy_to_json(obj):
+    # numpy float64 subclasses float and is written by json itself; arrays,
+    # integers and bools are not, and become their Python equivalents
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def render_report(report, include_wall_time=True):
     """Deterministic JSON bytes for a report dict."""
-    obj = _jsonable(report)
     if not include_wall_time:
-        obj = {k: v for k, v in obj.items() if k != "wall_time_s"}
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        report = {k: v for k, v in report.items() if k != "wall_time_s"}
+    return json.dumps(report, indent=2, sort_keys=True, default=_numpy_to_json) + "\n"
 
 
-def _invariance_dict(r):
-    return {"passed": r.passed, "deviation": r.deviation, "threshold": r.threshold, "tol": r.tol}
-
-
-def _rp_dict(r):
-    return {
-        "passed": r.passed,
-        "min_eigenvalue": r.min_eigenvalue,
-        "threshold": r.threshold,
-        "tol": r.tol,
-        "failure_kind": r.failure_kind,
-    }
-
-
-def _psd_dict(r):
-    return {"passed": r.passed, "min_eigenvalue": r.min_eigenvalue, "threshold": r.threshold}
-
-
-def _violation_dict(lattice, v):
-    wire = potential_to_obj(lattice, Potential((v.term,), 0.0))
-    return {"term": wire["terms"][0], "reason": v.reason}
+def _split_dict(lattice, result):
+    violations = []
+    for v in result.violations:
+        wire = potential_to_obj(lattice, Potential((v.term,), 0.0))
+        violations.append({"term": wire["terms"][0], "reason": v.reason})
+    return {"is_splitting": result.is_splitting, "violations": violations}
 
 
 def cmd_check_gaussian(resolved, csv_dir=None):
@@ -313,13 +294,12 @@ def cmd_check_gaussian(resolved, csv_dir=None):
     checks = {}
     reasons = []
 
-    inv = check_theta_invariance(cov, lattice, tols["invariance_tol"])
-    checks["theta_invariance"] = _invariance_dict(inv)
-    if not inv.passed:
+    rp = check_gaussian_rp(cov, lattice, tols["psd_tol"], tols["invariance_tol"])
+    checks["theta_invariance"] = _fields(rp.invariance)
+    if not rp.invariance.passed:
         reasons.append("theta-invariance")
 
-    rp = check_gaussian_rp(cov, lattice, tols["psd_tol"], tols["invariance_tol"])
-    checks["gaussian_rp"] = _rp_dict(rp)
+    checks["gaussian_rp"] = _fields(rp, omit=("invariance",))
     if not rp.passed:
         reasons.append("gaussian-rp")
 
@@ -328,8 +308,8 @@ def cmd_check_gaussian(resolved, csv_dir=None):
     checks["pq_decomposition"] = {
         "passed": sum_exact and pq.both_psd,
         "sum_exact": sum_exact,
-        "p": _psd_dict(pq.report_p),
-        "q": _psd_dict(pq.report_q),
+        "p": _fields(pq.report_p, omit=("tol",)),
+        "q": _fields(pq.report_q, omit=("tol",)),
     }
     if not (sum_exact and pq.both_psd):
         reasons.append("pq-decomposition")
@@ -339,16 +319,7 @@ def cmd_check_gaussian(resolved, csv_dir=None):
     conv = verify_convolution_identity(
         cov, lattice, tols["invariance_tol"], n_samples=n, seed=seed
     )
-    checks["convolution_identity"] = {
-        "passed": conv.passed,
-        "algebraic_passed": conv.algebraic_passed,
-        "block_deviation": conv.block_deviation,
-        "block_threshold": conv.block_threshold,
-        "sampling_passed": conv.sampling_passed,
-        "max_sigma_deviation": conv.max_sigma_deviation,
-        "n_samples": conv.n_samples,
-        "seed": conv.seed,
-    }
+    checks["convolution_identity"] = _fields(conv)
     if not conv.passed:
         reasons.append("convolution-identity")
 
@@ -366,20 +337,17 @@ def cmd_check_density(resolved):
         _fail("check-density needs a 'density' section")
     lattice = resolved.lattice
     result = split_check(lattice, resolved.density)
-    check = {
-        "is_splitting": result.is_splitting,
-        "violations": [_violation_dict(lattice, v) for v in result.violations],
-        "witness": potential_to_obj(lattice, result.witness_g, half=True)
-        if result.is_splitting
-        else None,
-    }
+    check = _split_dict(lattice, result)
+    check["witness"] = (
+        potential_to_obj(lattice, result.witness_g, half=True) if result.is_splitting else None
+    )
     reasons = [] if result.is_splitting else ["split:" + result.violations[0].reason]
     return {"split": check}, reasons
 
 
 def cmd_verify_rp(resolved):
-    if resolved.covariance is None:
-        _fail("verify-rp needs a 'covariance' section")
+    if resolved.covariance is None or resolved.density is None or resolved.mc is None:
+        _fail("verify-rp needs 'covariance', 'density' and 'mc' sections")
     lattice, cov = resolved.lattice, resolved.covariance
     tols = resolved.tolerances
     mc = resolved.mc
@@ -391,19 +359,15 @@ def cmd_verify_rp(resolved):
     checks = {}
     reasons = []
 
-    inv = check_theta_invariance(cov, lattice, tols["invariance_tol"])
-    checks["theta_invariance"] = _invariance_dict(inv)
     rp = check_gaussian_rp(cov, lattice, tols["psd_tol"], tols["invariance_tol"])
-    checks["gaussian_rp"] = _rp_dict(rp)
-    if not (inv.passed and rp.passed):
+    checks["theta_invariance"] = _fields(rp.invariance)
+    checks["gaussian_rp"] = _fields(rp, omit=("invariance",))
+    if not rp.passed:
         reasons.append("gaussian-gate")
         return checks, reasons
 
     split = split_check(lattice, resolved.density)
-    checks["split"] = {
-        "is_splitting": split.is_splitting,
-        "violations": [_violation_dict(lattice, v) for v in split.violations],
-    }
+    checks["split"] = _split_dict(lattice, split)
     if not split.is_splitting:
         reasons.append("split:" + split.violations[0].reason)
         return checks, reasons
@@ -423,8 +387,8 @@ def cmd_verify_rp(resolved):
     pq = decompose_pq(cov, lattice)
     checks["pq_decomposition"] = {
         "passed": pq.both_psd,
-        "p": _psd_dict(pq.report_p),
-        "q": _psd_dict(pq.report_q),
+        "p": _fields(pq.report_p, omit=("tol",)),
+        "q": _fields(pq.report_q, omit=("tol",)),
     }
     if not pq.both_psd:
         reasons.append("pq-decomposition")
@@ -532,12 +496,8 @@ def cmd_selftest(psd_tol=DEFAULT_PSD_TOL):
     fact = gram_mc_factorized(
         cov, lat, ZERO_POTENTIAL, random_test_functions(lat, 3, 7), params
     )
-    entry(
-        "factorized-structural-psd",
-        fact.min_eigenvalue >= min(STRUCTURAL_PSD_FLOOR, -psd_tol),
-        fact.min_eigenvalue,
-        min(STRUCTURAL_PSD_FLOOR, -psd_tol),
-    )
+    gate = min(STRUCTURAL_PSD_FLOOR, -psd_tol)
+    entry("factorized-structural-psd", fact.min_eigenvalue >= gate, fact.min_eigenvalue, gate)
 
     reasons = [e["name"] for e in entries if not e["passed"]]
     return {"selftest": entries}, reasons
@@ -583,12 +543,13 @@ def build_parser():
     def common(p, needs_config=True):
         if needs_config:
             p.add_argument("--config", required=True, help="experiment config JSON")
+            p.add_argument("--seed", type=int, help="override the mc seed from the config")
         p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--seed", type=int, help="override the mc seed from the config")
-        p.add_argument("--csv-dir", help="dump matrices as CSV into this directory")
         p.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
 
-    common(sub.add_parser("check-gaussian", help="exact Gaussian reflection checks"))
+    cg = sub.add_parser("check-gaussian", help="exact Gaussian reflection checks")
+    common(cg)
+    cg.add_argument("--csv-dir", help="dump matrices as CSV into this directory")
     common(sub.add_parser("check-density", help="splitting decision for a density"))
     common(sub.add_parser("verify-rp", help="full pipeline incl. Monte Carlo Gram checks"))
     st = sub.add_parser("selftest", help="run the built-in oracle battery")
@@ -611,8 +572,6 @@ def main(argv=None):
                 raw,
                 Path(args.config).parent,
                 seed_override=args.seed,
-                need_mc=args.command == "verify-rp",
-                need_density=args.command in ("check-density", "verify-rp"),
             )
             if args.command == "check-gaussian":
                 checks, reasons = cmd_check_gaussian(resolved, csv_dir=args.csv_dir)
@@ -621,10 +580,7 @@ def main(argv=None):
             else:
                 checks, reasons = cmd_verify_rp(resolved)
             echo = resolved.echo
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

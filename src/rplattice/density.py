@@ -75,40 +75,32 @@ def negate_potential(p):
     return Potential(tuple(Term(-t.coefficient, t.factors) for t in p.terms), -p.constant)
 
 
+def check_sites(p, count, where):
+    """Raise ValueError when a factor of p names a site index >= count."""
+    for t in p.terms:
+        for site, _ in t.factors:
+            if site >= count:
+                raise ValueError(f"site index {site} out of range for {where}")
+
+
 def eval_potential(p, values):
     """Evaluate at one configuration (full or half vector, as indexed)."""
-    arr = np.asarray(values, dtype=np.float64)
-    total = p.constant
-    for t in p.terms:
-        prod = t.coefficient
-        for site, power in t.factors:
-            if site >= arr.shape[0]:
-                raise ValueError(
-                    f"site index {site} out of range for vector of length {arr.shape[0]}"
-                )
-            # sequential multiply, matching eval_potential_batch bit for bit
-            v = float(arr[site])
-            for _ in range(power):
-                prod *= v
-        total += prod
-    return float(total)
+    row = np.asarray(values, dtype=np.float64)[np.newaxis, :]
+    return float(eval_potential_batch(p, row)[0])
 
 
 def eval_potential_batch(p, configs):
     """Evaluate at many configurations at once; configs has shape (n, dim).
 
-    Same factor order and multiplication scheme as eval_potential, so both
-    entry points agree bit for bit.
+    Factors multiply into the coefficient one power at a time, in canonical
+    factor order, and terms add onto the constant in term order.
     """
     configs = np.asarray(configs, dtype=np.float64)
+    check_sites(p, configs.shape[1], f"configs of width {configs.shape[1]}")
     out = np.full(configs.shape[0], p.constant, dtype=np.float64)
     for t in p.terms:
         prod = np.full(configs.shape[0], t.coefficient, dtype=np.float64)
         for site, power in t.factors:
-            if site >= configs.shape[1]:
-                raise ValueError(
-                    f"site index {site} out of range for configs of width {configs.shape[1]}"
-                )
             col = configs[:, site]
             for _ in range(power):
                 prod = prod * col
@@ -126,14 +118,11 @@ def eval_potential_exact(p, values):
     evaluation, independent of term order or grouping.
     """
     arr = np.asarray(values, dtype=np.float64)
+    check_sites(p, arr.shape[0], f"vector of length {arr.shape[0]}")
     total = Fraction(p.constant)
     for t in p.terms:
         prod = Fraction(t.coefficient)
         for site, power in t.factors:
-            if site >= arr.shape[0]:
-                raise ValueError(
-                    f"site index {site} out of range for vector of length {arr.shape[0]}"
-                )
             prod *= Fraction(float(arr[site])) ** power
         total += prod
     return total
@@ -142,11 +131,9 @@ def eval_potential_exact(p, values):
 def reflect_potential(lattice, p):
     """Substitute site -> theta(site) in every factor. An exact involution."""
     theta = lattice.theta_perm
+    check_sites(p, lattice.site_count, f"lattice of {lattice.site_count} sites")
     terms = []
     for t in p.terms:
-        for site, _ in t.factors:
-            if site >= lattice.site_count:
-                raise ValueError(f"site index {site} out of range for lattice of {lattice.site_count} sites")
         terms.append(Term(t.coefficient, tuple((int(theta[s]), pw) for s, pw in t.factors)))
     return canonicalize(Potential(tuple(terms), p.constant))
 

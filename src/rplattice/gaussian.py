@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import reflect, restrict_plus, positive_support, _as_site_vector
-from .streams import NS_FIELD, chunk_counts, substream
+from .streams import NS_FIELD, ChunkMoments, chunk_counts, substream
 
 DEFAULT_PSD_TOL = 1e-10
 DEFAULT_INVARIANCE_TOL = 1e-12
@@ -49,17 +49,11 @@ class Covariance:
             raise ValueError(f"covariance must be square, got shape {m.shape}")
         if not np.array_equal(m, m.T):
             raise ValueError("covariance must be exactly symmetric as stored")
-        if self.psd_tolerance < 0:
+        if not self.psd_tolerance >= 0:  # also rejects NaN, which no gate could compare
             raise ValueError("psd_tolerance must be nonnegative")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        eigs = np.linalg.eigvalsh(m)
-        scale = max(1.0, float(np.abs(eigs).max())) if eigs.size else 1.0
-        if eigs.size and eigs.min() < -self.psd_tolerance * scale:
-            raise ValueError(
-                f"covariance has eigenvalue {eigs.min():.3e}, below -psd_tolerance*scale = "
-                f"{-self.psd_tolerance * scale:.3e}"
-            )
+        _require_psd(np.linalg.eigvalsh(m), self.psd_tolerance, "covariance")
 
     @property
     def dim(self):
@@ -126,13 +120,30 @@ class ConvolutionReport:
     seed: int
 
 
-def _psd_report(matrix, tol):
-    sym = (matrix + matrix.T) / 2.0
-    eigs = np.linalg.eigvalsh(sym) if sym.size else np.zeros(0)
+def _spectral_psd(eigs, tol):
+    """PSD gate on a spectrum: min eigenvalue >= -tol * max(1, max |eigenvalue|).
+
+    The threshold scales with the spectral norm but is never tighter than
+    -tol; an empty spectrum passes with minimum 0.
+    """
     min_eig = float(eigs.min()) if eigs.size else 0.0
     scale = max(1.0, float(np.abs(eigs).max())) if eigs.size else 1.0
     threshold = -tol * scale
     return PsdReport(min_eig >= threshold, min_eig, threshold, tol)
+
+
+def _require_psd(eigs, tol, what):
+    gate = _spectral_psd(eigs, tol)
+    if not gate.passed:
+        raise ValueError(
+            f"{what} is not positive semidefinite: eigenvalue {gate.min_eigenvalue:.3e} "
+            f"below {gate.threshold:.3e}"
+        )
+
+
+def _psd_report(matrix, tol):
+    sym = (matrix + matrix.T) / 2.0
+    return _spectral_psd(np.linalg.eigvalsh(sym) if sym.size else np.zeros(0), tol)
 
 
 def free_field_covariance(lattice, mass, psd_tolerance=DEFAULT_PSD_TOL):
@@ -211,6 +222,17 @@ def check_theta_invariance(cov, lattice, tol=DEFAULT_INVARIANCE_TOL):
     return InvarianceReport(deviation <= threshold, deviation, threshold, tol)
 
 
+def warn_unless_invariant(cov, lattice, consequence):
+    """RuntimeWarning at the caller's caller when C fails the default invariance check."""
+    inv = check_theta_invariance(cov, lattice)
+    if not inv.passed:
+        warnings.warn(
+            f"covariance is not reflection invariant (deviation {inv.deviation:.3e}); {consequence}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def cross_block(cov, lattice, warn=True):
     """B[x, y] = C[x, theta(y)] over positive-time sites.
 
@@ -218,14 +240,7 @@ def cross_block(cov, lattice, warn=True):
     the invariance check fails at the default tolerance.
     """
     if warn:
-        inv = check_theta_invariance(cov, lattice)
-        if not inv.passed:
-            warnings.warn(
-                f"covariance is not reflection invariant (deviation {inv.deviation:.3e}); "
-                "the cross block loses its meaning",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        warn_unless_invariant(cov, lattice, "the cross block loses its meaning")
     plus = lattice.plus_sites
     return cov.matrix[np.ix_(plus, lattice.theta_perm[plus])]
 
@@ -237,20 +252,14 @@ def check_gaussian_rp(cov, lattice, tol=DEFAULT_PSD_TOL, invariance_tol=DEFAULT_
     distinct from a genuinely negative cross-block spectrum.
     """
     inv = check_theta_invariance(cov, lattice, invariance_tol)
-    b = cross_block(cov, lattice, warn=False)
-    b = (b + b.T) / 2.0
-    eigs = np.linalg.eigvalsh(b) if b.size else np.zeros(0)
-    min_eig = float(eigs.min()) if eigs.size else 0.0
-    spectral = float(np.abs(eigs).max()) if eigs.size else 0.0
-    threshold = -tol * max(1.0, spectral)
-    psd_ok = min_eig >= threshold
+    psd = _psd_report(cross_block(cov, lattice, warn=False), tol)
     if not inv.passed:
         kind = "not-theta-invariant"
-    elif not psd_ok:
+    elif not psd.passed:
         kind = "cross-block-not-psd"
     else:
         kind = None
-    return GaussianRpReport(kind is None, min_eig, threshold, tol, kind, inv)
+    return GaussianRpReport(kind is None, psd.min_eigenvalue, psd.threshold, tol, kind, inv)
 
 
 def theta_inner(cov, lattice, phi):
@@ -297,12 +306,7 @@ def covariance_factor(matrix, psd_tolerance):
     """
     sym = (matrix + matrix.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(sym)
-    scale = max(1.0, float(np.abs(eigvals).max())) if eigvals.size else 1.0
-    if eigvals.size and eigvals.min() < -psd_tolerance * scale:
-        raise ValueError(
-            f"matrix is not positive semidefinite: eigenvalue {eigvals.min():.3e} below "
-            f"{-psd_tolerance * scale:.3e}"
-        )
+    _require_psd(eigvals, psd_tolerance, "matrix")
     clipped = np.clip(eigvals, 0.0, None)
     return eigvecs * np.sqrt(clipped)[np.newaxis, :]
 
@@ -359,21 +363,14 @@ def verify_convolution_identity(
 
     plus = lattice.plus_sites
     mirror = lattice.theta_perm[plus]
-    nh = plus.shape[0]
     target = np.block([[a, b], [b, a]])
 
-    dim = 2 * nh
-    sum_y = np.zeros((dim, dim))
-    sum_y2 = np.zeros((dim, dim))
+    moments = ChunkMoments()
     for _, block in iter_sample_chunks(cov, n_samples, seed):
         y = np.concatenate([block[:, plus], block[:, mirror]], axis=1)
         outer = y[:, :, np.newaxis] * y[:, np.newaxis, :]
-        sum_y += outer.sum(axis=0)
-        sum_y2 += (outer**2).sum(axis=0)
-    n = int(n_samples)
-    emp = sum_y / n
-    var = np.maximum(sum_y2 - n * emp**2, 0.0) / max(n - 1, 1)
-    stderr = np.sqrt(var / n)
+        moments.add(outer)
+    emp, stderr = moments.mean_and_stderr()
     delta = np.abs(emp - target)
     with np.errstate(divide="ignore", invalid="ignore"):
         sigmas = np.where(stderr > 0, delta / stderr, np.where(delta <= 1e-12, 0.0, np.inf))
@@ -387,6 +384,6 @@ def verify_convolution_identity(
         block_threshold=block_threshold,
         sampling_passed=sampling_ok,
         max_sigma_deviation=max_sigma,
-        n_samples=n,
+        n_samples=int(n_samples),
         seed=int(seed),
     )

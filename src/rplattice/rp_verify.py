@@ -32,16 +32,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import eval_potential_batch
+from .density import check_sites, eval_potential_batch
 from .gaussian import (
     char_fn,
-    check_theta_invariance,
     covariance_factor,
     decompose_pq,
     iter_sample_chunks,
+    warn_unless_invariant,
 )
 from .lattice import embed_plus, positive_support, reflect, restrict_plus
-from .streams import NS_BOOTSTRAP, NS_FACTORIZED, NS_TESTFN, substream
+from .streams import (
+    NS_BOOTSTRAP,
+    NS_FACTORIZED,
+    NS_TESTFN,
+    ChunkMoments,
+    chunk_counts,
+    substream,
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -160,7 +167,8 @@ def random_test_functions(lattice, count, seed):
     return phis
 
 
-def _require_positive_support(lattice, phis):
+def require_positive_support(lattice, phis):
+    """Raise ValueError unless every test function is a site vector vanishing at t < 0."""
     for i, phi in enumerate(phis):
         if not positive_support(lattice, phi):
             raise ValueError(f"test function {i} is not supported on positive times")
@@ -173,7 +181,7 @@ def small_lambda_probe(cov, lattice, phi, lambdas):
     Gaussian characteristic function cf; the error is O(s^2).
     """
     phi = np.asarray(phi, dtype=np.float64)
-    _require_positive_support(lattice, [phi])
+    require_positive_support(lattice, [phi])
     diff = phi - reflect(lattice, phi)
     out = []
     for lam in lambdas:
@@ -187,16 +195,8 @@ def small_lambda_probe(cov, lattice, phi, lambdas):
 
 def gram_exact_gaussian(cov, lattice, phis, tol=DEFAULT_GRAM_TOL):
     """Exact Gaussian Gram matrix; entries are closed-form, stderr is zero."""
-    _require_positive_support(lattice, phis)
-    inv = check_theta_invariance(cov, lattice)
-    if not inv.passed:
-        import warnings
-
-        warnings.warn(
-            f"covariance is not reflection invariant (deviation {inv.deviation:.3e})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    require_positive_support(lattice, phis)
+    warn_unless_invariant(cov, lattice, "the Gram matrix does not test reflection positivity")
     k = len(phis)
     thetas = [reflect(lattice, phi) for phi in phis]
     m = np.zeros((k, k), dtype=np.complex128)
@@ -220,10 +220,10 @@ def gram_exact_gaussian(cov, lattice, phis, tol=DEFAULT_GRAM_TOL):
     )
 
 
-def _stable_below(chunk_counts_arr, chunk_sums, threshold, seed):
+def _stable_below(counts, sums, threshold, seed):
     """Bootstrap over chunk sums: does the failing sign persist?"""
-    counts = np.asarray(chunk_counts_arr, dtype=np.float64)
-    sums = np.stack(chunk_sums)
+    counts = np.asarray(counts, dtype=np.float64)
+    sums = np.stack(sums)
     n_chunks = counts.shape[0]
     rng = substream(seed, NS_BOOTSTRAP, 0)
     idx = rng.integers(0, n_chunks, size=(_N_BOOTSTRAP, n_chunks))
@@ -236,38 +236,40 @@ def _stable_below(chunk_counts_arr, chunk_sums, threshold, seed):
     return below >= math.ceil(_STABLE_FRACTION * _N_BOOTSTRAP)
 
 
-def _finish_mc_report(
-    raw, sum_re2, sum_im2, n, tol, seed, kind, ess, chunk_n, chunk_sums
-):
-    k = raw.shape[0]
-    mean = raw / n
-    var_re = np.maximum(sum_re2 - n * mean.real**2, 0.0) / max(n - 1, 1)
-    var_im = np.maximum(sum_im2 - n * mean.imag**2, 0.0) / max(n - 1, 1)
-    stderr = np.sqrt((var_re + var_im) / n)
+def _finish_mc_report(moments, tol, seed, kind, weight_stats):
+    # effective sample size sum(w)/max(w) from per-batch (sum, max) of the weights
+    w_sum = sum(s for s, _ in weight_stats)
+    w_max = max(m for _, m in weight_stats)
+    mean, stderr = moments.mean_and_stderr()
+    k = mean.shape[0]
     herm_gap = float(np.abs(mean - np.conj(mean.T)).max())
-    matrix = (mean + np.conj(mean.T)) / 2.0
     eig_error_bound = float(k * stderr.max()) if stderr.size else 0.0
-    min_eig = float(np.linalg.eigvalsh(matrix).min())
-    threshold = -float(tol) - 5.0 * eig_error_bound
-    if min_eig >= threshold:
-        verdict = PASS
-    elif _stable_below(chunk_n, chunk_sums, threshold, seed):
-        verdict = FAIL
-    else:
+    check = psd_check(mean, tol, eig_error_bound)
+    verdict = check.verdict
+    if verdict == FAIL and not _stable_below(moments.counts, moments.sums, check.threshold, seed):
         verdict = INCONCLUSIVE
     return GramReport(
-        matrix=matrix,
+        matrix=(mean + np.conj(mean.T)) / 2.0,
         stderr=stderr,
-        min_eigenvalue=min_eig,
+        min_eigenvalue=check.min_eigenvalue,
         eig_error_bound=eig_error_bound,
         verdict=verdict,
-        n_samples=int(n),
+        n_samples=int(sum(moments.counts)),
         seed=int(seed),
         estimator_kind=kind,
-        effective_sample_size=ess,
+        effective_sample_size=w_sum / w_max if w_max > 0 else 0.0,
         hermiticity_gap=herm_gap,
         tol=float(tol),
     )
+
+
+def _importance_weights(potential, configs, what):
+    """exp of the potential at each configuration, raw and unnormalized."""
+    with np.errstate(over="ignore"):
+        w = np.exp(eval_potential_batch(potential, configs))
+    if not np.all(np.isfinite(w)):
+        raise IllConditionedWeightsError(f"exp of the {what} overflowed while weighting samples")
+    return w
 
 
 def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
@@ -278,49 +280,20 @@ def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
     w = exp F are used raw (no normalization); their effective sample size
     sum(w)/max(w) is reported as a degeneracy diagnostic.
     """
-    _require_positive_support(lattice, phis)
-    k = len(phis)
+    require_positive_support(lattice, phis)
     phi_mat = np.stack([np.asarray(p, dtype=np.float64) for p in phis], axis=1)
     theta_mat = np.stack([reflect(lattice, p) for p in phis], axis=1)
 
-    raw = np.zeros((k, k), dtype=np.complex128)
-    sum_re2 = np.zeros((k, k))
-    sum_im2 = np.zeros((k, k))
-    chunk_n = []
-    chunk_sums = []
-    w_sum = 0.0
-    w_max = 0.0
+    moments = ChunkMoments()
+    weight_stats = []
     for _, block in iter_sample_chunks(cov, params.n_samples, params.seed):
         a = block @ phi_mat
         b = block @ theta_mat
-        with np.errstate(over="ignore"):
-            w = np.exp(eval_potential_batch(f, block))
-        if not np.all(np.isfinite(w)):
-            raise IllConditionedWeightsError(
-                "exp of the density overflowed while weighting samples"
-            )
+        w = _importance_weights(f, block, "density")
         contrib = w[:, np.newaxis, np.newaxis] * np.exp(1j * (a[:, :, np.newaxis] - b[:, np.newaxis, :]))
-        s = contrib.sum(axis=0)
-        raw += s
-        sum_re2 += (contrib.real**2).sum(axis=0)
-        sum_im2 += (contrib.imag**2).sum(axis=0)
-        chunk_n.append(block.shape[0])
-        chunk_sums.append(s)
-        w_sum += float(w.sum())
-        w_max = max(w_max, float(w.max()))
-    ess = w_sum / w_max if w_max > 0 else 0.0
-    return _finish_mc_report(
-        raw,
-        sum_re2,
-        sum_im2,
-        params.n_samples,
-        tol,
-        params.seed,
-        "mc-direct",
-        ess,
-        chunk_n,
-        chunk_sums,
-    )
+        moments.add(contrib)
+        weight_stats.append((float(w.sum()), float(w.max())))
+    return _finish_mc_report(moments, tol, params.seed, "mc-direct", weight_stats)
 
 
 def gram_mc_factorized(cov, lattice, g, phis, params, tol=DEFAULT_GRAM_TOL):
@@ -337,7 +310,7 @@ def gram_mc_factorized(cov, lattice, g, phis, params, tol=DEFAULT_GRAM_TOL):
     otherwise the factorization does not exist and the call fails fast.
     n_samples on the report counts outer draws.
     """
-    _require_positive_support(lattice, phis)
+    require_positive_support(lattice, phis)
     pq = decompose_pq(cov, lattice)
     if not pq.both_psd:
         raise ValueError(
@@ -346,64 +319,32 @@ def gram_mc_factorized(cov, lattice, g, phis, params, tol=DEFAULT_GRAM_TOL):
             f"and {pq.report_q.min_eigenvalue:.3e} (shared)"
         )
     nh = lattice.n_plus
-    for t in g.terms:
-        for site, _ in t.factors:
-            if site >= nh:
-                raise ValueError(
-                    f"half-density site index {site} out of range for {nh} positive-time sites"
-                )
+    check_sites(g, nh, f"{nh} positive-time sites")
 
-    k = len(phis)
     h_mat = np.stack([restrict_plus(lattice, p) for p in phis], axis=1)
     factor_p = covariance_factor(pq.c_p, cov.psd_tolerance)
     factor_q = covariance_factor(pq.c_q, cov.psd_tolerance)
 
-    n_outer, n_inner = params.n_outer, params.n_inner
-    raw = np.zeros((k, k), dtype=np.complex128)
-    sum_re2 = np.zeros((k, k))
-    sum_im2 = np.zeros((k, k))
-    chunk_n = []
-    chunk_sums = []
-    w_sum = 0.0
-    w_max = 0.0
+    n_inner = params.n_inner
+    moments = ChunkMoments()
+    weight_stats = []
 
     def partial_averages(rng, shared, count):
-        nonlocal w_sum, w_max
         z = rng.standard_normal((count, n_inner, nh))
         s = shared[:, np.newaxis, :] + z @ factor_p.T
-        with np.errstate(over="ignore"):
-            weights = np.exp(
-                eval_potential_batch(g, s.reshape(-1, nh)).reshape(count, n_inner)
-            )
-        if not np.all(np.isfinite(weights)):
-            raise IllConditionedWeightsError(
-                "exp of the half-density overflowed while weighting samples"
-            )
-        w_sum += float(weights.sum())
-        w_max = max(w_max, float(weights.max()))
+        weights = _importance_weights(g, s.reshape(-1, nh), "half-density")
+        weights = weights.reshape(count, n_inner)
+        weight_stats.append((float(weights.sum()), float(weights.max())))
         vals = weights[:, :, np.newaxis] * np.exp(-1j * (s @ h_mat))
         return vals.mean(axis=1)
 
-    done = 0
-    chunk_index = 0
-    while done < n_outer:
-        count = min(_OUTER_CHUNK, n_outer - done)
+    for chunk_index, count in chunk_counts(params.n_outer, _OUTER_CHUNK):
         rng = substream(params.seed, NS_FACTORIZED, chunk_index)
         shared = rng.standard_normal((count, nh)) @ factor_q.T
         h1 = partial_averages(rng, shared, count)
         h2 = h1 if params.share_inner else partial_averages(rng, shared, count)
         y = np.conj(h1)[:, :, np.newaxis] * h2[:, np.newaxis, :]
-        s = y.sum(axis=0)
-        raw += s
-        sum_re2 += (y.real**2).sum(axis=0)
-        sum_im2 += (y.imag**2).sum(axis=0)
-        chunk_n.append(count)
-        chunk_sums.append(s)
-        done += count
-        chunk_index += 1
+        moments.add(y)
 
-    ess = w_sum / w_max if w_max > 0 else 0.0
     kind = "mc-factorized-shared" if params.share_inner else "mc-factorized-independent"
-    return _finish_mc_report(
-        raw, sum_re2, sum_im2, n_outer, tol, params.seed, kind, ess, chunk_n, chunk_sums
-    )
+    return _finish_mc_report(moments, tol, params.seed, kind, weight_stats)

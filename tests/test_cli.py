@@ -295,3 +295,45 @@ def test_matrix_csv_round_trip_is_exact(tmp_path):
     path = tmp_path / "m.csv"
     write_matrix_csv(path, m)
     assert np.array_equal(read_matrix_csv(path), m)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--seed", "5"],
+        ["selftest", "--csv-dir", "CSV"],
+        ["selftest", "--seed", "5", "--csv-dir", "CSV"],
+        ["check-density", "--config", "CFG", "--csv-dir", "CSV"],
+        ["verify-rp", "--config", "CFG", "--csv-dir", "CSV"],
+    ],
+    ids=["selftest-seed", "selftest-csv-dir", "selftest-both", "check-density-csv-dir", "verify-rp-csv-dir"],
+)
+def test_flags_a_subcommand_does_not_use_are_usage_errors(tmp_path, argv):
+    cfg = write_config(tmp_path / "cfg.json", free_field_config(n_samples=1_000))
+    csv_dir = tmp_path / "csvs"
+    argv = [str(csv_dir) if a == "CSV" else cfg if a == "CFG" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--quiet"])
+    assert exc.value.code == 2
+    assert not csv_dir.exists()
+
+
+MALFORMED_CONFIGS = {
+    "psd_tol-not-a-number": {"tolerances": {"psd_tol": "abc"}},
+    "seed-not-a-number": {"mc": {"n_samples": 1_000, "seed": "x"}},
+    "tolerances-not-an-object": {"tolerances": []},
+    "psd_tol-nan": {"tolerances": {"psd_tol": float("nan")}},
+    "n_samples-not-a-number": {"mc": {"n_samples": "many"}},
+    "mc-not-an-object": {"mc": []},
+    "mass-not-a-number": {"covariance": {"kind": "free_field", "mass": "heavy"}},
+}
+
+
+@pytest.mark.parametrize("override", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+def test_malformed_config_values_exit_two_with_one_line(tmp_path, capsys, override):
+    cfg = write_config(tmp_path / "cfg.json", {**free_field_config(n_samples=1_000), **override})
+    out = tmp_path / "report.json"
+    assert main(["check-gaussian", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()

@@ -268,3 +268,8 @@ def test_char_fn_symmetries():
         phi = rng.standard_normal(lat.site_count)
         assert char_fn(cov, phi) == char_fn(cov, -phi)
         assert char_fn(cov, reflect(lat, phi)) == pytest.approx(char_fn(cov, phi), rel=1e-12)
+
+
+def test_covariance_rejects_nan_tolerance():
+    with pytest.raises(ValueError, match="psd_tolerance"):
+        Covariance(np.eye(2), float("nan"))
