@@ -42,7 +42,7 @@ from .gaussian import (
     theta_inner,
     verify_convolution_identity,
 )
-from .lattice import Lattice, build_lattice
+from .lattice import Lattice, as_int, build_lattice
 from .rp_verify import (
     FAIL,
     IllConditionedWeightsError,
@@ -129,12 +129,12 @@ def _section(raw, name):
 
 
 def _number(section, name, key, default, kind=float):
-    """section[key], or default when absent, converted by kind (float or int)."""
+    """section[key], or default when absent, as a float or (kind=int) an exact integer."""
     value = section.get(key, default)
     try:
-        return kind(value)
+        return as_int(value, key) if kind is int else float(value)
     except (TypeError, ValueError, OverflowError):
-        _fail(f"{name}.{key} must be a number, got {value!r}")
+        _fail(f"{name}.{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 
 def resolve_config(raw, config_dir, seed_override=None):
@@ -171,13 +171,16 @@ def resolve_config(raw, config_dir, seed_override=None):
         seed = _number(mc_cfg, "mc", "seed", 0, int)
         if seed_override is not None:
             seed = int(seed_override)
+        share_inner = mc_cfg.get("share_inner", True)
+        if not isinstance(share_inner, bool):
+            _fail(f"mc.share_inner must be true or false, got {share_inner!r}")
         try:
             mc = McParams(
                 n_samples=_number(mc_cfg, "mc", "n_samples", None, int),
                 seed=seed,
                 n_outer=_number(mc_cfg, "mc", "n_outer", 10_000, int),
                 n_inner=_number(mc_cfg, "mc", "n_inner", 1_000, int),
-                share_inner=bool(mc_cfg.get("share_inner", True)),
+                share_inner=share_inner,
             )
         except ValueError as exc:
             _fail(f"invalid mc section: {exc}")
@@ -271,10 +274,8 @@ def _numpy_to_json(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def render_report(report, include_wall_time=True):
+def render_report(report):
     """Deterministic JSON bytes for a report dict."""
-    if not include_wall_time:
-        report = {k: v for k, v in report.items() if k != "wall_time_s"}
     return json.dumps(report, indent=2, sort_keys=True, default=_numpy_to_json) + "\n"
 
 
@@ -532,6 +533,14 @@ def _summarize(report, quiet):
     print(f"overall: {report['verdict'].upper()} (exit {report['exit_code']})")
 
 
+def _tolerance(text):
+    """argparse type: a finite, nonnegative float."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rplattice",
@@ -554,7 +563,7 @@ def build_parser():
     common(sub.add_parser("verify-rp", help="full pipeline incl. Monte Carlo Gram checks"))
     st = sub.add_parser("selftest", help="run the built-in oracle battery")
     common(st, needs_config=False)
-    st.add_argument("--psd-tol", type=float, default=DEFAULT_PSD_TOL, help="PSD gate for the battery")
+    st.add_argument("--psd-tol", type=_tolerance, default=DEFAULT_PSD_TOL, help="PSD gate for the battery")
     return parser
 
 

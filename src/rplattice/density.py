@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .lattice import as_int
+
 
 @dataclass(frozen=True)
 class Term:
@@ -264,7 +266,7 @@ def potential_from_obj(lattice, obj):
     terms = []
     for entry in obj.get("terms", []):
         factors = tuple(
-            (lattice.index_of(f["site"]), int(f["power"])) for f in entry["factors"]
+            (lattice.index_of(f["site"]), as_int(f["power"], "power")) for f in entry["factors"]
         )
         terms.append(Term(float(entry["coefficient"]), factors))
     return canonicalize(Potential(tuple(terms), float(obj.get("constant", 0.0))))

@@ -166,40 +166,24 @@ def free_field_covariance(lattice, mass, psd_tolerance=DEFAULT_PSD_TOL):
     return Covariance(cov, psd_tolerance)
 
 
-def _time_neighbours(lattice, t):
-    T = lattice.time_extent
-    out = []
-    if t == -1:
-        out.append(1)
-    elif t != T:
-        out.append(t + 1)
-    if t == 1:
-        out.append(-1)
-    elif t != -T:
-        out.append(t - 1)
-    return out
-
-
 def _laplacian_plus_mass(lattice, mass):
+    """-laplacian + mass^2, assembled link by link on the site grid.
+
+    Each diagonal entry is mass^2 followed by one +1.0 per link end, added
+    left to right; adding mass^2 + degree in one step can differ in the last ulp.
+    """
     n = lattice.site_count
     op = np.zeros((n, n))
     np.fill_diagonal(op, mass * mass)
-    coords = lattice.coords
-    for i in range(n):
-        c = coords[i]
-        for t_nbr in _time_neighbours(lattice, int(c[0])):
-            j = lattice.index_of((t_nbr,) + tuple(c[1:]))
+    grid = np.arange(n).reshape(lattice.shape)
+    links = [(grid[:-1], grid[1:])]  # the crossing link included, open ends
+    for axis, extent in enumerate(lattice.spatial_extents, start=1):
+        if extent > 1:  # extent 1 closes on itself; extent 2 links the pair twice
+            links.append((grid, np.roll(grid, -1, axis)))
+    for a, b in links:
+        for i, j in ((a.ravel(), b.ravel()), (b.ravel(), a.ravel())):
             op[i, i] += 1.0
             op[i, j] -= 1.0
-        for axis, extent in enumerate(lattice.spatial_extents):
-            for step in (+1, -1):
-                x = list(c[1:])
-                x[axis] = (x[axis] + step) % extent
-                j = lattice.index_of((int(c[0]),) + tuple(x))
-                if j == i:
-                    continue  # extent 1: the stencil closes on itself
-                op[i, i] += 1.0
-                op[i, j] -= 1.0
     return op
 
 

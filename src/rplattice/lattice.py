@@ -6,15 +6,25 @@ d periodic spatial coordinates. Time zero is excluded, so the reflection
 into the positive-time half and its mirror image. The reflection plane sits
 on the link between t = -1 and t = +1 ("link reflection").
 
-Site ordering is lexicographic in (t, x1, ..., xd) with t ascending
--T..-1, 1..T, so every matrix and report built on top of a lattice is
-reproducible byte for byte.
+Sites are numbered in C order over the grid of shape (2T, L1, ..., Ld), time
+leading: time rank r holds t = r - T for r < T and t = r - T + 1 otherwise.
+So site order is lexicographic in (t, x1, ..., xd) with t ascending, the
+negative half is the first N/2 sites and the positive half the last N/2, and
+the reflection reverses the time axis. Every matrix and report built on top
+of a lattice is reproducible byte for byte.
 """
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def as_int(value, what):
+    """int(value), refusing what int() would silently change: booleans and fractional numbers."""
+    if isinstance(value, (bool, np.bool_)) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -30,6 +40,11 @@ class Lattice:
     half_of: np.ndarray     # position within plus_sites, -1 on the minus half
 
     @property
+    def shape(self):
+        """The site grid (2T, L1, ..., Ld); site i is its i-th entry in C order."""
+        return (2 * self.time_extent, *self.spatial_extents)
+
+    @property
     def site_count(self):
         return self.coords.shape[0]
 
@@ -39,58 +54,43 @@ class Lattice:
 
     def index_of(self, coord):
         """Map a (t, x1, ..., xd) coordinate tuple to its site index."""
-        t = int(coord[0])
+        if len(coord) != len(self.shape):
+            raise ValueError(f"coordinate has {len(coord)} entries, lattice needs {len(self.shape)}")
+        t, *x = (as_int(c, "coordinate") for c in coord)
         T = self.time_extent
         if t == 0 or t < -T or t > T:
             raise ValueError(f"time coordinate {t} outside -{T}..-1, 1..{T}")
-        if len(coord) != 1 + len(self.spatial_extents):
-            raise ValueError(
-                f"coordinate has {len(coord)} entries, lattice needs {1 + len(self.spatial_extents)}"
-            )
-        time_rank = t + T if t < 0 else T + t - 1
-        idx = time_rank
-        for x, extent in zip(coord[1:], self.spatial_extents):
-            x = int(x)
-            if not 0 <= x < extent:
-                raise ValueError(f"spatial coordinate {x} outside 0..{extent - 1}")
-            idx = idx * extent + x
-        # interleaving above is (time_rank * volume + spatial_rank) in disguise
-        return idx
+        for xi, extent in zip(x, self.spatial_extents):
+            if not 0 <= xi < extent:
+                raise ValueError(f"spatial coordinate {xi} outside 0..{extent - 1}")
+        time_rank = t + T if t < 0 else t + T - 1
+        return int(np.ravel_multi_index((time_rank, *x), self.shape))
 
 
 def build_lattice(time_extent, spatial_extents=()):
     """Construct the lattice with 2*T time slices and periodic spatial torus."""
-    T = int(time_extent)
+    T = as_int(time_extent, "time_extent")
     if T < 1:
         raise ValueError(f"time_extent must be >= 1, got {time_extent}")
-    extents = tuple(int(L) for L in spatial_extents)
+    extents = tuple(as_int(L, "spatial extent") for L in spatial_extents)
     if any(L < 1 for L in extents):
         raise ValueError(f"spatial extents must be >= 1, got {spatial_extents}")
 
-    times = list(range(-T, 0)) + list(range(1, T + 1))
-    spatial = list(itertools.product(*[range(L) for L in extents]))
-    coords = np.array(
-        [(t,) + x for t in times for x in spatial], dtype=np.int64
-    ).reshape(len(times) * len(spatial), 1 + len(extents))
-
-    lookup = {tuple(c): i for i, c in enumerate(coords.tolist())}
-    theta = np.empty(len(coords), dtype=np.int64)
-    for i, c in enumerate(coords.tolist()):
-        theta[i] = lookup[(-c[0],) + tuple(c[1:])]
-
-    plus = np.flatnonzero(coords[:, 0] >= 1)
-    minus = np.flatnonzero(coords[:, 0] <= -1)
-    half_of = np.full(len(coords), -1, dtype=np.int64)
-    half_of[plus] = np.arange(len(plus))
+    shape = (2 * T, *extents)
+    n = math.prod(shape)
+    coords = np.indices(shape, dtype=np.int64).reshape(len(shape), n).T.copy()
+    coords[:, 0] += np.where(coords[:, 0] < T, -T, 1 - T)
+    sites = np.arange(n)
+    half = n // 2
 
     return Lattice(
         time_extent=T,
         spatial_extents=extents,
         coords=coords,
-        theta_perm=theta,
-        plus_sites=plus,
-        minus_sites=minus,
-        half_of=half_of,
+        theta_perm=sites.reshape(2 * T, -1)[::-1].ravel(),
+        plus_sites=np.arange(half, n),
+        minus_sites=np.arange(half),
+        half_of=np.where(sites < half, -1, sites - half),
     )
 
 

@@ -305,8 +305,12 @@ def test_matrix_csv_round_trip_is_exact(tmp_path):
         ["selftest", "--seed", "5", "--csv-dir", "CSV"],
         ["check-density", "--config", "CFG", "--csv-dir", "CSV"],
         ["verify-rp", "--config", "CFG", "--csv-dir", "CSV"],
+        ["selftest", "--psd-tol", "nan"],
+        ["selftest", "--psd-tol", "inf"],
+        ["selftest", "--psd-tol", "-1"],
     ],
-    ids=["selftest-seed", "selftest-csv-dir", "selftest-both", "check-density-csv-dir", "verify-rp-csv-dir"],
+    ids=["selftest-seed", "selftest-csv-dir", "selftest-both", "check-density-csv-dir", "verify-rp-csv-dir",
+         "selftest-psd-tol-nan", "selftest-psd-tol-inf", "selftest-psd-tol-negative"],
 )
 def test_flags_a_subcommand_does_not_use_are_usage_errors(tmp_path, argv):
     cfg = write_config(tmp_path / "cfg.json", free_field_config(n_samples=1_000))
@@ -326,6 +330,18 @@ MALFORMED_CONFIGS = {
     "n_samples-not-a-number": {"mc": {"n_samples": "many"}},
     "mc-not-an-object": {"mc": []},
     "mass-not-a-number": {"covariance": {"kind": "free_field", "mass": "heavy"}},
+    "n_samples-fractional": {"mc": {"n_samples": 1000.9}},
+    "seed-fractional": {"mc": {"n_samples": 1_000, "seed": 1.5}},
+    "n_inner-boolean": {"mc": {"n_samples": 1_000, "n_inner": True}},
+    "time_extent-fractional": {"lattice": {"time_extent": 2.7, "spatial_extents": [4]}},
+    "spatial_extent-fractional": {"lattice": {"time_extent": 2, "spatial_extents": [4.9]}},
+    "density-site-fractional": {
+        "density": {"terms": [{"coefficient": -0.1, "factors": [{"site": [1, 0.7], "power": 4}]}]}
+    },
+    "density-power-fractional": {
+        "density": {"terms": [{"coefficient": -0.1, "factors": [{"site": [1, 0], "power": 2.9}]}]}
+    },
+    "share_inner-string": {"mc": {"n_samples": 1_000, "share_inner": "false"}},
 }
 
 
@@ -337,3 +353,19 @@ def test_malformed_config_values_exit_two_with_one_line(tmp_path, capsys, overri
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_integral_floats_count_as_integers(tmp_path):
+    as_ints = free_field_config(n_samples=5_000)
+    as_floats = {
+        **as_ints,
+        "lattice": {"time_extent": 2.0, "spatial_extents": [4.0]},
+        "mc": {"n_samples": 5e3, "seed": 1.0},
+    }
+    bodies = []
+    for name, cfg in (("ints", as_ints), ("floats", as_floats)):
+        out = tmp_path / f"{name}.json"
+        assert main(["check-gaussian", "--config", write_config(tmp_path / f"{name}-cfg.json", cfg),
+                     "--out", str(out), "--quiet"]) == 0
+        bodies.append(report_bytes_without_wall_time(out))
+    assert bodies[0] == bodies[1]

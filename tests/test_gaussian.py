@@ -18,7 +18,7 @@ from rplattice import (
     theta_inner,
     verify_convolution_identity,
 )
-from rplattice.gaussian import covariance_factor, iter_sample_chunks
+from rplattice.gaussian import _laplacian_plus_mass, covariance_factor, iter_sample_chunks
 
 
 def two_site_cov(c):
@@ -45,6 +45,53 @@ def test_free_field_heavy_mass_limit():
     cov = free_field_covariance(lat, 100.0)
     dev = np.abs(cov.matrix - np.eye(lat.site_count) / 100.0**2).max()
     assert dev <= 1e-6
+
+
+# -laplacian by hand, diagonal = degree. Sites in (t, x) order, t = -T..-1, 1..T.
+PATH_2 = [[1, -1], [-1, 1]]
+PATH_4 = [[1, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 1]]
+# T=1, L=[2]: each spatial pair is linked in both ring directions
+RING_2 = [[3, -2, -1, 0], [-2, 3, 0, -1], [-1, 0, 3, -2], [0, -1, -2, 3]]
+# T=1, L=[3, 2]: time partner -1, ring of 3 gives two -1 neighbours, extent 2 gives -2
+GRID_3x2 = [
+    [5, -2, -1, 0, -1, 0, -1, 0, 0, 0, 0, 0],
+    [-2, 5, 0, -1, 0, -1, 0, -1, 0, 0, 0, 0],
+    [-1, 0, 5, -2, -1, 0, 0, 0, -1, 0, 0, 0],
+    [0, -1, -2, 5, 0, -1, 0, 0, 0, -1, 0, 0],
+    [-1, 0, -1, 0, 5, -2, 0, 0, 0, 0, -1, 0],
+    [0, -1, 0, -1, -2, 5, 0, 0, 0, 0, 0, -1],
+    [-1, 0, 0, 0, 0, 0, 5, -2, -1, 0, -1, 0],
+    [0, -1, 0, 0, 0, 0, -2, 5, 0, -1, 0, -1],
+    [0, 0, -1, 0, 0, 0, -1, 0, 5, -2, -1, 0],
+    [0, 0, 0, -1, 0, 0, 0, -1, -2, 5, 0, -1],
+    [0, 0, 0, 0, -1, 0, -1, 0, -1, 0, 5, -2],
+    [0, 0, 0, 0, 0, -1, 0, -1, 0, -1, -2, 5],
+]
+
+
+@pytest.mark.parametrize(
+    "time_extent, extents, mass, laplacian",
+    [
+        (1, [], 1.0, PATH_2),
+        (1, [1], 1.0, PATH_2),
+        (1, [2], 1.0, RING_2),
+        (1, [3, 2], 1.0, GRID_3x2),
+        (1, [3, 2], 0.1, GRID_3x2),
+        # 0.7**2 + 1.0 + 1.0 != 0.7**2 + 2.0 in binary64: this case tells the two sums apart
+        (2, [], 0.7, PATH_4),
+    ],
+    ids=["two-site-path", "extent-1-no-self-link", "extent-2-double-link", "multi-axis",
+         "multi-axis-mass-0.1", "path-mass-0.7"],
+)
+def test_laplacian_plus_mass_is_exact(time_extent, extents, mass, laplacian):
+    want = np.array(laplacian, dtype=np.float64)
+    for i, degree in enumerate(np.diag(laplacian)):
+        want[i, i] = mass * mass
+        for _ in range(degree):
+            want[i, i] += 1.0
+    op = _laplacian_plus_mass(build_lattice(time_extent, extents), mass)
+    assert op.shape == want.shape
+    assert (op == want).all()
 
 
 def test_free_field_rejects_nonpositive_mass():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,21 @@ def test_ordering_is_lexicographic():
     assert [tuple(c) for c in lat.coords.tolist()] == expected
     for i, c in enumerate(lat.coords.tolist()):
         assert lat.index_of(c) == i
+
+
+@pytest.mark.parametrize("time_extent, extents", [(1, []), (2, [1]), (2, [2, 3]), (3, [4, 1, 2])])
+def test_grid_arrays_match_coordinate_loop(time_extent, extents):
+    lat = build_lattice(time_extent, extents)
+    times = [*range(-time_extent, 0), *range(1, time_extent + 1)]
+    coords = [(t, *x) for t in times for x in itertools.product(*map(range, extents))]
+    lookup = {c: i for i, c in enumerate(coords)}
+    assert lat.coords.dtype == np.int64 and lat.coords.flags.c_contiguous
+    assert lat.coords.tolist() == [list(c) for c in coords]
+    assert lat.theta_perm.tolist() == [lookup[(-c[0], *c[1:])] for c in coords]
+    assert lat.plus_sites.tolist() == [i for i, c in enumerate(coords) if c[0] > 0]
+    assert lat.minus_sites.tolist() == [i for i, c in enumerate(coords) if c[0] < 0]
+    assert lat.half_of.tolist() == [(i - len(coords) // 2 if c[0] > 0 else -1) for i, c in enumerate(coords)]
+    assert [lat.index_of(c) for c in coords] == list(range(len(coords)))
 
 
 @pytest.mark.parametrize("bad", [0, -1])
