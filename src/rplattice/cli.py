@@ -42,7 +42,7 @@ from .gaussian import (
     theta_inner,
     verify_convolution_identity,
 )
-from .lattice import Lattice, as_int, build_lattice
+from .lattice import Lattice, as_float, as_int, build_lattice
 from .rp_verify import (
     FAIL,
     IllConditionedWeightsError,
@@ -132,7 +132,7 @@ def _number(section, name, key, default, kind=float):
     """section[key], or default when absent, as a float or (kind=int) an exact integer."""
     value = section.get(key, default)
     try:
-        return as_int(value, key) if kind is int else float(value)
+        return as_int(value, key) if kind is int else as_float(value, key)
     except (TypeError, ValueError, OverflowError):
         _fail(f"{name}.{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
 
@@ -155,13 +155,7 @@ def resolve_config(raw, config_dir, seed_override=None):
     }
     if not all(math.isfinite(t) and t >= 0 for t in tolerances.values()):
         _fail("tolerances must be finite and nonnegative")
-    echo = {
-        "lattice": {
-            "time_extent": lattice.time_extent,
-            "spatial_extents": list(lattice.spatial_extents),
-        },
-        "tolerances": tolerances,
-    }
+    echo = {"lattice": _fields(lattice), "tolerances": tolerances}
 
     mc = None
     if "mc" in raw:
@@ -171,16 +165,13 @@ def resolve_config(raw, config_dir, seed_override=None):
         seed = _number(mc_cfg, "mc", "seed", 0, int)
         if seed_override is not None:
             seed = int(seed_override)
-        share_inner = mc_cfg.get("share_inner", True)
-        if not isinstance(share_inner, bool):
-            _fail(f"mc.share_inner must be true or false, got {share_inner!r}")
         try:
             mc = McParams(
                 n_samples=_number(mc_cfg, "mc", "n_samples", None, int),
                 seed=seed,
                 n_outer=_number(mc_cfg, "mc", "n_outer", 10_000, int),
                 n_inner=_number(mc_cfg, "mc", "n_inner", 1_000, int),
-                share_inner=share_inner,
+                share_inner=mc_cfg.get("share_inner", True),
             )
         except ValueError as exc:
             _fail(f"invalid mc section: {exc}")

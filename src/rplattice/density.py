@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import as_int
+from .lattice import as_float, as_int
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class Term:
     factors: tuple  # ((site, power), ...) sorted by site, distinct sites
 
     def __post_init__(self):
-        factors = tuple(sorted((int(s), int(p)) for s, p in self.factors))
+        factors = tuple(sorted((as_int(s, "site"), as_int(p, "power")) for s, p in self.factors))
         sites = [s for s, _ in factors]
         if len(set(sites)) != len(sites):
             raise ValueError(f"repeated site in term factors: {self.factors}")
@@ -35,7 +35,7 @@ class Term:
             raise ValueError(f"zero or negative power in term factors: {self.factors}")
         if any(s < 0 for s in sites):
             raise ValueError(f"negative site index in term factors: {self.factors}")
-        object.__setattr__(self, "coefficient", float(self.coefficient))
+        object.__setattr__(self, "coefficient", as_float(self.coefficient, "coefficient"))
         object.__setattr__(self, "factors", factors)
 
 
@@ -48,7 +48,7 @@ class Potential:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(self, "constant", float(self.constant))
+        object.__setattr__(self, "constant", as_float(self.constant, "constant"))
 
 
 ZERO_POTENTIAL = Potential()
@@ -265,8 +265,6 @@ def potential_from_obj(lattice, obj):
         raise ValueError("potential must be an object with 'terms' and 'constant'")
     terms = []
     for entry in obj.get("terms", []):
-        factors = tuple(
-            (lattice.index_of(f["site"]), as_int(f["power"], "power")) for f in entry["factors"]
-        )
-        terms.append(Term(float(entry["coefficient"]), factors))
-    return canonicalize(Potential(tuple(terms), float(obj.get("constant", 0.0))))
+        factors = tuple((lattice.index_of(f["site"]), f["power"]) for f in entry["factors"])
+        terms.append(Term(entry["coefficient"], factors))
+    return canonicalize(Potential(tuple(terms), obj.get("constant", 0.0)))

@@ -20,12 +20,13 @@ adding a shared B-draw to both halves reproduces the joint law of
 the factorized Gram estimator integrates against.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import reflect, restrict_plus, positive_support, _as_site_vector
+from .lattice import as_float, as_int, reflect, restrict_plus, positive_support, _as_site_vector
 from .streams import NS_FIELD, ChunkMoments, chunk_counts, substream
 
 DEFAULT_PSD_TOL = 1e-10
@@ -49,11 +50,13 @@ class Covariance:
             raise ValueError(f"covariance must be square, got shape {m.shape}")
         if not np.array_equal(m, m.T):
             raise ValueError("covariance must be exactly symmetric as stored")
-        if not self.psd_tolerance >= 0:  # also rejects NaN, which no gate could compare
-            raise ValueError("psd_tolerance must be nonnegative")
+        tol = as_float(self.psd_tolerance, "psd_tolerance")
+        if not (math.isfinite(tol) and tol >= 0):  # NaN and inf would turn every gate into a no-op
+            raise ValueError(f"psd_tolerance must be finite and nonnegative, got {tol}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        _require_psd(np.linalg.eigvalsh(m), self.psd_tolerance, "covariance")
+        object.__setattr__(self, "psd_tolerance", tol)
+        _require_psd(np.linalg.eigvalsh(m), tol, "covariance")
 
     @property
     def dim(self):
@@ -141,8 +144,13 @@ def _require_psd(eigs, tol, what):
         )
 
 
+def symmetrized(matrix):
+    """(M + M^T) / 2, which equals M bit for bit when M is exactly symmetric."""
+    return (matrix + matrix.T) / 2.0
+
+
 def _psd_report(matrix, tol):
-    sym = (matrix + matrix.T) / 2.0
+    sym = symmetrized(matrix)
     return _spectral_psd(np.linalg.eigvalsh(sym) if sym.size else np.zeros(0), tol)
 
 
@@ -155,7 +163,7 @@ def free_field_covariance(lattice, mass, psd_tolerance=DEFAULT_PSD_TOL):
     is symmetrized and reflection-symmetrized so both properties hold
     bit-exactly.
     """
-    mass = float(mass)
+    mass = as_float(mass, "mass")
     if mass <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
     op = _laplacian_plus_mass(lattice, mass)
@@ -259,10 +267,14 @@ def decompose_pq(cov, lattice):
 
     The two summands are the covariances of the independent and the shared
     Gaussian draw in the factorized representation of the joint half law.
-    The sum c_p + c_q reproduces A bit-exactly; when that forces a choice,
-    c_q is allowed to differ from the raw cross block in the last ulp.
-    Non-PSD summands are returned with failing reports rather than raised:
-    the failing report is the diagnostic product.
+    With c_p = A - B and c_q = A - c_p, the sum c_p + c_q reproduces A
+    bit-exactly wherever 0 <= B/A <= 2 entrywise: by Sterbenz's lemma one of
+    the two subtractions is then exact. Elsewhere the sum can miss A in the
+    last ulp; the loop below refits c_p to A - c_q on those entries, which
+    repairs some with B/A > 2, and the rest stay inexact. c_q may differ from
+    the raw cross block in the last ulp. Non-PSD summands are returned with
+    failing reports rather than raised: the failing report is the diagnostic
+    product.
     """
     plus = lattice.plus_sites
     a = cov.matrix[np.ix_(plus, plus)]
@@ -283,13 +295,15 @@ def decompose_pq(cov, lattice):
 
 
 def covariance_factor(matrix, psd_tolerance):
-    """Symmetric factor F with F F^T = matrix, eigenvalues clipped at zero.
+    """Factor F with F F^T = matrix, eigenvalues clipped at zero.
 
-    Negative eigenvalues within the tolerance band are clipped; anything
-    below it is an error. Rank-deficient matrices are fine.
+    The matrix must be exactly symmetric as given. Negative eigenvalues
+    within the tolerance band are clipped; anything below it is an error.
+    Rank-deficient matrices are fine.
     """
-    sym = (matrix + matrix.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(sym)
+    if not np.array_equal(matrix, matrix.T):
+        raise ValueError("matrix to factor must be exactly symmetric")
+    eigvals, eigvecs = np.linalg.eigh(matrix)
     _require_psd(eigvals, psd_tolerance, "matrix")
     clipped = np.clip(eigvals, 0.0, None)
     return eigvecs * np.sqrt(clipped)[np.newaxis, :]
@@ -301,7 +315,7 @@ def iter_sample_chunks(cov, n, seed):
     Chunk k is a pure function of (seed, k); see streams. Concatenating the
     blocks in index order gives exactly sample(cov, n, seed).configs.
     """
-    n = int(n)
+    n = as_int(n, "sample count")
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
     factor = covariance_factor(cov.matrix, cov.psd_tolerance)

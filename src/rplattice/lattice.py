@@ -15,6 +15,7 @@ of a lattice is reproducible byte for byte.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,17 +28,55 @@ def as_int(value, what):
     return int(value)
 
 
+def as_float(value, what):
+    """float(value), refusing booleans and anything that is not a real number."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Lattice:
-    """Immutable lattice geometry; safe for concurrent shared reads."""
+    """Lattice geometry, a value of its shape; safe for concurrent shared reads.
+
+    Equality, hashing and dataclasses.replace go by the two fields alone.
+    The arrays below are derived from them on construction and are read-only:
+
+    coords       (N, 1+d) int64 array, row i = (t, x) of site i
+    theta_perm   site index of the time-reflected partner
+    plus_sites   indices with t >= 1, in canonical order
+    minus_sites  indices with t <= -1, in canonical order
+    half_of      position within plus_sites, -1 on the minus half
+    """
 
     time_extent: int
     spatial_extents: tuple
-    coords: np.ndarray      # (N, 1+d) int array, row i = (t, x) of site i
-    theta_perm: np.ndarray  # site index of the time-reflected partner
-    plus_sites: np.ndarray  # indices with t >= 1, in canonical order
-    minus_sites: np.ndarray
-    half_of: np.ndarray     # position within plus_sites, -1 on the minus half
+
+    def __post_init__(self):
+        T = as_int(self.time_extent, "time_extent")
+        if T < 1:
+            raise ValueError(f"time_extent must be >= 1, got {self.time_extent}")
+        extents = tuple(as_int(L, "spatial extent") for L in self.spatial_extents)
+        if any(L < 1 for L in extents):
+            raise ValueError(f"spatial extents must be >= 1, got {list(self.spatial_extents)}")
+        object.__setattr__(self, "time_extent", T)
+        object.__setattr__(self, "spatial_extents", extents)
+
+        n = math.prod(self.shape)
+        coords = np.indices(self.shape, dtype=np.int64).reshape(len(self.shape), n).T.copy()
+        coords[:, 0] += np.where(coords[:, 0] < T, -T, 1 - T)
+        sites = np.arange(n)
+        half = n // 2
+        derived = {
+            "coords": coords,
+            "theta_perm": sites.reshape(2 * T, -1)[::-1].ravel(),
+            "plus_sites": np.arange(half, n),
+            "minus_sites": np.arange(half),
+            "half_of": np.where(sites < half, -1, sites - half),
+        }
+        for name, array in derived.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def shape(self):
@@ -69,29 +108,7 @@ class Lattice:
 
 def build_lattice(time_extent, spatial_extents=()):
     """Construct the lattice with 2*T time slices and periodic spatial torus."""
-    T = as_int(time_extent, "time_extent")
-    if T < 1:
-        raise ValueError(f"time_extent must be >= 1, got {time_extent}")
-    extents = tuple(as_int(L, "spatial extent") for L in spatial_extents)
-    if any(L < 1 for L in extents):
-        raise ValueError(f"spatial extents must be >= 1, got {spatial_extents}")
-
-    shape = (2 * T, *extents)
-    n = math.prod(shape)
-    coords = np.indices(shape, dtype=np.int64).reshape(len(shape), n).T.copy()
-    coords[:, 0] += np.where(coords[:, 0] < T, -T, 1 - T)
-    sites = np.arange(n)
-    half = n // 2
-
-    return Lattice(
-        time_extent=T,
-        spatial_extents=extents,
-        coords=coords,
-        theta_perm=sites.reshape(2 * T, -1)[::-1].ravel(),
-        plus_sites=np.arange(half, n),
-        minus_sites=np.arange(half),
-        half_of=np.where(sites < half, -1, sites - half),
-    )
+    return Lattice(time_extent, tuple(spatial_extents))
 
 
 def _as_site_vector(lattice, v):

@@ -38,9 +38,10 @@ from .gaussian import (
     covariance_factor,
     decompose_pq,
     iter_sample_chunks,
+    symmetrized,
     warn_unless_invariant,
 )
-from .lattice import embed_plus, positive_support, reflect, restrict_plus
+from .lattice import as_int, embed_plus, positive_support, reflect, restrict_plus
 from .streams import (
     NS_BOOTSTRAP,
     NS_FACTORIZED,
@@ -83,9 +84,13 @@ class McParams:
     share_inner: bool = True
 
     def __post_init__(self):
+        for name in ("n_samples", "seed", "n_outer", "n_inner"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         for name in ("n_samples", "n_outer", "n_inner"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not isinstance(self.share_inner, bool):
+            raise ValueError(f"share_inner must be true or false, got {self.share_inner!r}")
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,7 @@ def random_test_functions(lattice, count, seed):
     calibrates the normalization entry of the Gram matrix.
     """
     rng = substream(seed, NS_TESTFN, 0)
-    block = rng.standard_normal((int(count), lattice.n_plus))
+    block = rng.standard_normal((as_int(count, "count"), lattice.n_plus))
     phis = [embed_plus(lattice, row) for row in block]
     phis.append(np.zeros(lattice.site_count))
     return phis
@@ -322,8 +327,9 @@ def gram_mc_factorized(cov, lattice, g, phis, params, tol=DEFAULT_GRAM_TOL):
     check_sites(g, nh, f"{nh} positive-time sites")
 
     h_mat = np.stack([restrict_plus(lattice, p) for p in phis], axis=1)
-    factor_p = covariance_factor(pq.c_p, cov.psd_tolerance)
-    factor_q = covariance_factor(pq.c_q, cov.psd_tolerance)
+    # c_p and c_q are asymmetric in the last bits when C is invariant only within tolerance
+    factor_p = covariance_factor(symmetrized(pq.c_p), cov.psd_tolerance)
+    factor_q = covariance_factor(symmetrized(pq.c_q), cov.psd_tolerance)
 
     n_inner = params.n_inner
     moments = ChunkMoments()

@@ -342,6 +342,13 @@ MALFORMED_CONFIGS = {
         "density": {"terms": [{"coefficient": -0.1, "factors": [{"site": [1, 0], "power": 2.9}]}]}
     },
     "share_inner-string": {"mc": {"n_samples": 1_000, "share_inner": "false"}},
+    "mass-boolean": {"covariance": {"kind": "free_field", "mass": True}},
+    "psd_tol-boolean": {"tolerances": {"psd_tol": True}},
+    "invariance_tol-boolean": {"tolerances": {"invariance_tol": True}},
+    "density-coefficient-boolean": {
+        "density": {"terms": [{"coefficient": True, "factors": [{"site": [1, 0], "power": 4}]}]}
+    },
+    "density-constant-boolean": {"density": {"terms": [], "constant": False}},
 }
 
 
@@ -369,3 +376,47 @@ def test_integral_floats_count_as_integers(tmp_path):
                      "--out", str(out), "--quiet"]) == 0
         bodies.append(report_bytes_without_wall_time(out))
     assert bodies[0] == bodies[1]
+
+
+def test_verify_rp_reports_overflowing_weights(tmp_path):
+    runaway = [{"coefficient": 1000, "factors": [{"site": [t], "power": 2}]} for t in (1, -1)]
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            "lattice": {"time_extent": 1, "spatial_extents": []},
+            "covariance": {"kind": "free_field", "mass": 1.0},
+            "density": {"terms": runaway, "constant": 0},
+            "mc": {"n_samples": 1_000, "seed": 0},
+        },
+    )
+    out = tmp_path / "report.json"
+    assert main(["verify-rp", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    report = load_report(out)
+    assert report["failure_reasons"] == ["ill-conditioned-weights"]
+    assert report["checks"]["gram_direct"] is None
+
+
+def test_summary_names_the_verdict_and_the_failure_reasons(tmp_path, capsys):
+    write_matrix_csv(tmp_path / "cov.csv", np.array([[1.0, -0.5], [-0.5, 1.0]]))
+    failing = write_config(
+        tmp_path / "fail.json",
+        {
+            "lattice": {"time_extent": 1, "spatial_extents": []},
+            "covariance": {"kind": "explicit", "matrix_file": "cov.csv"},
+            "density": {"terms": [], "constant": 0},
+            "mc": {"n_samples": 1_000, "seed": 0},
+        },
+    )
+    passing = write_config(tmp_path / "pass.json", free_field_config(n_samples=1_000))
+
+    assert main(["check-gaussian", "--config", passing]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("rplattice ") and lines[0].endswith("check-gaussian")
+    assert "  gaussian_rp              PASS" in lines
+    assert lines[-1] == "overall: PASS (exit 0)"
+    assert not any(line.startswith("failure reasons:") for line in lines)
+
+    assert main(["verify-rp", "--config", failing]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  gaussian_rp              FAIL" in lines
+    assert lines[-2:] == ["failure reasons: gaussian-gate", "overall: FAIL (exit 1)"]

@@ -18,7 +18,7 @@ from rplattice import (
     theta_inner,
     verify_convolution_identity,
 )
-from rplattice.gaussian import _laplacian_plus_mass, covariance_factor, iter_sample_chunks
+from rplattice.gaussian import _laplacian_plus_mass, covariance_factor, iter_sample_chunks, symmetrized
 
 
 def two_site_cov(c):
@@ -320,3 +320,64 @@ def test_char_fn_symmetries():
 def test_covariance_rejects_nan_tolerance():
     with pytest.raises(ValueError, match="psd_tolerance"):
         Covariance(np.eye(2), float("nan"))
+
+
+@pytest.mark.parametrize("tol", [float("inf"), True], ids=["infinite", "boolean"])
+def test_covariance_rejects_tolerance_that_is_not_a_finite_number(tol):
+    # an infinite tolerance would admit this matrix, whose eigenvalues are 3 and -1
+    with pytest.raises(ValueError, match="psd_tolerance"):
+        Covariance(np.array([[1.0, 2.0], [2.0, 1.0]]), tol)
+
+
+def test_covariance_factor_takes_the_matrix_as_stored():
+    cov = free_field_covariance(build_lattice(2, [3]), 0.9)
+    # a Covariance is exactly symmetric, so (C + C^T) / 2 is C bit for bit
+    assert np.array_equal(symmetrized(cov.matrix), cov.matrix)
+    nearly = cov.matrix.copy()
+    nearly[0, 1] = np.nextafter(nearly[0, 1], 1.0)
+    with pytest.raises(ValueError, match="symmetric"):
+        covariance_factor(nearly, cov.psd_tolerance)
+
+
+def _plain_split(a, b):
+    c_p = a - b
+    return c_p, a - c_p
+
+
+def test_pq_split_is_exact_wherever_cross_ratio_is_between_0_and_2():
+    # 10^6 entries of A over 120 binades, with B = r * A for r in [0, 2]
+    rng = np.random.default_rng(2026)
+    half = 1000
+
+    def symmetric(x):
+        upper = np.triu(x, 1)
+        return upper + upper.T
+
+    a = symmetric(rng.standard_normal((half, half)) * 2.0 ** rng.integers(-60, 61, (half, half)))
+    ratio = np.where(rng.random((half, half)) < 0.1,
+                     rng.choice([0.0, 0.5, 1.0, 2.0], (half, half)),
+                     rng.uniform(0.0, 2.0, (half, half)))
+    b = a * symmetric(ratio)
+    # diagonally dominant A + B and A - B, so C = [[A, B], [B, A]] is PSD
+    diag = 2.0 * (np.abs(a).sum(axis=1) + np.abs(b).sum(axis=1) + 1.0)
+    a[np.diag_indices(half)] = diag
+    b[np.diag_indices(half)] = diag * rng.uniform(0.0, 0.5, half)
+    lat = build_lattice(1, [half])
+    pq = decompose_pq(Covariance(np.block([[a, b], [b, a]])), lat)
+    assert np.array_equal(pq.a_block, a)
+    c_p, c_q = _plain_split(a, b)
+    assert np.array_equal(pq.c_p, c_p) and np.array_equal(pq.c_q, c_q)
+    assert np.array_equal(c_p + c_q, a)
+
+
+def test_decompose_pq_repairs_a_split_outside_the_sterbenz_range():
+    # B/A is 3 off the diagonal: A - B rounds, and the plain split misses A by an ulp
+    a01 = -(2.0**52 + 1) * 2.0**-60
+    b01 = -(3 * 2.0**52 + 2) * 2.0**-60
+    a = np.array([[1.0, a01], [a01, 1.0]])
+    b = np.array([[0.1, b01], [b01, 0.1]])
+    c_p, c_q = _plain_split(a, b)
+    assert (c_p + c_q)[0, 1] != a01
+    pq = decompose_pq(Covariance(np.block([[a, b], [b, a]])), build_lattice(1, [2]))
+    assert np.array_equal(pq.c_p + pq.c_q, pq.a_block)
+    assert pq.c_p[0, 1] != c_p[0, 1] and np.array_equal(pq.c_q, c_q)

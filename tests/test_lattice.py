@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from rplattice import (
+    Lattice,
     build_lattice,
     embed_plus,
     positive_support,
@@ -52,6 +54,32 @@ def test_grid_arrays_match_coordinate_loop(time_extent, extents):
     assert lat.minus_sites.tolist() == [i for i, c in enumerate(coords) if c[0] < 0]
     assert lat.half_of.tolist() == [(i - len(coords) // 2 if c[0] > 0 else -1) for i, c in enumerate(coords)]
     assert [lat.index_of(c) for c in coords] == list(range(len(coords)))
+
+
+ARRAYS = ("coords", "theta_perm", "plus_sites", "minus_sites", "half_of")
+
+
+def test_lattice_is_a_value_of_its_shape():
+    lat = build_lattice(2, [4])
+    assert [f.name for f in dataclasses.fields(Lattice)] == ["time_extent", "spatial_extents"]
+    assert lat == build_lattice(2.0, (4,)) == Lattice(2, [4])
+    assert hash(lat) == hash(build_lattice(2, [4]))
+    assert lat != build_lattice(2, [3]) and lat != build_lattice(3, [4])
+    assert len({lat, build_lattice(2, [4]), build_lattice(1, [])}) == 2
+    assert lat.time_extent == 2 and lat.spatial_extents == (4,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lat.theta_perm = np.arange(lat.site_count)
+    for name in ARRAYS:
+        array = getattr(lat, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5
+    assert lat.theta_perm[0] == 12
+    grown = dataclasses.replace(lat, time_extent=3)
+    assert grown == build_lattice(3, [4])
+    for name in ARRAYS:
+        assert np.array_equal(getattr(grown, name), getattr(build_lattice(3, [4]), name))
+    with pytest.raises(ValueError):
+        dataclasses.replace(lat, spatial_extents=(4, 0))
 
 
 @pytest.mark.parametrize("bad", [0, -1])

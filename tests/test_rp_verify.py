@@ -14,6 +14,7 @@ from rplattice import (
     Term,
     ZERO_POTENTIAL,
     build_lattice,
+    decompose_pq,
     free_field_covariance,
     gram_exact_gaussian,
     gram_mc_direct,
@@ -22,6 +23,7 @@ from rplattice import (
     positive_support,
     psd_check,
     random_test_functions,
+    sample,
     schur_product,
     small_lambda_probe,
     split_check,
@@ -352,3 +354,66 @@ def test_bootstrap_stability_mechanics():
 
 def test_verdict_rule_constants():
     assert {PASS, FAIL, INCONCLUSIVE} == {"pass", "fail", "inconclusive"}
+
+
+def test_unstable_fail_is_downgraded_to_inconclusive():
+    lat = build_lattice(1, [])
+    rep = gram_mc_direct(two_site_cov(-0.5), lat, ZERO_POTENTIAL, TWO_SITE_PHIS, McParams(8192, seed=0))
+    # the estimate fails the 5-sigma gate, but its sign does not survive the bootstrap
+    assert rep.min_eigenvalue < -rep.tol - 5.0 * rep.eig_error_bound
+    assert rep.verdict == INCONCLUSIVE
+
+
+def test_factorized_estimator_accepts_covariance_invariant_within_tolerance():
+    lat = build_lattice(2, [4])
+    m = free_field_covariance(lat, 1.0).matrix.copy()
+    m[8, 1] += 1e-14  # inside the cross block, far below the invariance tolerance
+    m[1, 8] = m[8, 1]
+    cov = Covariance(m)
+    pq = decompose_pq(cov, lat)
+    assert not np.array_equal(pq.c_p, pq.c_p.T)
+    params = McParams(1, seed=0, n_outer=64, n_inner=16)
+    rep = gram_mc_factorized(cov, lat, ZERO_POTENTIAL, random_test_functions(lat, 2, 0), params)
+    assert rep.min_eigenvalue >= -1e-10
+
+
+def _params_fields(p):
+    return (p.n_samples, p.seed, p.n_outer, p.n_inner, p.share_inner)
+
+
+# (call, expected): ValueError, or the repr of the normalized value
+LIBRARY_NUMBERS = {
+    "term-site-fractional": (lambda: Term(1.0, ((0.9, 2),)), ValueError),
+    "term-power-fractional": (lambda: Term(1.0, ((0, 2.7),)), ValueError),
+    "term-site-boolean": (lambda: Term(1.0, ((True, 2),)), ValueError),
+    "term-integral-floats": (lambda: Term(1, ((np.int64(3), 2.0),)).factors, "((3, 2),)"),
+    "term-coefficient-boolean": (lambda: Term(True, ((0, 2),)), ValueError),
+    "term-coefficient-string": (lambda: Term("1.5", ((0, 2),)), ValueError),
+    "potential-constant-boolean": (lambda: Potential((), False), ValueError),
+    "mc-n_samples-fractional": (lambda: McParams(1.5, 0), ValueError),
+    "mc-seed-fractional": (lambda: McParams(1, 0.5), ValueError),
+    "mc-n_inner-boolean": (lambda: McParams(1, 0, n_inner=True), ValueError),
+    "mc-n_outer-zero": (lambda: McParams(1, 0, n_outer=0), ValueError),
+    "mc-share_inner-string": (lambda: McParams(1, 0, share_inner="false"), ValueError),
+    "mc-share_inner-int": (lambda: McParams(1, 0, share_inner=1), ValueError),
+    "mc-integral-floats": (
+        lambda: _params_fields(McParams(5e3, np.int64(-3), n_outer=64.0)), "(5000, -3, 64, 1000, True)"
+    ),
+    "test-function-count-fractional": (
+        lambda: random_test_functions(build_lattice(1, []), 2.7, 0), ValueError
+    ),
+    "test-function-count-integral-float": (
+        lambda: len(random_test_functions(build_lattice(1, []), 2.0, 0)), "3"
+    ),
+    "sample-count-fractional": (lambda: sample(two_site_cov(0.5), 2.5, 0), ValueError),
+    "sample-count-integral-float": (lambda: sample(two_site_cov(0.5), 3.0, 0).configs.shape, "(3, 2)"),
+}
+
+
+@pytest.mark.parametrize("call, expected", LIBRARY_NUMBERS.values(), ids=LIBRARY_NUMBERS.keys())
+def test_library_numbers_are_validated_not_truncated(call, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            call()
+    else:
+        assert repr(call()) == expected
