@@ -366,8 +366,7 @@ def verify_convolution_identity(
     moments = ChunkMoments()
     for _, block in iter_sample_chunks(cov, n_samples, seed):
         y = np.concatenate([block[:, plus], block[:, mirror]], axis=1)
-        outer = y[:, :, np.newaxis] * y[:, np.newaxis, :]
-        moments.add(outer)
+        moments.add_outer(y, y)
     emp, stderr = moments.mean_and_stderr()
     delta = np.abs(emp - target)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -22,8 +22,13 @@ import numpy as np
 
 
 def as_int(value, what):
-    """int(value), refusing what int() would silently change: booleans and fractional numbers."""
-    if isinstance(value, (bool, np.bool_)) or (isinstance(value, float) and not value.is_integer()):
+    """int(value), refusing booleans, non-numbers and any real number that int() would change."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    try:
+        exact = real and value == int(value)
+    except (OverflowError, ValueError):  # int() of an infinity or a NaN
+        exact = False
+    if not exact:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 

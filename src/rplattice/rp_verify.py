@@ -295,8 +295,8 @@ def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
         a = block @ phi_mat
         b = block @ theta_mat
         w = _importance_weights(f, block, "density")
-        contrib = w[:, np.newaxis, np.newaxis] * np.exp(1j * (a[:, :, np.newaxis] - b[:, np.newaxis, :]))
-        moments.add(contrib)
+        # exp[i(a_m - b_n)] = exp(i a_m) exp(-i b_n): one outer product per sample
+        moments.add_outer(w[:, np.newaxis] * np.exp(1j * a), np.exp(-1j * b))
         weight_stats.append((float(w.sum()), float(w.max())))
     return _finish_mc_report(moments, tol, params.seed, "mc-direct", weight_stats)
 
@@ -349,8 +349,7 @@ def gram_mc_factorized(cov, lattice, g, phis, params, tol=DEFAULT_GRAM_TOL):
         shared = rng.standard_normal((count, nh)) @ factor_q.T
         h1 = partial_averages(rng, shared, count)
         h2 = h1 if params.share_inner else partial_averages(rng, shared, count)
-        y = np.conj(h1)[:, :, np.newaxis] * h2[:, np.newaxis, :]
-        moments.add(y)
+        moments.add_outer(np.conj(h1), h2)
 
     kind = "mc-factorized-shared" if params.share_inner else "mc-factorized-independent"
     return _finish_mc_report(moments, tol, params.seed, kind, weight_stats)

@@ -44,12 +44,29 @@ def _parts(x):
     return (x.real, x.imag) if np.iscomplexobj(x) else (x,)
 
 
-class ChunkMoments:
-    """Running moments of samples that arrive in chunks of shape (count, ...).
+def _outer_squares(p, q):
+    """Sums over s of Re(p[s, m] q[s, n])**2 and, for complex input, of Im(...)**2.
 
-    Keeps every chunk's count and sum, for a bootstrap over chunks, and the
-    running sums of squares of the real part and, for complex input only,
-    of the imaginary part, so real input allocates no imaginary temporaries.
+    With p = a + ib and q = c + id the products expand to
+    Re**2 = a2 c2 - 2 ab cd + b2 d2 and Im**2 = a2 d2 + 2 ab cd + b2 c2,
+    and each term summed over samples is one (k, count) @ (count, k) product.
+    """
+    if not (np.iscomplexobj(p) or np.iscomplexobj(q)):
+        return [(p * p).T @ (q * q)]
+    a, b, c, d = p.real, p.imag, q.real, q.imag
+    a2, b2, c2, d2 = a * a, b * b, c * c, d * d
+    cross = 2.0 * ((a * b).T @ (c * d))
+    return [a2.T @ c2 - cross + b2.T @ d2, a2.T @ d2 + cross + b2.T @ c2]
+
+
+class ChunkMoments:
+    """Running moments of samples that arrive in chunks of outer products.
+
+    A chunk is x[s, m, n] = p[s, m] * q[s, n]; it is never formed, so a chunk
+    costs O(count * k + k * k) memory. Keeps every chunk's count and sum, for
+    a bootstrap over chunks, and the running sums of squares of the real part
+    and, for complex input only, of the imaginary part, so real input
+    allocates no imaginary temporaries.
     """
 
     def __init__(self):
@@ -57,13 +74,14 @@ class ChunkMoments:
         self.sums = []
         self._squares = None
 
-    def add(self, chunk):
-        squares = [(part**2).sum(axis=0) for part in _parts(chunk)]
+    def add_outer(self, p, q):
+        """Add the chunk p[s, :, None] * q[s, None, :] from its factors of shape (count, k)."""
+        squares = _outer_squares(p, q)
         if self._squares is not None:
             squares = [acc + sq for acc, sq in zip(self._squares, squares)]
         self._squares = squares
-        self.counts.append(chunk.shape[0])
-        self.sums.append(chunk.sum(axis=0))
+        self.counts.append(p.shape[0])
+        self.sums.append(p.T @ q)
 
     def mean_and_stderr(self):
         """Per-entry mean and its standard error; real and imaginary variances add."""

@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rplattice
 from rplattice import build_lattice, phi4, potential_to_obj
 from rplattice.cli import main, read_matrix_csv, write_matrix_csv
 
@@ -349,6 +355,14 @@ MALFORMED_CONFIGS = {
         "density": {"terms": [{"coefficient": True, "factors": [{"site": [1, 0], "power": 4}]}]}
     },
     "density-constant-boolean": {"density": {"terms": [], "constant": False}},
+    "seed-numeric-string": {"mc": {"n_samples": 1_000, "seed": "5"}},
+    "n_samples-numeric-string": {"mc": {"n_samples": "1000"}},
+    "time_extent-numeric-string": {"lattice": {"time_extent": "2", "spatial_extents": [4]}},
+    "spatial_extent-numeric-string": {"lattice": {"time_extent": 2, "spatial_extents": ["4"]}},
+    "density-power-numeric-string": {
+        "density": {"terms": [{"coefficient": -0.1, "factors": [{"site": [1, 0], "power": "4"}]}]}
+    },
+    "test_functions-count-numeric-string": {"test_functions": {"kind": "random", "count": "4"}},
 }
 
 
@@ -420,3 +434,40 @@ def test_summary_names_the_verdict_and_the_failure_reasons(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "  gaussian_rp              FAIL" in lines
     assert lines[-2:] == ["failure reasons: gaussian-gate", "overall: FAIL (exit 1)"]
+
+
+BLAS_THREAD_CONFIGS = {
+    "check-gaussian": {
+        "lattice": {"time_extent": 4, "spatial_extents": [8]},
+        "covariance": {"kind": "free_field", "mass": 0.5},
+        "mc": {"n_samples": 100_000, "seed": 1},
+    },
+    "verify-rp": {
+        "lattice": {"time_extent": 2, "spatial_extents": [4]},
+        "covariance": {"kind": "free_field", "mass": 1.0},
+        "density": phi4_density_obj(),
+        "test_functions": {"kind": "random", "count": 4, "seed": 2024},
+        "mc": {"n_samples": 200_000, "seed": 1, "n_outer": 256, "n_inner": 64},
+    },
+}
+
+
+@pytest.mark.parametrize("command", BLAS_THREAD_CONFIGS)
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, command):
+    # second moments are BLAS matrix products; a thread split of their sums would show here
+    cfg = write_config(tmp_path / "cfg.json", BLAS_THREAD_CONFIGS[command])
+    src = str(Path(rplattice.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"report-{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rplattice.cli", command, "--config", cfg, "--out", str(out), "--quiet"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = out.read_bytes().splitlines(keepends=True)
+        body = b"".join(line for line in lines if not line.lstrip().startswith(b'"wall_time_s"'))
+        assert len(body) < sum(map(len, lines))
+        digests.add(hashlib.sha256(body).hexdigest())
+    assert len(digests) == 1

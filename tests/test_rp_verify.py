@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -407,6 +408,18 @@ LIBRARY_NUMBERS = {
     ),
     "sample-count-fractional": (lambda: sample(two_site_cov(0.5), 2.5, 0), ValueError),
     "sample-count-integral-float": (lambda: sample(two_site_cov(0.5), 3.0, 0).configs.shape, "(3, 2)"),
+    "mc-seed-numeric-string": (lambda: McParams(1, "5"), ValueError),
+    "mc-n_samples-float32-fractional": (lambda: McParams(np.float32(2.7), 0), ValueError),
+    "mc-n_samples-fraction": (lambda: McParams(Fraction(5, 2), 0), ValueError),
+    "mc-seed-float32-infinite": (lambda: McParams(1, np.float32("inf")), ValueError),
+    "mc-seed-none": (lambda: McParams(1, None), ValueError),
+    "term-power-float32-fractional": (lambda: Term(1.0, ((0, np.float32(2.5)),)), ValueError),
+    "term-site-numeric-string": (lambda: Term(1.0, (("3", 2),)), ValueError),
+    "lattice-extent-numeric-string": (lambda: build_lattice(2, ["4"]), ValueError),
+    "mc-integral-non-floats": (
+        lambda: _params_fields(McParams(Fraction(10, 2), np.float32(3.0), n_inner=np.int32(7))),
+        "(5, 3, 10000, 7, True)",
+    ),
 }
 
 

@@ -6,18 +6,18 @@ from rplattice.streams import ChunkMoments, chunk_counts
 SPLIT = (2048, 2048, 17)
 
 
-def feed(moments, x, split=SPLIT):
+def feed(moments, p, q, split=SPLIT):
     start = 0
     for count in split:
-        moments.add(x[start:start + count])
+        moments.add_outer(p[start:start + count], q[start:start + count])
         start += count
 
 
-def sample_array(kind, n=sum(SPLIT), shape=(3, 2), seed=5):
+def sample_factor(kind, n=sum(SPLIT), k=3, seed=5):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n,) + shape) + 0.5
+    x = rng.standard_normal((n, k)) + 0.5
     if kind == "complex":
-        x = x + 1j * (rng.standard_normal((n,) + shape) - 0.25)
+        x = x + 1j * (rng.standard_normal((n, k)) - 0.25)
     return x
 
 
@@ -27,26 +27,33 @@ def test_chunk_counts_cover_the_range():
     assert list(chunk_counts(0)) == []
 
 
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_chunk_moments_match_a_direct_reference(kind):
-    x = sample_array(kind)
+@pytest.mark.parametrize(
+    "p_kind, q_kind",
+    [("real", "real"), ("complex", "complex"), ("real", "complex"), ("complex", "real")],
+    ids=["real", "complex", "real-complex", "complex-real"],
+)
+def test_chunk_moments_match_a_direct_reference(p_kind, q_kind):
+    # the reference materializes the (count, 3, 4) tensor the accumulator never forms
+    p = sample_factor(p_kind, k=3, seed=5)
+    q = sample_factor(q_kind, k=4, seed=6)
+    x = p[:, :, np.newaxis] * q[:, np.newaxis, :]
     n = x.shape[0]
     moments = ChunkMoments()
-    feed(moments, x)
+    feed(moments, p, q)
     mean, stderr = moments.mean_and_stderr()
 
     var = x.real.var(axis=0, ddof=1)
-    if kind == "complex":
+    if np.iscomplexobj(x):
         var = var + x.imag.var(axis=0, ddof=1)
-    np.testing.assert_allclose(mean, x.mean(axis=0), rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(stderr, np.sqrt(var / n), rtol=1e-9)
-    assert stderr.dtype == np.float64
-    assert mean.dtype == x.dtype
+    assert mean.shape == stderr.shape == (3, 4)
+    assert mean.dtype == x.dtype and stderr.dtype == np.float64
+    np.testing.assert_allclose(mean, x.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(stderr, np.sqrt(var / n), rtol=1e-12)
 
     assert moments.counts == list(SPLIT)
     starts = np.cumsum((0,) + SPLIT[:-1])
     for start, count, chunk_sum in zip(starts, SPLIT, moments.sums):
-        np.testing.assert_array_equal(chunk_sum, x[start:start + count].sum(axis=0))
+        np.testing.assert_allclose(chunk_sum, x[start:start + count].sum(axis=0), rtol=1e-12)
 
 
 class _NoImag(np.ndarray):
@@ -56,16 +63,16 @@ class _NoImag(np.ndarray):
 
 
 def test_real_chunks_never_touch_the_imaginary_part():
-    x = sample_array("real").view(_NoImag)
+    p = sample_factor("real").view(_NoImag)
     moments = ChunkMoments()
-    feed(moments, x)
+    feed(moments, p, p)
     mean, stderr = moments.mean_and_stderr()
     assert np.isrealobj(mean) and np.isrealobj(stderr)
 
 
 def test_single_sample_has_zero_stderr():
     moments = ChunkMoments()
-    moments.add(np.array([[1.0 + 2.0j]]))
+    moments.add_outer(np.array([[1.0 + 2.0j]]), np.array([[1.0]]))
     mean, stderr = moments.mean_and_stderr()
-    assert mean[0] == 1.0 + 2.0j
-    assert stderr[0] == 0.0
+    assert mean[0, 0] == 1.0 + 2.0j
+    assert stderr[0, 0] == 0.0
