@@ -239,6 +239,8 @@ def resolve_config(raw, config_dir, seed_override=None):
                 require_positive_support(lattice, phis)
             except (TypeError, ValueError) as exc:
                 _fail(f"invalid explicit test_functions: {exc}")
+            if not all(np.isfinite(phi).all() for phi in phis):
+                _fail("explicit test_functions must be finite")
             echo["test_functions"] = {"kind": "explicit", "vectors": [list(map(float, v)) for v in vectors]}
         else:
             _fail(f"unknown test_functions kind {kind!r}")

@@ -11,12 +11,21 @@ exists. Coefficients are combined symbolically: all identities certified
 here hold exactly, never up to a numerical tolerance.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .lattice import as_float, as_int
+
+
+def _finite(value, what):
+    """as_float(value), refusing NaN and the infinities."""
+    x = as_float(value, what)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -35,7 +44,7 @@ class Term:
             raise ValueError(f"zero or negative power in term factors: {self.factors}")
         if any(s < 0 for s in sites):
             raise ValueError(f"negative site index in term factors: {self.factors}")
-        object.__setattr__(self, "coefficient", as_float(self.coefficient, "coefficient"))
+        object.__setattr__(self, "coefficient", _finite(self.coefficient, "coefficient"))
         object.__setattr__(self, "factors", factors)
 
 
@@ -48,7 +57,7 @@ class Potential:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(self, "constant", as_float(self.constant, "constant"))
+        object.__setattr__(self, "constant", _finite(self.constant, "constant"))
 
 
 ZERO_POTENTIAL = Potential()
@@ -95,17 +104,19 @@ def eval_potential_batch(p, configs):
     """Evaluate at many configurations at once; configs has shape (n, dim).
 
     Factors multiply into the coefficient one power at a time, in canonical
-    factor order, and terms add onto the constant in term order.
+    factor order, and terms add onto the constant in term order. Every
+    product is formed in one reusable buffer against contiguous columns.
     """
     configs = np.asarray(configs, dtype=np.float64)
     check_sites(p, configs.shape[1], f"configs of width {configs.shape[1]}")
     out = np.full(configs.shape[0], p.constant, dtype=np.float64)
+    columns = np.ascontiguousarray(configs.T)
+    prod = np.empty_like(out)
     for t in p.terms:
-        prod = np.full(configs.shape[0], t.coefficient, dtype=np.float64)
+        prod.fill(t.coefficient)
         for site, power in t.factors:
-            col = configs[:, site]
             for _ in range(power):
-                prod = prod * col
+                np.multiply(prod, columns[site], out=prod)
         out += prod
     return out
 

@@ -164,8 +164,9 @@ def free_field_covariance(lattice, mass, psd_tolerance=DEFAULT_PSD_TOL):
     bit-exactly.
     """
     mass = as_float(mass, "mass")
-    if mass <= 0:
-        raise ValueError(f"mass must be positive, got {mass}")
+    # NaN fails every comparison; a mass whose square overflows would give C = 0
+    if not (mass > 0 and math.isfinite(mass * mass)):
+        raise ValueError(f"mass must be positive with a finite square, got {mass}")
     op = _laplacian_plus_mass(lattice, mass)
     cov = np.linalg.inv(op)
     cov = (cov + cov.T) / 2.0

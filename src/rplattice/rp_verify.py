@@ -336,13 +336,17 @@ def gram_mc_factorized(cov, lattice, g, phis, params, tol=DEFAULT_GRAM_TOL):
     weight_stats = []
 
     def partial_averages(rng, shared, count):
-        z = rng.standard_normal((count, n_inner, nh))
-        s = shared[:, np.newaxis, :] + z @ factor_p.T
+        # the stream fills C order, so these are the (count, n_inner, nh) draws as one GEMM
+        s = (rng.standard_normal((count * n_inner, nh)) @ factor_p.T).reshape(count, n_inner, nh)
+        s += shared[:, np.newaxis, :]
         weights = _importance_weights(g, s.reshape(-1, nh), "half-density")
         weights = weights.reshape(count, n_inner)
         weight_stats.append((float(weights.sum()), float(weights.max())))
-        vals = weights[:, :, np.newaxis] * np.exp(-1j * (s @ h_mat))
-        return vals.mean(axis=1)
+        # sum of w exp(-i phase) as two real weighted matvecs; divide after the sum,
+        # so equal weights over a zero phase give exactly 1
+        phase = s @ h_mat
+        w = weights[:, np.newaxis, :]
+        return ((w @ np.cos(phase)) - 1j * (w @ np.sin(phase)))[:, 0, :] / n_inner
 
     for chunk_index, count in chunk_counts(params.n_outer, _OUTER_CHUNK):
         rng = substream(params.seed, NS_FACTORIZED, chunk_index)

@@ -328,6 +328,8 @@ def test_flags_a_subcommand_does_not_use_are_usage_errors(tmp_path, argv):
     assert not csv_dir.exists()
 
 
+NAN, INF = float("nan"), float("inf")
+
 MALFORMED_CONFIGS = {
     "psd_tol-not-a-number": {"tolerances": {"psd_tol": "abc"}},
     "seed-not-a-number": {"mc": {"n_samples": 1_000, "seed": "x"}},
@@ -363,6 +365,15 @@ MALFORMED_CONFIGS = {
         "density": {"terms": [{"coefficient": -0.1, "factors": [{"site": [1, 0], "power": "4"}]}]}
     },
     "test_functions-count-numeric-string": {"test_functions": {"kind": "random", "count": "4"}},
+    # json.loads reads NaN and Infinity; a 16-site vector that is zero on the negative half
+    "test_functions-nan": {"test_functions": {"kind": "explicit", "vectors": [[0.0] * 8 + [NAN] + [0.0] * 7]}},
+    "test_functions-infinity": {"test_functions": {"kind": "explicit", "vectors": [[0.0] * 8 + [INF] + [0.0] * 7]}},
+    "density-coefficient-nan": {
+        "density": {"terms": [{"coefficient": NAN, "factors": [{"site": [1, 0], "power": 4}]}]}
+    },
+    "density-constant-infinity": {"density": {"terms": [], "constant": INF}},
+    "mass-nan": {"covariance": {"kind": "free_field", "mass": NAN}},
+    "mass-infinity": {"covariance": {"kind": "free_field", "mass": INF}},
 }
 
 

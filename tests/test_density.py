@@ -90,6 +90,39 @@ def test_batch_eval_matches_scalar_bitwise():
     assert np.array_equal(batch, singles)
 
 
+def loop_eval_potential_batch(p, configs):
+    """Reference: the term-order loop that allocates a fresh product per power."""
+    configs = np.asarray(configs, dtype=np.float64)
+    out = np.full(configs.shape[0], p.constant, dtype=np.float64)
+    for t in p.terms:
+        prod = np.full(configs.shape[0], t.coefficient, dtype=np.float64)
+        for site, power in t.factors:
+            col = configs[:, site]
+            for _ in range(power):
+                prod = prod * col
+        out += prod
+    return out
+
+
+@pytest.mark.parametrize("layout", ["c-order", "fortran-order", "strided-view", "single-row"])
+def test_batch_eval_matches_the_allocating_loop_bitwise(layout):
+    rng = np.random.default_rng(19)
+    n_sites = 8
+    base = rng.standard_normal((2 * 301, 2 * n_sites))
+    configs = {
+        "c-order": np.ascontiguousarray(base[:301, :n_sites]),
+        "fortran-order": np.asfortranarray(base[:301, :n_sites]),
+        "strided-view": base[::2, ::2],
+        "single-row": base[:1, :n_sites],
+    }[layout]
+    potentials = [canonicalize(random_potential(rng, n_sites, max_terms=8)) for _ in range(100)]
+    potentials.append(Potential((), -1.75))
+    assert any(len(t.factors) > 1 for p in potentials for t in p.terms)
+    assert {pw for p in potentials for t in p.terms for _, pw in t.factors} == {1, 2, 3, 4}
+    for p in potentials:
+        assert np.array_equal(eval_potential_batch(p, configs), loop_eval_potential_batch(p, configs))
+
+
 def test_reflect_potential_swaps_sites():
     lat = build_lattice(1, [])
     p = Potential((Term(1.0, ((0, 1),)),))

@@ -96,10 +96,9 @@ def test_laplacian_plus_mass_is_exact(time_extent, extents, mass, laplacian):
 
 def test_free_field_rejects_nonpositive_mass():
     lat = build_lattice(1, [])
-    with pytest.raises(ValueError):
-        free_field_covariance(lat, 0.0)
-    with pytest.raises(ValueError):
-        free_field_covariance(lat, -1.0)
+    for mass in (0.0, -1.0, float("nan"), float("inf"), 1e200):
+        with pytest.raises(ValueError, match="mass must be positive with a finite square"):
+            free_field_covariance(lat, mass)
 
 
 def test_covariance_requires_exact_symmetry_and_psd():

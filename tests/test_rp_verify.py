@@ -391,6 +391,11 @@ LIBRARY_NUMBERS = {
     "term-coefficient-boolean": (lambda: Term(True, ((0, 2),)), ValueError),
     "term-coefficient-string": (lambda: Term("1.5", ((0, 2),)), ValueError),
     "potential-constant-boolean": (lambda: Potential((), False), ValueError),
+    "term-coefficient-nan": (lambda: Term(float("nan"), ((0, 2),)), ValueError),
+    "term-coefficient-infinite": (lambda: Term(float("-inf"), ((0, 2),)), ValueError),
+    "potential-constant-nan": (lambda: Potential((), float("nan")), ValueError),
+    "potential-constant-infinite": (lambda: Potential((), float("inf")), ValueError),
+    "free-field-mass-nan": (lambda: free_field_covariance(build_lattice(1, []), float("nan")), ValueError),
     "mc-n_samples-fractional": (lambda: McParams(1.5, 0), ValueError),
     "mc-seed-fractional": (lambda: McParams(1, 0.5), ValueError),
     "mc-n_inner-boolean": (lambda: McParams(1, 0, n_inner=True), ValueError),

@@ -1,9 +1,10 @@
-"""Second moments as matrix products against the (count, k, k) tensor path they replaced.
+"""Estimator kernels against the plainer paths they replaced.
 
-The reference below materializes every chunk x[s, m, n] = p[s, m] q[s, n]
-and sums its entries and squares along the sample axis. The estimators must
-agree with it to rounding, give the same verdicts, and never hold such a
-tensor themselves.
+The tensor reference materializes every chunk x[s, m, n] = p[s, m] q[s, n]
+and sums its entries and squares along the sample axis. The complex-exp
+reference forms the factorized partial averages as the mean of
+w exp(-i phase) over 3-D batched draws. The estimators must agree with both
+to rounding, give the same verdicts, and never hold such a tensor themselves.
 """
 
 import tracemalloc
@@ -13,7 +14,9 @@ import pytest
 
 from rplattice import (
     McParams,
+    ZERO_POTENTIAL,
     build_lattice,
+    decompose_pq,
     free_field_covariance,
     gaussian,
     gram_mc_direct,
@@ -21,13 +24,14 @@ from rplattice import (
     phi4,
     random_test_functions,
     reflect,
+    restrict_plus,
     rp_verify,
     split_check,
     verify_convolution_identity,
 )
-from rplattice.gaussian import iter_sample_chunks
-from rplattice.rp_verify import DEFAULT_GRAM_TOL, _finish_mc_report, _importance_weights
-from rplattice.streams import ChunkMoments
+from rplattice.gaussian import covariance_factor, iter_sample_chunks, symmetrized
+from rplattice.rp_verify import _OUTER_CHUNK, DEFAULT_GRAM_TOL, _finish_mc_report, _importance_weights
+from rplattice.streams import NS_FACTORIZED, ChunkMoments, chunk_counts, substream
 
 RTOL = 1e-12
 
@@ -74,6 +78,32 @@ def tensor_gram_mc_direct(cov, lattice, f, phis, params):
     return _finish_mc_report(moments, DEFAULT_GRAM_TOL, params.seed, "mc-direct", weight_stats)
 
 
+def exp_gram_mc_factorized(cov, lattice, g, phis, params):
+    """gram_mc_factorized with batched 3-D draws and an inner mean of w exp(-i phase)."""
+    pq = decompose_pq(cov, lattice)
+    nh = lattice.n_plus
+    h_mat = np.stack([restrict_plus(lattice, p) for p in phis], axis=1)
+    factor_p = covariance_factor(symmetrized(pq.c_p), cov.psd_tolerance)
+    factor_q = covariance_factor(symmetrized(pq.c_q), cov.psd_tolerance)
+    moments = ChunkMoments()
+    weight_stats = []
+
+    def partial_averages(rng, shared, count):
+        s = shared[:, np.newaxis, :] + rng.standard_normal((count, params.n_inner, nh)) @ factor_p.T
+        w = _importance_weights(g, s.reshape(-1, nh), "half-density").reshape(count, params.n_inner)
+        weight_stats.append((float(w.sum()), float(w.max())))
+        return (w[:, :, np.newaxis] * np.exp(-1j * (s @ h_mat))).mean(axis=1)
+
+    for chunk_index, count in chunk_counts(params.n_outer, _OUTER_CHUNK):
+        rng = substream(params.seed, NS_FACTORIZED, chunk_index)
+        shared = rng.standard_normal((count, nh)) @ factor_q.T
+        h1 = partial_averages(rng, shared, count)
+        h2 = h1 if params.share_inner else partial_averages(rng, shared, count)
+        moments.add_outer(np.conj(h1), h2)
+    kind = "mc-factorized-shared" if params.share_inner else "mc-factorized-independent"
+    return _finish_mc_report(moments, DEFAULT_GRAM_TOL, params.seed, kind, weight_stats)
+
+
 @pytest.fixture(scope="module")
 def criterion_4():
     lat = build_lattice(2, [4])
@@ -111,6 +141,27 @@ def test_factorized_gram_matches_the_tensor_path(criterion_4, monkeypatch, share
     # same factors conj(H) and H, accumulated as the (count, k, k) tensor of their products
     monkeypatch.setattr(rp_verify, "ChunkMoments", TensorMoments)
     assert_same_report(got, gram_mc_factorized(cov, lat, witness, phis, params))
+
+
+@pytest.mark.parametrize("share_inner", [True, False], ids=["shared", "independent"])
+def test_factorized_gram_matches_the_complex_exp_kernel(criterion_4, share_inner):
+    lat, cov, density, phis = criterion_4
+    witness = split_check(lat, density).witness_g
+    params = McParams(1, seed=5, n_outer=1_000, n_inner=200, share_inner=share_inner)
+    assert_same_report(
+        gram_mc_factorized(cov, lat, witness, phis, params),
+        exp_gram_mc_factorized(cov, lat, witness, phis, params),
+    )
+
+
+@pytest.mark.parametrize("share_inner", [True, False], ids=["shared", "independent"])
+def test_factorized_zero_function_entry_is_exact_without_a_density(criterion_4, share_inner):
+    lat, cov, _, phis = criterion_4
+    params = McParams(1, seed=0, n_outer=200, n_inner=50, share_inner=share_inner)
+    rep = gram_mc_factorized(cov, lat, ZERO_POTENTIAL, phis, params)
+    # unit weights at phase zero: the inner sum is n_inner exactly, divided once
+    assert rep.matrix[-1, -1] == 1.0
+    assert rep.stderr[-1, -1] == 0.0
 
 
 def test_joint_law_check_matches_the_tensor_path(monkeypatch):
