@@ -22,7 +22,7 @@ the factorized Gram estimator integrates against.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,14 +38,20 @@ class Covariance:
     """Symmetric PSD matrix over lattice sites; immutable after construction.
 
     Symmetry must hold exactly as stored; positive semidefiniteness is
-    enforced up to psd_tolerance relative to the spectral norm.
+    enforced up to psd_tolerance relative to the spectral norm. One eigh of
+    the matrix gates PSD and gives the sampling factor F with F F^T = matrix,
+    held read-only beside it: a Covariance keeps 2 N^2 doubles for its whole
+    life. The PSD gate reads the eigenvalues of that eigh, not of a separate
+    eigvalsh; only a matrix whose smallest eigenvalue lies within rounding of
+    the threshold can tell the two apart.
     """
 
     matrix: np.ndarray
     psd_tolerance: float = DEFAULT_PSD_TOL
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64)
+        m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"covariance must be square, got shape {m.shape}")
         if not np.array_equal(m, m.T):
@@ -53,10 +59,15 @@ class Covariance:
         tol = as_float(self.psd_tolerance, "psd_tolerance")
         if not (math.isfinite(tol) and tol >= 0):  # NaN and inf would turn every gate into a no-op
             raise ValueError(f"psd_tolerance must be finite and nonnegative, got {tol}")
+        # factor the caller's array before copying it, so the eigh workspace
+        # and the copy are never alive together
+        factor = _psd_factor(m, tol, "covariance")
+        m = np.array(m)
         m.setflags(write=False)
+        factor.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "psd_tolerance", tol)
-        _require_psd(np.linalg.eigvalsh(m), tol, "covariance")
 
     @property
     def dim(self):
@@ -167,8 +178,7 @@ def free_field_covariance(lattice, mass, psd_tolerance=DEFAULT_PSD_TOL):
     # NaN fails every comparison; a mass whose square overflows would give C = 0
     if not (mass > 0 and math.isfinite(mass * mass)):
         raise ValueError(f"mass must be positive with a finite square, got {mass}")
-    op = _laplacian_plus_mass(lattice, mass)
-    cov = np.linalg.inv(op)
+    cov = np.linalg.inv(_laplacian_plus_mass(lattice, mass))
     cov = (cov + cov.T) / 2.0
     theta = lattice.theta_perm
     cov = (cov + cov[np.ix_(theta, theta)]) / 2.0
@@ -304,10 +314,14 @@ def covariance_factor(matrix, psd_tolerance):
     """
     if not np.array_equal(matrix, matrix.T):
         raise ValueError("matrix to factor must be exactly symmetric")
+    return _psd_factor(matrix, psd_tolerance, "matrix")
+
+
+def _psd_factor(matrix, psd_tolerance, what):
     eigvals, eigvecs = np.linalg.eigh(matrix)
-    _require_psd(eigvals, psd_tolerance, "matrix")
-    clipped = np.clip(eigvals, 0.0, None)
-    return eigvecs * np.sqrt(clipped)[np.newaxis, :]
+    _require_psd(eigvals, psd_tolerance, what)
+    eigvecs *= np.sqrt(np.clip(eigvals, 0.0, None))
+    return eigvecs
 
 
 def iter_sample_chunks(cov, n, seed):
@@ -319,10 +333,9 @@ def iter_sample_chunks(cov, n, seed):
     n = as_int(n, "sample count")
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
-    factor = covariance_factor(cov.matrix, cov.psd_tolerance)
     for k, count in chunk_counts(n):
         z = substream(seed, NS_FIELD, k).standard_normal((count, cov.dim))
-        yield k, z @ factor.T
+        yield k, z @ cov.factor.T
 
 
 def sample(cov, n, seed):

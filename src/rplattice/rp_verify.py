@@ -41,7 +41,7 @@ from .gaussian import (
     symmetrized,
     warn_unless_invariant,
 )
-from .lattice import as_int, embed_plus, positive_support, reflect, restrict_plus
+from .lattice import _as_site_vector, as_int, embed_plus, positive_support, reflect, restrict_plus
 from .streams import (
     NS_BOOTSTRAP,
     NS_FACTORIZED,
@@ -173,8 +173,10 @@ def random_test_functions(lattice, count, seed):
 
 
 def require_positive_support(lattice, phis):
-    """Raise ValueError unless every test function is a site vector vanishing at t < 0."""
+    """Raise ValueError unless every test function is a finite site vector vanishing at t < 0."""
     for i, phi in enumerate(phis):
+        if not np.isfinite(_as_site_vector(lattice, phi)).all():
+            raise ValueError(f"test function {i} has a NaN or infinite entry")
         if not positive_support(lattice, phi):
             raise ValueError(f"test function {i} is not supported on positive times")
 

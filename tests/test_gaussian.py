@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from rplattice import (
     verify_convolution_identity,
 )
 from rplattice.gaussian import _laplacian_plus_mass, covariance_factor, iter_sample_chunks, symmetrized
+from rplattice.streams import NS_FIELD, chunk_counts, substream
 
 
 def two_site_cov(c):
@@ -104,7 +106,7 @@ def test_free_field_rejects_nonpositive_mass():
 def test_covariance_requires_exact_symmetry_and_psd():
     with pytest.raises(ValueError):
         Covariance(np.array([[1.0, 0.1], [0.2, 1.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="covariance is not positive semidefinite"):
         Covariance(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalue -1
 
 
@@ -302,8 +304,8 @@ def test_sampling_rejects_non_psd_matrix():
 def test_covariance_factor_reproduces_matrix():
     lat = build_lattice(2, [3])
     cov = free_field_covariance(lat, 0.9)
-    f = covariance_factor(cov.matrix, cov.psd_tolerance)
-    assert np.abs(f @ f.T - cov.matrix).max() <= 1e-12
+    for f in (covariance_factor(cov.matrix, cov.psd_tolerance), cov.factor):
+        assert np.abs(f @ f.T - cov.matrix).max() <= 1e-12
 
 
 def test_char_fn_symmetries():
@@ -336,6 +338,72 @@ def test_covariance_factor_takes_the_matrix_as_stored():
     nearly[0, 1] = np.nextafter(nearly[0, 1], 1.0)
     with pytest.raises(ValueError, match="symmetric"):
         covariance_factor(nearly, cov.psd_tolerance)
+
+
+def test_samples_are_bitwise_draws_times_the_standalone_factor():
+    cov = free_field_covariance(build_lattice(2, [3]), 0.9)
+    factor = covariance_factor(cov.matrix, cov.psd_tolerance)
+    configs = sample(cov, 5000, seed=11).configs
+    start = 0
+    for k, count in chunk_counts(5000):
+        z = substream(11, NS_FIELD, k).standard_normal((count, cov.dim))
+        assert np.array_equal(configs[start:start + count], z @ factor.T)
+        start += count
+    assert start == configs.shape[0]
+
+
+def test_free_field_and_two_samples_diagonalise_once(monkeypatch):
+    lat = build_lattice(2, [3])
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    cov = free_field_covariance(lat, 0.9)
+    sample(cov, 100, seed=1)
+    sample(cov, 3000, seed=2)
+    n = lat.site_count
+    assert [call for call in calls if call[1] == (n, n)] == [("eigh", (n, n))]
+
+
+def test_covariance_factor_is_read_only_and_not_part_of_the_value():
+    cov = Covariance(np.array([[2.0]]))
+    assert not cov.factor.flags.writeable
+    with pytest.raises(ValueError):
+        cov.factor[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cov.factor = np.ones((1, 1))
+    assert "factor" not in repr(cov)
+    other = Covariance(np.array([[2.0]]))
+    object.__setattr__(other, "factor", np.array([[5.0]]))
+    assert cov == other
+
+
+def test_replacing_the_tolerance_refactors_the_covariance():
+    # eigenvalues 1 and about -1e-12: inside the default band, below a zero tolerance
+    m = np.array([[0.5 - 5e-13, 0.5 + 5e-13], [0.5 + 5e-13, 0.5 - 5e-13]])
+    cov = Covariance(m)
+    tighter = dataclasses.replace(cov, psd_tolerance=1e-11)
+    assert tighter.psd_tolerance == 1e-11 and tighter.factor is not cov.factor
+    assert np.array_equal(tighter.factor, covariance_factor(tighter.matrix, 1e-11))
+    with pytest.raises(ValueError, match="covariance is not positive semidefinite"):
+        dataclasses.replace(cov, psd_tolerance=0.0)
+
+
+def test_covariance_is_unaffected_by_later_changes_to_its_input():
+    given = np.array([[2.0, 1.0], [1.0, 2.0]])
+    cov = Covariance(given)
+    given[:] = 100.0
+    assert np.array_equal(cov.matrix, [[2.0, 1.0], [1.0, 2.0]])
+    assert np.abs(cov.factor @ cov.factor.T - cov.matrix).max() <= 1e-15
+
+
+def test_rank_deficient_covariance_draws_equal_pairs():
+    cov = Covariance(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    x = sample(cov, 3000, seed=5).configs
+    assert np.abs(x[:, 0] - x[:, 1]).max() <= 1e-12 * np.abs(x).max()
 
 
 def _plain_split(a, b):

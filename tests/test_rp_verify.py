@@ -96,6 +96,28 @@ def test_gram_exact_rejects_negative_time_support():
         gram_exact_gaussian(two_site_cov(0.5), lat, [np.array([1.0, 0.0])])
 
 
+NON_FINITE_PHI_CALLS = {
+    "gram_exact_gaussian": lambda cov, lat, phis: gram_exact_gaussian(cov, lat, phis),
+    "gram_mc_direct": lambda cov, lat, phis: gram_mc_direct(
+        cov, lat, phi4(lat, 0.1), phis, McParams(2_000, seed=0)
+    ),
+    "gram_mc_factorized": lambda cov, lat, phis: gram_mc_factorized(
+        cov, lat, split_check(lat, phi4(lat, 0.1)).witness_g, phis, McParams(1, seed=0, n_outer=64, n_inner=16)
+    ),
+    "small_lambda_probe": lambda cov, lat, phis: small_lambda_probe(cov, lat, phis[0], [0.1]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize("call", NON_FINITE_PHI_CALLS.values(), ids=NON_FINITE_PHI_CALLS.keys())
+def test_estimators_reject_non_finite_test_functions(call, bad):
+    lat = build_lattice(1, [])
+    phis = [np.array([0.0, bad]), np.zeros(2)]
+    with pytest.raises(ValueError, match="test function 0 has a NaN or infinite entry"):
+        call(free_field_covariance(lat, 1.0), lat, phis)
+
+
 def test_gram_exact_warns_on_invariance_violation():
     lat = build_lattice(1, [])
     with pytest.warns(RuntimeWarning):
