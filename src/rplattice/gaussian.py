@@ -22,7 +22,7 @@ the factorized Gram estimator integrates against.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -37,20 +37,29 @@ DEFAULT_INVARIANCE_TOL = 1e-12
 class Covariance:
     """Symmetric PSD matrix over lattice sites; immutable after construction.
 
-    Symmetry must hold exactly as stored; positive semidefiniteness is
-    enforced up to psd_tolerance relative to the spectral norm. One eigh of
-    the matrix gates PSD and gives the sampling factor F with F F^T = matrix,
-    held read-only beside it: a Covariance keeps 2 N^2 doubles for its whole
-    life. The PSD gate reads the eigenvalues of that eigh, not of a separate
-    eigvalsh; only a matrix whose smallest eigenvalue lies within rounding of
-    the threshold can tell the two apart.
+    Symmetry must hold exactly as stored. The sampling factor F with
+    F F^T = matrix is held read-only beside it, so a Covariance keeps 2 N^2
+    doubles for its whole life. F comes one of two ways, chosen by what the
+    caller holds:
+
+    * From a precision K (the inverse of matrix, passed as precision= and not
+      kept): F = matrix @ L with K = L L^T, so F F^T = C K C = C up to the
+      residual C (K C - I). A successful Cholesky of K is the PSD gate, since
+      K positive definite makes its inverse positive definite; matrix is
+      trusted to be that inverse and is not diagonalised at all.
+    * Otherwise from one eigh of matrix, which also gates positive
+      semidefiniteness up to psd_tolerance relative to the spectral norm.
+      The gate reads the eigenvalues of that eigh, not of a separate
+      eigvalsh; only a matrix whose smallest eigenvalue lies within rounding
+      of the threshold can tell the two apart.
     """
 
     matrix: np.ndarray
     psd_tolerance: float = DEFAULT_PSD_TOL
+    precision: InitVar[np.ndarray | None] = None
     factor: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, precision):
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"covariance must be square, got shape {m.shape}")
@@ -59,9 +68,12 @@ class Covariance:
         tol = as_float(self.psd_tolerance, "psd_tolerance")
         if not (math.isfinite(tol) and tol >= 0):  # NaN and inf would turn every gate into a no-op
             raise ValueError(f"psd_tolerance must be finite and nonnegative, got {tol}")
-        # factor the caller's array before copying it, so the eigh workspace
-        # and the copy are never alive together
-        factor = _psd_factor(m, tol, "covariance")
+        # factor the caller's array before copying it, so the factorization's
+        # workspace and the copy are never alive together
+        if precision is None:
+            factor = _psd_factor(m, tol, "covariance")
+        else:
+            factor = m @ _cholesky_lower(precision, m.shape)
         m = np.array(m)
         m.setflags(write=False)
         factor.setflags(write=False)
@@ -172,17 +184,30 @@ def free_field_covariance(lattice, mass, psd_tolerance=DEFAULT_PSD_TOL):
     crossing link between t = -1 and t = +1, open ends at t = +-T; spatial
     links periodic. The edge set is mirror symmetric, and the returned matrix
     is symmetrized and reflection-symmetrized so both properties hold
-    bit-exactly.
+    bit-exactly. The operator is handed to the Covariance as its precision,
+    so the sampling factor comes from its Cholesky factor and C is never
+    diagonalised. A mass too small for the operator to be positive definite
+    in binary64 is an error.
     """
     mass = as_float(mass, "mass")
     # NaN fails every comparison; a mass whose square overflows would give C = 0
     if not (mass > 0 and math.isfinite(mass * mass)):
         raise ValueError(f"mass must be positive with a finite square, got {mass}")
-    cov = np.linalg.inv(_laplacian_plus_mass(lattice, mass))
+    op = _laplacian_plus_mass(lattice, mass)
+    # Each row of op sums exactly to its diagonal minus its degree. If mass^2
+    # is lost from every diagonal entry, op annihilates the constant field, and
+    # inv would return noise or raise; if one row keeps it, op is irreducibly
+    # diagonally dominant and so positive definite.
+    if not op.sum(axis=1).any():
+        raise ValueError(
+            f"mass {mass} is too small: its square vanishes beside the site degrees, "
+            "so -laplacian + mass^2 is singular"
+        )
+    cov = np.linalg.inv(op)
     cov = (cov + cov.T) / 2.0
-    theta = lattice.theta_perm
-    cov = (cov + cov[np.ix_(theta, theta)]) / 2.0
-    return Covariance(cov, psd_tolerance)
+    blocks, flipped = _time_blocks(cov, lattice)
+    cov = ((blocks + flipped) / 2.0).reshape(cov.shape)
+    return Covariance(cov, psd_tolerance, precision=op)
 
 
 def _laplacian_plus_mass(lattice, mass):
@@ -217,12 +242,24 @@ def char_fn(cov, phi):
 
 def check_theta_invariance(cov, lattice, tol=DEFAULT_INVARIANCE_TOL):
     """Deviation of C from its conjugate under the reflection permutation."""
-    theta = lattice.theta_perm
-    conj = cov.matrix[np.ix_(theta, theta)]
-    deviation = float(np.abs(conj - cov.matrix).max())
+    blocks, flipped = _time_blocks(cov.matrix, lattice)
+    deviation = float(np.abs(flipped - blocks).max())
     scale = max(1.0, float(np.abs(cov.matrix).max()))
     threshold = tol * scale
     return InvarianceReport(deviation <= threshold, deviation, threshold, tol)
+
+
+def _time_blocks(matrix, lattice):
+    """matrix viewed as (2T, S, 2T, S) blocks, and its conjugate under theta.
+
+    theta reverses the leading time axis of the C-ordered site grid, so
+    M[theta(x), theta(y)] is the view with both time axes flipped: the same
+    values as the np.ix_(theta, theta) gather, without an N^2 copy.
+    """
+    times = lattice.shape[0]
+    rest = lattice.site_count // times
+    blocks = matrix.reshape(times, rest, times, rest)
+    return blocks, blocks[::-1, :, ::-1, :]
 
 
 def warn_unless_invariant(cov, lattice, consequence):
@@ -315,6 +352,20 @@ def covariance_factor(matrix, psd_tolerance):
     if not np.array_equal(matrix, matrix.T):
         raise ValueError("matrix to factor must be exactly symmetric")
     return _psd_factor(matrix, psd_tolerance, "matrix")
+
+
+def _cholesky_lower(precision, shape):
+    """Lower Cholesky factor of a square, exactly symmetric precision of the given shape."""
+    k = np.asarray(precision, dtype=np.float64)
+    if k.shape != shape:
+        raise ValueError(f"precision must have the covariance's shape {shape}, got {k.shape}")
+    # cholesky reads one triangle only, so symmetry is checked here or not at all
+    if not np.array_equal(k, k.T):
+        raise ValueError("precision must be exactly symmetric as stored")
+    try:
+        return np.linalg.cholesky(k)
+    except np.linalg.LinAlgError:
+        raise ValueError("precision is not positive definite: it has no Cholesky factor") from None
 
 
 def _psd_factor(matrix, psd_tolerance, what):

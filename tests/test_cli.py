@@ -387,6 +387,27 @@ def test_malformed_config_values_exit_two_with_one_line(tmp_path, capsys, overri
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mass", [1e-200, 1e-9])
+@pytest.mark.parametrize("command", ["check-gaussian", "verify-rp"])
+def test_singular_free_field_exits_two_with_one_line(tmp_path, capsys, command, mass):
+    # both masses vanish from -laplacian + mass^2; the inverse used to pass as a covariance
+    lat = build_lattice(2, [3])
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            "lattice": {"time_extent": 2, "spatial_extents": [3]},
+            "covariance": {"kind": "free_field", "mass": mass},
+            "density": potential_to_obj(lat, phi4(lat, 0.1)),
+            "mc": {"n_samples": 1_000, "seed": 0},
+        },
+    )
+    out = tmp_path / "report.json"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid covariance: mass ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_integral_floats_count_as_integers(tmp_path):
     as_ints = free_field_config(n_samples=5_000)
     as_floats = {

@@ -96,6 +96,23 @@ def test_laplacian_plus_mass_is_exact(time_extent, extents, mass, laplacian):
     assert (op == want).all()
 
 
+@pytest.mark.parametrize(
+    "time_extent, extents, mass",
+    [(2, [3], 1e-200), (2, [3], 1e-9), (3, [4], 1e-9), (4, [8, 16], 1e-9)],
+)
+def test_free_field_rejects_a_mass_lost_from_the_operator(time_extent, extents, mass):
+    # mass^2 underflows, or vanishes beside every site degree: -laplacian + mass^2 is singular
+    # as stored, and inv raises or returns entries near 1e15 (Cholesky succeeds on some shapes)
+    with pytest.raises(ValueError, match=f"mass {mass} is too small"):
+        free_field_covariance(build_lattice(time_extent, extents), mass)
+
+
+def test_free_field_accepts_a_mass_kept_by_the_operator():
+    # mass^2 = 1.21e-16 survives in the diagonal of the two degree-1 sites
+    cov = free_field_covariance(build_lattice(1, []), 1.1e-8)
+    assert np.isfinite(cov.matrix).all() and np.isfinite(cov.factor).all()
+
+
 def test_free_field_rejects_nonpositive_mass():
     lat = build_lattice(1, [])
     for mass in (0.0, -1.0, float("nan"), float("inf"), 1e200):
@@ -130,6 +147,23 @@ def test_theta_invariance_verdicts():
     report = check_theta_invariance(Covariance(np.diag([2.0, 1.0])), lat)
     assert not report.passed
     assert report.deviation == 1.0
+
+
+@pytest.mark.parametrize(
+    "time_extent, extents",
+    [(1, []), (3, []), (2, [1]), (2, [2]), (2, [3]), (1, [2, 3]), (2, [3, 2])],
+)
+def test_theta_conjugation_as_a_view_equals_the_gather(time_extent, extents):
+    lat = build_lattice(time_extent, extents)
+    theta, n = lat.theta_perm, lat.site_count
+    x = np.random.default_rng(7).standard_normal((n, n))
+    m = symmetrized(x @ x.T)  # PSD and, unlike a free field, not reflection invariant
+    deviation = float(np.abs(m[np.ix_(theta, theta)] - m).max())
+    assert check_theta_invariance(Covariance(m), lat).deviation == deviation
+    ref = np.linalg.inv(_laplacian_plus_mass(lat, 0.7))
+    ref = (ref + ref.T) / 2.0
+    ref = (ref + ref[np.ix_(theta, theta)]) / 2.0
+    assert np.array_equal(free_field_covariance(lat, 0.7).matrix, ref)
 
 
 def test_cross_block_reads_reflected_column():
@@ -340,32 +374,106 @@ def test_covariance_factor_takes_the_matrix_as_stored():
         covariance_factor(nearly, cov.psd_tolerance)
 
 
-def test_samples_are_bitwise_draws_times_the_standalone_factor():
-    cov = free_field_covariance(build_lattice(2, [3]), 0.9)
-    factor = covariance_factor(cov.matrix, cov.psd_tolerance)
-    configs = sample(cov, 5000, seed=11).configs
+def _assert_draws_are_bitwise(cov, factor, n, seed):
+    configs = sample(cov, n, seed=seed).configs
     start = 0
-    for k, count in chunk_counts(5000):
-        z = substream(11, NS_FIELD, k).standard_normal((count, cov.dim))
+    for k, count in chunk_counts(n):
+        z = substream(seed, NS_FIELD, k).standard_normal((count, cov.dim))
         assert np.array_equal(configs[start:start + count], z @ factor.T)
         start += count
     assert start == configs.shape[0]
 
 
-def test_free_field_and_two_samples_diagonalise_once(monkeypatch):
+def test_samples_are_bitwise_draws_times_the_standalone_factor():
+    # an explicit covariance is factored by eigh, exactly as covariance_factor does it
+    free = free_field_covariance(build_lattice(2, [3]), 0.9)
+    cov = Covariance(free.matrix.copy())
+    _assert_draws_are_bitwise(cov, covariance_factor(cov.matrix, cov.psd_tolerance), 5000, 11)
+
+
+def test_free_field_samples_are_bitwise_draws_times_c_times_the_cholesky_factor():
     lat = build_lattice(2, [3])
+    cov = free_field_covariance(lat, 0.9)
+    factor = cov.matrix @ np.linalg.cholesky(_laplacian_plus_mass(lat, 0.9))
+    _assert_draws_are_bitwise(cov, factor, 5000, 11)
+
+
+def _count_linalg(monkeypatch, names=("eigh", "eigvalsh", "cholesky")):
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in names:
         def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
             calls.append((_name, np.shape(a)))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_free_field_and_two_samples_factor_once_without_eigh(monkeypatch):
+    lat = build_lattice(2, [3])
+    calls = _count_linalg(monkeypatch)
     cov = free_field_covariance(lat, 0.9)
     sample(cov, 100, seed=1)
     sample(cov, 3000, seed=2)
     n = lat.site_count
-    assert [call for call in calls if call[1] == (n, n)] == [("eigh", (n, n))]
+    assert calls == [("cholesky", (n, n))]
+
+
+def test_explicit_covariance_diagonalises_once(monkeypatch):
+    calls = _count_linalg(monkeypatch)
+    cov = Covariance(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]))
+    sample(cov, 100, seed=1)
+    sample(cov, 3000, seed=2)
+    assert calls == [("eigh", (3, 3))]
+
+
+@pytest.mark.parametrize("mass", [0.1, 0.5, 1.3])
+@pytest.mark.parametrize("time_extent, extents", [(1, []), (2, [3]), (3, [2, 3]), (2, [1, 4]), (3, [5])])
+def test_precision_factor_is_as_close_to_c_as_c_is_to_the_inverse(time_extent, extents, mass):
+    # F F^T - C = C (K C - I) up to rounding, with K C - I the residual of the computed inverse
+    lat = build_lattice(time_extent, extents)
+    cov = free_field_covariance(lat, mass)
+    c, f = cov.matrix, cov.factor
+    residual = np.abs(_laplacian_plus_mass(lat, mass) @ c - np.eye(cov.dim)).max()
+    scale = np.abs(c).max()
+    assert np.abs(f @ f.T - c).max() <= 4 * scale * residual + 1e-14 * scale
+
+
+def test_precision_is_neither_kept_nor_part_of_the_value():
+    lat = build_lattice(2, [3])
+    cov = free_field_covariance(lat, 0.9)
+    assert not cov.factor.flags.writeable
+    with pytest.raises(ValueError):
+        cov.factor[0, 0] = 1.0
+    assert "factor" not in repr(cov) and "precision" not in repr(cov)
+    assert "precision" not in vars(cov)
+    assert [f.name for f in dataclasses.fields(cov)] == ["matrix", "psd_tolerance", "factor"]
+    # equality goes by matrix and tolerance, whichever way the factor came
+    # (a 1x1 matrix, since == on larger arrays has no truth value)
+    assert Covariance(np.array([[2.0]]), precision=np.array([[0.5]])) == Covariance(np.array([[2.0]]))
+
+
+def test_replacing_a_free_field_tolerance_falls_back_to_eigh(monkeypatch):
+    cov = free_field_covariance(build_lattice(2, [3]), 0.9)
+    calls = _count_linalg(monkeypatch)
+    looser = dataclasses.replace(cov, psd_tolerance=1e-8)
+    assert calls == [("eigh", (cov.dim, cov.dim))]
+    assert looser.psd_tolerance == 1e-8 and np.array_equal(looser.matrix, cov.matrix)
+    assert np.array_equal(looser.factor, covariance_factor(cov.matrix, 1e-8))
+    assert np.abs(looser.factor @ looser.factor.T - cov.matrix).max() <= 1e-12
+
+
+def test_covariance_rejects_a_precision_it_cannot_factor():
+    c = np.array([[2.0, 1.0], [1.0, 2.0]])
+    k = np.linalg.inv(c)
+    with pytest.raises(ValueError, match="precision must be exactly symmetric"):
+        Covariance(c, precision=k + np.array([[0.0, 1e-9], [0.0, 0.0]]))
+    for shape_off in (np.eye(3), k.ravel(), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="precision must have the covariance's shape"):
+            Covariance(c, precision=shape_off)
+    with pytest.raises(ValueError, match="precision is not positive definite"):
+        Covariance(c, precision=-k)
+    assert np.array_equal(Covariance(c, precision=k).factor, c @ np.linalg.cholesky(k))
 
 
 def test_covariance_factor_is_read_only_and_not_part_of_the_value():
