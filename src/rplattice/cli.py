@@ -270,6 +270,15 @@ def render_report(report):
     return json.dumps(report, indent=2, sort_keys=True, default=_numpy_to_json) + "\n"
 
 
+def _pq_entry(pq):
+    return {
+        "passed": pq.both_psd,
+        "sum_exact": pq.sum_exact,
+        "p": _fields(pq.report_p, omit=("tol",)),
+        "q": _fields(pq.report_q, omit=("tol",)),
+    }
+
+
 def _split_dict(lattice, result):
     violations = []
     for v in result.violations:
@@ -296,21 +305,13 @@ def cmd_check_gaussian(resolved, csv_dir=None):
         reasons.append("gaussian-rp")
 
     pq = decompose_pq(cov, lattice)
-    sum_exact = bool(np.array_equal(pq.c_p + pq.c_q, pq.a_block))
-    checks["pq_decomposition"] = {
-        "passed": sum_exact and pq.both_psd,
-        "sum_exact": sum_exact,
-        "p": _fields(pq.report_p, omit=("tol",)),
-        "q": _fields(pq.report_q, omit=("tol",)),
-    }
-    if not (sum_exact and pq.both_psd):
+    checks["pq_decomposition"] = _pq_entry(pq)
+    if not pq.both_psd:
         reasons.append("pq-decomposition")
 
     n = resolved.mc.n_samples if resolved.mc is not None else 100_000
     seed = resolved.mc.seed if resolved.mc is not None else 0
-    conv = verify_convolution_identity(
-        cov, lattice, tols["invariance_tol"], n_samples=n, seed=seed
-    )
+    conv = verify_convolution_identity(pq, tols["invariance_tol"], n_samples=n, seed=seed)
     checks["convolution_identity"] = _fields(conv)
     if not conv.passed:
         reasons.append("convolution-identity")
@@ -377,19 +378,13 @@ def cmd_verify_rp(resolved):
         reasons.append("gram-direct-stable-fail")
 
     pq = decompose_pq(cov, lattice)
-    checks["pq_decomposition"] = {
-        "passed": pq.both_psd,
-        "p": _fields(pq.report_p, omit=("tol",)),
-        "q": _fields(pq.report_q, omit=("tol",)),
-    }
+    checks["pq_decomposition"] = _pq_entry(pq)
     if not pq.both_psd:
         reasons.append("pq-decomposition")
         return checks, reasons
 
     try:
-        factorized = gram_mc_factorized(
-            cov, lattice, split.witness_g, phis, mc, tols["psd_tol"]
-        )
+        factorized = gram_mc_factorized(pq, split.witness_g, phis, mc, tols["psd_tol"])
     except IllConditionedWeightsError:
         checks["gram_factorized"] = None
         reasons.append("ill-conditioned-weights")
@@ -480,14 +475,11 @@ def cmd_selftest(psd_tol=DEFAULT_PSD_TOL):
     lat = build_lattice(2, [4])
     cov = free_field_covariance(lat, 1.0, psd_tolerance=max(psd_tol, 1e-15))
     pq = decompose_pq(cov, lat)
-    sum_exact = bool(np.array_equal(pq.c_p + pq.c_q, pq.a_block))
     floor = min(pq.report_p.min_eigenvalue, pq.report_q.min_eigenvalue)
-    entry("pq-decomposition", sum_exact and floor >= -psd_tol, floor, -psd_tol)
+    entry("pq-decomposition", pq.sum_exact and floor >= -psd_tol, floor, -psd_tol)
 
     params = McParams(n_samples=1, seed=7, n_outer=256, n_inner=64, share_inner=True)
-    fact = gram_mc_factorized(
-        cov, lat, ZERO_POTENTIAL, random_test_functions(lat, 3, 7), params
-    )
+    fact = gram_mc_factorized(pq, ZERO_POTENTIAL, random_test_functions(lat, 3, 7), params)
     gate = min(STRUCTURAL_PSD_FLOOR, -psd_tol)
     entry("factorized-structural-psd", fact.min_eigenvalue >= gate, fact.min_eigenvalue, gate)
 

@@ -26,7 +26,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .lattice import as_float, as_int, reflect, restrict_plus, positive_support, _as_site_vector
+from .lattice import Lattice, as_float, as_int, reflect, restrict_plus, positive_support, _as_site_vector
 from .streams import NS_FIELD, ChunkMoments, chunk_counts, substream
 
 DEFAULT_PSD_TOL = 1e-10
@@ -81,6 +81,11 @@ class Covariance:
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "psd_tolerance", tol)
 
+    def __eq__(self, other):
+        if not isinstance(other, Covariance):
+            return NotImplemented
+        return self.psd_tolerance == other.psd_tolerance and np.array_equal(self.matrix, other.matrix)
+
     @property
     def dim(self):
         return self.matrix.shape[0]
@@ -114,17 +119,24 @@ class GaussianRpReport:
 
 @dataclass(frozen=True)
 class PQPair:
-    """Positive-half covariances of the independent (c_p) and shared (c_q) draws."""
+    """Covariances of the independent (c_p) and shared (c_q) half-lattice draws, and their source."""
 
     c_p: np.ndarray
     c_q: np.ndarray
     a_block: np.ndarray
     report_p: PsdReport
     report_q: PsdReport
+    covariance: Covariance = field(repr=False, compare=False)
+    lattice: Lattice = field(repr=False, compare=False)
 
     @property
     def both_psd(self):
         return self.report_p.passed and self.report_q.passed
+
+    @property
+    def sum_exact(self):
+        """Whether c_p + c_q reproduces A bit for bit: a diagnostic of the rounding, not a gate."""
+        return bool(np.array_equal(self.c_p + self.c_q, self.a_block))
 
 
 @dataclass(frozen=True)
@@ -339,7 +351,7 @@ def decompose_pq(cov, lattice):
             break
         c_p = np.where(bad, a - c_q, c_p)
     tol = cov.psd_tolerance
-    return PQPair(c_p, c_q, a, _psd_report(c_p, tol), _psd_report(c_q, tol))
+    return PQPair(c_p, c_q, a, _psd_report(c_p, tol), _psd_report(c_q, tol), cov, lattice)
 
 
 def covariance_factor(matrix, psd_tolerance):
@@ -400,10 +412,8 @@ def sample(cov, n, seed):
     return FieldSample(configs=configs, seed=int(seed), count=int(n))
 
 
-def verify_convolution_identity(
-    cov, lattice, tol=DEFAULT_INVARIANCE_TOL, n_samples=100_000, seed=0
-):
-    """Check the factorized representation of the joint half law two ways.
+def verify_convolution_identity(pq, tol=DEFAULT_INVARIANCE_TOL, n_samples=100_000, seed=0):
+    """Check the factorized representation of the split pq two ways.
 
     Algebraic part: the block matrix [[A, B], [B, A]] must equal
     [[c_p, 0], [0, c_p]] + [[c_q, c_q], [c_q, c_q]] entrywise; with the
@@ -415,7 +425,7 @@ def verify_convolution_identity(
     the full measure must match [[A, B], [B, A]] entrywise within five
     standard errors.
     """
-    pq = decompose_pq(cov, lattice)
+    cov, lattice = pq.covariance, pq.lattice
     a, b = pq.a_block, cross_block(cov, lattice, warn=False)
     block_dev = max(
         float(np.abs((pq.c_p + pq.c_q) - a).max()) if a.size else 0.0,

@@ -36,7 +36,6 @@ from .density import check_sites, eval_potential_batch
 from .gaussian import (
     char_fn,
     covariance_factor,
-    decompose_pq,
     iter_sample_chunks,
     symmetrized,
     warn_unless_invariant,
@@ -303,22 +302,22 @@ def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
     return _finish_mc_report(moments, tol, params.seed, "mc-direct", weight_stats)
 
 
-def gram_mc_factorized(cov, lattice, g, phis, params, tol=DEFAULT_GRAM_TOL):
-    """Two-level Gram estimate through the half-lattice factorization.
+def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
+    """Two-level Gram estimate through the half-lattice split pq.
 
-    Outer draws L come from the shared covariance c_q, inner draws T from
-    the independent covariance c_p; the partial averages
+    Outer draws L come from the shared covariance pq.c_q, inner draws T from
+    the independent covariance pq.c_p; the partial averages
 
         H_m(L) = inner mean of exp[-i (T + L) . h_m + G(T + L)]
 
     pair into M[m, n] = outer mean of conj(H_m) H_n, where h_m is phi_m
     restricted to the positive half and G is the half-density. Requires a
-    reflection-positive covariance: both decomposition blocks must be PSD,
+    reflection-positive covariance: both blocks of pq must be PSD,
     otherwise the factorization does not exist and the call fails fast.
     n_samples on the report counts outer draws.
     """
+    lattice, psd_tol = pq.lattice, pq.covariance.psd_tolerance
     require_positive_support(lattice, phis)
-    pq = decompose_pq(cov, lattice)
     if not pq.both_psd:
         raise ValueError(
             "factorized estimator needs a reflection-positive covariance: "
@@ -330,8 +329,8 @@ def gram_mc_factorized(cov, lattice, g, phis, params, tol=DEFAULT_GRAM_TOL):
 
     h_mat = np.stack([restrict_plus(lattice, p) for p in phis], axis=1)
     # c_p and c_q are asymmetric in the last bits when C is invariant only within tolerance
-    factor_p = covariance_factor(symmetrized(pq.c_p), cov.psd_tolerance)
-    factor_q = covariance_factor(symmetrized(pq.c_q), cov.psd_tolerance)
+    factor_p = covariance_factor(symmetrized(pq.c_p), psd_tol)
+    factor_q = covariance_factor(symmetrized(pq.c_q), psd_tol)
 
     n_inner = params.n_inner
     moments = ChunkMoments()

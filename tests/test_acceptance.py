@@ -88,7 +88,7 @@ def test_criterion_3_decomposition_identities():
         pq = decompose_pq(cov, lat)
         assert np.array_equal(pq.c_p + pq.c_q, pq.a_block), "sum is not bit-exact"
     for lat, cov in lats_covs[:2]:
-        report = verify_convolution_identity(cov, lat, tol=1e-12, n_samples=100_000, seed=17)
+        report = verify_convolution_identity(decompose_pq(cov, lat), tol=1e-12, n_samples=100_000, seed=17)
         assert report.algebraic_passed and report.block_deviation <= 1e-12
         assert report.sampling_passed, f"joint covariance off by {report.max_sigma_deviation:.2f} sigma"
     elapsed = time.perf_counter() - started
@@ -116,7 +116,7 @@ def test_criterion_4_weighted_measure_stays_reflection_positive():
 
     witness = split_check(lat, density).witness_g
     fact = gram_mc_factorized(
-        cov, lat, witness, phis, McParams(1, seed=0, n_outer=10_000, n_inner=1_000, share_inner=True)
+        decompose_pq(cov, lat), witness, phis, McParams(1, seed=0, n_outer=10_000, n_inner=1_000, share_inner=True)
     )
     assert fact.min_eigenvalue >= -1e-10
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rplattice
-from rplattice import build_lattice, phi4, potential_to_obj
+from rplattice import build_lattice, cli, gaussian, phi4, potential_to_obj, rp_verify
 from rplattice.cli import main, read_matrix_csv, write_matrix_csv
 
 
@@ -83,6 +83,77 @@ def test_check_gaussian_flags_non_rp_covariance(tmp_path):
     assert report["verdict"] == "fail"
     assert report["checks"]["gaussian_rp"]["min_eigenvalue"] == pytest.approx(-0.5, abs=1e-12)
     assert "gaussian-rp" in report["failure_reasons"]
+
+
+def explicit_half_config(tmp_path, a, b):
+    """T=1, L=[2] with C = [[A, B], [B, A]] and the zero density, for every command."""
+    write_matrix_csv(tmp_path / "cov.csv", np.block([[a, b], [b, a]]))
+    return write_config(
+        tmp_path / "cfg.json",
+        {
+            "lattice": {"time_extent": 1, "spatial_extents": [2]},
+            "covariance": {"kind": "explicit", "matrix_file": "cov.csv"},
+            "density": {"terms": [], "constant": 0},
+            "mc": {"n_samples": 20_000, "seed": 1, "n_outer": 256, "n_inner": 64},
+        },
+    )
+
+
+def test_an_inexact_split_of_psd_summands_passes_both_commands(tmp_path):
+    # B/A = -6 off the diagonal, outside the Sterbenz range: c_p + c_q misses A by an ulp
+    cfg = explicit_half_config(
+        tmp_path, np.array([[1.0, 0.05], [0.05, 1.0]]), np.array([[0.35, -0.3], [-0.3, 0.35]])
+    )
+    entries = []
+    for command in ("check-gaussian", "verify-rp"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        entries.append(load_report(out)["checks"]["pq_decomposition"])
+    assert entries[0]["passed"] is True and entries[0]["sum_exact"] is False
+    assert entries[0] == entries[1]
+
+
+def test_a_non_psd_split_still_fails_check_gaussian(tmp_path):
+    cfg = explicit_half_config(tmp_path, np.eye(2), -0.5 * np.eye(2))
+    out = tmp_path / "report.json"
+    assert main(["check-gaussian", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    report = load_report(out)
+    assert "pq-decomposition" in report["failure_reasons"]
+    assert report["checks"]["pq_decomposition"]["passed"] is False
+
+
+def _count_split_work(monkeypatch, count_linalg):
+    """Record decompose_pq calls wherever a module holds it, then eigh and eigvalsh shapes."""
+    calls = []
+    original = gaussian.decompose_pq
+
+    def counted_split(cov, lattice):
+        calls.append(("decompose_pq", None))
+        return original(cov, lattice)
+
+    for module in (gaussian, cli, rp_verify):
+        if getattr(module, "decompose_pq", None) is original:
+            monkeypatch.setattr(module, "decompose_pq", counted_split)
+    return count_linalg(("eigh", "eigvalsh"), calls)
+
+
+@pytest.mark.parametrize("command, eighs", [("check-gaussian", 0), ("verify-rp", 2)])
+def test_each_command_splits_the_half_lattice_once(tmp_path, monkeypatch, count_linalg, command, eighs):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            **free_field_config(n_samples=2_000),
+            "density": phi4_density_obj(),
+            "mc": {"n_samples": 2_000, "seed": 1, "n_outer": 64, "n_inner": 16},
+        },
+    )
+    calls = _count_split_work(monkeypatch, count_linalg)
+    assert main([command, "--config", cfg, "--quiet"]) == 0
+    half = (8, 8)  # n_plus on T=2, L=[4]
+    assert calls.count(("decompose_pq", None)) == 1
+    # one for the cross block, one each for c_p and c_q
+    assert calls.count(("eigvalsh", half)) == 3
+    assert calls.count(("eigh", half)) == eighs
 
 
 def test_malformed_config_exits_two(tmp_path):

@@ -277,7 +277,7 @@ def test_decompose_pq_quadratic_chain():
 
 def test_convolution_identity_two_site():
     lat = build_lattice(1, [])
-    report = verify_convolution_identity(two_site_cov(0.5), lat, n_samples=100_000, seed=31)
+    report = verify_convolution_identity(decompose_pq(two_site_cov(0.5), lat), n_samples=100_000, seed=31)
     assert report.passed
     assert report.block_deviation == 0.0
     assert report.max_sigma_deviation <= 5.0
@@ -286,7 +286,7 @@ def test_convolution_identity_two_site():
 def test_convolution_identity_free_field():
     lat = build_lattice(2, [])
     cov = free_field_covariance(lat, 0.5)
-    report = verify_convolution_identity(cov, lat, n_samples=100_000, seed=32)
+    report = verify_convolution_identity(decompose_pq(cov, lat), n_samples=100_000, seed=32)
     assert report.passed
     assert report.algebraic_passed and report.sampling_passed
 
@@ -398,20 +398,9 @@ def test_free_field_samples_are_bitwise_draws_times_c_times_the_cholesky_factor(
     _assert_draws_are_bitwise(cov, factor, 5000, 11)
 
 
-def _count_linalg(monkeypatch, names=("eigh", "eigvalsh", "cholesky")):
-    calls = []
-    for name in names:
-        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
-def test_free_field_and_two_samples_factor_once_without_eigh(monkeypatch):
+def test_free_field_and_two_samples_factor_once_without_eigh(count_linalg):
     lat = build_lattice(2, [3])
-    calls = _count_linalg(monkeypatch)
+    calls = count_linalg()
     cov = free_field_covariance(lat, 0.9)
     sample(cov, 100, seed=1)
     sample(cov, 3000, seed=2)
@@ -419,8 +408,8 @@ def test_free_field_and_two_samples_factor_once_without_eigh(monkeypatch):
     assert calls == [("cholesky", (n, n))]
 
 
-def test_explicit_covariance_diagonalises_once(monkeypatch):
-    calls = _count_linalg(monkeypatch)
+def test_explicit_covariance_diagonalises_once(count_linalg):
+    calls = count_linalg()
     cov = Covariance(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]))
     sample(cov, 100, seed=1)
     sample(cov, 3000, seed=2)
@@ -449,13 +438,33 @@ def test_precision_is_neither_kept_nor_part_of_the_value():
     assert "precision" not in vars(cov)
     assert [f.name for f in dataclasses.fields(cov)] == ["matrix", "psd_tolerance", "factor"]
     # equality goes by matrix and tolerance, whichever way the factor came
-    # (a 1x1 matrix, since == on larger arrays has no truth value)
     assert Covariance(np.array([[2.0]]), precision=np.array([[0.5]])) == Covariance(np.array([[2.0]]))
 
 
-def test_replacing_a_free_field_tolerance_falls_back_to_eigh(monkeypatch):
+@pytest.mark.parametrize("n", [2, 3])
+def test_covariance_equality_compares_matrix_and_tolerance(n):
+    m = np.eye(n) + 0.25 * (np.ones((n, n)) - np.eye(n))
+    cov = Covariance(m)
+    assert cov == Covariance(m.copy()) and not cov != Covariance(m.copy())
+    other = m.copy()
+    other[0, 0] = 2.0
+    assert cov != Covariance(other)
+    assert cov != Covariance(m, psd_tolerance=1e-8)
+    assert cov.__eq__(m) is NotImplemented and cov != "covariance"
+    with pytest.raises(TypeError):
+        hash(cov)
+
+
+@pytest.mark.parametrize("time_extent, extents", [(1, []), (2, [3])])
+def test_free_field_equals_its_matrix_as_an_explicit_covariance(time_extent, extents):
+    free = free_field_covariance(build_lattice(time_extent, extents), 0.9)
+    assert free == Covariance(free.matrix)
+    assert free != Covariance(free.matrix, psd_tolerance=1e-8)
+
+
+def test_replacing_a_free_field_tolerance_falls_back_to_eigh(count_linalg):
     cov = free_field_covariance(build_lattice(2, [3]), 0.9)
-    calls = _count_linalg(monkeypatch)
+    calls = count_linalg()
     looser = dataclasses.replace(cov, psd_tolerance=1e-8)
     assert calls == [("eigh", (cov.dim, cov.dim))]
     assert looser.psd_tolerance == 1e-8 and np.array_equal(looser.matrix, cov.matrix)

@@ -102,7 +102,8 @@ NON_FINITE_PHI_CALLS = {
         cov, lat, phi4(lat, 0.1), phis, McParams(2_000, seed=0)
     ),
     "gram_mc_factorized": lambda cov, lat, phis: gram_mc_factorized(
-        cov, lat, split_check(lat, phi4(lat, 0.1)).witness_g, phis, McParams(1, seed=0, n_outer=64, n_inner=16)
+        decompose_pq(cov, lat), split_check(lat, phi4(lat, 0.1)).witness_g, phis,
+        McParams(1, seed=0, n_outer=64, n_inner=16),
     ),
     "small_lambda_probe": lambda cov, lat, phis: small_lambda_probe(cov, lat, phis[0], [0.1]),
 }
@@ -181,8 +182,7 @@ def test_mc_estimators_consistent_with_exact_for_twenty_seeds():
         assert np.all(delta <= 5 * np.maximum(direct.stderr, 1e-15))
 
         fact = gram_mc_factorized(
-            cov,
-            lat,
+            decompose_pq(cov, lat),
             ZERO_POTENTIAL,
             TWO_SITE_PHIS,
             McParams(1, seed=seed, n_outer=3_000, n_inner=300, share_inner=True),
@@ -196,8 +196,7 @@ def test_factorized_matches_exact_at_reference_counts():
     cov = two_site_cov(0.5)
     exact = gram_exact_gaussian(cov, lat, TWO_SITE_PHIS)
     rep = gram_mc_factorized(
-        cov,
-        lat,
+        decompose_pq(cov, lat),
         ZERO_POTENTIAL,
         TWO_SITE_PHIS,
         McParams(1, seed=0, n_outer=10_000, n_inner=1_000, share_inner=True),
@@ -217,8 +216,7 @@ def test_factorized_shared_inner_is_structurally_psd():
     for lattice, covariance, g in cases:
         phis = random_test_functions(lattice, 3, seed=8)
         rep = gram_mc_factorized(
-            covariance,
-            lattice,
+            decompose_pq(covariance, lattice),
             g,
             phis,
             McParams(1, seed=8, n_outer=500, n_inner=100, share_inner=True),
@@ -232,8 +230,7 @@ def test_factorized_independent_inner_mode():
     cov = two_site_cov(0.5)
     exact = gram_exact_gaussian(cov, lat, TWO_SITE_PHIS)
     rep = gram_mc_factorized(
-        cov,
-        lat,
+        decompose_pq(cov, lat),
         ZERO_POTENTIAL,
         TWO_SITE_PHIS,
         McParams(1, seed=4, n_outer=4_000, n_inner=200, share_inner=False),
@@ -246,7 +243,7 @@ def test_factorized_fails_fast_without_rp():
     lat = build_lattice(1, [])
     with pytest.raises(ValueError):
         gram_mc_factorized(
-            two_site_cov(-0.5), lat, ZERO_POTENTIAL, TWO_SITE_PHIS, McParams(1, seed=0)
+            decompose_pq(two_site_cov(-0.5), lat), ZERO_POTENTIAL, TWO_SITE_PHIS, McParams(1, seed=0)
         )
 
 
@@ -255,7 +252,7 @@ def test_factorized_rejects_full_lattice_density():
     g = Potential((Term(-1.0, ((1, 4),)),))  # index 1 is out of range on the half
     with pytest.raises(ValueError):
         gram_mc_factorized(
-            two_site_cov(0.5), lat, g, TWO_SITE_PHIS, McParams(1, seed=0, n_outer=10, n_inner=10)
+            decompose_pq(two_site_cov(0.5), lat), g, TWO_SITE_PHIS, McParams(1, seed=0, n_outer=10, n_inner=10)
         )
 
 
@@ -396,7 +393,7 @@ def test_factorized_estimator_accepts_covariance_invariant_within_tolerance():
     pq = decompose_pq(cov, lat)
     assert not np.array_equal(pq.c_p, pq.c_p.T)
     params = McParams(1, seed=0, n_outer=64, n_inner=16)
-    rep = gram_mc_factorized(cov, lat, ZERO_POTENTIAL, random_test_functions(lat, 2, 0), params)
+    rep = gram_mc_factorized(pq, ZERO_POTENTIAL, random_test_functions(lat, 2, 0), params)
     assert rep.min_eigenvalue >= -1e-10
 
 

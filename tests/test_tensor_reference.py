@@ -137,10 +137,10 @@ def test_factorized_gram_matches_the_tensor_path(criterion_4, monkeypatch, share
     lat, cov, density, phis = criterion_4
     witness = split_check(lat, density).witness_g
     params = McParams(1, seed=3, n_outer=1_000, n_inner=200, share_inner=share_inner)
-    got = gram_mc_factorized(cov, lat, witness, phis, params)
+    got = gram_mc_factorized(decompose_pq(cov, lat), witness, phis, params)
     # same factors conj(H) and H, accumulated as the (count, k, k) tensor of their products
     monkeypatch.setattr(rp_verify, "ChunkMoments", TensorMoments)
-    assert_same_report(got, gram_mc_factorized(cov, lat, witness, phis, params))
+    assert_same_report(got, gram_mc_factorized(decompose_pq(cov, lat), witness, phis, params))
 
 
 @pytest.mark.parametrize("share_inner", [True, False], ids=["shared", "independent"])
@@ -149,7 +149,7 @@ def test_factorized_gram_matches_the_complex_exp_kernel(criterion_4, share_inner
     witness = split_check(lat, density).witness_g
     params = McParams(1, seed=5, n_outer=1_000, n_inner=200, share_inner=share_inner)
     assert_same_report(
-        gram_mc_factorized(cov, lat, witness, phis, params),
+        gram_mc_factorized(decompose_pq(cov, lat), witness, phis, params),
         exp_gram_mc_factorized(cov, lat, witness, phis, params),
     )
 
@@ -158,7 +158,7 @@ def test_factorized_gram_matches_the_complex_exp_kernel(criterion_4, share_inner
 def test_factorized_zero_function_entry_is_exact_without_a_density(criterion_4, share_inner):
     lat, cov, _, phis = criterion_4
     params = McParams(1, seed=0, n_outer=200, n_inner=50, share_inner=share_inner)
-    rep = gram_mc_factorized(cov, lat, ZERO_POTENTIAL, phis, params)
+    rep = gram_mc_factorized(decompose_pq(cov, lat), ZERO_POTENTIAL, phis, params)
     # unit weights at phase zero: the inner sum is n_inner exactly, divided once
     assert rep.matrix[-1, -1] == 1.0
     assert rep.stderr[-1, -1] == 0.0
@@ -170,7 +170,7 @@ def test_joint_law_check_matches_the_tensor_path(monkeypatch):
     reports, moments = [], []
     for accumulator in (ChunkMoments, TensorMoments):
         monkeypatch.setattr(gaussian, "ChunkMoments", recording(accumulator, moments))
-        reports.append(verify_convolution_identity(cov, lat, tol=1e-12, n_samples=20_000, seed=17))
+        reports.append(verify_convolution_identity(decompose_pq(cov, lat), tol=1e-12, n_samples=20_000, seed=17))
     (got_mean, got_stderr), (want_mean, want_stderr) = moments
     np.testing.assert_allclose(got_mean, want_mean, rtol=RTOL)
     np.testing.assert_allclose(got_stderr, want_stderr, rtol=RTOL)
@@ -185,7 +185,7 @@ def test_joint_law_check_never_forms_the_sample_tensor():
     cov = free_field_covariance(lat, 0.5)
     tracemalloc.start()
     try:
-        report = verify_convolution_identity(cov, lat, n_samples=4096, seed=0)
+        report = verify_convolution_identity(decompose_pq(cov, lat), n_samples=4096, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
