@@ -18,6 +18,12 @@ summands positive semidefinite; drawing the two pieces independently and
 adding a shared B-draw to both halves reproduces the joint law of
 (restrict_plus(T), restrict_plus(reflect(T))). That decomposition is what
 the factorized Gram estimator integrates against.
+
+The free field's covariance (-laplacian + mass^2)^-1 is built without any
+N x N linear algebra: spatial translations block-diagonalise the operator
+into one 2T x 2T matrix per spatial momentum, so C and a sampling factor
+of the same translation-invariant form come from 2T columns each, in
+O(N^2) time and memory.
 """
 
 import math
@@ -42,11 +48,11 @@ class Covariance:
     doubles for its whole life. F comes one of two ways, chosen by what the
     caller holds:
 
-    * From a precision K (the inverse of matrix, passed as precision= and not
-      kept): F = matrix @ L with K = L L^T, so F F^T = C K C = C up to the
-      residual C (K C - I). A successful Cholesky of K is the PSD gate, since
-      K positive definite makes its inverse positive definite; matrix is
-      trusted to be that inverse and is not diagonalised at all.
+    * A trusted root, passed as root= and copied, not kept as given: the
+      caller vouches that root @ root.T equals matrix up to rounding, and only
+      its shape and finiteness are checked. free_field_covariance builds C
+      and F together from per-momentum Cholesky factors, which are its PSD
+      gate, so a free-field C is never diagonalised.
     * Otherwise from one eigh of matrix, which also gates positive
       semidefiniteness up to psd_tolerance relative to the spectral norm.
       The gate reads the eigenvalues of that eigh, not of a separate
@@ -56,10 +62,10 @@ class Covariance:
 
     matrix: np.ndarray
     psd_tolerance: float = DEFAULT_PSD_TOL
-    precision: InitVar[np.ndarray | None] = None
+    root: InitVar[np.ndarray | None] = None
     factor: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, precision):
+    def __post_init__(self, root):
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"covariance must be square, got shape {m.shape}")
@@ -70,10 +76,14 @@ class Covariance:
             raise ValueError(f"psd_tolerance must be finite and nonnegative, got {tol}")
         # factor the caller's array before copying it, so the factorization's
         # workspace and the copy are never alive together
-        if precision is None:
+        if root is None:
             factor = _psd_factor(m, tol, "covariance")
         else:
-            factor = m @ _cholesky_lower(precision, m.shape)
+            factor = np.array(root, dtype=np.float64)
+            if factor.shape != m.shape:
+                raise ValueError(f"root must have the covariance's shape {m.shape}, got {factor.shape}")
+            if not np.isfinite(factor).all():
+                raise ValueError("root must be finite")
         m = np.array(m)
         m.setflags(write=False)
         factor.setflags(write=False)
@@ -128,6 +138,17 @@ class PQPair:
     report_q: PsdReport
     covariance: Covariance = field(repr=False, compare=False)
     lattice: Lattice = field(repr=False, compare=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, PQPair):
+            return NotImplemented
+        return (
+            self.report_p == other.report_p
+            and self.report_q == other.report_q
+            and np.array_equal(self.c_p, other.c_p)
+            and np.array_equal(self.c_q, other.c_q)
+            and np.array_equal(self.a_block, other.a_block)
+        )
 
     @property
     def both_psd(self):
@@ -190,36 +211,112 @@ def _psd_report(matrix, tol):
 
 
 def free_field_covariance(lattice, mass, psd_tolerance=DEFAULT_PSD_TOL):
-    """Inverse of (-laplacian + mass^2) on the lattice.
+    """Inverse of (-laplacian + mass^2) on the lattice, built from its 2T columns.
 
     Nearest-neighbour edges: time links within each half plus the single
     crossing link between t = -1 and t = +1, open ends at t = +-T; spatial
-    links periodic. The edge set is mirror symmetric, and the returned matrix
-    is symmetrized and reflection-symmetrized so both properties hold
-    bit-exactly. The operator is handed to the Covariance as its precision,
-    so the sampling factor comes from its Cholesky factor and C is never
-    diagonalised. A mass too small for the operator to be positive definite
-    in binary64 is an error.
+    links periodic. Spatial translations commute with the operator, so
+    C[(t, x), (s, y)] = c[x - y, t, s] with c the 2T columns at y = 0. Per
+    spatial momentum k the operator is the 2T x 2T matrix
+    K_k = P + (mass^2 + lambda_k) I, P the open time path; a batched Cholesky
+    of the K_k is the positive-definiteness gate, and c is the inverse Fourier
+    transform of K_k^-1, refined once against the operator applied as a
+    stencil. Symmetrising c under (t, s, d) <-> (s, t, -d) and under theta
+    makes C exactly symmetric, reflection invariant and translation invariant.
+    The sampling factor F[(t, x), (s, y)] = f[x - y, t, s] comes from
+    R_k R_k^T = K_k^-1 the same way, so F F^T = C up to rounding; no N x N
+    matrix is inverted, factored or multiplied. A mass too small for the
+    operator to be positive definite in binary64 is an error.
     """
     mass = as_float(mass, "mass")
     # NaN fails every comparison; a mass whose square overflows would give C = 0
     if not (mass > 0 and math.isfinite(mass * mass)):
         raise ValueError(f"mass must be positive with a finite square, got {mass}")
-    op = _laplacian_plus_mass(lattice, mass)
-    # Each row of op sums exactly to its diagonal minus its degree. If mass^2
-    # is lost from every diagonal entry, op annihilates the constant field, and
-    # inv would return noise or raise; if one row keeps it, op is irreducibly
-    # diagonally dominant and so positive definite.
-    if not op.sum(axis=1).any():
+    # Each row of the assembled -laplacian + mass^2 sums exactly to its
+    # diagonal minus its degree. If mass^2 is lost from every diagonal entry,
+    # the operator annihilates the constant field; if one row keeps it, the
+    # operator is irreducibly diagonally dominant and so positive definite.
+    if all(_assembled_diagonal(mass, degree) == degree for degree in _site_degrees(lattice)):
         raise ValueError(
             f"mass {mass} is too small: its square vanishes beside the site degrees, "
             "so -laplacian + mass^2 is singular"
         )
-    cov = np.linalg.inv(op)
-    cov = (cov + cov.T) / 2.0
-    blocks, flipped = _time_blocks(cov, lattice)
-    cov = ((blocks + flipped) / 2.0).reshape(cov.shape)
-    return Covariance(cov, psd_tolerance, precision=op)
+    times = lattice.shape[0]
+    extents = lattice.shape[1:] or (1,)  # a pure time lattice is one spatial site
+    path = 2.0 * np.eye(times) - np.eye(times, k=1) - np.eye(times, k=-1)
+    path[0, 0] = path[-1, -1] = 1.0  # open ends at t = +-T
+    operators = path + _momentum_shifts(extents, mass)[..., None, None] * np.eye(times)
+    try:
+        lower = np.linalg.cholesky(operators)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"mass {mass} is too small: -laplacian + mass^2 is not positive definite") from None
+    roots = np.linalg.inv(lower).swapaxes(-1, -2)  # R_k R_k^T = K_k^-1
+    green = roots @ roots.swapaxes(-1, -2)
+    axes = tuple(range(len(extents)))
+    cols = np.fft.ifftn(green, axes=axes).real
+    residual = -_apply_operator(cols, mass)  # one step of iterative refinement
+    residual[(0,) * len(extents)] += np.eye(times)
+    cols += np.fft.ifftn(green @ np.fft.fftn(residual, axes=axes), axes=axes).real
+    # averaging with c[-d, s, t] makes C exactly symmetric, then with the
+    # time-flipped table exactly reflection invariant; each keeps the other
+    mirrored = cols.swapaxes(-1, -2)
+    for axis, n in enumerate(extents):
+        mirrored = mirrored.take(-np.arange(n) % n, axis=axis)
+    cols = (cols + mirrored) / 2.0
+    cols = (cols + cols[..., ::-1, ::-1]) / 2.0
+    factor = _translates(np.fft.ifftn(roots, axes=axes).real, extents)
+    return Covariance(_translates(cols, extents), psd_tolerance, root=factor)
+
+
+def _site_degrees(lattice):
+    """The distinct numbers of link ends at a site: 1 or 2 in time, 2 per spatial ring."""
+    spatial = 2 * sum(extent > 1 for extent in lattice.spatial_extents)
+    return {min(2, lattice.shape[0] - 1) + spatial, 1 + spatial}
+
+
+def _assembled_diagonal(mass, degree):
+    """mass^2 followed by one +1.0 per link end, added left to right as _laplacian_plus_mass does."""
+    total = mass * mass
+    for _ in range(degree):
+        total += 1.0
+    return total
+
+
+def _momentum_shifts(extents, mass):
+    """mass^2 + lambda_k, lambda_k the sum over axes of 2 - 2 cos(2 pi k_a / L_a).
+
+    k and L - k are folded so that both give a bit-equal lambda_k, which
+    keeps the inverse transforms of even tables real up to rounding.
+    """
+    shifts = 0.0
+    for n in extents:
+        k = np.arange(n)
+        shifts = np.add.outer(shifts, 2.0 - 2.0 * np.cos(2.0 * np.pi * np.minimum(k, n - k) / n))
+    return mass * mass + shifts
+
+
+def _apply_operator(cols, mass):
+    """(-laplacian + mass^2) applied as a stencil to the columns cols[x..., t, s] over (x..., t)."""
+    out = mass * mass * cols
+    out[..., 1:, :] += cols[..., 1:, :] - cols[..., :-1, :]
+    out[..., :-1, :] += cols[..., :-1, :] - cols[..., 1:, :]
+    for axis in range(cols.ndim - 2):
+        if cols.shape[axis] > 1:  # extent 1 closes on itself; extent 2 links the pair twice
+            out += 2.0 * cols - np.roll(cols, 1, axis) - np.roll(cols, -1, axis)
+    return out
+
+
+def _translates(cols, extents):
+    """The N x N matrix M[(t, x), (s, y)] = cols[x - y, t, s], spatial differences taken mod extents."""
+    times = cols.shape[-1]
+    spatial = math.prod(extents)
+    grid = np.indices(extents).reshape(len(extents), spatial)
+    differences = tuple((g[:, None] - g[None, :]) % n for g, n in zip(grid, extents))
+    offsets = np.ravel_multi_index(differences, extents)  # offsets[x, y] = flat index of x - y
+    # table[t, s * spatial + d] = cols[d, t, s]
+    table = cols.reshape(spatial, times, times).transpose(1, 2, 0).reshape(times, times * spatial)
+    columns = np.arange(times)[None, :, None] * spatial + offsets[:, None, :]
+    return table.take(columns, axis=1).reshape(times * spatial, times * spatial)
 
 
 def _laplacian_plus_mass(lattice, mass):
@@ -227,6 +324,9 @@ def _laplacian_plus_mass(lattice, mass):
 
     Each diagonal entry is mass^2 followed by one +1.0 per link end, added
     left to right; adding mass^2 + degree in one step can differ in the last ulp.
+    The dense N x N reference the tests compare the free field against;
+    free_field_covariance applies its diagonal rule through
+    _assembled_diagonal and never forms it.
     """
     n = lattice.site_count
     op = np.zeros((n, n))
@@ -364,20 +464,6 @@ def covariance_factor(matrix, psd_tolerance):
     if not np.array_equal(matrix, matrix.T):
         raise ValueError("matrix to factor must be exactly symmetric")
     return _psd_factor(matrix, psd_tolerance, "matrix")
-
-
-def _cholesky_lower(precision, shape):
-    """Lower Cholesky factor of a square, exactly symmetric precision of the given shape."""
-    k = np.asarray(precision, dtype=np.float64)
-    if k.shape != shape:
-        raise ValueError(f"precision must have the covariance's shape {shape}, got {k.shape}")
-    # cholesky reads one triangle only, so symmetry is checked here or not at all
-    if not np.array_equal(k, k.T):
-        raise ValueError("precision must be exactly symmetric as stored")
-    try:
-        return np.linalg.cholesky(k)
-    except np.linalg.LinAlgError:
-        raise ValueError("precision is not positive definite: it has no Cholesky factor") from None
 
 
 def _psd_factor(matrix, psd_tolerance, what):

@@ -19,6 +19,7 @@ from rplattice import (
     theta_inner,
     verify_convolution_identity,
 )
+from rplattice import gaussian
 from rplattice.gaussian import _laplacian_plus_mass, covariance_factor, iter_sample_chunks, symmetrized
 from rplattice.streams import NS_FIELD, chunk_counts, substream
 
@@ -113,6 +114,20 @@ def test_free_field_accepts_a_mass_kept_by_the_operator():
     assert np.isfinite(cov.matrix).all() and np.isfinite(cov.factor).all()
 
 
+@pytest.mark.parametrize("time_extent, extents", [(1, []), (3, []), (1, [2]), (2, [3]), (2, [3, 4]), (1, [1, 5])])
+def test_mass_lost_gate_follows_the_assembled_operator(time_extent, extents):
+    # masses whose square is a fraction of an ulp of the site degrees: the gate
+    # must raise exactly when every row of the assembled operator sums to zero
+    lat = build_lattice(time_extent, extents)
+    for mass in np.sqrt(np.linspace(0.25, 12.0, 48) * 2.0**-52):
+        lost = not _laplacian_plus_mass(lat, mass).sum(axis=1).any()
+        if lost:
+            with pytest.raises(ValueError, match="its square vanishes beside the site degrees"):
+                free_field_covariance(lat, mass)
+        else:
+            assert np.isfinite(free_field_covariance(lat, mass).matrix).all()
+
+
 def test_free_field_rejects_nonpositive_mass():
     lat = build_lattice(1, [])
     for mass in (0.0, -1.0, float("nan"), float("inf"), 1e200):
@@ -160,10 +175,58 @@ def test_theta_conjugation_as_a_view_equals_the_gather(time_extent, extents):
     m = symmetrized(x @ x.T)  # PSD and, unlike a free field, not reflection invariant
     deviation = float(np.abs(m[np.ix_(theta, theta)] - m).max())
     assert check_theta_invariance(Covariance(m), lat).deviation == deviation
-    ref = np.linalg.inv(_laplacian_plus_mass(lat, 0.7))
-    ref = (ref + ref.T) / 2.0
-    ref = (ref + ref[np.ix_(theta, theta)]) / 2.0
-    assert np.array_equal(free_field_covariance(lat, 0.7).matrix, ref)
+
+
+def _apply_operator_by_stencil(lat, mass, x):
+    """(-laplacian + mass^2) @ x, with the operator applied to the rows of x as a grid stencil."""
+    grid = x.reshape(*lat.shape, -1)
+    y = mass * mass * grid
+    y[1:] += grid[1:] - grid[:-1]
+    y[:-1] += grid[:-1] - grid[1:]
+    for axis, extent in enumerate(lat.spatial_extents, start=1):
+        if extent > 1:
+            y += 2.0 * grid - np.roll(grid, 1, axis) - np.roll(grid, -1, axis)
+    return y.reshape(x.shape)
+
+
+# entrywise |C - inv(K)| / |inv(K)|; the largest seen is 3.7e-14, at mass 0.1 on T=1, L=[2, 3]
+ORACLE_REL_TOL = 1e-13
+
+
+@pytest.mark.parametrize("mass", [0.1, 0.5, 1.3])
+@pytest.mark.parametrize(
+    "time_extent, extents",
+    [(1, []), (3, []), (2, [1]), (2, [2]), (2, [3]), (1, [2, 3]), (2, [3, 2]), (3, [1, 4])],
+    ids=["time-T1", "time-T3", "extent-1", "extent-2-double-link", "extent-3", "multi-axis",
+         "multi-axis-T2", "extent-1-and-4"],
+)
+def test_free_field_matches_the_dense_inverse(time_extent, extents, mass):
+    lat = build_lattice(time_extent, extents)
+    c = free_field_covariance(lat, mass).matrix
+    ref = np.linalg.inv(_laplacian_plus_mass(lat, mass))
+    assert (np.abs(c - ref) <= ORACLE_REL_TOL * np.abs(ref)).all()
+    assert np.array_equal(c, c.T)
+    theta = lat.theta_perm
+    assert np.abs(c[np.ix_(theta, theta)] - c).max() == 0.0
+    assert check_theta_invariance(Covariance(c), lat).deviation == 0.0
+    # a unit step along any spatial axis, applied to both sites, leaves every entry as it is
+    blocks = c.reshape(*lat.shape, *lat.shape)
+    for axis in range(1, len(lat.shape)):
+        shifted = np.roll(np.roll(blocks, 1, axis), 1, len(lat.shape) + axis)
+        assert np.array_equal(shifted, blocks)
+
+
+def test_free_field_residual_is_within_the_benchmark_bound():
+    # ||(-laplacian + m^2) C - I||_F / m^2 bounds the cross-block eigenvalue error (Weyl)
+    lat, mass = build_lattice(6, [12, 16]), 0.5
+    c = free_field_covariance(lat, mass).matrix
+    total = 0.0
+    for j0 in range(0, c.shape[1], 256):
+        r = _apply_operator_by_stencil(lat, mass, c[:, j0:j0 + 256])
+        r[np.arange(j0, j0 + r.shape[1]), np.arange(r.shape[1])] -= 1.0
+        total += float(np.einsum("ij,ij->", r, r))
+    # the dense inverse reads 6.0e-14 here; without the refinement step this reads 5.7e-14
+    assert math.sqrt(total) / mass**2 <= 3.0e-14
 
 
 def test_cross_block_reads_reflected_column():
@@ -391,21 +454,29 @@ def test_samples_are_bitwise_draws_times_the_standalone_factor():
     _assert_draws_are_bitwise(cov, covariance_factor(cov.matrix, cov.psd_tolerance), 5000, 11)
 
 
-def test_free_field_samples_are_bitwise_draws_times_c_times_the_cholesky_factor():
+def test_free_field_samples_are_bitwise_draws_times_the_factor():
     lat = build_lattice(2, [3])
     cov = free_field_covariance(lat, 0.9)
-    factor = cov.matrix @ np.linalg.cholesky(_laplacian_plus_mass(lat, 0.9))
-    _assert_draws_are_bitwise(cov, factor, 5000, 11)
+    _assert_draws_are_bitwise(cov, cov.factor, 5000, 11)
+    # the factor is translation invariant, F[(t, x), (s, y)] = f[x - y, t, s], as C is
+    blocks = cov.factor.reshape(*lat.shape, *lat.shape)
+    assert np.array_equal(np.roll(np.roll(blocks, 1, 1), 1, 3), blocks)
 
 
-def test_free_field_and_two_samples_factor_once_without_eigh(count_linalg):
+def test_free_field_and_two_samples_factor_once_without_eigh(count_linalg, monkeypatch):
     lat = build_lattice(2, [3])
+
+    def dense_operator(*args):
+        raise AssertionError("the N x N operator was assembled")
+
+    monkeypatch.setattr(gaussian, "_laplacian_plus_mass", dense_operator)
     calls = count_linalg()
     cov = free_field_covariance(lat, 0.9)
     sample(cov, 100, seed=1)
     sample(cov, 3000, seed=2)
-    n = lat.site_count
-    assert calls == [("cholesky", (n, n))]
+    # per-momentum 2T x 2T work only: one batched Cholesky and the inverse of its factor
+    assert [name for name, _ in calls] == ["cholesky", "inv"]
+    assert all(shape[-2:] == (4, 4) for _, shape in calls)
 
 
 def test_explicit_covariance_diagonalises_once(count_linalg):
@@ -428,17 +499,21 @@ def test_precision_factor_is_as_close_to_c_as_c_is_to_the_inverse(time_extent, e
     assert np.abs(f @ f.T - c).max() <= 4 * scale * residual + 1e-14 * scale
 
 
-def test_precision_is_neither_kept_nor_part_of_the_value():
+def test_root_is_neither_kept_nor_part_of_the_value():
     lat = build_lattice(2, [3])
     cov = free_field_covariance(lat, 0.9)
     assert not cov.factor.flags.writeable
     with pytest.raises(ValueError):
         cov.factor[0, 0] = 1.0
-    assert "factor" not in repr(cov) and "precision" not in repr(cov)
-    assert "precision" not in vars(cov)
+    assert "factor" not in repr(cov) and "root" not in repr(cov)
+    assert "root" not in vars(cov)
     assert [f.name for f in dataclasses.fields(cov)] == ["matrix", "psd_tolerance", "factor"]
     # equality goes by matrix and tolerance, whichever way the factor came
-    assert Covariance(np.array([[2.0]]), precision=np.array([[0.5]])) == Covariance(np.array([[2.0]]))
+    assert Covariance(np.array([[4.0]]), root=np.array([[2.0]])) == Covariance(np.array([[4.0]]))
+    given = np.array([[2.0]])
+    held = Covariance(np.array([[4.0]]), root=given)
+    given[0, 0] = 5.0
+    assert held.factor[0, 0] == 2.0
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -472,17 +547,18 @@ def test_replacing_a_free_field_tolerance_falls_back_to_eigh(count_linalg):
     assert np.abs(looser.factor @ looser.factor.T - cov.matrix).max() <= 1e-12
 
 
-def test_covariance_rejects_a_precision_it_cannot_factor():
+def test_covariance_rejects_a_root_of_the_wrong_shape_or_not_finite():
     c = np.array([[2.0, 1.0], [1.0, 2.0]])
-    k = np.linalg.inv(c)
-    with pytest.raises(ValueError, match="precision must be exactly symmetric"):
-        Covariance(c, precision=k + np.array([[0.0, 1e-9], [0.0, 0.0]]))
-    for shape_off in (np.eye(3), k.ravel(), np.ones((2, 3))):
-        with pytest.raises(ValueError, match="precision must have the covariance's shape"):
-            Covariance(c, precision=shape_off)
-    with pytest.raises(ValueError, match="precision is not positive definite"):
-        Covariance(c, precision=-k)
-    assert np.array_equal(Covariance(c, precision=k).factor, c @ np.linalg.cholesky(k))
+    r = np.linalg.cholesky(c)
+    for shape_off in (np.eye(3), r.ravel(), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="root must have the covariance's shape"):
+            Covariance(c, root=shape_off)
+    for bad in (np.nan, np.inf):
+        off = r.copy()
+        off[1, 0] = bad
+        with pytest.raises(ValueError, match="root must be finite"):
+            Covariance(c, root=off)
+    assert np.array_equal(Covariance(c, root=r).factor, r)
 
 
 def test_covariance_factor_is_read_only_and_not_part_of_the_value():
@@ -565,3 +641,20 @@ def test_decompose_pq_repairs_a_split_outside_the_sterbenz_range():
     pq = decompose_pq(Covariance(np.block([[a, b], [b, a]])), build_lattice(1, [2]))
     assert np.array_equal(pq.c_p + pq.c_q, pq.a_block)
     assert pq.c_p[0, 1] != c_p[0, 1] and np.array_equal(pq.c_q, c_q)
+
+
+def test_pq_pair_equality_compares_the_split_and_its_reports():
+    lat = build_lattice(2, [4])
+    cov = free_field_covariance(lat, 0.9)
+    pq = decompose_pq(cov, lat)
+    assert pq == decompose_pq(cov, lat) and not pq != decompose_pq(cov, lat)
+    # covariance and lattice are references to the source, not part of the value
+    assert pq == decompose_pq(Covariance(cov.matrix), lat)
+    assert pq.__eq__(pq.c_p) is NotImplemented and pq != "split"
+    with pytest.raises(TypeError):
+        hash(pq)
+
+
+def test_pq_pairs_of_different_covariances_are_unequal():
+    lat = build_lattice(2, [4])
+    assert decompose_pq(free_field_covariance(lat, 0.9), lat) != decompose_pq(free_field_covariance(lat, 0.8), lat)
