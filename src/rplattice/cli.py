@@ -57,6 +57,9 @@ from .rp_verify import (
 )
 
 STRUCTURAL_PSD_FLOOR = -1e-10
+# how far a free field's per-momentum smallest eigenvalue and threshold may
+# move from the dense ones, relative to max(1, max |eigenvalue|)
+MOMENTUM_FLOOR_TOL = 1e-14
 
 
 class ConfigError(Exception):
@@ -477,6 +480,21 @@ def cmd_selftest(psd_tol=DEFAULT_PSD_TOL):
     pq = decompose_pq(cov, lat)
     floor = min(pq.report_p.min_eigenvalue, pq.report_q.min_eigenvalue)
     entry("pq-decomposition", pq.sum_exact and floor >= -psd_tol, floor, -psd_tol)
+
+    # the per-momentum decision against the dense one on the same matrix
+    twin = Covariance(cov.matrix, cov.psd_tolerance)
+    rp, rp_dense = (check_gaussian_rp(c, lat, cov.psd_tolerance) for c in (cov, twin))
+    pq_dense = decompose_pq(twin, lat)
+    pairs = ((rp, rp_dense), (pq.report_p, pq_dense.report_p), (pq.report_q, pq_dense.report_q))
+    # each gap relative to max(1, max |eigenvalue|) = threshold / -tol
+    gap = max(
+        max(abs(got.min_eigenvalue - want.min_eigenvalue), abs(got.threshold - want.threshold))
+        / (want.threshold / -want.tol)
+        for got, want in pairs
+    )
+    same = (rp.invariance, rp.failure_kind) == (rp_dense.invariance, rp_dense.failure_kind)
+    same = same and all(got.passed == want.passed for got, want in pairs)
+    entry("exact-momentum-vs-dense", same and gap <= MOMENTUM_FLOOR_TOL, gap, MOMENTUM_FLOOR_TOL)
 
     params = McParams(n_samples=1, seed=7, n_outer=256, n_inner=64, share_inner=True)
     fact = gram_mc_factorized(pq, ZERO_POTENTIAL, random_test_functions(lat, 3, 7), params)

@@ -23,12 +23,16 @@ The free field's covariance (-laplacian + mass^2)^-1 is built without any
 N x N linear algebra: spatial translations block-diagonalise the operator
 into one 2T x 2T matrix per spatial momentum, so C and a sampling factor
 of the same translation-invariant form come from 2T columns each, in
-O(N^2) time and memory.
+O(N^2) time and memory. The Covariance keeps C's column table, and the
+exact checks decide such a C per spatial momentum: B, c_p = A - B and c_q
+are block-diagonal in momentum too, so their spectra come from one batched
+eigvalsh of T x T blocks, and the invariance check and the split read the
+table. Explicit covariances take the dense path, which stays the oracle.
 """
 
 import math
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,47 +52,73 @@ class Covariance:
     doubles for its whole life. F comes one of two ways, chosen by what the
     caller holds:
 
-    * A trusted root, passed as root= and copied, not kept as given: the
-      caller vouches that root @ root.T equals matrix up to rounding, and only
-      its shape and finiteness are checked. free_field_covariance builds C
-      and F together from per-momentum Cholesky factors, which are its PSD
-      gate, so a free-field C is never diagonalised.
+    * Column tables, through from_columns: C and a trusted F of the same
+      translation-invariant form are expanded from their 2T columns per
+      spatial momentum, and the table of C is kept read-only as columns.
+      free_field_covariance builds C this way, so a free-field C is never
+      diagonalised, and the exact checks below decide it per spatial
+      momentum.
     * Otherwise from one eigh of matrix, which also gates positive
       semidefiniteness up to psd_tolerance relative to the spectral norm.
       The gate reads the eigenvalues of that eigh, not of a separate
       eigvalsh; only a matrix whose smallest eigenvalue lies within rounding
       of the threshold can tell the two apart.
+
+    columns is None on the second way. Like factor, it is not part of the
+    value, and dataclasses.replace, which takes the second way, drops it.
     """
 
     matrix: np.ndarray
     psd_tolerance: float = DEFAULT_PSD_TOL
-    root: InitVar[np.ndarray | None] = None
     factor: np.ndarray = field(init=False, repr=False, compare=False)
+    columns: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
-    def __post_init__(self, root):
+    def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"covariance must be square, got shape {m.shape}")
         if not np.array_equal(m, m.T):
             raise ValueError("covariance must be exactly symmetric as stored")
-        tol = as_float(self.psd_tolerance, "psd_tolerance")
-        if not (math.isfinite(tol) and tol >= 0):  # NaN and inf would turn every gate into a no-op
-            raise ValueError(f"psd_tolerance must be finite and nonnegative, got {tol}")
+        tol = _checked_tolerance(self.psd_tolerance)
         # factor the caller's array before copying it, so the factorization's
         # workspace and the copy are never alive together
-        if root is None:
-            factor = _psd_factor(m, tol, "covariance")
-        else:
-            factor = np.array(root, dtype=np.float64)
-            if factor.shape != m.shape:
-                raise ValueError(f"root must have the covariance's shape {m.shape}, got {factor.shape}")
-            if not np.isfinite(factor).all():
-                raise ValueError("root must be finite")
-        m = np.array(m)
-        m.setflags(write=False)
-        factor.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        factor = _psd_factor(m, tol, "covariance")
+        self._hold(np.array(m), factor, tol, None)
+
+    @classmethod
+    def from_columns(cls, columns, root_columns, psd_tolerance=DEFAULT_PSD_TOL):
+        """The covariance C[(t, x), (s, y)] = columns[x - y, t, s] with factor F from root_columns alike.
+
+        Both tables have shape (*spatial_extents, 2T, 2T) and lay C out on the
+        lattice of shape (2T, *spatial_extents). The caller vouches that
+        F F^T = C up to rounding; F is not factored or gated here. The checks
+        run on the tables: columns[d, t, s] == columns[-d, s, t], which holds
+        exactly when C is symmetric, and a finite root table, which holds
+        exactly when F is finite. matrix and factor are expanded here, so the
+        Covariance owns them without a copy; columns is copied.
+        """
+        cols = np.array(columns, dtype=np.float64)
+        roots = np.asarray(root_columns, dtype=np.float64)
+        if cols.ndim < 3 or cols.shape[-1] != cols.shape[-2]:
+            raise ValueError(f"column table must have shape (*extents, n, n), got {cols.shape}")
+        if roots.shape != cols.shape:
+            raise ValueError(f"root table must have the column table's shape {cols.shape}, got {roots.shape}")
+        if not np.array_equal(cols, _transposed(cols)):
+            raise ValueError("covariance must be exactly symmetric as stored")
+        if not np.isfinite(roots).all():
+            raise ValueError("root must be finite")
+        tol = _checked_tolerance(psd_tolerance)
+        cov = cls.__new__(cls)
+        cov._hold(_translates(cols), _translates(roots), tol, cols)
+        return cov
+
+    def _hold(self, matrix, factor, tol, columns):
+        for array in (matrix, factor, columns):
+            if array is not None:
+                array.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "psd_tolerance", tol)
 
     def __eq__(self, other):
@@ -99,6 +129,13 @@ class Covariance:
     @property
     def dim(self):
         return self.matrix.shape[0]
+
+
+def _checked_tolerance(tol):
+    tol = as_float(tol, "psd_tolerance")
+    if not (math.isfinite(tol) and tol >= 0):  # NaN and inf would turn every gate into a no-op
+        raise ValueError(f"psd_tolerance must be finite and nonnegative, got {tol}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -259,13 +296,9 @@ def free_field_covariance(lattice, mass, psd_tolerance=DEFAULT_PSD_TOL):
     cols += np.fft.ifftn(green @ np.fft.fftn(residual, axes=axes), axes=axes).real
     # averaging with c[-d, s, t] makes C exactly symmetric, then with the
     # time-flipped table exactly reflection invariant; each keeps the other
-    mirrored = cols.swapaxes(-1, -2)
-    for axis, n in enumerate(extents):
-        mirrored = mirrored.take(-np.arange(n) % n, axis=axis)
-    cols = (cols + mirrored) / 2.0
+    cols = (cols + _transposed(cols)) / 2.0
     cols = (cols + cols[..., ::-1, ::-1]) / 2.0
-    factor = _translates(np.fft.ifftn(roots, axes=axes).real, extents)
-    return Covariance(_translates(cols, extents), psd_tolerance, root=factor)
+    return Covariance.from_columns(cols, np.fft.ifftn(roots, axes=axes).real, psd_tolerance)
 
 
 def _site_degrees(lattice):
@@ -306,17 +339,36 @@ def _apply_operator(cols, mass):
     return out
 
 
-def _translates(cols, extents):
-    """The N x N matrix M[(t, x), (s, y)] = cols[x - y, t, s], spatial differences taken mod extents."""
+def _transposed(cols):
+    """The table of M^T for M expanded from cols: cols[-d, s, t], spatial differences taken mod extents."""
+    out = cols.swapaxes(-1, -2)
+    for axis, n in enumerate(cols.shape[:-2]):
+        out = out.take(-np.arange(n) % n, axis=axis)
+    return out
+
+
+def _translates(cols):
+    """The N x N matrix M[(t, x), (s, y)] = cols[x - y, t, s], spatial differences taken mod extents.
+
+    cols has shape (*extents, n, n). Doubling it along each spatial axis
+    gives doubled[e] = cols[e mod L], so cols[(x - y) mod L] = doubled[L + x - y]
+    with L + x - y in 1..2L-1: M is a strided view of doubled that starts at
+    doubled[L] and steps back along y, copied once into its N x N layout.
+    """
+    extents = cols.shape[:-2]
     times = cols.shape[-1]
-    spatial = math.prod(extents)
-    grid = np.indices(extents).reshape(len(extents), spatial)
-    differences = tuple((g[:, None] - g[None, :]) % n for g, n in zip(grid, extents))
-    offsets = np.ravel_multi_index(differences, extents)  # offsets[x, y] = flat index of x - y
-    # table[t, s * spatial + d] = cols[d, t, s]
-    table = cols.reshape(spatial, times, times).transpose(1, 2, 0).reshape(times, times * spatial)
-    columns = np.arange(times)[None, :, None] * spatial + offsets[:, None, :]
-    return table.take(columns, axis=1).reshape(times * spatial, times * spatial)
+    doubled = cols
+    for axis in range(len(extents)):
+        doubled = np.concatenate([doubled, doubled], axis=axis)
+    spatial = doubled.strides[:-2]
+    view = np.lib.stride_tricks.as_strided(
+        doubled[extents],
+        shape=(times, *extents, times, *extents),
+        strides=(doubled.strides[-2], *spatial, doubled.strides[-1], *(-stride for stride in spatial)),
+        writeable=False,
+    )
+    n = times * math.prod(extents)
+    return np.array(view, order="C").reshape(n, n)
 
 
 def _laplacian_plus_mass(lattice, mass):
@@ -353,12 +405,49 @@ def char_fn(cov, phi):
 
 
 def check_theta_invariance(cov, lattice, tol=DEFAULT_INVARIANCE_TOL):
-    """Deviation of C from its conjugate under the reflection permutation."""
-    blocks, flipped = _time_blocks(cov.matrix, lattice)
-    deviation = float(np.abs(flipped - blocks).max())
-    scale = max(1.0, float(np.abs(cov.matrix).max()))
+    """Deviation of C from its conjugate under the reflection permutation.
+
+    On a column table theta flips both time indices: every entry of C is a
+    table entry and every table entry is an entry of C, so the deviation
+    and the scale read the table and equal the dense ones bit for bit.
+    """
+    cols = _columns_on(cov, lattice)
+    if cols is None:
+        values, flipped = _time_blocks(cov.matrix, lattice)
+    else:
+        values, flipped = cols, cols[..., ::-1, ::-1]
+    deviation = float(np.abs(flipped - values).max())
+    scale = max(1.0, float(np.abs(values).max()))
     threshold = tol * scale
     return InvarianceReport(deviation <= threshold, deviation, threshold, tol)
+
+
+def _columns_on(cov, lattice):
+    """cov's column table if it lays C out on lattice's grid, else None and the dense path runs."""
+    times = lattice.shape[0]
+    if cov.columns is not None and cov.columns.shape == (*(lattice.spatial_extents or (1,)), times, times):
+        return cov.columns
+    return None
+
+
+def _half_columns(cols):
+    """Tables of A and B: a[d, i, j] = c[d, T + i, T + j] and b[d, i, j] = c[d, T + i, T - 1 - j]."""
+    half = cols.shape[-1] // 2
+    return cols[..., half:, half:], cols[..., half:, :half][..., ::-1]
+
+
+def _momentum_psd_report(table, tol):
+    """_psd_report of the matrix the table expands to, from one batched eigvalsh of its momentum blocks.
+
+    Symmetrising the table symmetrises the matrix entry for entry; the
+    Fourier transform over the spatial axes then turns the translation-
+    invariant matrix into one Hermitian T x T block per spatial momentum,
+    whose spectra together are its spectrum.
+    """
+    sym = (table + _transposed(table)) / 2.0
+    blocks = np.fft.fftn(sym, axes=tuple(range(sym.ndim - 2)))
+    eigs = np.linalg.eigvalsh(blocks.reshape(-1, *sym.shape[-2:]))
+    return _spectral_psd(eigs.ravel(), tol)
 
 
 def _time_blocks(matrix, lattice):
@@ -401,10 +490,17 @@ def check_gaussian_rp(cov, lattice, tol=DEFAULT_PSD_TOL, invariance_tol=DEFAULT_
     """Reflection positivity of the Gaussian: the cross block must be PSD.
 
     A reflection-invariance violation is reported as its own failure kind,
-    distinct from a genuinely negative cross-block spectrum.
+    distinct from a genuinely negative cross-block spectrum. A covariance
+    with a column table on this lattice is decided per spatial momentum,
+    from the T x T blocks of its cross-block table; its smallest eigenvalue
+    and threshold then differ from the dense eigvalsh at rounding.
     """
     inv = check_theta_invariance(cov, lattice, invariance_tol)
-    psd = _psd_report(cross_block(cov, lattice, warn=False), tol)
+    cols = _columns_on(cov, lattice)
+    if cols is None:
+        psd = _psd_report(cross_block(cov, lattice, warn=False), tol)
+    else:
+        psd = _momentum_psd_report(_half_columns(cols)[1], tol)
     if not inv.passed:
         kind = "not-theta-invariant"
     elif not psd.passed:
@@ -430,15 +526,35 @@ def decompose_pq(cov, lattice):
     With c_p = A - B and c_q = A - c_p, the sum c_p + c_q reproduces A
     bit-exactly wherever 0 <= B/A <= 2 entrywise: by Sterbenz's lemma one of
     the two subtractions is then exact. Elsewhere the sum can miss A in the
-    last ulp; the loop below refits c_p to A - c_q on those entries, which
-    repairs some with B/A > 2, and the rest stay inexact. c_q may differ from
+    last ulp; _split refits c_p to A - c_q on those entries, which repairs
+    some with B/A > 2, and the rest stay inexact. c_q may differ from
     the raw cross block in the last ulp. Non-PSD summands are returned with
     failing reports rather than raised: the failing report is the diagnostic
     product.
+
+    a_block is a read-only view of the covariance's matrix. A covariance
+    with a column table on this lattice is split on the tables of A and B,
+    and c_p and c_q are expanded from them. The dense blocks hold exactly
+    the table entries, and the refit is entrywise and stops once no entry
+    misses, so both equal the dense ones bit for bit. The reports come from
+    the per-momentum spectra, as in check_gaussian_rp.
     """
-    plus = lattice.plus_sites
-    a = cov.matrix[np.ix_(plus, plus)]
-    b = cross_block(cov, lattice, warn=False)
+    tol = cov.psd_tolerance
+    half = lattice.n_plus
+    a_block = cov.matrix[half:, half:]  # the positive half is the last n_plus sites
+    cols = _columns_on(cov, lattice)
+    if cols is None:
+        c_p, c_q = _split(a_block, cross_block(cov, lattice, warn=False))
+        return PQPair(c_p, c_q, a_block, _psd_report(c_p, tol), _psd_report(c_q, tol), cov, lattice)
+    p, q = _split(*_half_columns(cols))
+    return PQPair(
+        _translates(p), _translates(q), a_block,
+        _momentum_psd_report(p, tol), _momentum_psd_report(q, tol), cov, lattice,
+    )
+
+
+def _split(a, b):
+    """c_p = A - B and c_q = A - c_p, refit entrywise where c_p + c_q misses A."""
     c_p = a - b
     c_q = a - c_p
     for _ in range(4):
@@ -450,8 +566,7 @@ def decompose_pq(cov, lattice):
         if not bad.any():
             break
         c_p = np.where(bad, a - c_q, c_p)
-    tol = cov.psd_tolerance
-    return PQPair(c_p, c_q, a, _psd_report(c_p, tol), _psd_report(c_q, tol), cov, lattice)
+    return c_p, c_q
 
 
 def covariance_factor(matrix, psd_tolerance):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rplattice
-from rplattice import build_lattice, cli, gaussian, phi4, potential_to_obj, rp_verify
+from rplattice import build_lattice, cli, free_field_covariance, gaussian, phi4, potential_to_obj, rp_verify
 from rplattice.cli import main, read_matrix_csv, write_matrix_csv
 
 
@@ -150,6 +150,31 @@ def test_each_command_splits_the_half_lattice_once(tmp_path, monkeypatch, count_
     calls = _count_split_work(monkeypatch, count_linalg)
     assert main([command, "--config", cfg, "--quiet"]) == 0
     half = (8, 8)  # n_plus on T=2, L=[4]
+    assert calls.count(("decompose_pq", None)) == 1
+    # one batch of 4 spatial momenta, T x T each, for the cross block, c_p and c_q
+    assert calls.count(("eigvalsh", (4, 2, 2))) == 3
+    assert calls.count(("eigvalsh", half)) == 0
+    # the factorized draws still factor the dense c_p and c_q
+    assert calls.count(("eigh", half)) == eighs
+
+
+@pytest.mark.parametrize("command, eighs", [("check-gaussian", 0), ("verify-rp", 2)])
+def test_an_explicit_covariance_splits_on_the_dense_blocks(tmp_path, monkeypatch, count_linalg, command, eighs):
+    # the free field's matrix, given as an explicit covariance, has no column table
+    lat = build_lattice(2, [4])
+    write_matrix_csv(tmp_path / "cov.csv", free_field_covariance(lat, 1.0).matrix)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            **free_field_config(n_samples=2_000),
+            "covariance": {"kind": "explicit", "matrix_file": "cov.csv"},
+            "density": phi4_density_obj(),
+            "mc": {"n_samples": 2_000, "seed": 1, "n_outer": 64, "n_inner": 16},
+        },
+    )
+    calls = _count_split_work(monkeypatch, count_linalg)
+    assert main([command, "--config", cfg, "--quiet"]) == 0
+    half = (8, 8)
     assert calls.count(("decompose_pq", None)) == 1
     # one for the cross block, one each for c_p and c_q
     assert calls.count(("eigvalsh", half)) == 3

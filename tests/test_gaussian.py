@@ -229,6 +229,124 @@ def test_free_field_residual_is_within_the_benchmark_bound():
     assert math.sqrt(total) / mass**2 <= 3.0e-14
 
 
+# |momentum - dense| of a PsdReport's min_eigenvalue and threshold, relative to max(1, max |eigenvalue|)
+MOMENTUM_FLOOR_TOL = 1e-14
+
+
+def _assert_momentum_path_matches_dense(cov, lat):
+    """Every exact check of a table-backed covariance against its explicit twin on the dense path."""
+    assert gaussian._columns_on(cov, lat) is not None
+    twin = Covariance(cov.matrix, cov.psd_tolerance)
+    assert twin.columns is None
+    assert check_theta_invariance(cov, lat) == check_theta_invariance(twin, lat)
+    rp, rp_dense = check_gaussian_rp(cov, lat), check_gaussian_rp(twin, lat)
+    assert rp.invariance == rp_dense.invariance
+    assert (rp.passed, rp.failure_kind) == (rp_dense.passed, rp_dense.failure_kind)
+    pq, pq_dense = decompose_pq(cov, lat), decompose_pq(twin, lat)
+    for name in ("c_p", "c_q", "a_block"):
+        assert np.array_equal(getattr(pq, name), getattr(pq_dense, name)), name
+    assert np.shares_memory(pq.a_block, cov.matrix) and not pq.a_block.flags.writeable
+    for got, want in ((rp, rp_dense), (pq.report_p, pq_dense.report_p), (pq.report_q, pq_dense.report_q)):
+        assert got.passed == want.passed and got.tol == want.tol
+        bound = MOMENTUM_FLOOR_TOL * want.threshold / -want.tol  # threshold = -tol * max(1, max |eig|)
+        assert abs(got.min_eigenvalue - want.min_eigenvalue) <= bound
+        assert abs(got.threshold - want.threshold) <= bound
+    return rp
+
+
+@pytest.mark.parametrize("mass", [0.1, 0.5, 1.3])
+@pytest.mark.parametrize(
+    "time_extent, extents",
+    [(1, []), (3, []), (2, [1]), (2, [2]), (2, [3]), (1, [2, 3]), (2, [3, 2]), (3, [1, 4])],
+    ids=["time-T1", "time-T3", "extent-1", "extent-2-double-link", "extent-3", "multi-axis",
+         "multi-axis-T2", "extent-1-and-4"],
+)
+def test_free_field_decided_per_momentum_matches_the_dense_decision(time_extent, extents, mass):
+    lat = build_lattice(time_extent, extents)
+    rp = _assert_momentum_path_matches_dense(free_field_covariance(lat, mass), lat)
+    assert rp.passed
+
+
+def _table_covariance(lat, mass, edit):
+    """A free field's column and root tables, edited in place by edit(cols, roots), as a Covariance."""
+    free = free_field_covariance(lat, mass)
+    cols = free.columns.copy()
+    times, spatial = lat.shape[0], lat.site_count // lat.shape[0]
+    # the root table is column y = 0 of the factor: f[x, t, s] = F[(t, x), (s, 0)]
+    roots = np.array(free.factor.reshape(times, spatial, times, spatial)[..., 0].transpose(1, 0, 2)).reshape(cols.shape)
+    edit(cols, roots)
+    return Covariance.from_columns(cols, roots)
+
+
+@pytest.mark.parametrize("time_extent, extents", [(1, []), (2, [3]), (2, [3, 2])])
+def test_negated_cross_entries_fail_on_both_paths(time_extent, extents):
+    # conjugating C by -1 on the negative-time half keeps it PSD and negates B
+    lat = build_lattice(time_extent, extents)
+    half = time_extent
+
+    def negate_cross_entries(cols, roots):
+        cols[..., :half, half:] *= -1.0
+        cols[..., half:, :half] *= -1.0
+        roots[..., :half, :] *= -1.0
+
+    cov = _table_covariance(lat, 0.5, negate_cross_entries)
+    assert np.abs(cov.factor @ cov.factor.T - cov.matrix).max() <= 1e-14
+    rp = _assert_momentum_path_matches_dense(cov, lat)
+    assert rp.failure_kind == "cross-block-not-psd"
+
+
+@pytest.mark.parametrize("time_extent, extents", [(2, []), (2, [3]), (2, [3, 2])])
+def test_one_perturbed_entry_fails_invariance_on_both_paths(time_extent, extents):
+    lat = build_lattice(time_extent, extents)
+    t, s, origin = time_extent, time_extent - 2, (0,) * max(len(extents), 1)
+
+    def perturb_one_entry(cols, roots):
+        # B[d=0, i=0, j=1], and C's transpose entry with it: B is then no longer symmetric
+        for index in (origin + (t, s), origin + (s, t)):
+            cols[index] *= 1.0 + 1e-6
+
+    cov = _table_covariance(lat, 0.5, perturb_one_entry)
+    rp = _assert_momentum_path_matches_dense(cov, lat)
+    assert rp.failure_kind == "not-theta-invariant"
+    assert rp.invariance.deviation == check_theta_invariance(Covariance(cov.matrix), lat).deviation > 0.0
+
+
+def test_a_free_field_on_another_lattice_of_the_same_size_takes_the_dense_path():
+    cov = free_field_covariance(build_lattice(2, [6]), 0.5)
+    other = build_lattice(3, [4])
+    assert cov.dim == other.site_count and gaussian._columns_on(cov, other) is None
+    twin = Covariance(cov.matrix)
+    assert check_gaussian_rp(cov, other) == check_gaussian_rp(twin, other)
+    assert decompose_pq(cov, other) == decompose_pq(twin, other)
+
+
+def test_column_table_is_checked_held_read_only_and_not_part_of_the_value():
+    lat = build_lattice(2, [3])
+    cov = free_field_covariance(lat, 0.9)
+    assert cov.columns.shape == (3, 4, 4) and not cov.columns.flags.writeable
+    assert not cov.matrix.flags.writeable and not cov.factor.flags.writeable
+    assert "columns" not in repr(cov)
+    assert cov == Covariance(cov.matrix) and dataclasses.replace(cov).columns is None
+    given = cov.columns.copy()
+    roots = np.zeros_like(given)
+    held = Covariance.from_columns(given, roots)
+    given[0, 0, 0] = 5.0
+    assert held == cov and held.columns[0, 0, 0] == cov.columns[0, 0, 0]
+    skewed = cov.columns.copy()
+    skewed[1, 0, 1] += 1e-3  # its transpose partner is skewed[-1, 1, 0] = skewed[2, 1, 0]
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        Covariance.from_columns(skewed, roots)
+    for bad in (np.nan, np.inf):
+        off = roots.copy()
+        off[0, 1, 1] = bad
+        with pytest.raises(ValueError, match="root must be finite"):
+            Covariance.from_columns(cov.columns, off)
+    with pytest.raises(ValueError, match="root table must have"):
+        Covariance.from_columns(cov.columns, roots[:, :3, :3])
+    with pytest.raises(ValueError, match="column table must have"):
+        Covariance.from_columns(cov.columns[0], roots[0])
+
+
 def test_cross_block_reads_reflected_column():
     lat = build_lattice(1, [])
     assert cross_block(two_site_cov(0.5), lat).tolist() == [[0.5]]
@@ -507,12 +625,12 @@ def test_root_is_neither_kept_nor_part_of_the_value():
         cov.factor[0, 0] = 1.0
     assert "factor" not in repr(cov) and "root" not in repr(cov)
     assert "root" not in vars(cov)
-    assert [f.name for f in dataclasses.fields(cov)] == ["matrix", "psd_tolerance", "factor"]
+    assert [f.name for f in dataclasses.fields(cov)] == ["matrix", "psd_tolerance", "factor", "columns"]
     # equality goes by matrix and tolerance, whichever way the factor came
-    assert Covariance(np.array([[4.0]]), root=np.array([[2.0]])) == Covariance(np.array([[4.0]]))
-    given = np.array([[2.0]])
-    held = Covariance(np.array([[4.0]]), root=given)
-    given[0, 0] = 5.0
+    assert Covariance.from_columns([[[4.0]]], [[[2.0]]]) == Covariance(np.array([[4.0]]))
+    given = np.array([[[2.0]]])
+    held = Covariance.from_columns([[[4.0]]], given)
+    given[0, 0, 0] = 5.0
     assert held.factor[0, 0] == 2.0
 
 
@@ -545,20 +663,6 @@ def test_replacing_a_free_field_tolerance_falls_back_to_eigh(count_linalg):
     assert looser.psd_tolerance == 1e-8 and np.array_equal(looser.matrix, cov.matrix)
     assert np.array_equal(looser.factor, covariance_factor(cov.matrix, 1e-8))
     assert np.abs(looser.factor @ looser.factor.T - cov.matrix).max() <= 1e-12
-
-
-def test_covariance_rejects_a_root_of_the_wrong_shape_or_not_finite():
-    c = np.array([[2.0, 1.0], [1.0, 2.0]])
-    r = np.linalg.cholesky(c)
-    for shape_off in (np.eye(3), r.ravel(), np.ones((2, 3))):
-        with pytest.raises(ValueError, match="root must have the covariance's shape"):
-            Covariance(c, root=shape_off)
-    for bad in (np.nan, np.inf):
-        off = r.copy()
-        off[1, 0] = bad
-        with pytest.raises(ValueError, match="root must be finite"):
-            Covariance(c, root=off)
-    assert np.array_equal(Covariance(c, root=r).factor, r)
 
 
 def test_covariance_factor_is_read_only_and_not_part_of_the_value():
@@ -649,7 +753,8 @@ def test_pq_pair_equality_compares_the_split_and_its_reports():
     pq = decompose_pq(cov, lat)
     assert pq == decompose_pq(cov, lat) and not pq != decompose_pq(cov, lat)
     # covariance and lattice are references to the source, not part of the value
-    assert pq == decompose_pq(Covariance(cov.matrix), lat)
+    assert pq == decompose_pq(free_field_covariance(lat, 0.9), lat)
+    assert pq == dataclasses.replace(pq, covariance=Covariance(cov.matrix), lattice=build_lattice(1, [8]))
     assert pq.__eq__(pq.c_p) is NotImplemented and pq != "split"
     with pytest.raises(TypeError):
         hash(pq)
