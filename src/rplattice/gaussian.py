@@ -606,10 +606,11 @@ def sample(cov, n, seed):
     """Draw n independent mean-zero field configurations with covariance C.
 
     Deterministic given (n, seed, site ordering): the same call always
-    returns bit-identical samples.
+    returns bit-identical samples. configs is a fresh array owned by the
+    sample; a single chunk's block is returned without a copy.
     """
     blocks = [block for _, block in iter_sample_chunks(cov, n, seed)]
-    configs = np.concatenate(blocks, axis=0)
+    configs = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
     return FieldSample(configs=configs, seed=int(seed), count=int(n))
 
 

@@ -580,18 +580,33 @@ BLAS_THREAD_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("command", BLAS_THREAD_CONFIGS)
-def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, command):
-    # second moments are BLAS matrix products; a thread split of their sums would show here
+@pytest.mark.parametrize(
+    "command, one_cpu",
+    [
+        pytest.param(command, one_cpu, id=command + ("-one-cpu" if one_cpu else ""))
+        for one_cpu in (False, True)
+        for command in BLAS_THREAD_CONFIGS
+    ],
+)
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, command, one_cpu):
+    # second moments are BLAS matrix products; a thread split of their sums would show here,
+    # and so would a factorized run whose worker thread shares a single CPU with the draws
+    if one_cpu and not hasattr(os, "sched_setaffinity"):
+        pytest.skip("os.sched_setaffinity is not available")
     cfg = write_config(tmp_path / "cfg.json", BLAS_THREAD_CONFIGS[command])
     src = str(Path(rplattice.__file__).resolve().parents[1])
+    runs = [("1", None), ("2", None)]
+    if one_cpu:
+        cpu = {min(os.sched_getaffinity(0))}
+        runs = [("1", None), ("1", cpu), ("2", cpu)]
     digests = set()
-    for threads in ("1", "2"):
-        out = tmp_path / f"report-{threads}.json"
+    for i, (threads, cpus) in enumerate(runs):
+        out = tmp_path / f"report-{i}.json"
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "PYTHONPATH": src}
         proc = subprocess.run(
             [sys.executable, "-m", "rplattice.cli", command, "--config", cfg, "--out", str(out), "--quiet"],
             env=env, capture_output=True, text=True,
+            preexec_fn=None if cpus is None else lambda: os.sched_setaffinity(0, cpus),
         )
         assert proc.returncode == 0, proc.stderr
         lines = out.read_bytes().splitlines(keepends=True)

@@ -581,6 +581,16 @@ def test_free_field_samples_are_bitwise_draws_times_the_factor():
     assert np.array_equal(np.roll(np.roll(blocks, 1, 1), 1, 3), blocks)
 
 
+@pytest.mark.parametrize("n", [1, 2048, 2049])
+def test_sample_configs_are_fresh_owned_and_writable(n):
+    # one chunk is returned as drawn, more are concatenated; either way the caller owns the block
+    cov = free_field_covariance(build_lattice(2, [3]), 0.9)
+    _assert_draws_are_bitwise(cov, cov.factor, n, 3)
+    a, b = sample(cov, n, seed=3).configs, sample(cov, n, seed=3).configs
+    assert a.flags.owndata and a.flags.writeable and a.flags.c_contiguous
+    assert not np.shares_memory(a, b)
+
+
 def test_free_field_and_two_samples_factor_once_without_eigh(count_linalg, monkeypatch):
     lat = build_lattice(2, [3])
 

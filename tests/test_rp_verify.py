@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from rplattice import (
     Covariance,
     FAIL,
+    GramReport,
     INCONCLUSIVE,
     IllConditionedWeightsError,
     McParams,
@@ -30,6 +34,7 @@ from rplattice import (
     split_check,
     theta_inner,
 )
+from rplattice import rp_verify
 from rplattice.rp_verify import _stable_below
 
 
@@ -254,6 +259,107 @@ def test_factorized_rejects_full_lattice_density():
         gram_mc_factorized(
             decompose_pq(two_site_cov(0.5), lat), g, TWO_SITE_PHIS, McParams(1, seed=0, n_outer=10, n_inner=10)
         )
+
+
+class _InlineExecutor:
+    """Runs each task as it is submitted, on the calling thread."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _phi4_half_problem():
+    lat = build_lattice(2, [2])
+    pq = decompose_pq(free_field_covariance(lat, 1.0), lat)
+    return pq, split_check(lat, phi4(lat, 0.3)).witness_g, random_test_functions(lat, 3, seed=8)
+
+
+@pytest.mark.parametrize("n_outer", [1, 17, 100])
+@pytest.mark.parametrize("share_inner", [True, False], ids=["shared", "independent"])
+def test_factorized_worker_thread_cannot_change_bits(monkeypatch, share_inner, n_outer):
+    # 17 and 100 outer draws leave ragged last chunks and sub-blocks
+    pq, g, phis = _phi4_half_problem()
+    params = McParams(1, seed=3, n_outer=n_outer, n_inner=40, share_inner=share_inner)
+    threaded = gram_mc_factorized(pq, g, phis, params)
+    monkeypatch.setattr(rp_verify, "ThreadPoolExecutor", _InlineExecutor)
+    inline = gram_mc_factorized(pq, g, phis, params)
+    for field in dataclasses.fields(GramReport):
+        a, b = getattr(threaded, field.name), getattr(inline, field.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, field.name
+
+
+def test_factorized_draws_and_potential_stay_on_the_calling_thread(monkeypatch):
+    # the benchmark tracer keeps one span stack, so a traced call made on the worker would
+    # close its span out of order
+    idents = {"substream": [], "draw": [], "potential": []}
+
+    class RecordingGenerator:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def __getattr__(self, attr):
+            method = getattr(self._rng, attr)
+
+            def draw(*args, **kwargs):
+                idents["draw"].append(threading.get_ident())
+                return method(*args, **kwargs)
+
+            return draw
+
+    def recorded(key, fn, wrap=lambda out: out):
+        def call(*args, **kwargs):
+            idents[key].append(threading.get_ident())
+            return wrap(fn(*args, **kwargs))
+
+        return call
+
+    monkeypatch.setattr(rp_verify, "substream", recorded("substream", rp_verify.substream, RecordingGenerator))
+    monkeypatch.setattr(
+        rp_verify, "eval_potential_batch", recorded("potential", rp_verify.eval_potential_batch)
+    )
+    pq, g, phis = _phi4_half_problem()
+    for share_inner in (True, False):
+        gram_mc_factorized(pq, g, phis, McParams(1, seed=3, n_outer=100, n_inner=40, share_inner=share_inner))
+    for key, seen in idents.items():
+        assert seen and set(seen) == {threading.get_ident()}, key
+
+
+def test_factorized_overflow_raises_with_sub_blocks_pending_and_joins_the_worker(monkeypatch):
+    held, futures, pending = threading.Event(), [], []
+
+    class HeldPool(ThreadPoolExecutor):
+        # holds every task until the pool shuts down, so the draws raise with tasks pending
+        def submit(self, fn, *args):
+            futures.append(super().submit(lambda: held.wait(10) and fn(*args)))
+            return futures[-1]
+
+        def shutdown(self, *args, **kwargs):
+            pending.append(sum(not future.done() for future in futures))
+            held.set()
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(rp_verify, "ThreadPoolExecutor", HeldPool)
+    lat = build_lattice(2, [2])
+    pq = decompose_pq(free_field_covariance(lat, 1.0), lat)
+    # exp(200 x^2) overflows at |x| > 1.9; with seed 1 the sixth sub-block is the first to reach it
+    g = Potential((Term(200.0, ((0, 2),)),))
+    before = threading.active_count()
+    with pytest.raises(IllConditionedWeightsError, match="half-density"):
+        gram_mc_factorized(pq, g, random_test_functions(lat, 2, 0), McParams(1, seed=1, n_outer=200, n_inner=20))
+    assert pending == [5]
+    assert all(future.done() for future in futures)
+    assert threading.active_count() == before
 
 
 def test_hermiticity_gap_is_within_noise():
