@@ -314,7 +314,7 @@ def cmd_check_gaussian(resolved, csv_dir=None):
 
     n = resolved.mc.n_samples if resolved.mc is not None else 100_000
     seed = resolved.mc.seed if resolved.mc is not None else 0
-    conv = verify_convolution_identity(pq, tols["invariance_tol"], n_samples=n, seed=seed)
+    conv = verify_convolution_identity(pq, n_samples=n, seed=seed)
     checks["convolution_identity"] = _fields(conv)
     if not conv.passed:
         reasons.append("convolution-identity")

@@ -64,7 +64,7 @@ _STABLE_FRACTION = 0.99
 
 
 class IllConditionedWeightsError(RuntimeError):
-    """exp of the density overflowed; the importance weights are unusable."""
+    """exp of the density, or a moment it weights, overflowed; the estimate is unusable."""
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,10 @@ def _finish_mc_report(moments, tol, seed, kind, weight_stats):
     # effective sample size sum(w)/max(w) from per-batch (sum, max) of the weights
     w_sum = sum(s for s, _ in weight_stats)
     w_max = max(m for _, m in weight_stats)
-    mean, stderr = moments.mean_and_stderr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, stderr = moments.mean_and_stderr()
+    if not (np.isfinite(mean).all() and np.isfinite(stderr).all()):
+        raise IllConditionedWeightsError(f"the weighted moments of the {kind} estimate overflowed")
     k = mean.shape[0]
     herm_gap = float(np.abs(mean - np.conj(mean.T)).max())
     eig_error_bound = float(k * stderr.max()) if stderr.size else 0.0
@@ -294,13 +297,15 @@ def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
 
     moments = ChunkMoments()
     weight_stats = []
-    for _, block in iter_sample_chunks(cov, params.n_samples, params.seed):
-        a = block @ phi_mat
-        b = block @ theta_mat
-        w = _importance_weights(f, block, "density")
-        # exp[i(a_m - b_n)] = exp(i a_m) exp(-i b_n): one outer product per sample
-        moments.add_outer(w[:, np.newaxis] * np.exp(1j * a), np.exp(-1j * b))
-        weight_stats.append((float(w.sum()), float(w.max())))
+    # huge but finite weights overflow the sums; _finish_mc_report rejects what is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, block in iter_sample_chunks(cov, params.n_samples, params.seed):
+            a = block @ phi_mat
+            b = block @ theta_mat
+            w = _importance_weights(f, block, "density")
+            # exp[i(a_m - b_n)] = exp(i a_m) exp(-i b_n): one outer product per sample
+            moments.add_outer(w[:, np.newaxis] * np.exp(1j * a), np.exp(-1j * b))
+            weight_stats.append((float(w.sum()), float(w.max())))
     return _finish_mc_report(moments, tol, params.seed, "mc-direct", weight_stats)
 
 
@@ -365,14 +370,16 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
         # so equal weights over a zero phase give exactly 1
         phase = s @ h_mat
         w = weights[:, np.newaxis, :]
-        return ((w @ np.cos(phase)) - 1j * (w @ np.sin(phase)))[:, 0, :] / n_inner
+        with np.errstate(over="ignore", invalid="ignore"):  # error state is per thread
+            return ((w @ np.cos(phase)) - 1j * (w @ np.sin(phase)))[:, 0, :] / n_inner
 
     def merge(halves):
         h = [np.concatenate([future.result() for future in futures]) for futures in halves]
         moments.add_outer(np.conj(h[0]), h[-1])
 
-    # a chunk merges once the next one is drawn, so the draws never wait for its last sub-block
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    # a chunk merges once the next one is drawn, so the draws never wait for its last sub-block;
+    # overflowing weighted sums are left to _finish_mc_report, as in gram_mc_direct
+    with np.errstate(over="ignore", invalid="ignore"), ThreadPoolExecutor(max_workers=1) as pool:
         pending = None
         for chunk_index, count in chunk_counts(params.n_outer, _OUTER_CHUNK):
             rng = substream(params.seed, NS_FACTORIZED, chunk_index)

@@ -122,6 +122,32 @@ def test_a_non_psd_split_still_fails_check_gaussian(tmp_path):
     assert report["checks"]["pq_decomposition"]["passed"] is False
 
 
+def test_a_large_explicit_free_field_passes_check_gaussian(tmp_path):
+    # at entries up to 3.3e5, c_q and the cross block differ by 9.1e-12 of rounding,
+    # which an absolute 1e-12 gate once failed
+    lat = build_lattice(2, [4])
+    write_matrix_csv(tmp_path / "cov.csv", free_field_covariance(lat, 1.0).matrix * 1e6)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            "lattice": {"time_extent": 2, "spatial_extents": [4]},
+            "covariance": {"kind": "explicit", "matrix_file": "cov.csv"},
+        },
+    )
+    out = tmp_path / "report.json"
+    assert main(["check-gaussian", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert load_report(out)["failure_reasons"] == []
+
+
+def test_check_gaussian_wire_format_keys(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", free_field_config(n_samples=2_000))
+    out = tmp_path / "report.json"
+    assert main(["check-gaussian", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    checks = load_report(out)["checks"]
+    assert set(checks["convolution_identity"]) == {"passed", "max_sigma_deviation", "n_samples", "seed"}
+    assert set(checks["pq_decomposition"]) == {"passed", "sum_exact", "p", "q"}
+
+
 def _count_split_work(monkeypatch, count_linalg):
     """Record decompose_pq calls wherever a module holds it, then eigh and eigvalsh shapes."""
     calls = []

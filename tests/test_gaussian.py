@@ -458,18 +458,22 @@ def test_decompose_pq_quadratic_chain():
 
 def test_convolution_identity_two_site():
     lat = build_lattice(1, [])
-    report = verify_convolution_identity(decompose_pq(two_site_cov(0.5), lat), n_samples=100_000, seed=31)
+    pq = decompose_pq(two_site_cov(0.5), lat)
+    report = verify_convolution_identity(pq, n_samples=100_000, seed=31)
     assert report.passed
-    assert report.block_deviation == 0.0
+    assert np.array_equal(pq.c_p + pq.c_q, pq.a_block)
+    assert np.array_equal(pq.c_q, cross_block(pq.covariance, lat, warn=False))
     assert report.max_sigma_deviation <= 5.0
 
 
 def test_convolution_identity_free_field():
     lat = build_lattice(2, [])
     cov = free_field_covariance(lat, 0.5)
-    report = verify_convolution_identity(decompose_pq(cov, lat), n_samples=100_000, seed=32)
+    pq = decompose_pq(cov, lat)
+    report = verify_convolution_identity(pq, n_samples=100_000, seed=32)
     assert report.passed
-    assert report.algebraic_passed and report.sampling_passed
+    assert np.abs(pq.c_p + pq.c_q - pq.a_block).max() <= 1e-12
+    assert np.abs(pq.c_q - cross_block(cov, lat, warn=False)).max() <= 1e-12
 
 
 def test_sampling_variance_matches_identity_covariance():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import threading
+import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from rplattice import (
     gram_mc_factorized,
     phi4,
     positive_support,
+    potential_from_obj,
     psd_check,
     random_test_functions,
     sample,
@@ -360,6 +362,35 @@ def test_factorized_overflow_raises_with_sub_blocks_pending_and_joins_the_worker
     assert pending == [5]
     assert all(future.done() for future in futures)
     assert threading.active_count() == before
+
+
+# exp(100 x^2) stays finite at every draw here, but the weighted moment sums overflow
+HUGE_QUADRATIC = {"terms": [
+    {"coefficient": 100.0, "factors": [{"site": [1, 0], "power": 2}]},
+    {"coefficient": 100.0, "factors": [{"site": [-1, 0], "power": 2}]},
+]}
+# each half weight is exp(708), and 20 of them overflow the inner sums on the worker thread
+HUGE_CONSTANT = {"terms": [], "constant": 1416.0}
+
+
+@pytest.mark.parametrize(
+    "estimator, density",
+    [("direct", HUGE_QUADRATIC), ("factorized", HUGE_QUADRATIC), ("factorized", HUGE_CONSTANT)],
+    ids=["direct", "factorized", "factorized-constant"],
+)
+def test_huge_finite_weights_raise_instead_of_overflowing_the_moments(estimator, density):
+    lat = build_lattice(2, [2])
+    cov = free_field_covariance(lat, 1.0)
+    f = potential_from_obj(lat, density)
+    phis = random_test_functions(lat, 4, 0)
+    params = McParams(2000, seed=0, n_outer=200, n_inner=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditionedWeightsError, match=f"moments of the mc-{estimator}"):
+            if estimator == "direct":
+                gram_mc_direct(cov, lat, f, phis, params)
+            else:
+                gram_mc_factorized(decompose_pq(cov, lat), split_check(lat, f).witness_g, phis, params)
 
 
 def test_hermiticity_gap_is_within_noise():

@@ -170,12 +170,12 @@ def test_joint_law_check_matches_the_tensor_path(monkeypatch):
     reports, moments = [], []
     for accumulator in (ChunkMoments, TensorMoments):
         monkeypatch.setattr(gaussian, "ChunkMoments", recording(accumulator, moments))
-        reports.append(verify_convolution_identity(decompose_pq(cov, lat), tol=1e-12, n_samples=20_000, seed=17))
+        reports.append(verify_convolution_identity(decompose_pq(cov, lat), n_samples=20_000, seed=17))
     (got_mean, got_stderr), (want_mean, want_stderr) = moments
     np.testing.assert_allclose(got_mean, want_mean, rtol=RTOL)
     np.testing.assert_allclose(got_stderr, want_stderr, rtol=RTOL)
     got, want = reports
-    assert got.passed == want.passed and got.sampling_passed == want.sampling_passed
+    assert got.passed == want.passed
     assert got.max_sigma_deviation == pytest.approx(want.max_sigma_deviation, rel=RTOL)
 
 
