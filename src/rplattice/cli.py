@@ -410,8 +410,10 @@ def cmd_verify_rp(resolved):
     delta = np.abs(direct.matrix - factorized.matrix)
     gate = 5.0 * (direct.stderr + factorized.stderr + bias_allowance)
     agree = bool((delta <= gate).all())
+    # an entry with gate 0 and difference 0 agrees exactly: ratio 0, as in verify_convolution_identity
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = float(np.max(np.where(gate > 0, delta / gate, np.inf))) if delta.size else 0.0
+        ratios = np.where(gate > 0, delta / gate, np.where(delta <= gate, 0.0, np.inf))
+    ratio = float(ratios.max()) if delta.size else 0.0
     checks["estimator_agreement"] = {
         "passed": agree,
         "max_abs_difference": float(delta.max()) if delta.size else 0.0,

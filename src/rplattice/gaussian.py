@@ -25,14 +25,16 @@ into one 2T x 2T matrix per spatial momentum, so C and a sampling factor
 of the same translation-invariant form come from 2T columns each, in
 O(N^2) time and memory. The Covariance keeps C's column table, and the
 exact checks decide such a C per spatial momentum: B, c_p = A - B and c_q
-are block-diagonal in momentum too, so their spectra come from one batched
-eigvalsh of T x T blocks, and the invariance check and the split read the
-table. Explicit covariances take the dense path, which stays the oracle.
+are block-diagonal in momentum too, so their spectra and PSD square roots
+come from one batched eigh of T x T blocks, and the invariance check and
+the split read the table. Explicit covariances take the dense path, which
+stays the oracle.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -166,7 +168,10 @@ class GaussianRpReport:
 
 @dataclass(frozen=True)
 class PQPair:
-    """Covariances of the independent (c_p) and shared (c_q) half-lattice draws, and their source."""
+    """Covariances of the independent (c_p) and shared (c_q) half-lattice draws, and their source.
+
+    root_tables: the PSD roots of c_p and c_q from their reports' eigh, as tables on a column-table split.
+    """
 
     c_p: np.ndarray
     c_q: np.ndarray
@@ -175,6 +180,7 @@ class PQPair:
     report_q: PsdReport
     covariance: Covariance = field(repr=False, compare=False)
     lattice: Lattice = field(repr=False, compare=False)
+    root_tables: tuple = field(repr=False, compare=False)
 
     def __eq__(self, other):
         if not isinstance(other, PQPair):
@@ -186,6 +192,11 @@ class PQPair:
             and np.array_equal(self.c_q, other.c_q)
             and np.array_equal(self.a_block, other.a_block)
         )
+
+    @cached_property
+    def roots(self):
+        """(R_p, R_q), the unique PSD roots: symmetric, and R R^T = c_p and c_q, to rounding."""
+        return tuple(root if root.ndim == 2 else _translates(root) for root in self.root_tables)
 
     @property
     def both_psd(self):
@@ -238,9 +249,10 @@ def symmetrized(matrix):
     return (matrix + matrix.T) / 2.0
 
 
-def _psd_report(matrix, tol):
-    sym = symmetrized(matrix)
-    return _spectral_psd(np.linalg.eigvalsh(sym) if sym.size else np.zeros(0), tol)
+def _psd_root(matrix, tol):
+    """The PsdReport of symmetrized(matrix) and its PSD square root V sqrt(max(L, 0)) V^T, from one eigh."""
+    eigs, vecs = np.linalg.eigh(symmetrized(matrix))
+    return _spectral_psd(eigs, tol), (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.T
 
 
 def free_field_covariance(lattice, mass, psd_tolerance=DEFAULT_PSD_TOL):
@@ -304,7 +316,7 @@ def _site_degrees(lattice):
 
 
 def _assembled_diagonal(mass, degree):
-    """mass^2 followed by one +1.0 per link end, added left to right as _laplacian_plus_mass does."""
+    """mass^2 followed by one +1.0 per link end, added left to right as assembling the operator does."""
     total = mass * mass
     for _ in range(degree):
         total += 1.0
@@ -367,30 +379,6 @@ def _translates(cols):
     return np.array(view, order="C").reshape(n, n)
 
 
-def _laplacian_plus_mass(lattice, mass):
-    """-laplacian + mass^2, assembled link by link on the site grid.
-
-    Each diagonal entry is mass^2 followed by one +1.0 per link end, added
-    left to right; adding mass^2 + degree in one step can differ in the last ulp.
-    The dense N x N reference the tests compare the free field against;
-    free_field_covariance applies its diagonal rule through
-    _assembled_diagonal and never forms it.
-    """
-    n = lattice.site_count
-    op = np.zeros((n, n))
-    np.fill_diagonal(op, mass * mass)
-    grid = np.arange(n).reshape(lattice.shape)
-    links = [(grid[:-1], grid[1:])]  # the crossing link included, open ends
-    for axis, extent in enumerate(lattice.spatial_extents, start=1):
-        if extent > 1:  # extent 1 closes on itself; extent 2 links the pair twice
-            links.append((grid, np.roll(grid, -1, axis)))
-    for a, b in links:
-        for i, j in ((a.ravel(), b.ravel()), (b.ravel(), a.ravel())):
-            op[i, i] += 1.0
-            op[i, j] -= 1.0
-    return op
-
-
 def char_fn(cov, phi):
     """Characteristic function exp[-(1/2) phi^T C phi] of the centred Gaussian."""
     phi = np.asarray(phi, dtype=np.float64)
@@ -432,18 +420,21 @@ def _half_columns(cols):
     return cols[..., half:, half:], cols[..., half:, :half][..., ::-1]
 
 
-def _momentum_psd_report(table, tol):
-    """_psd_report of the matrix the table expands to, from one batched eigvalsh of its momentum blocks.
+def _momentum_psd_root(table, tol):
+    """_psd_root of the matrix the table expands to, from one batched eigh of its momentum blocks.
 
     Symmetrising the table symmetrises the matrix entry for entry; the
     Fourier transform over the spatial axes then turns the translation-
     invariant matrix into one Hermitian T x T block per spatial momentum,
-    whose spectra together are its spectrum.
+    whose spectra together are its spectrum. The root is returned as the
+    table of the same form, the inverse transform of the blocks' roots
+    U sqrt(max(L, 0)) U^H.
     """
     sym = (table + _transposed(table)) / 2.0
-    blocks = np.fft.fftn(sym, axes=tuple(range(sym.ndim - 2)))
-    eigs = np.linalg.eigvalsh(blocks.reshape(-1, *sym.shape[-2:]))
-    return _spectral_psd(eigs.ravel(), tol)
+    axes = tuple(range(sym.ndim - 2))
+    eigs, vecs = np.linalg.eigh(np.fft.fftn(sym, axes=axes))
+    roots = (vecs * np.sqrt(np.clip(eigs, 0.0, None))[..., np.newaxis, :]) @ vecs.conj().swapaxes(-1, -2)
+    return _spectral_psd(eigs.ravel(), tol), np.fft.ifftn(roots, axes=axes).real
 
 
 def _time_blocks(matrix, lattice):
@@ -489,14 +480,14 @@ def check_gaussian_rp(cov, lattice, tol=DEFAULT_PSD_TOL, invariance_tol=DEFAULT_
     distinct from a genuinely negative cross-block spectrum. A covariance
     with a column table on this lattice is decided per spatial momentum,
     from the T x T blocks of its cross-block table; its smallest eigenvalue
-    and threshold then differ from the dense eigvalsh at rounding.
+    and threshold then differ from the dense eigh's at rounding.
     """
     inv = check_theta_invariance(cov, lattice, invariance_tol)
     cols = _columns_on(cov, lattice)
     if cols is None:
-        psd = _psd_report(cross_block(cov, lattice, warn=False), tol)
+        psd = _psd_root(cross_block(cov, lattice, warn=False), tol)[0]
     else:
-        psd = _momentum_psd_report(_half_columns(cols)[1], tol)
+        psd = _momentum_psd_root(_half_columns(cols)[1], tol)[0]
     if not inv.passed:
         kind = "not-theta-invariant"
     elif not psd.passed:
@@ -534,6 +525,9 @@ def decompose_pq(cov, lattice):
     the table entries, and the refit is entrywise and stops once no entry
     misses, so both equal the dense ones bit for bit. The reports come from
     the per-momentum spectra, as in check_gaussian_rp.
+
+    Each summand is diagonalised once, by the eigh that gives both its
+    report and its PSD square root (see PQPair.roots).
     """
     tol = cov.psd_tolerance
     half = lattice.n_plus
@@ -541,12 +535,11 @@ def decompose_pq(cov, lattice):
     cols = _columns_on(cov, lattice)
     if cols is None:
         c_p, c_q = _split(a_block, cross_block(cov, lattice, warn=False))
-        return PQPair(c_p, c_q, a_block, _psd_report(c_p, tol), _psd_report(c_q, tol), cov, lattice)
+        (report_p, root_p), (report_q, root_q) = _psd_root(c_p, tol), _psd_root(c_q, tol)
+        return PQPair(c_p, c_q, a_block, report_p, report_q, cov, lattice, (root_p, root_q))
     p, q = _split(*_half_columns(cols))
-    return PQPair(
-        _translates(p), _translates(q), a_block,
-        _momentum_psd_report(p, tol), _momentum_psd_report(q, tol), cov, lattice,
-    )
+    (report_p, root_p), (report_q, root_q) = _momentum_psd_root(p, tol), _momentum_psd_root(q, tol)
+    return PQPair(_translates(p), _translates(q), a_block, report_p, report_q, cov, lattice, (root_p, root_q))
 
 
 def _split(a, b):

@@ -34,13 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import check_sites, eval_potential_batch
-from .gaussian import (
-    char_fn,
-    covariance_factor,
-    iter_sample_chunks,
-    symmetrized,
-    warn_unless_invariant,
-)
+from .gaussian import char_fn, iter_sample_chunks, warn_unless_invariant
 from .lattice import _as_site_vector, as_int, embed_plus, positive_support, reflect, restrict_plus
 from .streams import (
     NS_BOOTSTRAP,
@@ -313,7 +307,8 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
     """Two-level Gram estimate through the half-lattice split pq.
 
     Outer draws L come from the shared covariance pq.c_q, inner draws T from
-    the independent covariance pq.c_p; the partial averages
+    the independent covariance pq.c_p, each through its PSD root in pq.roots;
+    the partial averages
 
         H_m(L) = inner mean of exp[-i (T + L) . h_m + G(T + L)]
 
@@ -331,7 +326,7 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
     it on one thread instead of spinning a second one on the worker's core.
     Neither the sub-blocks nor the worker change a bit of the report.
     """
-    lattice, psd_tol = pq.lattice, pq.covariance.psd_tolerance
+    lattice = pq.lattice
     require_positive_support(lattice, phis)
     if not pq.both_psd:
         raise ValueError(
@@ -343,9 +338,7 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
     check_sites(g, nh, f"{nh} positive-time sites")
 
     h_mat = np.stack([restrict_plus(lattice, p) for p in phis], axis=1)
-    # c_p and c_q are asymmetric in the last bits when C is invariant only within tolerance
-    factor_p = covariance_factor(symmetrized(pq.c_p), psd_tol)
-    factor_q = covariance_factor(symmetrized(pq.c_q), psd_tol)
+    root_p, root_q = pq.roots
 
     n_inner = params.n_inner
     moments = ChunkMoments()
@@ -356,7 +349,7 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
         futures, weights = [], []
         for start in range(0, shared.shape[0], _SUB_BLOCK):
             rows = shared[start:start + _SUB_BLOCK]
-            s = rng.standard_normal((rows.shape[0], n_inner, nh)) @ factor_p.T
+            s = rng.standard_normal((rows.shape[0], n_inner, nh)) @ root_p.T
             s += rows[:, np.newaxis, :]
             w = _importance_weights(g, s.reshape(-1, nh), "half-density").reshape(-1, n_inner)
             weights.append(w)
@@ -383,7 +376,7 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
         pending = None
         for chunk_index, count in chunk_counts(params.n_outer, _OUTER_CHUNK):
             rng = substream(params.seed, NS_FACTORIZED, chunk_index)
-            shared = rng.standard_normal((count, nh)) @ factor_q.T
+            shared = rng.standard_normal((count, nh)) @ root_q.T
             halves = [draw_half(rng, shared, pool) for _ in range(1 if params.share_inner else 2)]
             if pending is not None:
                 merge(pending)

@@ -163,8 +163,8 @@ def _count_split_work(monkeypatch, count_linalg):
     return count_linalg(("eigh", "eigvalsh"), calls)
 
 
-@pytest.mark.parametrize("command, eighs", [("check-gaussian", 0), ("verify-rp", 2)])
-def test_each_command_splits_the_half_lattice_once(tmp_path, monkeypatch, count_linalg, command, eighs):
+@pytest.mark.parametrize("command", ["check-gaussian", "verify-rp"])
+def test_each_command_splits_the_half_lattice_once(tmp_path, monkeypatch, count_linalg, command):
     cfg = write_config(
         tmp_path / "cfg.json",
         {
@@ -177,15 +177,14 @@ def test_each_command_splits_the_half_lattice_once(tmp_path, monkeypatch, count_
     assert main([command, "--config", cfg, "--quiet"]) == 0
     half = (8, 8)  # n_plus on T=2, L=[4]
     assert calls.count(("decompose_pq", None)) == 1
-    # one batch of 4 spatial momenta, T x T each, for the cross block, c_p and c_q
-    assert calls.count(("eigvalsh", (4, 2, 2))) == 3
+    # one batch of 4 spatial momenta, T x T each, for the cross block, c_p and c_q; the
+    # factorized draws read the roots of the last two and decompose nothing themselves
+    assert [call for call in calls if call[0] == "eigh"] == [("eigh", (4, 2, 2))] * 3
     assert calls.count(("eigvalsh", half)) == 0
-    # the factorized draws still factor the dense c_p and c_q
-    assert calls.count(("eigh", half)) == eighs
 
 
-@pytest.mark.parametrize("command, eighs", [("check-gaussian", 0), ("verify-rp", 2)])
-def test_an_explicit_covariance_splits_on_the_dense_blocks(tmp_path, monkeypatch, count_linalg, command, eighs):
+@pytest.mark.parametrize("command", ["check-gaussian", "verify-rp"])
+def test_an_explicit_covariance_splits_on_the_dense_blocks(tmp_path, monkeypatch, count_linalg, command):
     # the free field's matrix, given as an explicit covariance, has no column table
     lat = build_lattice(2, [4])
     write_matrix_csv(tmp_path / "cov.csv", free_field_covariance(lat, 1.0).matrix)
@@ -202,9 +201,31 @@ def test_an_explicit_covariance_splits_on_the_dense_blocks(tmp_path, monkeypatch
     assert main([command, "--config", cfg, "--quiet"]) == 0
     half = (8, 8)
     assert calls.count(("decompose_pq", None)) == 1
-    # one for the cross block, one each for c_p and c_q
-    assert calls.count(("eigvalsh", half)) == 3
-    assert calls.count(("eigh", half)) == eighs
+    # one for the cross block, one each for c_p and c_q, and none in the estimator
+    assert calls.count(("eigh", half)) == 3
+    assert calls.count(("eigvalsh", half)) == 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds the non-JSON constant {name}")
+
+
+def test_a_zero_gate_with_no_difference_gives_a_finite_gate_ratio(tmp_path):
+    # with independent inner draws and zero density, the zero function's entries are exactly 1 in
+    # both estimates: gate 0 and difference 0, which once made max_gate_ratio Infinity
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            **free_field_config(),
+            "density": potential_to_obj(build_lattice(2, [4]), rplattice.ZERO_POTENTIAL),
+            "mc": {"n_samples": 2_000, "seed": 1, "n_outer": 64, "n_inner": 16, "share_inner": False},
+        },
+    )
+    out = tmp_path / "report.json"
+    assert main(["verify-rp", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    agreement = report["checks"]["estimator_agreement"]
+    assert agreement["passed"] and 0.0 <= agreement["max_gate_ratio"] <= 1.0
 
 
 def test_malformed_config_exits_two(tmp_path):

@@ -20,12 +20,36 @@ from rplattice import (
     verify_convolution_identity,
 )
 from rplattice import gaussian
-from rplattice.gaussian import _laplacian_plus_mass, covariance_factor, iter_sample_chunks, symmetrized
+from rplattice.gaussian import covariance_factor, iter_sample_chunks, symmetrized
 from rplattice.streams import NS_FIELD, chunk_counts, substream
 
 
 def two_site_cov(c):
     return Covariance(np.array([[1.0, c], [c, 1.0]]))
+
+
+def _laplacian_plus_mass(lattice, mass):
+    """-laplacian + mass^2, assembled link by link on the site grid.
+
+    Each diagonal entry is mass^2 followed by one +1.0 per link end, added
+    left to right; adding mass^2 + degree in one step can differ in the last ulp.
+    The dense N x N reference the free field is compared against;
+    free_field_covariance applies the same diagonal rule through
+    gaussian._assembled_diagonal and never forms it.
+    """
+    n = lattice.site_count
+    op = np.zeros((n, n))
+    np.fill_diagonal(op, mass * mass)
+    grid = np.arange(n).reshape(lattice.shape)
+    links = [(grid[:-1], grid[1:])]  # the crossing link included, open ends
+    for axis, extent in enumerate(lattice.spatial_extents, start=1):
+        if extent > 1:  # extent 1 closes on itself; extent 2 links the pair twice
+            links.append((grid, np.roll(grid, -1, axis)))
+    for a, b in links:
+        for i, j in ((a.ravel(), b.ravel()), (b.ravel(), a.ravel())):
+            op[i, i] += 1.0
+            op[i, j] -= 1.0
+    return op
 
 
 def test_free_field_two_site_hand_inverse():
@@ -595,13 +619,8 @@ def test_sample_configs_are_fresh_owned_and_writable(n):
     assert not np.shares_memory(a, b)
 
 
-def test_free_field_and_two_samples_factor_once_without_eigh(count_linalg, monkeypatch):
+def test_free_field_and_two_samples_factor_once_without_eigh(count_linalg):
     lat = build_lattice(2, [3])
-
-    def dense_operator(*args):
-        raise AssertionError("the N x N operator was assembled")
-
-    monkeypatch.setattr(gaussian, "_laplacian_plus_mass", dense_operator)
     calls = count_linalg()
     cov = free_field_covariance(lat, 0.9)
     sample(cov, 100, seed=1)
@@ -777,3 +796,27 @@ def test_pq_pair_equality_compares_the_split_and_its_reports():
 def test_pq_pairs_of_different_covariances_are_unequal():
     lat = build_lattice(2, [4])
     assert decompose_pq(free_field_covariance(lat, 0.9), lat) != decompose_pq(free_field_covariance(lat, 0.8), lat)
+
+
+@pytest.mark.parametrize(
+    "time_extent, extents, mass",
+    [(1, [], 0.5), (2, [4], 1.0), (2, [3], 0.9), (3, [1, 4], 0.1), (3, [4, 4], 0.3)],
+)
+def test_pq_roots_are_the_psd_square_roots_of_the_split(time_extent, extents, mass):
+    lat = build_lattice(time_extent, extents)
+    cov = free_field_covariance(lat, mass)
+    pq, pq_dense = decompose_pq(cov, lat), decompose_pq(Covariance(cov.matrix), lat)
+    # the free-field split keeps its roots as T x T column tables until they are read
+    assert [table.shape for table in pq.root_tables] == [(*(extents or [1]), time_extent, time_extent)] * 2
+    assert pq.roots is pq.roots
+    for split in (pq, pq_dense):
+        for root, c in zip(split.roots, (split.c_p, split.c_q)):
+            scale = np.abs(c).max()
+            assert root.shape == c.shape
+            assert np.abs(root - root.T).max() <= 1e-15 * max(1.0, np.abs(root).max())
+            assert np.abs(root @ root.T - c).max() <= 1e-14 * scale
+    (p, q), (p_dense, q_dense) = pq.roots, pq_dense.roots
+    assert np.abs(p - p_dense).max() <= 1e-12
+    # c_q is rank-deficient: its root is only Hoelder-1/2 continuous at the zero eigenvalues,
+    # so eigenvalues that the two routes round to ~1e-17 apart reach the roots as ~1e-8
+    assert np.abs(q - q_dense).max() <= math.sqrt(1e-14 * np.abs(pq.c_q).max())

@@ -20,6 +20,7 @@ from rplattice import (
     Term,
     ZERO_POTENTIAL,
     build_lattice,
+    check_theta_invariance,
     decompose_pq,
     free_field_covariance,
     gram_exact_gaussian,
@@ -337,6 +338,26 @@ def test_factorized_draws_and_potential_stay_on_the_calling_thread(monkeypatch):
         assert seen and set(seen) == {threading.get_ident()}, key
 
 
+def test_a_last_ulp_change_of_c_moves_the_factorized_estimate_only_at_rounding():
+    # c_p and c_q have degenerate eigenvalues, so an eigenbasis factor V sqrt(L) of either can
+    # turn by O(1) under a 1-ulp change of C; their PSD roots are unique and move at rounding
+    lat = build_lattice(2, [4])
+    c = np.array(free_field_covariance(lat, 1.0).matrix)
+    plus, theta = lat.plus_sites, lat.theta_perm
+    witness = split_check(lat, phi4(lat, 0.1)).witness_g
+    phis = random_test_functions(lat, 4, seed=2024)
+    params = McParams(1, seed=0, n_outer=2048, n_inner=100)
+    base = gram_mc_factorized(decompose_pq(Covariance(c), lat), witness, phis, params)
+    for i, j in ((plus[3], plus[5]), (plus[1], theta[plus[2]])):  # an entry of A, and one of B
+        bumped = c.copy()
+        for a, b in {(i, j), (j, i), (theta[i], theta[j]), (theta[j], theta[i])}:
+            bumped[a, b] = np.nextafter(bumped[a, b], np.inf)
+        cov = Covariance(bumped)
+        assert not np.array_equal(bumped, c) and check_theta_invariance(cov, lat).deviation == 0.0
+        moved = gram_mc_factorized(decompose_pq(cov, lat), witness, phis, params)
+        assert np.abs(moved.matrix - base.matrix).max() <= 1e-9
+
+
 def test_factorized_overflow_raises_with_sub_blocks_pending_and_joins_the_worker(monkeypatch):
     held, futures, pending = threading.Event(), [], []
 
@@ -354,11 +375,11 @@ def test_factorized_overflow_raises_with_sub_blocks_pending_and_joins_the_worker
     monkeypatch.setattr(rp_verify, "ThreadPoolExecutor", HeldPool)
     lat = build_lattice(2, [2])
     pq = decompose_pq(free_field_covariance(lat, 1.0), lat)
-    # exp(200 x^2) overflows at |x| > 1.9; with seed 1 the sixth sub-block is the first to reach it
+    # exp(200 x^2) overflows at |x| > 1.9; with seed 13 the sixth sub-block is the first to reach it
     g = Potential((Term(200.0, ((0, 2),)),))
     before = threading.active_count()
     with pytest.raises(IllConditionedWeightsError, match="half-density"):
-        gram_mc_factorized(pq, g, random_test_functions(lat, 2, 0), McParams(1, seed=1, n_outer=200, n_inner=20))
+        gram_mc_factorized(pq, g, random_test_functions(lat, 2, 0), McParams(1, seed=13, n_outer=200, n_inner=20))
     assert pending == [5]
     assert all(future.done() for future in futures)
     assert threading.active_count() == before

@@ -29,7 +29,7 @@ from rplattice import (
     split_check,
     verify_convolution_identity,
 )
-from rplattice.gaussian import covariance_factor, iter_sample_chunks, symmetrized
+from rplattice.gaussian import iter_sample_chunks
 from rplattice.rp_verify import _OUTER_CHUNK, DEFAULT_GRAM_TOL, _finish_mc_report, _importance_weights
 from rplattice.streams import NS_FACTORIZED, ChunkMoments, chunk_counts, substream
 
@@ -83,20 +83,19 @@ def exp_gram_mc_factorized(cov, lattice, g, phis, params):
     pq = decompose_pq(cov, lattice)
     nh = lattice.n_plus
     h_mat = np.stack([restrict_plus(lattice, p) for p in phis], axis=1)
-    factor_p = covariance_factor(symmetrized(pq.c_p), cov.psd_tolerance)
-    factor_q = covariance_factor(symmetrized(pq.c_q), cov.psd_tolerance)
+    root_p, root_q = pq.roots
     moments = ChunkMoments()
     weight_stats = []
 
     def partial_averages(rng, shared, count):
-        s = shared[:, np.newaxis, :] + rng.standard_normal((count, params.n_inner, nh)) @ factor_p.T
+        s = shared[:, np.newaxis, :] + rng.standard_normal((count, params.n_inner, nh)) @ root_p.T
         w = _importance_weights(g, s.reshape(-1, nh), "half-density").reshape(count, params.n_inner)
         weight_stats.append((float(w.sum()), float(w.max())))
         return (w[:, :, np.newaxis] * np.exp(-1j * (s @ h_mat))).mean(axis=1)
 
     for chunk_index, count in chunk_counts(params.n_outer, _OUTER_CHUNK):
         rng = substream(params.seed, NS_FACTORIZED, chunk_index)
-        shared = rng.standard_normal((count, nh)) @ factor_q.T
+        shared = rng.standard_normal((count, nh)) @ root_q.T
         h1 = partial_averages(rng, shared, count)
         h2 = h1 if params.share_inner else partial_averages(rng, shared, count)
         moments.add_outer(np.conj(h1), h2)
