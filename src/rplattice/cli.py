@@ -194,8 +194,8 @@ def resolve_config(raw, config_dir, seed_override=None):
                 _fail(f"invalid covariance: {exc}")
             echo["covariance"] = {"kind": "free_field", "mass": mass}
         elif kind == "explicit":
-            if "matrix_file" not in cov_cfg:
-                _fail("explicit covariance needs a matrix_file")
+            if not isinstance(cov_cfg.get("matrix_file"), str):
+                _fail(f"explicit covariance needs a matrix_file path, got {cov_cfg.get('matrix_file')!r}")
             matrix = read_matrix_csv(Path(config_dir) / cov_cfg["matrix_file"])
             if matrix.shape != (lattice.site_count, lattice.site_count):
                 _fail(

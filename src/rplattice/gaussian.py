@@ -25,10 +25,10 @@ into one 2T x 2T matrix per spatial momentum, so C and a sampling factor
 of the same translation-invariant form come from 2T columns each, in
 O(N^2) time and memory. The Covariance keeps C's column table, and the
 exact checks decide such a C per spatial momentum: B, c_p = A - B and c_q
-are block-diagonal in momentum too, so their spectra and PSD square roots
-come from one batched eigh of T x T blocks, and the invariance check and
-the split read the table. Explicit covariances take the dense path, which
-stays the oracle.
+are block-diagonal in momentum too, so their spectra, and the PSD square
+roots of c_p and c_q, come from batched eigensolves of T x T blocks, and
+the invariance check and the split read the table. Explicit covariances
+take the dense path, which stays the oracle.
 """
 
 import math
@@ -38,8 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import Lattice, as_float, as_int, reflect, restrict_plus, positive_support, _as_site_vector
-from .streams import NS_FIELD, ChunkMoments, chunk_counts, substream
+from .lattice import Lattice, as_float, reflect, restrict_plus, positive_support, _as_site_vector
+from .streams import NS_FIELD, chunk_counts, substream
 
 DEFAULT_PSD_TOL = 1e-10
 DEFAULT_INVARIANCE_TOL = 1e-12
@@ -421,20 +421,24 @@ def _half_columns(cols):
 
 
 def _momentum_psd_root(table, tol):
-    """_psd_root of the matrix the table expands to, from one batched eigh of its momentum blocks.
+    """_psd_root of the matrix the table expands to, from one batched eigh of its _momentum_blocks.
 
-    Symmetrising the table symmetrises the matrix entry for entry; the
-    Fourier transform over the spatial axes then turns the translation-
-    invariant matrix into one Hermitian T x T block per spatial momentum,
-    whose spectra together are its spectrum. The root is returned as the
-    table of the same form, the inverse transform of the blocks' roots
-    U sqrt(max(L, 0)) U^H.
+    The root is returned as the table of the same form, the inverse
+    transform of the blocks' roots U sqrt(max(L, 0)) U^H.
+    """
+    eigs, vecs = np.linalg.eigh(_momentum_blocks(table))
+    roots = (vecs * np.sqrt(np.clip(eigs, 0.0, None))[..., np.newaxis, :]) @ vecs.conj().swapaxes(-1, -2)
+    return _spectral_psd(eigs.ravel(), tol), np.fft.ifftn(roots, axes=tuple(range(table.ndim - 2))).real
+
+
+def _momentum_blocks(table):
+    """One Hermitian T x T block per spatial momentum of the symmetrised matrix the table expands to.
+
+    The Fourier transform over the spatial axes block-diagonalises the
+    translation-invariant matrix: the blocks' spectra together are its spectrum.
     """
     sym = (table + _transposed(table)) / 2.0
-    axes = tuple(range(sym.ndim - 2))
-    eigs, vecs = np.linalg.eigh(np.fft.fftn(sym, axes=axes))
-    roots = (vecs * np.sqrt(np.clip(eigs, 0.0, None))[..., np.newaxis, :]) @ vecs.conj().swapaxes(-1, -2)
-    return _spectral_psd(eigs.ravel(), tol), np.fft.ifftn(roots, axes=axes).real
+    return np.fft.fftn(sym, axes=tuple(range(sym.ndim - 2)))
 
 
 def _time_blocks(matrix, lattice):
@@ -480,14 +484,16 @@ def check_gaussian_rp(cov, lattice, tol=DEFAULT_PSD_TOL, invariance_tol=DEFAULT_
     distinct from a genuinely negative cross-block spectrum. A covariance
     with a column table on this lattice is decided per spatial momentum,
     from the T x T blocks of its cross-block table; its smallest eigenvalue
-    and threshold then differ from the dense eigh's at rounding.
+    and threshold then differ from the dense ones at rounding. Only the
+    spectrum is computed, never a root.
     """
     inv = check_theta_invariance(cov, lattice, invariance_tol)
     cols = _columns_on(cov, lattice)
     if cols is None:
-        psd = _psd_root(cross_block(cov, lattice, warn=False), tol)[0]
+        block = symmetrized(cross_block(cov, lattice, warn=False))
     else:
-        psd = _momentum_psd_root(_half_columns(cols)[1], tol)[0]
+        block = _momentum_blocks(_half_columns(cols)[1])
+    psd = _spectral_psd(np.linalg.eigvalsh(block).ravel(), tol)
     if not inv.passed:
         kind = "not-theta-invariant"
     elif not psd.passed:
@@ -583,9 +589,6 @@ def iter_sample_chunks(cov, n, seed):
     Chunk k is a pure function of (seed, k); see streams. Concatenating the
     blocks in index order gives exactly sample(cov, n, seed).configs.
     """
-    n = as_int(n, "sample count")
-    if n < 1:
-        raise ValueError(f"sample count must be positive, got {n}")
     for k, count in chunk_counts(n):
         z = substream(seed, NS_FIELD, k).standard_normal((count, cov.dim))
         yield k, z @ cov.factor.T
@@ -604,31 +607,29 @@ def sample(cov, n, seed):
 
 
 def verify_convolution_identity(pq, n_samples=100_000, seed=0):
-    """Sampling check of the joint law behind the factorized representation of pq.
+    """Sampling check of the factorized representation behind pq.
 
-    The empirical second moment of (restrict_plus(T), restrict_plus(reflect(T)))
-    over n_samples draws of the full measure must match [[A, B], [B, A]]
-    entrywise within five standard errors. The split itself is gated by
-    pq.both_psd alone; pq.sum_exact only describes its rounding.
+    Per sample, one shared Q through pq.roots[1] and two independent P_1, P_2
+    through pq.roots[0] give y = [P_1 + Q, P_2 + Q]. Over n_samples draws its
+    second moment must match S = [[A, B], [B, A]], the joint law of
+    (restrict_plus(T), restrict_plus(reflect(T))), entrywise within five
+    standard errors taken from S: Var(y_i y_j) = S_ii S_jj + S_ij^2 (Isserlis).
+    The split is gated by pq.both_psd alone; pq.sum_exact only describes its rounding.
     """
-    cov, lattice = pq.covariance, pq.lattice
-    a, b = pq.a_block, cross_block(cov, lattice, warn=False)
-    plus = lattice.plus_sites
-    mirror = lattice.theta_perm[plus]
+    a, b = pq.a_block, cross_block(pq.covariance, pq.lattice, warn=False)
     target = np.block([[a, b], [b, a]])
-
-    moments = ChunkMoments()
-    for _, block in iter_sample_chunks(cov, n_samples, seed):
-        y = np.concatenate([block[:, plus], block[:, mirror]], axis=1)
-        moments.add_outer(y, y)
-    emp, stderr = moments.mean_and_stderr()
-    delta = np.abs(emp - target)
+    root_p, root_q = pq.roots
+    half = pq.lattice.n_plus
+    second = np.zeros_like(target)
+    for k, count in chunk_counts(n_samples):
+        rng = substream(seed, NS_FIELD, k)
+        shared = rng.standard_normal((count, half)) @ root_q.T
+        y = rng.standard_normal((2 * count, half)) @ root_p.T
+        y = (y.reshape(count, 2, half) + shared[:, np.newaxis]).reshape(count, 2 * half)
+        second += y.T @ y
+    delta = np.abs(second / n_samples - target)
     with np.errstate(divide="ignore", invalid="ignore"):
+        stderr = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n_samples)
         sigmas = np.where(stderr > 0, delta / stderr, np.where(delta <= 1e-12, 0.0, np.inf))
     max_sigma = float(sigmas.max()) if sigmas.size else 0.0
-    return ConvolutionReport(
-        passed=max_sigma <= 5.0,
-        max_sigma_deviation=max_sigma,
-        n_samples=int(n_samples),
-        seed=int(seed),
-    )
+    return ConvolutionReport(max_sigma <= 5.0, max_sigma, int(n_samples), int(seed))

@@ -8,6 +8,8 @@ number of workers, and still merge to bit-identical output.
 
 import numpy as np
 
+from .lattice import as_int
+
 CHUNK_SIZE = 2048
 
 # Namespace constants keep the substreams of unrelated consumers disjoint.
@@ -29,7 +31,10 @@ def substream(seed, namespace, chunk_index):
 
 
 def chunk_counts(n, chunk_size=CHUNK_SIZE):
-    """Yield (chunk_index, count) pairs covering ``n`` items."""
+    """Yield (chunk_index, count) pairs covering ``n`` items; ``n`` must be a positive integer."""
+    n = as_int(n, "sample count")
+    if n < 1:
+        raise ValueError(f"sample count must be positive, got {n}")
     k = 0
     done = 0
     while done < n:

@@ -177,9 +177,10 @@ def test_each_command_splits_the_half_lattice_once(tmp_path, monkeypatch, count_
     assert main([command, "--config", cfg, "--quiet"]) == 0
     half = (8, 8)  # n_plus on T=2, L=[4]
     assert calls.count(("decompose_pq", None)) == 1
-    # one batch of 4 spatial momenta, T x T each, for the cross block, c_p and c_q; the
-    # factorized draws read the roots of the last two and decompose nothing themselves
-    assert [call for call in calls if call[0] == "eigh"] == [("eigh", (4, 2, 2))] * 3
+    # one batch of 4 spatial momenta, T x T each: the cross block's spectrum alone, then c_p and
+    # c_q with their roots; the draws read those roots and decompose nothing themselves
+    assert calls.count(("eigvalsh", (4, 2, 2))) == 1
+    assert [call for call in calls if call[0] == "eigh"] == [("eigh", (4, 2, 2))] * 2
     assert calls.count(("eigvalsh", half)) == 0
 
 
@@ -201,9 +202,9 @@ def test_an_explicit_covariance_splits_on_the_dense_blocks(tmp_path, monkeypatch
     assert main([command, "--config", cfg, "--quiet"]) == 0
     half = (8, 8)
     assert calls.count(("decompose_pq", None)) == 1
-    # one for the cross block, one each for c_p and c_q, and none in the estimator
-    assert calls.count(("eigh", half)) == 3
-    assert calls.count(("eigvalsh", half)) == 0
+    # the cross block's spectrum alone, then c_p and c_q with their roots, and none in the estimator
+    assert calls.count(("eigvalsh", half)) == 1
+    assert calls.count(("eigh", half)) == 2
 
 
 def _reject_constant(name):
@@ -517,6 +518,8 @@ MALFORMED_CONFIGS = {
     "density-constant-infinity": {"density": {"terms": [], "constant": INF}},
     "mass-nan": {"covariance": {"kind": "free_field", "mass": NAN}},
     "mass-infinity": {"covariance": {"kind": "free_field", "mass": INF}},
+    "matrix_file-number": {"covariance": {"kind": "explicit", "matrix_file": 5}},
+    "matrix_file-list": {"covariance": {"kind": "explicit", "matrix_file": ["a"]}},
 }
 
 

@@ -500,6 +500,62 @@ def test_convolution_identity_free_field():
     assert np.abs(pq.c_q - cross_block(cov, lat, warn=False)).max() <= 1e-12
 
 
+@pytest.fixture(scope="module")
+def criterion_1_split():
+    lat = build_lattice(4, [8])
+    return decompose_pq(free_field_covariance(lat, 0.5), lat)
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        lambda p, q: (q, p),
+        lambda p, q: (p, np.zeros_like(q)),
+        lambda p, q: (np.zeros_like(p), q),
+    ],
+    ids=["swapped", "zero-shared", "zero-independent"],
+)
+def test_convolution_identity_fails_a_split_with_wrong_roots(criterion_1_split, roots):
+    # the check draws through the split's roots alone, so the roots must be what it checks
+    pq = dataclasses.replace(criterion_1_split, root_tables=roots(*criterion_1_split.root_tables))
+    report = verify_convolution_identity(pq, n_samples=100_000, seed=0)
+    assert not report.passed
+    assert report.max_sigma_deviation > 20.0
+
+
+def test_convolution_identity_fails_a_split_that_is_not_psd():
+    # B = -0.3 on two sites: c_q = B has no root, and its clipped one draws the wrong law
+    pq = decompose_pq(two_site_cov(-0.3), build_lattice(1, []))
+    assert not pq.report_q.passed
+    assert not verify_convolution_identity(pq, n_samples=100_000, seed=0).passed
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_convolution_identity_passes_a_free_field_at_small_sample_counts(n):
+    # the errors come from the target, not from the few samples themselves
+    lat = build_lattice(2, [4])
+    pq = decompose_pq(free_field_covariance(lat, 1.0), lat)
+    sigmas = [verify_convolution_identity(pq, n_samples=n, seed=seed).max_sigma_deviation for seed in range(20)]
+    assert max(sigmas) <= 5.0, sigmas
+
+
+@pytest.mark.parametrize("shape", [(2, [4]), (4, [8]), (3, [5]), (2, [3, 2])], ids=str)
+def test_convolution_identity_reads_the_same_law_from_an_explicit_twin(shape):
+    # per-momentum and dense roots agree at rounding, and both are drawn from the same streams
+    lat = build_lattice(*shape)
+    free = free_field_covariance(lat, 0.7)
+    got = [
+        verify_convolution_identity(decompose_pq(cov, lat), n_samples=20_000, seed=5).max_sigma_deviation
+        for cov in (free, Covariance(free.matrix))
+    ]
+    assert got[0] == pytest.approx(got[1], abs=1e-6)
+
+
+def test_convolution_identity_rejects_a_sample_count_below_one(criterion_1_split):
+    with pytest.raises(ValueError, match="sample count"):
+        verify_convolution_identity(criterion_1_split, n_samples=0)
+
+
 def test_sampling_variance_matches_identity_covariance():
     lat = build_lattice(1, [])
     cov = Covariance(np.eye(lat.site_count))

@@ -24,7 +24,11 @@ def sample_factor(kind, n=sum(SPLIT), k=3, seed=5):
 def test_chunk_counts_cover_the_range():
     assert list(chunk_counts(4113)) == [(0, 2048), (1, 2048), (2, 17)]
     assert list(chunk_counts(5, chunk_size=2)) == [(0, 2), (1, 2), (2, 1)]
-    assert list(chunk_counts(0)) == []
+    # every sampler draws through chunk_counts, so it validates the count for all of them
+    assert list(chunk_counts(4096.0)) == [(0, 2048), (1, 2048)]
+    for bad in (0, -1, 2.5, True, "8"):
+        with pytest.raises(ValueError, match="sample count"):
+            list(chunk_counts(bad))
 
 
 @pytest.mark.parametrize(

@@ -7,18 +7,20 @@ w exp(-i phase) over 3-D batched draws. The estimators must agree with both
 to rounding, give the same verdicts, and never hold such a tensor themselves.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from rplattice import (
+    Covariance,
     McParams,
     ZERO_POTENTIAL,
     build_lattice,
+    cross_block,
     decompose_pq,
     free_field_covariance,
-    gaussian,
     gram_mc_direct,
     gram_mc_factorized,
     phi4,
@@ -31,7 +33,7 @@ from rplattice import (
 )
 from rplattice.gaussian import iter_sample_chunks
 from rplattice.rp_verify import _OUTER_CHUNK, DEFAULT_GRAM_TOL, _finish_mc_report, _importance_weights
-from rplattice.streams import NS_FACTORIZED, ChunkMoments, chunk_counts, substream
+from rplattice.streams import NS_FACTORIZED, NS_FIELD, ChunkMoments, chunk_counts, substream
 
 RTOL = 1e-12
 
@@ -50,17 +52,6 @@ class TensorMoments(ChunkMoments):
         self._squares = squares
         self.counts.append(x.shape[0])
         self.sums.append(x.sum(axis=0))
-
-
-def recording(base, seen):
-    """A subclass of base that appends every (mean, stderr) it returns to seen."""
-
-    class Recording(base):
-        def mean_and_stderr(self):
-            seen.append(super().mean_and_stderr())
-            return seen[-1]
-
-    return Recording
 
 
 def tensor_gram_mc_direct(cov, lattice, f, phis, params):
@@ -163,19 +154,42 @@ def test_factorized_zero_function_entry_is_exact_without_a_density(criterion_4, 
     assert rep.stderr[-1, -1] == 0.0
 
 
-def test_joint_law_check_matches_the_tensor_path(monkeypatch):
+def tensor_joint_law_sigma(pq, n_samples, seed):
+    """verify_convolution_identity's statistic, from each chunk's (count, k, k) tensor of y_i y_j.
+
+    The same streams and roots give P_1 (even rows) and P_2 (odd rows) and the shared Q; the
+    standard errors are Isserlis' S_ii S_jj + S_ij S_ji of the target S, entry by entry.
+    """
+    lat = pq.lattice
+    a, b = pq.a_block, cross_block(pq.covariance, lat, warn=False)
+    target = np.block([[a, b], [b, a]])
+    root_p, root_q = pq.roots
+    total = np.zeros_like(target)
+    for chunk_index, count in chunk_counts(n_samples):
+        rng = substream(seed, NS_FIELD, chunk_index)
+        shared = rng.standard_normal((count, lat.n_plus)) @ root_q.T
+        p = rng.standard_normal((2 * count, lat.n_plus)) @ root_p.T
+        y = np.concatenate([p[0::2] + shared, p[1::2] + shared], axis=1)
+        total += (y[:, :, np.newaxis] * y[:, np.newaxis, :]).sum(axis=0)
+    variance = np.einsum("ii,jj->ij", target, target) + target * target.T
+    delta = np.abs(total / n_samples - target)
+    sigmas = [
+        d / math.sqrt(v / n_samples) if v > 0 else (0.0 if d <= 1e-12 else math.inf)
+        for d, v in zip(delta.ravel(), variance.ravel())
+    ]
+    return max(sigmas)
+
+
+def test_joint_law_check_matches_the_tensor_path():
     lat = build_lattice(4, [8])
-    cov = free_field_covariance(lat, 0.5)
-    reports, moments = [], []
-    for accumulator in (ChunkMoments, TensorMoments):
-        monkeypatch.setattr(gaussian, "ChunkMoments", recording(accumulator, moments))
-        reports.append(verify_convolution_identity(decompose_pq(cov, lat), n_samples=20_000, seed=17))
-    (got_mean, got_stderr), (want_mean, want_stderr) = moments
-    np.testing.assert_allclose(got_mean, want_mean, rtol=RTOL)
-    np.testing.assert_allclose(got_stderr, want_stderr, rtol=RTOL)
-    got, want = reports
-    assert got.passed == want.passed
-    assert got.max_sigma_deviation == pytest.approx(want.max_sigma_deviation, rel=RTOL)
+    free = free_field_covariance(lat, 0.5)
+    # per-momentum roots, and the dense roots of the same matrix given explicitly
+    for cov in (free, Covariance(free.matrix)):
+        pq = decompose_pq(cov, lat)
+        got = verify_convolution_identity(pq, n_samples=5_000, seed=17)
+        want = tensor_joint_law_sigma(pq, 5_000, 17)
+        assert got.max_sigma_deviation == pytest.approx(want, rel=RTOL)
+        assert got.passed == (want <= 5.0)
 
 
 def test_joint_law_check_never_forms_the_sample_tensor():
@@ -190,3 +204,19 @@ def test_joint_law_check_never_forms_the_sample_tensor():
         tracemalloc.stop()
     assert report.n_samples == 4096
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_joint_law_check_memory_does_not_grow_with_the_sample_count():
+    # only the running y^T y is kept: ten times the chunks cost no more memory
+    lat = build_lattice(4, [16, 2])
+    pq = decompose_pq(free_field_covariance(lat, 0.5), lat)
+    pq.roots  # expanded once, outside the traced calls
+    peaks = []
+    for n in (4096, 40960):
+        tracemalloc.start()
+        try:
+            verify_convolution_identity(pq, n_samples=n, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 2**20, [f"{peak / 2**20:.1f} MiB" for peak in peaks]
