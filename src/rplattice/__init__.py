@@ -17,6 +17,7 @@ from .density import (
     eval_potential,
     eval_potential_batch,
     eval_potential_exact,
+    is_even,
     phi4,
     potential_from_obj,
     potential_to_obj,
@@ -94,6 +95,7 @@ __all__ = [
     "gram_exact_gaussian",
     "gram_mc_direct",
     "gram_mc_factorized",
+    "is_even",
     "phi4",
     "positive_support",
     "potential_from_obj",

@@ -9,7 +9,9 @@ with identical config and seed the report bytes are identical except for
 the wall_time_s field.
 
 Exit codes: 0 all checks pass (or are inconclusive but consistent with a
-pass), 1 a check failed, 2 usage, config or IO error.
+pass), 1 a check failed, 2 usage, config or IO error, 3 an estimate was
+unusable (ill-conditioned weights) and nothing else failed. Reports are
+strict JSON: a ratio with no finite value is written as null.
 """
 
 import argparse
@@ -57,6 +59,9 @@ from .rp_verify import (
 )
 
 STRUCTURAL_PSD_FLOOR = -1e-10
+ILL_CONDITIONED = "ill-conditioned-weights"
+# exit code -> report verdict; 3 is an unusable estimate, which is not a verified failure
+VERDICTS = {0: "pass", 1: "fail", 3: "inconclusive"}
 # how far a free field's per-momentum smallest eigenvalue and threshold may
 # move from the dense ones, relative to max(1, max |eigenvalue|)
 MOMENTUM_FLOOR_TOL = 1e-14
@@ -269,8 +274,8 @@ def _numpy_to_json(obj):
 
 
 def render_report(report):
-    """Deterministic JSON bytes for a report dict."""
-    return json.dumps(report, indent=2, sort_keys=True, default=_numpy_to_json) + "\n"
+    """Deterministic, strict JSON bytes for a report dict; NaN or an infinity raises ValueError."""
+    return json.dumps(report, indent=2, sort_keys=True, default=_numpy_to_json, allow_nan=False) + "\n"
 
 
 def _pq_entry(pq):
@@ -374,7 +379,7 @@ def cmd_verify_rp(resolved):
         )
     except IllConditionedWeightsError:
         checks["gram_direct"] = None
-        reasons.append("ill-conditioned-weights")
+        reasons.append(ILL_CONDITIONED)
         return checks, reasons
     checks["gram_direct"] = direct.to_json_dict()
     if direct.verdict == FAIL:
@@ -390,7 +395,7 @@ def cmd_verify_rp(resolved):
         factorized = gram_mc_factorized(pq, split.witness_g, phis, mc, tols["psd_tol"])
     except IllConditionedWeightsError:
         checks["gram_factorized"] = None
-        reasons.append("ill-conditioned-weights")
+        reasons.append(ILL_CONDITIONED)
         return checks, reasons
     checks["gram_factorized"] = factorized.to_json_dict()
     if factorized.verdict == FAIL:
@@ -410,14 +415,15 @@ def cmd_verify_rp(resolved):
     delta = np.abs(direct.matrix - factorized.matrix)
     gate = 5.0 * (direct.stderr + factorized.stderr + bias_allowance)
     agree = bool((delta <= gate).all())
-    # an entry with gate 0 and difference 0 agrees exactly: ratio 0, as in verify_convolution_identity
+    # an entry with gate 0 and difference 0 agrees exactly: ratio 0, as in verify_convolution_identity;
+    # one with gate 0 and a difference has no finite ratio, written as null
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(gate > 0, delta / gate, np.where(delta <= gate, 0.0, np.inf))
     ratio = float(ratios.max()) if delta.size else 0.0
     checks["estimator_agreement"] = {
         "passed": agree,
         "max_abs_difference": float(delta.max()) if delta.size else 0.0,
-        "max_gate_ratio": ratio,
+        "max_gate_ratio": ratio if math.isfinite(ratio) else None,
         "bias_allowance": bias_allowance,
     }
     if not agree:
@@ -498,8 +504,18 @@ def cmd_selftest(psd_tol=DEFAULT_PSD_TOL):
     same = same and all(got.passed == want.passed for got, want in pairs)
     entry("exact-momentum-vs-dense", same and gap <= MOMENTUM_FLOOR_TOL, gap, MOMENTUM_FLOOR_TOL)
 
+    # the zero density is even: a real estimate, within 5 sigma of the closed form
+    phis = random_test_functions(lat, 3, 7)
+    direct = gram_mc_direct(cov, lat, ZERO_POTENTIAL, phis, McParams(20_000, seed=7))
+    delta = np.abs(direct.matrix - gram_exact_gaussian(cov, lat, phis, psd_tol).matrix)
+    real = not np.any(direct.to_json_dict()["matrix_im"])
+    within = bool((delta <= 5.0 * direct.stderr).all())
+    # entries with stderr 0 count 0 sigma here; within fails them unless they are exact
+    sigma = float(np.divide(delta, direct.stderr, out=np.zeros_like(delta), where=direct.stderr > 0).max())
+    entry("mc-direct-even-vs-exact", real and within, sigma, 5.0)
+
     params = McParams(n_samples=1, seed=7, n_outer=256, n_inner=64, share_inner=True)
-    fact = gram_mc_factorized(pq, ZERO_POTENTIAL, random_test_functions(lat, 3, 7), params)
+    fact = gram_mc_factorized(pq, ZERO_POTENTIAL, phis, params)
     gate = min(STRUCTURAL_PSD_FLOOR, -psd_tol)
     entry("factorized-structural-psd", fact.min_eigenvalue >= gate, fact.min_eigenvalue, gate)
 
@@ -596,14 +612,17 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    exit_code = 0 if not reasons else 1
+    if not reasons:
+        exit_code = 0
+    else:
+        exit_code = 3 if set(reasons) == {ILL_CONDITIONED} else 1
     report = {
         "command": args.command,
         "tool_version": __version__,
         "config": echo,
         "checks": checks,
         "failure_reasons": reasons,
-        "verdict": "pass" if exit_code == 0 else "fail",
+        "verdict": VERDICTS[exit_code],
         "exit_code": exit_code,
         "wall_time_s": time.perf_counter() - started,
     }

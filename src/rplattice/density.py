@@ -86,6 +86,18 @@ def negate_potential(p):
     return Potential(tuple(Term(-t.coefficient, t.factors) for t in p.terms), -p.constant)
 
 
+def is_even(p):
+    """True when every term of p has even total degree, so p(-x) = p(x).
+
+    The constant does not count. The identity holds bit for bit under
+    eval_potential_batch too: each power negates the running product
+    exactly, and rounding is symmetric under negation. A potential that is
+    not canonical is judged term by term, so odd terms that would cancel
+    still make it odd.
+    """
+    return all(sum(power for _, power in t.factors) % 2 == 0 for t in p.terms)
+
+
 def check_sites(p, count, where):
     """Raise ValueError when a factor of p names a site index >= count."""
     for t in p.terms:

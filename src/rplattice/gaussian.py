@@ -218,7 +218,7 @@ class FieldSample:
 @dataclass(frozen=True)
 class ConvolutionReport:
     passed: bool
-    max_sigma_deviation: float
+    max_sigma_deviation: float | None  # None: an entry with standard error 0 missed its target
     n_samples: int
     seed: int
 
@@ -614,7 +614,10 @@ def verify_convolution_identity(pq, n_samples=100_000, seed=0):
     second moment must match S = [[A, B], [B, A]], the joint law of
     (restrict_plus(T), restrict_plus(reflect(T))), entrywise within five
     standard errors taken from S: Var(y_i y_j) = S_ii S_jj + S_ij^2 (Isserlis).
-    The split is gated by pq.both_psd alone; pq.sum_exact only describes its rounding.
+    An entry with standard error 0 passes when it misses by at most 1e-12;
+    otherwise no number of standard errors measures it, and the report fails
+    with max_sigma_deviation None. The split is gated by pq.both_psd alone;
+    pq.sum_exact only describes its rounding.
     """
     a, b = pq.a_block, cross_block(pq.covariance, pq.lattice, warn=False)
     target = np.block([[a, b], [b, a]])
@@ -632,4 +635,6 @@ def verify_convolution_identity(pq, n_samples=100_000, seed=0):
         stderr = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n_samples)
         sigmas = np.where(stderr > 0, delta / stderr, np.where(delta <= 1e-12, 0.0, np.inf))
     max_sigma = float(sigmas.max()) if sigmas.size else 0.0
+    if math.isinf(max_sigma):
+        return ConvolutionReport(False, None, int(n_samples), int(seed))
     return ConvolutionReport(max_sigma <= 5.0, max_sigma, int(n_samples), int(seed))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import check_sites, eval_potential_batch
+from .density import check_sites, eval_potential_batch, is_even
 from .gaussian import char_fn, iter_sample_chunks, warn_unless_invariant
 from .lattice import _as_site_vector, as_int, embed_plus, positive_support, reflect, restrict_plus
 from .streams import (
@@ -94,8 +94,11 @@ class GramReport:
 
     matrix is the hermitized estimate; hermiticity_gap records the max
     entrywise deviation before symmetrization, a self-consistency
-    diagnostic. stderr combines the standard errors of the real and
-    imaginary parts per entry and is identically zero for exact entries.
+    diagnostic. A Monte Carlo estimate for an even density is real: its
+    imaginary part vanishes in expectation and is not estimated, and stderr
+    is the standard error of the real part. Otherwise stderr combines the
+    standard errors of the real and imaginary parts per entry. It is
+    identically zero for exact entries.
     """
 
     matrix: np.ndarray
@@ -284,8 +287,12 @@ def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
     over field draws T_k from the Gaussian base measure. The weights
     w = exp F are used raw (no normalization); their effective sample size
     sum(w)/max(w) is reported as a degeneracy diagnostic.
+
+    The base measure is centred, so for an even f the estimate is real in
+    expectation; only its real part, w cos(a_m - b_n), is accumulated.
     """
     require_positive_support(lattice, phis)
+    even = is_even(f)
     phi_mat = np.stack([np.asarray(p, dtype=np.float64) for p in phis], axis=1)
     theta_mat = np.stack([reflect(lattice, p) for p in phis], axis=1)
 
@@ -297,8 +304,13 @@ def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
             a = block @ phi_mat
             b = block @ theta_mat
             w = _importance_weights(f, block, "density")
-            # exp[i(a_m - b_n)] = exp(i a_m) exp(-i b_n): one outer product per sample
-            moments.add_outer(w[:, np.newaxis] * np.exp(1j * a), np.exp(-1j * b))
+            if even:
+                # cos(a_m - b_n) = cos a_m cos b_n + sin a_m sin b_n: two real outer products
+                w_col = w[:, np.newaxis]
+                moments.add_real(w_col * np.cos(a), w_col * np.sin(a), np.cos(b), np.sin(b))
+            else:
+                # exp[i(a_m - b_n)] = exp(i a_m) exp(-i b_n): one outer product per sample
+                moments.add_outer(w[:, np.newaxis] * np.exp(1j * a), np.exp(-1j * b))
             weight_stats.append((float(w.sum()), float(w.max())))
     return _finish_mc_report(moments, tol, params.seed, "mc-direct", weight_stats)
 
@@ -316,7 +328,10 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
     restricted to the positive half and G is the half-density. Requires a
     reflection-positive covariance: both blocks of pq must be PSD,
     otherwise the factorization does not exist and the call fails fast.
-    n_samples on the report counts outer draws.
+    n_samples on the report counts outer draws. For an even g the centred
+    outer draws make the estimate real in expectation, and only
+    Re(conj(H_m) H_n) = Re H_m Re H_n + Im H_m Im H_n is accumulated; with
+    shared inner draws it is still PSD by construction.
 
     The calling thread consumes every stream and evaluates the half-density,
     in chunk order, so the draws and the traced layers stay on it; one worker
@@ -336,6 +351,7 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
         )
     nh = lattice.n_plus
     check_sites(g, nh, f"{nh} positive-time sites")
+    even = is_even(g)
 
     h_mat = np.stack([restrict_plus(lattice, p) for p in phis], axis=1)
     root_p, root_q = pq.roots
@@ -364,11 +380,21 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
         phase = s @ h_mat
         w = weights[:, np.newaxis, :]
         with np.errstate(over="ignore", invalid="ignore"):  # error state is per thread
-            return ((w @ np.cos(phase)) - 1j * (w @ np.sin(phase)))[:, 0, :] / n_inner
+            re, im = (w @ np.cos(phase))[:, 0, :], (w @ np.sin(phase))[:, 0, :]
+            if even:
+                # H = (re - i im) / n_inner; the sign of im cancels in Re(conj(H_m) H_n)
+                return re / n_inner, im / n_inner
+            return ((re - 1j * im) / n_inner,)
 
     def merge(halves):
-        h = [np.concatenate([future.result() for future in futures]) for futures in halves]
-        moments.add_outer(np.conj(h[0]), h[-1])
+        h = [
+            [np.concatenate(parts) for parts in zip(*(future.result() for future in futures))]
+            for futures in halves
+        ]
+        if even:
+            moments.add_real(*h[0], *h[-1])
+        else:
+            moments.add_outer(np.conj(h[0][0]), h[-1][0])
 
     # a chunk merges once the next one is drawn, so the draws never wait for its last sub-block;
     # overflowing weighted sums are left to _finish_mc_report, as in gram_mc_direct

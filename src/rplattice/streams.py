@@ -67,11 +67,13 @@ def _outer_squares(p, q):
 class ChunkMoments:
     """Running moments of samples that arrive in chunks of outer products.
 
-    A chunk is x[s, m, n] = p[s, m] * q[s, n]; it is never formed, so a chunk
-    costs O(count * k + k * k) memory. Keeps every chunk's count and sum, for
-    a bootstrap over chunks, and the running sums of squares of the real part
-    and, for complex input only, of the imaginary part, so real input
-    allocates no imaginary temporaries.
+    A chunk is x[s, m, n] = p[s, m] * q[s, n] (add_outer), or the real
+    a[s, m] c[s, n] + b[s, m] d[s, n] (add_real); it is never formed, so a
+    chunk costs O(count * k + k * k) memory. Keeps every chunk's count and
+    sum, for a bootstrap over chunks, and the running sums of squares of the
+    real part and, for complex input only, of the imaginary part, so real
+    input allocates no imaginary temporaries. One accumulator takes one
+    kind of chunk.
     """
 
     def __init__(self):
@@ -79,17 +81,28 @@ class ChunkMoments:
         self.sums = []
         self._squares = None
 
-    def add_outer(self, p, q):
-        """Add the chunk p[s, :, None] * q[s, None, :] from its factors of shape (count, k)."""
-        squares = _outer_squares(p, q)
+    def _add(self, count, chunk_sum, squares):
         if self._squares is not None:
             squares = [acc + sq for acc, sq in zip(self._squares, squares)]
         self._squares = squares
-        self.counts.append(p.shape[0])
-        self.sums.append(p.T @ q)
+        self.counts.append(count)
+        self.sums.append(chunk_sum)
+
+    def add_outer(self, p, q):
+        """Add the chunk p[s, :, None] * q[s, None, :] from its factors of shape (count, k)."""
+        self._add(p.shape[0], p.T @ q, _outer_squares(p, q))
+
+    def add_real(self, a, b, c, d):
+        """Add the real chunk a[s, :, None] c[s, None, :] + b[s, :, None] d[s, None, :].
+
+        The four factors are real arrays of shape (count, k); the squares
+        expand to a2 c2 + 2 ab cd + b2 d2, one matrix product per term.
+        """
+        cross = 2.0 * ((a * b).T @ (c * d))
+        self._add(a.shape[0], a.T @ c + b.T @ d, [(a * a).T @ (c * c) + cross + (b * b).T @ (d * d)])
 
     def mean_and_stderr(self):
-        """Per-entry mean and its standard error; real and imaginary variances add."""
+        """Per-entry mean and its standard error; for complex chunks real and imaginary variances add."""
         n = sum(self.counts)
         mean = sum(self.sums) / n
         var = 0.0

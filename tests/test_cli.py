@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -229,6 +230,57 @@ def test_a_zero_gate_with_no_difference_gives_a_finite_gate_ratio(tmp_path):
     assert agreement["passed"] and 0.0 <= agreement["max_gate_ratio"] <= 1.0
 
 
+def test_a_zero_standard_error_that_misses_is_written_as_null(tmp_path):
+    # C = [[0, e], [e, 0]] is PSD within psd_tol; its split draws y with variance e at a
+    # site of variance 0, so the joint-law entry has standard error 0 and misses by about e
+    write_matrix_csv(tmp_path / "cov.csv", np.array([[0.0, 5e-11], [5e-11, 0.0]]))
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            "lattice": {"time_extent": 1, "spatial_extents": []},
+            "covariance": {"kind": "explicit", "matrix_file": "cov.csv"},
+            "mc": {"n_samples": 1_000, "seed": 0},
+        },
+    )
+    out = tmp_path / "report.json"
+    assert main(["check-gaussian", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    report = json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    assert report["checks"]["convolution_identity"]["max_sigma_deviation"] is None
+    assert not report["checks"]["convolution_identity"]["passed"]
+    assert report["failure_reasons"] == ["convolution-identity"]
+
+
+def test_a_zero_gate_with_a_difference_writes_a_null_gate_ratio(tmp_path, monkeypatch):
+    # the zero function's entries have standard error 0 in both estimates; shifting the
+    # factorized estimate gives them a difference at gate 0, which has no finite ratio
+    def shifted(*args, **kwargs):
+        rep = rp_verify.gram_mc_factorized(*args, **kwargs)
+        return dataclasses.replace(rep, matrix=rep.matrix + 1e-3)
+
+    monkeypatch.setattr(cli, "gram_mc_factorized", shifted)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            **free_field_config(),
+            "density": potential_to_obj(build_lattice(2, [4]), rplattice.ZERO_POTENTIAL),
+            "mc": {"n_samples": 2_000, "seed": 1, "n_outer": 64, "n_inner": 16, "share_inner": False},
+        },
+    )
+    out = tmp_path / "report.json"
+    assert main(["verify-rp", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    report = json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    agreement = report["checks"]["estimator_agreement"]
+    assert agreement["max_gate_ratio"] is None and not agreement["passed"]
+    assert report["failure_reasons"] == ["estimator-agreement"]
+
+
+def test_reports_are_strict_json():
+    with pytest.raises(ValueError):
+        cli.render_report({"max_gate_ratio": float("inf")})
+    with pytest.raises(ValueError):
+        cli.render_report({"value": np.float64("nan")})
+
+
 def test_malformed_config_exits_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -430,6 +482,28 @@ def test_selftest_passes_and_is_deterministic(tmp_path):
     assert report_bytes_without_wall_time(out_a) == report_bytes_without_wall_time(out_b)
 
 
+def _selftest_entry(name):
+    checks, _ = cli.cmd_selftest()
+    return next(e for e in checks["selftest"] if e["name"] == name)
+
+
+def test_selftest_checks_an_even_direct_estimate_against_the_closed_form(monkeypatch):
+    entry = _selftest_entry("mc-direct-even-vs-exact")
+    assert entry["passed"] and 0.0 < entry["measured"] <= entry["gate"] == 5.0
+
+    def off_by(shift, imag=0.0):
+        def estimate(*args, **kwargs):
+            rep = rp_verify.gram_mc_direct(*args, **kwargs)
+            return dataclasses.replace(rep, matrix=rep.matrix + shift * rep.stderr + 1j * imag)
+        return estimate
+
+    # six standard errors off, or a nonzero imaginary part, fails the entry
+    monkeypatch.setattr(cli, "gram_mc_direct", off_by(6.0))
+    assert not _selftest_entry("mc-direct-even-vs-exact")["passed"]
+    monkeypatch.setattr(cli, "gram_mc_direct", off_by(0.0, imag=1e-300))
+    assert not _selftest_entry("mc-direct-even-vs-exact")["passed"]
+
+
 def test_selftest_with_zero_tolerance_reports_failures(tmp_path):
     out = tmp_path / "report.json"
     code = main(["selftest", "--psd-tol", "0", "--out", str(out), "--quiet"])
@@ -582,10 +656,12 @@ def test_verify_rp_reports_overflowing_weights(tmp_path):
         },
     )
     out = tmp_path / "report.json"
-    assert main(["verify-rp", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    # an unusable estimate is not a verified failure: exit 3, not 1
+    assert main(["verify-rp", "--config", cfg, "--out", str(out), "--quiet"]) == 3
     report = load_report(out)
     assert report["failure_reasons"] == ["ill-conditioned-weights"]
     assert report["checks"]["gram_direct"] is None
+    assert (report["verdict"], report["exit_code"]) == ("inconclusive", 3)
 
 
 def test_summary_names_the_verdict_and_the_failure_reasons(tmp_path, capsys):

@@ -10,6 +10,7 @@ from rplattice import (
     eval_potential,
     eval_potential_batch,
     eval_potential_exact,
+    is_even,
     phi4,
     potential_from_obj,
     potential_to_obj,
@@ -172,6 +173,32 @@ def test_phi4_splits_with_positive_half_witness():
     assert result.is_splitting
     want = Potential(tuple(Term(-lam, ((h, 4),)) for h in range(lat.n_plus)), 0.0)
     assert result.witness_g == want
+
+
+def test_evenness_counts_the_total_degree_of_each_term():
+    lat = build_lattice(2, [4])
+    density = phi4(lat, 0.1)
+    assert is_even(density) and is_even(ZERO_POTENTIAL)
+    assert is_even(split_check(lat, density).witness_g)
+    # the constant does not count, and a term is even by its total degree
+    assert is_even(Potential((Term(-1.0, ((0, 1), (3, 1))), Term(2.0, ((1, 2),))), 5.0))
+    # one odd term makes a density odd, and the G of its split too
+    plus, minus = lat.index_of([1, 0]), lat.index_of([-1, 0])
+    cubic = Potential((Term(1e-3, ((plus, 3),)), Term(1e-3, ((minus, 3),))))
+    odd = canonicalize(Potential(density.terms + cubic.terms))
+    assert not is_even(odd)
+    assert not is_even(split_check(lat, odd).witness_g)
+    assert not is_even(Potential((Term(2.0, ((0, 1), (1, 2))),), 1.0))
+
+
+def test_even_potentials_evaluate_to_the_same_bits_at_minus_the_field():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        p = random_potential(rng, 6)
+        even = Potential(tuple(t for t in p.terms if sum(pw for _, pw in t.factors) % 2 == 0), p.constant)
+        assert is_even(even)
+        x = rng.standard_normal((64, 6))
+        assert np.array_equal(eval_potential_batch(even, x), eval_potential_batch(even, -x))
 
 
 def test_cross_plane_coupling_is_mixed_support():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import threading
 import warnings
@@ -37,7 +38,7 @@ from rplattice import (
     split_check,
     theta_inner,
 )
-from rplattice import rp_verify
+from rplattice import cli, rp_verify
 from rplattice.rp_verify import _stable_below
 
 
@@ -399,7 +400,7 @@ HUGE_CONSTANT = {"terms": [], "constant": 1416.0}
     [("direct", HUGE_QUADRATIC), ("factorized", HUGE_QUADRATIC), ("factorized", HUGE_CONSTANT)],
     ids=["direct", "factorized", "factorized-constant"],
 )
-def test_huge_finite_weights_raise_instead_of_overflowing_the_moments(estimator, density):
+def test_huge_finite_weights_raise_instead_of_overflowing_the_moments(estimator, density, tmp_path):
     lat = build_lattice(2, [2])
     cov = free_field_covariance(lat, 1.0)
     f = potential_from_obj(lat, density)
@@ -412,6 +413,15 @@ def test_huge_finite_weights_raise_instead_of_overflowing_the_moments(estimator,
                 gram_mc_direct(cov, lat, f, phis, params)
             else:
                 gram_mc_factorized(decompose_pq(cov, lat), split_check(lat, f).witness_g, phis, params)
+    # through verify-rp the unusable estimate exits 3, not 1: it is not a verified failure
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "lattice": {"time_extent": 2, "spatial_extents": [2]},
+        "covariance": {"kind": "free_field", "mass": 1.0},
+        "density": density,
+        "mc": {"n_samples": 2000, "seed": 0, "n_outer": 200, "n_inner": 20},
+    }), encoding="utf-8")
+    assert cli.main(["verify-rp", "--config", str(cfg), "--quiet"]) == 3
 
 
 def test_hermiticity_gap_is_within_noise():
@@ -521,25 +531,69 @@ def test_gram_report_wire_format_keys():
 
 
 def test_bootstrap_stability_mechanics():
-    # all chunks agree: a negative mean is a stable fail
-    steady = [np.array([[-1.0 + 0j]]) for _ in range(40)]
-    assert _stable_below([1] * 40, steady, threshold=-0.5, seed=0)
-    # one catastrophic chunk drives the mean negative, but resamples that
-    # miss it sit at zero: the sign is not stable
-    spiky = [np.array([[0.0 + 0j]]) for _ in range(9)] + [np.array([[-100.0 + 0j]])]
-    assert not _stable_below([1] * 10, spiky, threshold=-1.0, seed=0)
+    # complex chunk sums, and the real ones of an even density's estimate
+    for unit in (1.0 + 0j, 1.0):
+        # all chunks agree: a negative mean is a stable fail
+        steady = [np.array([[-1.0 * unit]]) for _ in range(40)]
+        assert _stable_below([1] * 40, steady, threshold=-0.5, seed=0)
+        # one catastrophic chunk drives the mean negative, but resamples that
+        # miss it sit at zero: the sign is not stable
+        spiky = [np.array([[0.0 * unit]]) for _ in range(9)] + [np.array([[-100.0 * unit]])]
+        assert not _stable_below([1] * 10, spiky, threshold=-1.0, seed=0)
+    # a real 2x2 chunk sum with eigenvalues 1 and -1 in every chunk
+    swing = [np.array([[0.0, 1.0], [1.0, 0.0]]) for _ in range(20)]
+    assert _stable_below([1] * 20, swing, threshold=-0.5, seed=0)
 
 
 def test_verdict_rule_constants():
     assert {PASS, FAIL, INCONCLUSIVE} == {"pass", "fail", "inconclusive"}
 
 
+# An odd term whose weight exp(1e-300 x) rounds to 1: the zero density's draws and
+# estimate, taken through the complex path of a density with an odd term.
+ODD_UNIT_WEIGHT = Potential((Term(1e-300, ((1, 1),)),))
+
+
 def test_unstable_fail_is_downgraded_to_inconclusive():
     lat = build_lattice(1, [])
-    rep = gram_mc_direct(two_site_cov(-0.5), lat, ZERO_POTENTIAL, TWO_SITE_PHIS, McParams(8192, seed=0))
+    cov, params = two_site_cov(-0.5), McParams(8192, seed=0)
+    rep = gram_mc_direct(cov, lat, ODD_UNIT_WEIGHT, TWO_SITE_PHIS, params)
+    assert np.iscomplexobj(rep.matrix)
     # the estimate fails the 5-sigma gate, but its sign does not survive the bootstrap
     assert rep.min_eigenvalue < -rep.tol - 5.0 * rep.eig_error_bound
     assert rep.verdict == INCONCLUSIVE
+    # the zero density is even: the same draws, without the imaginary part's noise in
+    # the standard errors, give a gate the bootstrap confirms
+    even = gram_mc_direct(cov, lat, ZERO_POTENTIAL, TWO_SITE_PHIS, params)
+    assert even.eig_error_bound < rep.eig_error_bound
+    assert even.verdict == FAIL
+
+
+@pytest.mark.parametrize("estimator", ["direct", "factorized-independent"])
+def test_real_part_stderr_matches_the_spread_over_seeds(estimator):
+    # criterion 4 at small counts: the standard error of each real entry, whose imaginary
+    # part is no longer estimated, must not understate the spread of that entry over seeds
+    lat = build_lattice(2, [4])
+    cov = free_field_covariance(lat, 1.0)
+    density = phi4(lat, 0.1)
+    phis = random_test_functions(lat, 4, seed=2024)
+    pq = decompose_pq(cov, lat)
+    witness = split_check(lat, density).witness_g
+    reports = []
+    for seed in range(20):
+        if estimator == "direct":
+            reports.append(gram_mc_direct(cov, lat, density, phis, McParams(4096, seed=seed)))
+        else:
+            params = McParams(1, seed=seed, n_outer=128, n_inner=16, share_inner=False)
+            reports.append(gram_mc_factorized(pq, witness, phis, params))
+    assert all(np.isrealobj(rep.matrix) for rep in reports)
+    spread = np.stack([rep.matrix for rep in reports]).std(axis=0, ddof=1)
+    stderr = np.median(np.stack([rep.stderr for rep in reports]), axis=0)
+    ratio = spread / stderr
+    # within a factor of 2 over all 25 entries; hermitizing averages the off-diagonal
+    # pairs, so only the diagonal has a floor
+    assert ratio.max() <= 2.0, ratio
+    assert np.diag(ratio).min() >= 0.5, ratio
 
 
 def test_factorized_estimator_accepts_covariance_invariant_within_tolerance():

@@ -60,6 +60,29 @@ def test_chunk_moments_match_a_direct_reference(p_kind, q_kind):
         np.testing.assert_allclose(chunk_sum, x[start:start + count].sum(axis=0), rtol=1e-12)
 
 
+def test_real_chunks_of_two_products_match_a_direct_reference():
+    # x = a c + b d, materialized here and never by the accumulator
+    a, b = (sample_factor("real", k=3, seed=seed) for seed in (5, 7))
+    c, d = (sample_factor("real", k=4, seed=seed) for seed in (6, 8))
+    x = a[:, :, np.newaxis] * c[:, np.newaxis, :] + b[:, :, np.newaxis] * d[:, np.newaxis, :]
+    moments = ChunkMoments()
+    start = 0
+    for count in SPLIT:
+        rows = slice(start, start + count)
+        moments.add_real(a[rows], b[rows], c[rows], d[rows])
+        start += count
+    mean, stderr = moments.mean_and_stderr()
+
+    assert mean.dtype == stderr.dtype == np.float64
+    np.testing.assert_allclose(mean, x.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(stderr, np.sqrt(x.var(axis=0, ddof=1) / x.shape[0]), rtol=1e-12)
+    assert moments.counts == list(SPLIT)
+    starts = np.cumsum((0,) + SPLIT[:-1])
+    for start, count, chunk_sum in zip(starts, SPLIT, moments.sums):
+        assert chunk_sum.dtype == np.float64
+        np.testing.assert_allclose(chunk_sum, x[start:start + count].sum(axis=0), rtol=1e-12)
+
+
 class _NoImag(np.ndarray):
     @property
     def imag(self):
@@ -70,6 +93,10 @@ def test_real_chunks_never_touch_the_imaginary_part():
     p = sample_factor("real").view(_NoImag)
     moments = ChunkMoments()
     feed(moments, p, p)
+    mean, stderr = moments.mean_and_stderr()
+    assert np.isrealobj(mean) and np.isrealobj(stderr)
+    moments = ChunkMoments()
+    moments.add_real(p, p, p, p)
     mean, stderr = moments.mean_and_stderr()
     assert np.isrealobj(mean) and np.isrealobj(stderr)
 

@@ -5,8 +5,14 @@ and sums its entries and squares along the sample axis. The complex-exp
 reference forms the factorized partial averages as the mean of
 w exp(-i phase) over 3-D batched draws. The estimators must agree with both
 to rounding, give the same verdicts, and never hold such a tensor themselves.
+For an even density the estimators accumulate only the real part, and the
+references take the real part of their tensors; for a density with an odd
+term the estimators keep the complex path, whose reports are pinned by
+digest.
 """
 
+import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -16,6 +22,8 @@ import pytest
 from rplattice import (
     Covariance,
     McParams,
+    Potential,
+    Term,
     ZERO_POTENTIAL,
     build_lattice,
     cross_block,
@@ -23,6 +31,7 @@ from rplattice import (
     free_field_covariance,
     gram_mc_direct,
     gram_mc_factorized,
+    is_even,
     phi4,
     random_test_functions,
     reflect,
@@ -31,6 +40,7 @@ from rplattice import (
     split_check,
     verify_convolution_identity,
 )
+from rplattice.density import add_potentials
 from rplattice.gaussian import iter_sample_chunks
 from rplattice.rp_verify import _OUTER_CHUNK, DEFAULT_GRAM_TOL, _finish_mc_report, _importance_weights
 from rplattice.streams import NS_FACTORIZED, NS_FIELD, ChunkMoments, chunk_counts, substream
@@ -44,18 +54,19 @@ class TensorMoments(ChunkMoments):
     def add_outer(self, p, q):
         self.add_tensor(p[:, :, np.newaxis] * q[:, np.newaxis, :])
 
+    def add_real(self, a, b, c, d):
+        self.add_tensor(a[:, :, np.newaxis] * c[:, np.newaxis, :] + b[:, :, np.newaxis] * d[:, np.newaxis, :])
+
     def add_tensor(self, x):
         parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
-        squares = [(part**2).sum(axis=0) for part in parts]
-        if self._squares is not None:
-            squares = [acc + sq for acc, sq in zip(self._squares, squares)]
-        self._squares = squares
-        self.counts.append(x.shape[0])
-        self.sums.append(x.sum(axis=0))
+        self._add(x.shape[0], x.sum(axis=0), [(part**2).sum(axis=0) for part in parts])
 
 
 def tensor_gram_mc_direct(cov, lattice, f, phis, params):
-    """gram_mc_direct with the phase exp[i(a_m - b_n)] formed per sample and entry."""
+    """gram_mc_direct with the phase exp[i(a_m - b_n)] formed per sample and entry.
+
+    For an even f only the real part of each sample's tensor is accumulated.
+    """
     phi_mat = np.stack(phis, axis=1)
     theta_mat = np.stack([reflect(lattice, p) for p in phis], axis=1)
     moments = TensorMoments()
@@ -64,18 +75,22 @@ def tensor_gram_mc_direct(cov, lattice, f, phis, params):
         a, b = block @ phi_mat, block @ theta_mat
         w = _importance_weights(f, block, "density")
         phase = a[:, :, np.newaxis] - b[:, np.newaxis, :]
-        moments.add_tensor(w[:, np.newaxis, np.newaxis] * np.exp(1j * phase))
+        x = w[:, np.newaxis, np.newaxis] * np.exp(1j * phase)
+        moments.add_tensor(x.real if is_even(f) else x)
         weight_stats.append((float(w.sum()), float(w.max())))
     return _finish_mc_report(moments, DEFAULT_GRAM_TOL, params.seed, "mc-direct", weight_stats)
 
 
 def exp_gram_mc_factorized(cov, lattice, g, phis, params):
-    """gram_mc_factorized with batched 3-D draws and an inner mean of w exp(-i phase)."""
+    """gram_mc_factorized with batched 3-D draws and an inner mean of w exp(-i phase).
+
+    For an even g the outer products conj(H_m) H_n are formed and their real part accumulated.
+    """
     pq = decompose_pq(cov, lattice)
     nh = lattice.n_plus
     h_mat = np.stack([restrict_plus(lattice, p) for p in phis], axis=1)
     root_p, root_q = pq.roots
-    moments = ChunkMoments()
+    moments = TensorMoments()
     weight_stats = []
 
     def partial_averages(rng, shared, count):
@@ -89,7 +104,10 @@ def exp_gram_mc_factorized(cov, lattice, g, phis, params):
         shared = rng.standard_normal((count, nh)) @ root_q.T
         h1 = partial_averages(rng, shared, count)
         h2 = h1 if params.share_inner else partial_averages(rng, shared, count)
-        moments.add_outer(np.conj(h1), h2)
+        if is_even(g):
+            moments.add_tensor((np.conj(h1)[:, :, np.newaxis] * h2[:, np.newaxis, :]).real)
+        else:
+            moments.add_outer(np.conj(h1), h2)
     kind = "mc-factorized-shared" if params.share_inner else "mc-factorized-independent"
     return _finish_mc_report(moments, DEFAULT_GRAM_TOL, params.seed, kind, weight_stats)
 
@@ -101,7 +119,38 @@ def criterion_4():
     return lat, free_field_covariance(lat, 1.0), density, random_test_functions(lat, 4, seed=2024)
 
 
+@pytest.fixture(scope="module")
+def odd_criterion_4(criterion_4):
+    """Criterion 4 with a mirrored cubic term: it still splits, and it is odd."""
+    lat, cov, density, phis = criterion_4
+    cubic = Potential(tuple(Term(0.05, ((lat.index_of(site), 3),)) for site in ([1, 0], [-1, 0])))
+    return lat, cov, add_potentials(density, cubic), phis
+
+
+def report_digest(report):
+    """SHA-256 of every GramReport field: array bytes, and the repr of the rest."""
+    h = hashlib.sha256()
+    for f in dataclasses.fields(report):
+        value = getattr(report, f.name)
+        h.update(f.name.encode())
+        h.update(value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode())
+    return h.hexdigest()
+
+
+# Complex-path reports of odd_criterion_4, taken before even densities got the real path
+# (numpy 2.4 with OpenBLAS 0.3.31 on x86-64; another BLAS build may round the products otherwise).
+ODD_DIRECT_DIGEST = "26800db9fc36a79814df5b2e857b9addada5445e205e2fc903ad2acd43268a54"
+ODD_FACTORIZED_DIGESTS = {
+    True: "3aa6e7d00de53c6709dc3ea424f75610e9ca5aacda56e271efd9b244fb217f42",
+    False: "cf58dbd3493971a5a72e0698661f2e5498fc532c81cbd38b927c4f182a67d492",
+}
+
+
 def assert_same_report(got, want):
+    assert np.isrealobj(got.matrix) == np.isrealobj(want.matrix)
+    if np.isrealobj(want.matrix):
+        # an even density's estimate is real: the wire's matrix_im is exactly zero
+        assert not np.any(got.to_json_dict()["matrix_im"])
     assert got.verdict == want.verdict
     assert got.n_samples == want.n_samples
     assert got.effective_sample_size == want.effective_sample_size
@@ -142,6 +191,28 @@ def test_factorized_gram_matches_the_complex_exp_kernel(criterion_4, share_inner
         gram_mc_factorized(decompose_pq(cov, lat), witness, phis, params),
         exp_gram_mc_factorized(cov, lat, witness, phis, params),
     )
+
+
+def test_odd_density_direct_gram_keeps_the_complex_path(odd_criterion_4):
+    lat, cov, density, phis = odd_criterion_4
+    assert not is_even(density)
+    params = McParams(200_000, seed=0)
+    got = gram_mc_direct(cov, lat, density, phis, params)
+    assert_same_report(got, tensor_gram_mc_direct(cov, lat, density, phis, params))
+    assert report_digest(got) == ODD_DIRECT_DIGEST
+
+
+@pytest.mark.parametrize("share_inner", [True, False], ids=["shared", "independent"])
+def test_odd_density_factorized_gram_keeps_the_complex_path(odd_criterion_4, monkeypatch, share_inner):
+    lat, cov, density, phis = odd_criterion_4
+    witness = split_check(lat, density).witness_g
+    assert not is_even(witness)
+    params = McParams(1, seed=3, n_outer=1_000, n_inner=200, share_inner=share_inner)
+    got = gram_mc_factorized(decompose_pq(cov, lat), witness, phis, params)
+    assert report_digest(got) == ODD_FACTORIZED_DIGESTS[share_inner]
+    assert_same_report(got, exp_gram_mc_factorized(cov, lat, witness, phis, params))
+    monkeypatch.setattr(rp_verify, "ChunkMoments", TensorMoments)
+    assert_same_report(got, gram_mc_factorized(decompose_pq(cov, lat), witness, phis, params))
 
 
 @pytest.mark.parametrize("share_inner", [True, False], ids=["shared", "independent"])
