@@ -10,8 +10,9 @@ the wall_time_s field.
 
 Exit codes: 0 all checks pass (or are inconclusive but consistent with a
 pass), 1 a check failed, 2 usage, config or IO error, 3 an estimate was
-unusable (ill-conditioned weights) and nothing else failed. Reports are
-strict JSON: a ratio with no finite value is written as null.
+unusable (ill-conditioned weights) and nothing else failed, 4 an internal
+error (an unexpected exception, named in one line on stderr).
+Reports are strict JSON: a ratio with no finite value is written as null.
 """
 
 import argparse
@@ -27,6 +28,7 @@ import numpy as np
 from . import __version__
 from .density import (
     Potential,
+    Term,
     ZERO_POTENTIAL,
     potential_from_obj,
     potential_to_obj,
@@ -504,10 +506,16 @@ def cmd_selftest(psd_tol=DEFAULT_PSD_TOL):
     same = same and all(got.passed == want.passed for got, want in pairs)
     entry("exact-momentum-vs-dense", same and gap <= MOMENTUM_FLOOR_TOL, gap, MOMENTUM_FLOOR_TOL)
 
-    # the zero density is even: a real estimate, within 5 sigma of the closed form
-    phis = random_test_functions(lat, 3, 7)
-    direct = gram_mc_direct(cov, lat, ZERO_POTENTIAL, phis, McParams(20_000, seed=7))
-    delta = np.abs(direct.matrix - gram_exact_gaussian(cov, lat, phis, psd_tol).matrix)
+    # the quadratic density -(q/2) sum_x T_x^2 splits and is even, and it weights the Gaussian
+    # into the Gaussian of covariance C (I + qC)^-1 and mass det(I + qC)^(-1/2): a real
+    # estimate, within 5 sigma of that closed form
+    q, phis = 0.2, random_test_functions(lat, 3, 7)
+    quadratic = Potential(tuple(Term(-q / 2, ((x, 2),)) for x in range(lat.site_count)))
+    shifted = np.eye(cov.dim) + q * cov.matrix
+    weighted = np.linalg.solve(shifted, cov.matrix)
+    closed = gram_exact_gaussian(Covariance((weighted + weighted.T) / 2.0), lat, phis, psd_tol).matrix
+    direct = gram_mc_direct(cov, lat, quadratic, phis, McParams(20_000, seed=7))
+    delta = np.abs(direct.matrix - closed * np.linalg.det(shifted) ** -0.5)
     real = not np.any(direct.to_json_dict()["matrix_im"])
     within = bool((delta <= 5.0 * direct.stderr).all())
     # entries with stderr 0 count 0 sigma here; within fails them unless they are exact
@@ -587,8 +595,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:
+        # a bug, not a verdict: never exit 1, the code of a verified failure
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
+
+
+def _run(args):
     started = time.perf_counter()
     try:
         if args.command == "selftest":

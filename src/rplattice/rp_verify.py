@@ -10,7 +10,8 @@ Three estimators produce GramReports:
 
 * exact Gaussian entries from the covariance quadratic form,
 * a direct Monte Carlo average of exp[i T(phi_m - theta phi_n)] weighted by
-  exp of the interaction density, and
+  exp of the interaction density, with the exact Gaussian entries as a
+  control variate (so the estimate is exact at zero density), and
 * a two-level factorized estimator that integrates partial averages H_m over
   the independent half-draw against the shared draw. With shared inner
   samples every outer draw contributes a rank-one Hermitian matrix, so the
@@ -37,8 +38,10 @@ from .density import check_sites, eval_potential_batch, is_even
 from .gaussian import char_fn, iter_sample_chunks, warn_unless_invariant
 from .lattice import _as_site_vector, as_int, embed_plus, positive_support, reflect, restrict_plus
 from .streams import (
+    CHUNK_SIZE,
     NS_BOOTSTRAP,
     NS_FACTORIZED,
+    NS_PILOT,
     NS_TESTFN,
     ChunkMoments,
     chunk_counts,
@@ -198,17 +201,21 @@ def small_lambda_probe(cov, lattice, phi, lambdas):
     return out
 
 
+def _char_fn_gram(cov, phis, thetas):
+    """The real matrix cf(phi_m - theta phi_n) of the centred Gaussian, one entry at a time."""
+    m = np.zeros((len(phis), len(thetas)))
+    for i, phi in enumerate(phis):
+        for j, theta in enumerate(thetas):
+            m[i, j] = char_fn(cov, np.asarray(phi, dtype=np.float64) - theta)
+    return m
+
+
 def gram_exact_gaussian(cov, lattice, phis, tol=DEFAULT_GRAM_TOL):
     """Exact Gaussian Gram matrix; entries are closed-form, stderr is zero."""
     require_positive_support(lattice, phis)
     warn_unless_invariant(cov, lattice, "the Gram matrix does not test reflection positivity")
     k = len(phis)
-    thetas = [reflect(lattice, phi) for phi in phis]
-    m = np.zeros((k, k), dtype=np.complex128)
-    for i in range(k):
-        for j in range(k):
-            d = np.asarray(phis[i], dtype=np.float64) - thetas[j]
-            m[i, j] = char_fn(cov, d)
+    m = _char_fn_gram(cov, phis, [reflect(lattice, phi) for phi in phis]).astype(np.complex128)
     check = psd_check(m, tol)
     return GramReport(
         matrix=(m + np.conj(m.T)) / 2.0,
@@ -241,7 +248,7 @@ def _stable_below(counts, sums, threshold, seed):
     return below >= math.ceil(_STABLE_FRACTION * _N_BOOTSTRAP)
 
 
-def _finish_mc_report(moments, tol, seed, kind, weight_stats):
+def _finish_mc_report(moments, tol, seed, kind, weight_stats, offset=None):
     # effective sample size sum(w)/max(w) from per-batch (sum, max) of the weights
     w_sum = sum(s for s, _ in weight_stats)
     w_max = max(m for _, m in weight_stats)
@@ -249,12 +256,17 @@ def _finish_mc_report(moments, tol, seed, kind, weight_stats):
         mean, stderr = moments.mean_and_stderr()
     if not (np.isfinite(mean).all() and np.isfinite(stderr).all()):
         raise IllConditionedWeightsError(f"the weighted moments of the {kind} estimate overflowed")
+    sums = moments.sums
+    if offset is not None:
+        # a control variate's known mean, also in each chunk sum for the bootstrap
+        mean = mean + offset
+        sums = [s + count * offset for count, s in zip(moments.counts, sums)]
     k = mean.shape[0]
     herm_gap = float(np.abs(mean - np.conj(mean.T)).max())
     eig_error_bound = float(k * stderr.max()) if stderr.size else 0.0
     check = psd_check(mean, tol, eig_error_bound)
     verdict = check.verdict
-    if verdict == FAIL and not _stable_below(moments.counts, moments.sums, check.threshold, seed):
+    if verdict == FAIL and not _stable_below(moments.counts, sums, check.threshold, seed):
         verdict = INCONCLUSIVE
     return GramReport(
         matrix=(mean + np.conj(mean.T)) / 2.0,
@@ -283,36 +295,45 @@ def _importance_weights(potential, configs, what):
 def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
     """Direct Monte Carlo Gram estimate for the density-weighted measure.
 
-    M[m, n] = (1/n) sum_k exp[i T_k(phi_m) - i T_k(theta phi_n) + F(T_k)]
-    over field draws T_k from the Gaussian base measure. The weights
-    w = exp F are used raw (no normalization); their effective sample size
+    M[m, n] = E[w exp(i(a_m - b_n))] over field draws T from the Gaussian
+    base measure, with w = exp F(T), a = T(phi) and b = T(theta phi). The
+    samples (w - beta) exp(i(a_m - b_n)) are averaged and beta G0 is added,
+    G0 being the closed-form Gaussian Gram (a control variate, Glasserman
+    2003, sec. 4.1); beta, the mean weight of an independent pilot, keeps
+    the estimate unbiased, and at zero density it is G0 exactly. The weights
+    are used raw (no normalization); their effective sample size
     sum(w)/max(w) is reported as a degeneracy diagnostic.
 
     The base measure is centred, so for an even f the estimate is real in
-    expectation; only its real part, w cos(a_m - b_n), is accumulated.
+    expectation; only its real part is accumulated.
     """
     require_positive_support(lattice, phis)
     even = is_even(f)
+    thetas = [reflect(lattice, p) for p in phis]
     phi_mat = np.stack([np.asarray(p, dtype=np.float64) for p in phis], axis=1)
-    theta_mat = np.stack([reflect(lattice, p) for p in phis], axis=1)
+    theta_mat = np.stack(thetas, axis=1)
 
     moments = ChunkMoments()
     weight_stats = []
     # huge but finite weights overflow the sums; _finish_mc_report rejects what is not finite
     with np.errstate(over="ignore", invalid="ignore"):
+        n_pilot = min(params.n_samples, CHUNK_SIZE)
+        pilot = substream(params.seed, NS_PILOT, 0).standard_normal((n_pilot, cov.dim)) @ cov.factor.T
+        beta = float(_importance_weights(f, pilot, "density").mean())
         for _, block in iter_sample_chunks(cov, params.n_samples, params.seed):
             a = block @ phi_mat
             b = block @ theta_mat
             w = _importance_weights(f, block, "density")
+            v = (w - beta)[:, np.newaxis]
             if even:
                 # cos(a_m - b_n) = cos a_m cos b_n + sin a_m sin b_n: two real outer products
-                w_col = w[:, np.newaxis]
-                moments.add_real(w_col * np.cos(a), w_col * np.sin(a), np.cos(b), np.sin(b))
+                moments.add_real(v * np.cos(a), v * np.sin(a), np.cos(b), np.sin(b))
             else:
                 # exp[i(a_m - b_n)] = exp(i a_m) exp(-i b_n): one outer product per sample
-                moments.add_outer(w[:, np.newaxis] * np.exp(1j * a), np.exp(-1j * b))
+                moments.add_outer(v * np.exp(1j * a), np.exp(-1j * b))
             weight_stats.append((float(w.sum()), float(w.max())))
-    return _finish_mc_report(moments, tol, params.seed, "mc-direct", weight_stats)
+    offset = beta * _char_fn_gram(cov, phis, thetas)
+    return _finish_mc_report(moments, tol, params.seed, "mc-direct", weight_stats, offset)
 
 
 def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):

@@ -17,6 +17,7 @@ NS_FIELD = 0
 NS_FACTORIZED = 1
 NS_TESTFN = 2
 NS_BOOTSTRAP = 3
+NS_PILOT = 4
 
 
 def substream(seed, namespace, chunk_index):

@@ -664,6 +664,48 @@ def test_verify_rp_reports_overflowing_weights(tmp_path):
     assert (report["verdict"], report["exit_code"]) == ("inconclusive", 3)
 
 
+def _raise_in_the_estimator(*args, **kwargs):
+    raise RuntimeError("estimator bug")
+
+
+RUNAWAY_DENSITY = {
+    "terms": [{"coefficient": 1000, "factors": [{"site": [t], "power": 2}]} for t in (1, -1)],
+    "constant": 0,
+}
+# name -> (config overrides, or None for a missing config; estimator patch; exit code; stderr)
+EXIT_CASES = {
+    "missing-config": (None, None, 2, "error: cannot read config "),
+    "malformed-value": ({"mc": {"n_samples": "1000"}}, None, 2, "error: mc.n_samples must be an integer"),
+    "ill-conditioned-weights": ({"density": RUNAWAY_DENSITY}, None, 3, ""),
+    "internal-error": ({}, _raise_in_the_estimator, 4, "internal error: RuntimeError('estimator bug')"),
+}
+
+
+@pytest.mark.parametrize("overrides, patch, code, err", EXIT_CASES.values(), ids=EXIT_CASES.keys())
+def test_exit_codes_keep_errors_apart_from_verified_failures(tmp_path, capsys, monkeypatch, overrides, patch, code, err):
+    cfg = str(tmp_path / "missing.json")
+    if overrides is not None:
+        base = {
+            "lattice": {"time_extent": 1, "spatial_extents": []},
+            "covariance": {"kind": "free_field", "mass": 1.0},
+            "density": {"terms": [], "constant": 0},
+            "mc": {"n_samples": 1_000, "seed": 0, "n_outer": 64, "n_inner": 16},
+        }
+        cfg = write_config(tmp_path / "cfg.json", {**base, **overrides})
+    if patch is not None:
+        monkeypatch.setattr(cli, "gram_mc_direct", patch)
+    out = tmp_path / "report.json"
+    assert main(["verify-rp", "--config", cfg, "--out", str(out), "--quiet"]) == code
+    stderr = capsys.readouterr().err
+    if err:
+        # one line, and no report: nothing was verified
+        assert stderr.startswith(err) and stderr.count("\n") == 1, stderr
+        assert not out.exists()
+    else:
+        report = load_report(out)
+        assert stderr == "" and (report["exit_code"], report["verdict"]) == (code, "inconclusive")
+
+
 def test_summary_names_the_verdict_and_the_failure_reasons(tmp_path, capsys):
     write_matrix_csv(tmp_path / "cov.csv", np.array([[1.0, -0.5], [-0.5, 1.0]]))
     failing = write_config(

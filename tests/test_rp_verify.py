@@ -556,17 +556,32 @@ ODD_UNIT_WEIGHT = Potential((Term(1e-300, ((1, 1),)),))
 
 def test_unstable_fail_is_downgraded_to_inconclusive():
     lat = build_lattice(1, [])
-    cov, params = two_site_cov(-0.5), McParams(8192, seed=0)
-    rep = gram_mc_direct(cov, lat, ODD_UNIT_WEIGHT, TWO_SITE_PHIS, params)
-    assert np.iscomplexobj(rep.matrix)
-    # the estimate fails the 5-sigma gate, but its sign does not survive the bootstrap
-    assert rep.min_eigenvalue < -rep.tol - 5.0 * rep.eig_error_bound
-    assert rep.verdict == INCONCLUSIVE
-    # the zero density is even: the same draws, without the imaginary part's noise in
-    # the standard errors, give a gate the bootstrap confirms
-    even = gram_mc_direct(cov, lat, ZERO_POTENTIAL, TWO_SITE_PHIS, params)
-    assert even.eig_error_bound < rep.eig_error_bound
-    assert even.verdict == FAIL
+    params = McParams(8192, seed=0)
+    # unit weights make the control variate's coefficient 1 exactly: the estimate is the
+    # closed form, with no error, and its sign is a stable fail on either path
+    exact = gram_exact_gaussian(two_site_cov(-0.5), lat, TWO_SITE_PHIS)
+    for density in (ODD_UNIT_WEIGHT, ZERO_POTENTIAL):
+        rep = gram_mc_direct(two_site_cov(-0.5), lat, density, TWO_SITE_PHIS, params)
+        assert np.iscomplexobj(rep.matrix) == (density is ODD_UNIT_WEIGHT)
+        assert np.array_equal(rep.matrix, exact.matrix)
+        assert not rep.stderr.any() and rep.eig_error_bound == 0.0
+        assert rep.verdict == FAIL
+
+    # weights that vary: the even quadratic density exp(-0.1 (x_-1^2 + x_1^2)) on the
+    # two-site c = -0.067 covariance, whose exact smallest Gram eigenvalue is -0.01153.
+    # At 16384 draws (8 bootstrap chunks) the gate -5 * eig_error_bound sits near -0.0110,
+    # about one standard deviation of the estimated eigenvalue (5.3e-4) above the exact
+    # one: most estimates fall below the gate by less than the spread of their resamples
+    quadratic = Potential(tuple(Term(-0.1, ((x, 2),)) for x in range(2)))
+    reports = [
+        gram_mc_direct(two_site_cov(-0.067), lat, quadratic, TWO_SITE_PHIS, McParams(16_384, seed=seed))
+        for seed in range(10)
+    ]
+    downgraded = [rep for rep in reports if rep.verdict == INCONCLUSIVE]
+    assert downgraded
+    for rep in downgraded:
+        # the estimate fails the 5-sigma gate, but its sign does not survive the bootstrap
+        assert rep.min_eigenvalue < -rep.tol - 5.0 * rep.eig_error_bound
 
 
 @pytest.mark.parametrize("estimator", ["direct", "factorized-independent"])

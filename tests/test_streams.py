@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rplattice.streams import ChunkMoments, chunk_counts
+from rplattice import streams
+from rplattice.streams import CHUNK_SIZE, NS_FIELD, NS_PILOT, ChunkMoments, chunk_counts, substream
 
 SPLIT = (2048, 2048, 17)
 
@@ -29,6 +30,20 @@ def test_chunk_counts_cover_the_range():
     for bad in (0, -1, 2.5, True, "8"):
         with pytest.raises(ValueError, match="sample count"):
             list(chunk_counts(bad))
+
+
+def test_namespaces_are_distinct():
+    namespaces = {name: value for name, value in vars(streams).items() if name.startswith("NS_")}
+    assert len(namespaces) >= 5
+    assert len(set(namespaces.values())) == len(namespaces), namespaces
+
+
+def test_the_pilot_draws_apart_from_the_field():
+    # the direct estimator's control-variate coefficient must not reuse chunk 0 of its draws
+    for seed in (0, 7, -1):
+        pilot = substream(seed, NS_PILOT, 0).standard_normal((CHUNK_SIZE, 4))
+        field = substream(seed, NS_FIELD, 0).standard_normal((CHUNK_SIZE, 4))
+        assert not np.isin(pilot, field).any()
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,11 @@ and sums its entries and squares along the sample axis. The complex-exp
 reference forms the factorized partial averages as the mean of
 w exp(-i phase) over 3-D batched draws. The estimators must agree with both
 to rounding, give the same verdicts, and never hold such a tensor themselves.
-For an even density the estimators accumulate only the real part, and the
-references take the real part of their tensors; for a density with an odd
-term the estimators keep the complex path, whose reports are pinned by
-digest.
+The direct reference takes the same pilot coefficient and the same known mean
+of its control variate, the latter from its own closed form. For an even
+density the estimators accumulate only the real part, and the references
+take the real part of their tensors; for a density with an odd term the
+estimators keep the complex path, whose reports are pinned by digest.
 """
 
 import dataclasses
@@ -43,7 +44,7 @@ from rplattice import (
 from rplattice.density import add_potentials
 from rplattice.gaussian import iter_sample_chunks
 from rplattice.rp_verify import _OUTER_CHUNK, DEFAULT_GRAM_TOL, _finish_mc_report, _importance_weights
-from rplattice.streams import NS_FACTORIZED, NS_FIELD, ChunkMoments, chunk_counts, substream
+from rplattice.streams import CHUNK_SIZE, NS_FACTORIZED, NS_FIELD, NS_PILOT, ChunkMoments, chunk_counts, substream
 
 RTOL = 1e-12
 
@@ -65,20 +66,27 @@ class TensorMoments(ChunkMoments):
 def tensor_gram_mc_direct(cov, lattice, f, phis, params):
     """gram_mc_direct with the phase exp[i(a_m - b_n)] formed per sample and entry.
 
-    For an even f only the real part of each sample's tensor is accumulated.
+    Each sample is the control variate (w - beta) exp[i(a_m - b_n)], with beta the mean
+    weight of the pilot chunk; beta G0 is added back, where G0[m, n] = exp(-d^T C d / 2)
+    for d = phi_m - theta phi_n is formed for all k^2 differences at once. For an even f
+    only the real part of each sample's tensor is accumulated.
     """
     phi_mat = np.stack(phis, axis=1)
     theta_mat = np.stack([reflect(lattice, p) for p in phis], axis=1)
+    pilot = substream(params.seed, NS_PILOT, 0).standard_normal((min(params.n_samples, CHUNK_SIZE), cov.dim))
+    beta = _importance_weights(f, pilot @ cov.factor.T, "density").mean()
+    d = phi_mat[:, :, np.newaxis] - theta_mat[:, np.newaxis, :]
+    g0 = np.exp(-0.5 * np.einsum("imn,ij,jmn->mn", d, cov.matrix, d))
     moments = TensorMoments()
     weight_stats = []
     for _, block in iter_sample_chunks(cov, params.n_samples, params.seed):
         a, b = block @ phi_mat, block @ theta_mat
         w = _importance_weights(f, block, "density")
         phase = a[:, :, np.newaxis] - b[:, np.newaxis, :]
-        x = w[:, np.newaxis, np.newaxis] * np.exp(1j * phase)
+        x = (w - beta)[:, np.newaxis, np.newaxis] * np.exp(1j * phase)
         moments.add_tensor(x.real if is_even(f) else x)
         weight_stats.append((float(w.sum()), float(w.max())))
-    return _finish_mc_report(moments, DEFAULT_GRAM_TOL, params.seed, "mc-direct", weight_stats)
+    return _finish_mc_report(moments, DEFAULT_GRAM_TOL, params.seed, "mc-direct", weight_stats, beta * g0)
 
 
 def exp_gram_mc_factorized(cov, lattice, g, phis, params):
@@ -137,9 +145,10 @@ def report_digest(report):
     return h.hexdigest()
 
 
-# Complex-path reports of odd_criterion_4, taken before even densities got the real path
-# (numpy 2.4 with OpenBLAS 0.3.31 on x86-64; another BLAS build may round the products otherwise).
-ODD_DIRECT_DIGEST = "26800db9fc36a79814df5b2e857b9addada5445e205e2fc903ad2acd43268a54"
+# Complex-path reports of odd_criterion_4 (numpy 2.4 with OpenBLAS 0.3.31 on x86-64; another
+# BLAS build may round the products otherwise). The factorized ones were taken before even
+# densities got the real path, the direct one when it got its control variate.
+ODD_DIRECT_DIGEST = "e784227009c6af297f3281628c77324f7f694b9500834bbc71c7abc29bfc7eca"
 ODD_FACTORIZED_DIGESTS = {
     True: "3aa6e7d00de53c6709dc3ea424f75610e9ca5aacda56e271efd9b244fb217f42",
     False: "cf58dbd3493971a5a72e0698661f2e5498fc532c81cbd38b927c4f182a67d492",
