@@ -506,6 +506,12 @@ def cmd_selftest(psd_tol=DEFAULT_PSD_TOL):
     same = same and all(got.passed == want.passed for got, want in pairs)
     entry("exact-momentum-vs-dense", same and gap <= MOMENTUM_FLOOR_TOL, gap, MOMENTUM_FLOOR_TOL)
 
+    # free-field draws through the real Fourier basis against the same normals times the dense factor
+    small = free_field_covariance(build_lattice(2, [5, 4]), 0.5)  # two momenta per axis, and k = L/2
+    want = np.random.default_rng(7).standard_normal((256, small.dim)) @ small.factor.T
+    dev = float(np.abs(small.draw(np.random.default_rng(7), 256) - want).max() / np.abs(want).max())
+    entry("sampler-momentum-vs-dense", dev <= 1e-14, dev, 1e-14)
+
     # the quadratic density -(q/2) sum_x T_x^2 splits and is even, and it weights the Gaussian
     # into the Gaussian of covariance C (I + qC)^-1 and mass det(I + qC)^(-1/2): a real
     # estimate, within 5 sigma of that closed form

@@ -21,20 +21,21 @@ the factorized Gram estimator integrates against.
 
 The free field's covariance (-laplacian + mass^2)^-1 is built without any
 N x N linear algebra: spatial translations block-diagonalise the operator
-into one 2T x 2T matrix per spatial momentum, so C and a sampling factor
-of the same translation-invariant form come from 2T columns each, in
-O(N^2) time and memory. The Covariance keeps C's column table, and the
-exact checks decide such a C per spatial momentum: B, c_p = A - B and c_q
-are block-diagonal in momentum too, so their spectra, and the PSD square
-roots of c_p and c_q, come from batched eigensolves of T x T blocks, and
-the invariance check and the split read the table. Explicit covariances
-take the dense path, which stays the oracle.
+into one 2T x 2T matrix K_k per spatial momentum k, so C comes from 2T
+columns in O(N^2) time and memory, and its draws from roots R_k with
+R_k R_k^T = K_k^-1, applied in the real Fourier basis of the spatial axes
+without an N x N factor. The Covariance keeps C's column table and the
+R_k, and the exact checks decide such a C per spatial momentum: B,
+c_p = A - B and c_q are block-diagonal in momentum too, so their spectra,
+and the PSD square roots of c_p and c_q, come from batched eigensolves of
+T x T blocks, and the invariance check and the split read the table.
+Explicit covariances take the dense path, which stays the oracle.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -49,31 +50,31 @@ DEFAULT_INVARIANCE_TOL = 1e-12
 class Covariance:
     """Symmetric PSD matrix over lattice sites; immutable after construction.
 
-    Symmetry must hold exactly as stored. The sampling factor F with
-    F F^T = matrix is held read-only beside it, so a Covariance keeps 2 N^2
-    doubles for its whole life. F comes one of two ways, chosen by what the
-    caller holds:
+    Symmetry must hold exactly as stored. draw() samples the measure, one of
+    two ways, chosen by what the caller holds:
 
-    * Column tables, through from_columns: C and a trusted F of the same
-      translation-invariant form are expanded from their 2T columns per
-      spatial momentum, and the table of C is kept read-only as columns.
-      free_field_covariance builds C this way, so a free-field C is never
-      diagonalised, and the exact checks below decide it per spatial
-      momentum.
-    * Otherwise from one eigh of matrix, which also gates positive
-      semidefiniteness up to psd_tolerance relative to the spectral norm.
-      The gate reads the eigenvalues of that eigh, not of a separate
-      eigvalsh; only a matrix whose smallest eigenvalue lies within rounding
-      of the threshold can tell the two apart.
+    * Column tables, through from_columns: C is expanded from its 2T columns
+      per spatial momentum, and the table is kept read-only as columns
+      beside the momentum roots R_k. free_field_covariance builds C this
+      way, so a free-field C is never diagonalised, the exact checks below
+      decide it per spatial momentum, and draw() applies the R_k in the real
+      Fourier basis of the spatial axes. The N x N sampling factor is
+      expanded only when factor is read.
+    * Otherwise the factor F with F F^T = matrix comes from one eigh of
+      matrix, which also gates positive semidefiniteness up to psd_tolerance
+      relative to the spectral norm. The gate reads the eigenvalues of that
+      eigh, not of a separate eigvalsh; only a matrix whose smallest
+      eigenvalue lies within rounding of the threshold can tell the two apart.
 
-    columns is None on the second way. Like factor, it is not part of the
-    value, and dataclasses.replace, which takes the second way, drops it.
+    columns and momentum_roots are None on the second way. Like factor, they
+    are not part of the value, and dataclasses.replace, which takes the
+    second way, drops them.
     """
 
     matrix: np.ndarray
     psd_tolerance: float = DEFAULT_PSD_TOL
-    factor: np.ndarray = field(init=False, repr=False, compare=False)
     columns: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    momentum_roots: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -85,22 +86,24 @@ class Covariance:
         # factor the caller's array before copying it, so the factorization's
         # workspace and the copy are never alive together
         factor = _psd_factor(m, tol, "covariance")
-        self._hold(np.array(m), factor, tol, None)
+        self._hold(tol, matrix=np.array(m), factor=factor)
 
     @classmethod
-    def from_columns(cls, columns, root_columns, psd_tolerance=DEFAULT_PSD_TOL):
-        """The covariance C[(t, x), (s, y)] = columns[x - y, t, s] with factor F from root_columns alike.
+    def from_columns(cls, columns, momentum_roots, psd_tolerance=DEFAULT_PSD_TOL):
+        """The covariance C[(t, x), (s, y)] = columns[x - y, t, s], drawn through momentum_roots.
 
         Both tables have shape (*spatial_extents, 2T, 2T) and lay C out on the
-        lattice of shape (2T, *spatial_extents). The caller vouches that
-        F F^T = C up to rounding; F is not factored or gated here. The checks
-        run on the tables: columns[d, t, s] == columns[-d, s, t], which holds
-        exactly when C is symmetric, and a finite root table, which holds
-        exactly when F is finite. matrix and factor are expanded here, so the
-        Covariance owns them without a copy; columns is copied.
+        lattice of shape (2T, *spatial_extents); momentum_roots[k] is a root
+        R_k of C's 2T x 2T block at spatial momentum k. The caller vouches
+        that R_k R_k^T is that block up to rounding; it is not factored or
+        gated here. The checks run on the tables: columns[d, t, s] ==
+        columns[-d, s, t], which holds exactly when C is symmetric, and
+        finite roots, exactly even under k -> -k on every axis as the real
+        basis of draw() needs. matrix is expanded here, so the Covariance
+        owns it without a copy; both tables are copied.
         """
         cols = np.array(columns, dtype=np.float64)
-        roots = np.asarray(root_columns, dtype=np.float64)
+        roots = np.array(momentum_roots, dtype=np.float64)
         if cols.ndim < 3 or cols.shape[-1] != cols.shape[-2]:
             raise ValueError(f"column table must have shape (*extents, n, n), got {cols.shape}")
         if roots.shape != cols.shape:
@@ -109,18 +112,17 @@ class Covariance:
             raise ValueError("covariance must be exactly symmetric as stored")
         if not np.isfinite(roots).all():
             raise ValueError("root must be finite")
+        if not all(np.array_equal(roots, roots.take(-np.arange(n) % n, a)) for a, n in enumerate(cols.shape[:-2])):
+            raise ValueError("momentum roots must be even under k -> -k on every axis")
         tol = _checked_tolerance(psd_tolerance)
         cov = cls.__new__(cls)
-        cov._hold(_translates(cols), _translates(roots), tol, cols)
+        cov._hold(tol, matrix=_translates(cols), columns=cols, momentum_roots=roots)
         return cov
 
-    def _hold(self, matrix, factor, tol, columns):
-        for array in (matrix, factor, columns):
-            if array is not None:
-                array.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "columns", columns)
+    def _hold(self, tol, **arrays):
+        for name, array in arrays.items():  # a factor given here fills the cached property
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "psd_tolerance", tol)
 
     def __eq__(self, other):
@@ -131,6 +133,41 @@ class Covariance:
     @property
     def dim(self):
         return self.matrix.shape[0]
+
+    @cached_property
+    def factor(self):
+        """Read-only F with F F^T = matrix; a column table's F[(t, x), (s, y)] = ifftn(R)[x - y, t, s] on first read."""
+        roots = self.momentum_roots
+        factor = _translates(np.fft.ifftn(roots, axes=tuple(range(roots.ndim - 2))).real)
+        factor.setflags(write=False)
+        return factor
+
+    @cached_property
+    def _modes(self):
+        """The real Fourier basis E of the spatial axes, and R_k^T for the momentum k of each column."""
+        bases, momenta = zip(*map(_real_fourier_basis, self.momentum_roots.shape[:-2]))
+        roots = self.momentum_roots[np.ix_(*momenta)]
+        return reduce(np.kron, bases), np.ascontiguousarray(roots.reshape(-1, *roots.shape[-2:]).swapaxes(-1, -2))
+
+    def draw(self, rng, count):
+        """A fresh (count, dim) array x = z F^T for z = rng.standard_normal((count, dim)).
+
+        A column table's F is one R_k per column of the real Fourier basis E:
+        E^T z^T into x (z viewed as (count * 2T, S)), each column's slice
+        times its R_k^T into z, and that times E^T into x: 2N(2S + 2T) flops
+        per draw instead of 2N^2, in z and x alone. x then moves from
+        z @ factor.T at rounding.
+        """
+        z = rng.standard_normal((count, self.dim))
+        if self.momentum_roots is None:
+            return z @ self.factor.T
+        basis, roots_t = self._modes
+        spatial, times = basis.shape[0], roots_t.shape[-1]
+        x = np.empty((count, self.dim))  # holds E^T z^T until the last product overwrites it
+        modes = np.matmul(basis.T, z.reshape(count * times, spatial).T, out=x.reshape(spatial, count * times))
+        mixed = np.matmul(modes.reshape(spatial, count, times), roots_t, out=z.reshape(spatial, count, times))
+        np.matmul(mixed.reshape(spatial, count * times).T, basis.T, out=x.reshape(count * times, spatial))
+        return x
 
 
 def _checked_tolerance(tol):
@@ -268,10 +305,10 @@ def free_field_covariance(lattice, mass, psd_tolerance=DEFAULT_PSD_TOL):
     transform of K_k^-1, refined once against the operator applied as a
     stencil. Symmetrising c under (t, s, d) <-> (s, t, -d) and under theta
     makes C exactly symmetric, reflection invariant and translation invariant.
-    The sampling factor F[(t, x), (s, y)] = f[x - y, t, s] comes from
-    R_k R_k^T = K_k^-1 the same way, so F F^T = C up to rounding; no N x N
-    matrix is inverted, factored or multiplied. A mass too small for the
-    operator to be positive definite in binary64 is an error.
+    The Covariance keeps the roots R_k R_k^T = K_k^-1 and draws through them,
+    so its draws have covariance C up to rounding; no N x N matrix is
+    inverted, factored or multiplied. A mass too small for the operator to
+    be positive definite in binary64 is an error.
     """
     mass = as_float(mass, "mass")
     # NaN fails every comparison; a mass whose square overflows would give C = 0
@@ -306,7 +343,7 @@ def free_field_covariance(lattice, mass, psd_tolerance=DEFAULT_PSD_TOL):
     # time-flipped table exactly reflection invariant; each keeps the other
     cols = (cols + _transposed(cols)) / 2.0
     cols = (cols + cols[..., ::-1, ::-1]) / 2.0
-    return Covariance.from_columns(cols, np.fft.ifftn(roots, axes=axes).real, psd_tolerance)
+    return Covariance.from_columns(cols, roots, psd_tolerance)
 
 
 def _site_degrees(lattice):
@@ -353,6 +390,21 @@ def _transposed(cols):
     for axis, n in enumerate(cols.shape[:-2]):
         out = out.take(-np.arange(n) % n, axis=axis)
     return out
+
+
+def _real_fourier_basis(n):
+    """Columns of an orthonormal real basis of R^n, and the momentum 0 <= k <= n/2 of each.
+
+    1/sqrt(n); sqrt(2/n) cos and sin of 2 pi k x / n for 0 < k < n/2; and
+    (-1)^x / sqrt(n) for even n. Each is an eigenvector, with eigenvalue
+    lambda_k, of every circulant whose spectrum satisfies lambda_k = lambda_-k.
+    """
+    x, k = np.arange(n), np.arange(1, (n + 1) // 2)
+    angles = 2.0 * np.pi * (np.outer(x, k) % n) / n
+    columns = [np.full((n, 1), 1.0 / math.sqrt(n)), math.sqrt(2.0 / n) * np.cos(angles), math.sqrt(2.0 / n) * np.sin(angles)]
+    if n % 2:
+        return np.hstack(columns), np.concatenate([[0], k, k])
+    return np.hstack(columns + [((-1.0) ** x / math.sqrt(n))[:, np.newaxis]]), np.concatenate([[0], k, k, [n // 2]])
 
 
 def _translates(cols):
@@ -584,22 +636,22 @@ def _psd_factor(matrix, psd_tolerance, what):
 
 
 def iter_sample_chunks(cov, n, seed):
-    """Yield (chunk_index, block) of standard Gaussian field draws.
+    """Yield (chunk_index, block) of Gaussian field draws, each block cov.draw of its substream.
 
     Chunk k is a pure function of (seed, k); see streams. Concatenating the
     blocks in index order gives exactly sample(cov, n, seed).configs.
     """
     for k, count in chunk_counts(n):
-        z = substream(seed, NS_FIELD, k).standard_normal((count, cov.dim))
-        yield k, z @ cov.factor.T
+        yield k, cov.draw(substream(seed, NS_FIELD, k), count)
 
 
 def sample(cov, n, seed):
     """Draw n independent mean-zero field configurations with covariance C.
 
     Deterministic given (n, seed, site ordering): the same call always
-    returns bit-identical samples. configs is a fresh array owned by the
-    sample; a single chunk's block is returned without a copy.
+    returns bit-identical samples, whatever the BLAS thread count. configs
+    is a fresh array owned by the sample; a single chunk's block is
+    returned without a copy. See Covariance.draw for how a block is drawn.
     """
     blocks = [block for _, block in iter_sample_chunks(cov, n, seed)]
     configs = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
@@ -627,8 +679,8 @@ def verify_convolution_identity(pq, n_samples=100_000, seed=0):
     for k, count in chunk_counts(n_samples):
         rng = substream(seed, NS_FIELD, k)
         shared = rng.standard_normal((count, half)) @ root_q.T
-        y = rng.standard_normal((2 * count, half)) @ root_p.T
-        y = (y.reshape(count, 2, half) + shared[:, np.newaxis]).reshape(count, 2 * half)
+        y = (rng.standard_normal((2 * count, half)) @ root_p.T).reshape(count, 2 * half)
+        y.reshape(count, 2, half)[...] += shared[:, np.newaxis]
         second += y.T @ y
     delta = np.abs(second / n_samples - target)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -318,7 +318,7 @@ def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
     # huge but finite weights overflow the sums; _finish_mc_report rejects what is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         n_pilot = min(params.n_samples, CHUNK_SIZE)
-        pilot = substream(params.seed, NS_PILOT, 0).standard_normal((n_pilot, cov.dim)) @ cov.factor.T
+        pilot = cov.draw(substream(params.seed, NS_PILOT, 0), n_pilot)
         beta = float(_importance_weights(f, pilot, "density").mean())
         for _, block in iter_sample_chunks(cov, params.n_samples, params.seed):
             a = block @ phi_mat

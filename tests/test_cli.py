@@ -504,6 +504,14 @@ def test_selftest_checks_an_even_direct_estimate_against_the_closed_form(monkeyp
     assert not _selftest_entry("mc-direct-even-vs-exact")["passed"]
 
 
+def test_selftest_checks_free_field_draws_against_the_dense_factor(monkeypatch):
+    entry = _selftest_entry("sampler-momentum-vs-dense")
+    assert entry["passed"] and 0.0 < entry["measured"] <= entry["gate"] == 1e-14
+    draw = gaussian.Covariance.draw
+    monkeypatch.setattr(gaussian.Covariance, "draw", lambda cov, rng, count: draw(cov, rng, count) * (1.0 + 1e-13))
+    assert not _selftest_entry("sampler-momentum-vs-dense")["passed"]
+
+
 def test_selftest_with_zero_tolerance_reports_failures(tmp_path):
     out = tmp_path / "report.json"
     code = main(["selftest", "--psd-tol", "0", "--out", str(out), "--quiet"])

@@ -1,11 +1,16 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rplattice import (
     Covariance,
+    McParams,
     build_lattice,
     char_fn,
     check_gaussian_rp,
@@ -14,6 +19,9 @@ from rplattice import (
     decompose_pq,
     embed_plus,
     free_field_covariance,
+    gram_mc_direct,
+    phi4,
+    random_test_functions,
     reflect,
     sample,
     theta_inner,
@@ -278,13 +286,13 @@ def _assert_momentum_path_matches_dense(cov, lat):
     return rp
 
 
+FREE_FIELD_LATTICES = [(1, []), (3, []), (2, [1]), (2, [2]), (2, [3]), (1, [2, 3]), (2, [3, 2]), (3, [1, 4])]
+FREE_FIELD_IDS = ["time-T1", "time-T3", "extent-1", "extent-2-double-link", "extent-3", "multi-axis",
+                  "multi-axis-T2", "extent-1-and-4"]
+
+
 @pytest.mark.parametrize("mass", [0.1, 0.5, 1.3])
-@pytest.mark.parametrize(
-    "time_extent, extents",
-    [(1, []), (3, []), (2, [1]), (2, [2]), (2, [3]), (1, [2, 3]), (2, [3, 2]), (3, [1, 4])],
-    ids=["time-T1", "time-T3", "extent-1", "extent-2-double-link", "extent-3", "multi-axis",
-         "multi-axis-T2", "extent-1-and-4"],
-)
+@pytest.mark.parametrize("time_extent, extents", FREE_FIELD_LATTICES, ids=FREE_FIELD_IDS)
 def test_free_field_decided_per_momentum_matches_the_dense_decision(time_extent, extents, mass):
     lat = build_lattice(time_extent, extents)
     rp = _assert_momentum_path_matches_dense(free_field_covariance(lat, mass), lat)
@@ -292,12 +300,9 @@ def test_free_field_decided_per_momentum_matches_the_dense_decision(time_extent,
 
 
 def _table_covariance(lat, mass, edit):
-    """A free field's column and root tables, edited in place by edit(cols, roots), as a Covariance."""
+    """A free field's column table and momentum roots, edited in place by edit(cols, roots), as a Covariance."""
     free = free_field_covariance(lat, mass)
-    cols = free.columns.copy()
-    times, spatial = lat.shape[0], lat.site_count // lat.shape[0]
-    # the root table is column y = 0 of the factor: f[x, t, s] = F[(t, x), (s, 0)]
-    roots = np.array(free.factor.reshape(times, spatial, times, spatial)[..., 0].transpose(1, 0, 2)).reshape(cols.shape)
+    cols, roots = free.columns.copy(), free.momentum_roots.copy()
     edit(cols, roots)
     return Covariance.from_columns(cols, roots)
 
@@ -311,7 +316,7 @@ def test_negated_cross_entries_fail_on_both_paths(time_extent, extents):
     def negate_cross_entries(cols, roots):
         cols[..., :half, half:] *= -1.0
         cols[..., half:, :half] *= -1.0
-        roots[..., :half, :] *= -1.0
+        roots[..., :half, :] *= -1.0  # D R_k with D = -1 on negative times: (D R_k)(D R_k)^T = D K_k^-1 D
 
     cov = _table_covariance(lat, 0.5, negate_cross_entries)
     assert np.abs(cov.factor @ cov.factor.T - cov.matrix).max() <= 1e-14
@@ -656,10 +661,21 @@ def test_samples_are_bitwise_draws_times_the_standalone_factor():
     _assert_draws_are_bitwise(cov, covariance_factor(cov.matrix, cov.psd_tolerance), 5000, 11)
 
 
-def test_free_field_samples_are_bitwise_draws_times_the_factor():
+def _assert_draws_are_near(cov, factor, n, seed, rel=1e-14):
+    # a column table draws per momentum, which moves x from z @ factor.T at rounding
+    configs = sample(cov, n, seed=seed).configs
+    start = 0
+    for k, count in chunk_counts(n):
+        want = substream(seed, NS_FIELD, k).standard_normal((count, cov.dim)) @ factor.T
+        assert np.abs(configs[start:start + count] - want).max() <= rel * np.abs(want).max()
+        start += count
+    assert start == configs.shape[0]
+
+
+def test_free_field_samples_are_draws_times_the_factor_to_rounding():
     lat = build_lattice(2, [3])
     cov = free_field_covariance(lat, 0.9)
-    _assert_draws_are_bitwise(cov, cov.factor, 5000, 11)
+    _assert_draws_are_near(cov, cov.factor, 5000, 11)
     # the factor is translation invariant, F[(t, x), (s, y)] = f[x - y, t, s], as C is
     blocks = cov.factor.reshape(*lat.shape, *lat.shape)
     assert np.array_equal(np.roll(np.roll(blocks, 1, 1), 1, 3), blocks)
@@ -669,7 +685,7 @@ def test_free_field_samples_are_bitwise_draws_times_the_factor():
 def test_sample_configs_are_fresh_owned_and_writable(n):
     # one chunk is returned as drawn, more are concatenated; either way the caller owns the block
     cov = free_field_covariance(build_lattice(2, [3]), 0.9)
-    _assert_draws_are_bitwise(cov, cov.factor, n, 3)
+    _assert_draws_are_near(cov, cov.factor, n, 3)
     a, b = sample(cov, n, seed=3).configs, sample(cov, n, seed=3).configs
     assert a.flags.owndata and a.flags.writeable and a.flags.c_contiguous
     assert not np.shares_memory(a, b)
@@ -684,6 +700,59 @@ def test_free_field_and_two_samples_factor_once_without_eigh(count_linalg):
     # per-momentum 2T x 2T work only: one batched Cholesky and the inverse of its factor
     assert [name for name, _ in calls] == ["cholesky", "inv"]
     assert all(shape[-2:] == (4, 4) for _, shape in calls)
+
+
+@pytest.mark.parametrize("mass", [0.1, 0.5, 1.3])
+@pytest.mark.parametrize(
+    "time_extent, extents", FREE_FIELD_LATTICES + [(3, [5])], ids=FREE_FIELD_IDS + ["extent-5-T3"]
+)
+def test_free_field_draws_per_momentum_match_the_dense_factor(time_extent, extents, mass):
+    # every momentum pairing of the real basis shows in one chunk and across a chunk boundary
+    cov = free_field_covariance(build_lattice(time_extent, extents), mass)
+    _assert_draws_are_near(cov, cov.factor, 2049, 5)
+
+
+def test_free_field_sampling_and_direct_gram_never_expand_the_factor(count_linalg):
+    lat = build_lattice(2, [3])
+    phis = random_test_functions(lat, 3, seed=4)
+    calls = count_linalg()
+    cov = free_field_covariance(lat, 0.9)
+    sample(cov, 3000, seed=2)
+    gram_mc_direct(cov, lat, phi4(lat, 0.1), phis, McParams(3000, seed=1))
+    assert "factor" not in vars(cov)
+    # the batched Cholesky and its inverse, then only the k x k Gram spectra of the verdict
+    assert [name for name, _ in calls if name != "eigvalsh"] == ["cholesky", "inv"]
+    k = len(phis)
+    assert all(shape[-2:] == (k, k) for name, shape in calls if name == "eigvalsh")
+
+
+def test_momentum_roots_must_be_even_on_every_axis():
+    cov = free_field_covariance(build_lattice(2, [3, 4]), 0.9)
+    # one momentum at a time, and k = (1, 1) with -k = (2, 3): even jointly, not per axis
+    for indices in ([(1, 0)], [(0, 1)], [(1, 1)], [(1, 1), (2, 3)]):
+        odd = cov.momentum_roots.copy()
+        for index in indices:
+            odd[index] *= 1.0 + 1e-12
+        with pytest.raises(ValueError, match="even under k -> -k"):
+            Covariance.from_columns(cov.columns, odd)
+    halves = cov.momentum_roots.copy()
+    halves[(0, 2)] *= 2.0  # k = L/2 is its own negative, so any value there stays even
+    Covariance.from_columns(cov.columns, halves)
+
+
+def test_sample_bytes_do_not_depend_on_the_blas_thread_count():
+    # at N=1024 the basis GEMMs are large enough for OpenBLAS to split them over threads
+    script = "import hashlib; from rplattice import *; " + (
+        "print(hashlib.sha256(sample(free_field_covariance(build_lattice(4, [8, 16]), 0.5), 2500, 3).configs).hexdigest())"
+    )
+    src = str(Path(gaussian.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1
 
 
 def test_explicit_covariance_diagonalises_once(count_linalg):
@@ -709,12 +778,14 @@ def test_precision_factor_is_as_close_to_c_as_c_is_to_the_inverse(time_extent, e
 def test_root_is_neither_kept_nor_part_of_the_value():
     lat = build_lattice(2, [3])
     cov = free_field_covariance(lat, 0.9)
-    assert not cov.factor.flags.writeable
+    # a column table expands its factor only when it is read
+    assert "factor" not in vars(cov)
+    assert not cov.factor.flags.writeable and "factor" in vars(cov)
     with pytest.raises(ValueError):
         cov.factor[0, 0] = 1.0
     assert "factor" not in repr(cov) and "root" not in repr(cov)
-    assert "root" not in vars(cov)
-    assert [f.name for f in dataclasses.fields(cov)] == ["matrix", "psd_tolerance", "factor", "columns"]
+    assert "root" not in vars(cov) and not cov.momentum_roots.flags.writeable
+    assert [f.name for f in dataclasses.fields(cov)] == ["matrix", "psd_tolerance", "columns", "momentum_roots"]
     # equality goes by matrix and tolerance, whichever way the factor came
     assert Covariance.from_columns([[[4.0]]], [[[2.0]]]) == Covariance(np.array([[4.0]]))
     given = np.array([[[2.0]]])

@@ -147,8 +147,9 @@ def report_digest(report):
 
 # Complex-path reports of odd_criterion_4 (numpy 2.4 with OpenBLAS 0.3.31 on x86-64; another
 # BLAS build may round the products otherwise). The factorized ones were taken before even
-# densities got the real path, the direct one when it got its control variate.
-ODD_DIRECT_DIGEST = "e784227009c6af297f3281628c77324f7f694b9500834bbc71c7abc29bfc7eca"
+# densities got the real path, the direct one when free-field draws moved to the real
+# Fourier basis of the spatial axes.
+ODD_DIRECT_DIGEST = "2181a3e943f75fb1b5a933e40582833a7fef0e2bc381d2dc104013658083f9ad"
 ODD_FACTORIZED_DIGESTS = {
     True: "3aa6e7d00de53c6709dc3ea424f75610e9ca5aacda56e271efd9b244fb217f42",
     False: "cf58dbd3493971a5a72e0698661f2e5498fc532c81cbd38b927c4f182a67d492",
