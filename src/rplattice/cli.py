@@ -43,10 +43,11 @@ from .gaussian import (
     cross_block,
     decompose_pq,
     free_field_covariance,
+    gaussian_polynomial_gram,
     theta_inner,
     verify_convolution_identity,
 )
-from .lattice import Lattice, as_float, as_int, build_lattice
+from .lattice import Lattice, as_float, as_int, build_lattice, reflect
 from .rp_verify import (
     FAIL,
     IllConditionedWeightsError,
@@ -511,6 +512,19 @@ def cmd_selftest(psd_tol=DEFAULT_PSD_TOL):
     want = np.random.default_rng(7).standard_normal((256, small.dim)) @ small.factor.T
     dev = float(np.abs(small.draw(np.random.default_rng(7), 256) - want).max() / np.abs(want).max())
     entry("sampler-momentum-vs-dense", dev <= 1e-14, dev, 1e-14)
+
+    # the polynomial closed form for sum_x T_x^2, whose mean against exp(iu.T) is minus twice the
+    # q-derivative at q = 0 of the quadratic density's (below): exp(-(1/2) u^T C u) (tr C - |Cu|^2)
+    test_fns = random_test_functions(lat, 3, 7)
+    phi_mat = np.stack(test_fns, axis=1)
+    theta_mat = np.stack([reflect(lat, p) for p in test_fns], axis=1)
+    d = phi_mat[:, :, np.newaxis] - theta_mat[:, np.newaxis, :]
+    shifts = np.einsum("xy,ymn->xmn", cov.matrix, d)
+    want = np.exp(-0.5 * (d * shifts).sum(axis=0)) * (np.trace(cov.matrix) - (shifts * shifts).sum(axis=0))
+    squares = Potential(tuple(Term(1.0, ((x, 2),)) for x in range(lat.site_count)))
+    got = gaussian_polynomial_gram(cov, phi_mat, theta_mat, squares)
+    dev = float(np.abs(got - want).max() / np.abs(want).max())
+    entry("gaussian-polynomial-closed-form", dev <= 1e-12, dev, 1e-12)
 
     # the quadratic density -(q/2) sum_x T_x^2 splits and is even, and it weights the Gaussian
     # into the Gaussian of covariance C (I + qC)^-1 and mass det(I + qC)^(-1/2): a real

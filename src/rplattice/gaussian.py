@@ -30,15 +30,21 @@ c_p = A - B and c_q are block-diagonal in momentum too, so their spectra,
 and the PSD square roots of c_p and c_q, come from batched eigensolves of
 T x T blocks, and the invariance check and the split read the table.
 Explicit covariances take the dense path, which stays the oracle.
+
+gaussian_polynomial_gram gives the Gram entries E[exp(i(a_m - b_n)) P(T)]
+of a polynomial P in closed form, by Isserlis' theorem; P = 1 gives the
+Gaussian Gram itself.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
+from .density import check_sites, is_even
 from .lattice import Lattice, as_float, reflect, restrict_plus, positive_support, _as_site_vector
 from .streams import NS_FIELD, chunk_counts, substream
 
@@ -438,6 +444,66 @@ def char_fn(cov, phi):
         raise ValueError(f"test function has shape {phi.shape}, covariance is {cov.dim}x{cov.dim}")
     q = float(phi @ cov.matrix @ phi)
     return float(np.exp(-0.5 * q))
+
+
+def gaussian_polynomial_gram(cov, phi_mat, theta_mat, p):
+    """The k x k matrix E[exp(i(a_m - b_n)) P(T)] of the centred Gaussian, in closed form.
+
+    a_m = T(phi_m) and b_n = T(theta_n) for the k columns phi_m of phi_mat
+    and theta_n of theta_mat, and P is a Potential over the covariance's
+    sites. With u = phi_m - theta_n and v = Cu, completing the square gives
+
+        E[exp(iu.T) P(T)] = exp(-(1/2) u^T C u) E[P(Y + iv)],   Y ~ N(0, C).
+
+    Each factor (Y_x + i v_x)^p expands binomially, and the mixed moments of
+    Y follow from Isserlis' theorem, by Wick recursion over the multiset of
+    sites. C Phi and C Theta are the only products with C, so all k^2
+    shifts are exact at once, with no sampling. The matrix is real when
+    every term of P has even degree and complex otherwise; the constant
+    polynomial 1 gives the Gaussian Gram G0 = exp(-(1/2) u^T C u).
+    """
+    c = cov.matrix
+    phi_mat = np.asarray(phi_mat, dtype=np.float64)
+    theta_mat = np.asarray(theta_mat, dtype=np.float64)
+    check_sites(p, cov.dim, f"a covariance of {cov.dim} sites")
+    c_phi, c_theta = c @ phi_mat, c @ theta_mat
+    # u^T C u = phi^T C phi + theta^T C theta - 2 phi^T C theta, C being exactly symmetric
+    phi_norms, theta_norms = (phi_mat * c_phi).sum(axis=0), (theta_mat * c_theta).sum(axis=0)
+    quad = phi_norms[:, np.newaxis] + theta_norms - 2.0 * (phi_mat.T @ c_theta)
+    g0 = np.exp(-0.5 * quad)
+
+    @cache
+    def moment(sites):
+        # E[Y_s1 ... Y_sj] for a sorted tuple of sites: pair the first with each of the others
+        if len(sites) % 2:
+            return 0.0
+        if not sites:
+            return 1.0
+        first, rest = sites[0], sites[1:]
+        return sum(
+            rest.count(s) * c[first, s] * moment(rest[:j] + rest[j + 1:])
+            for j, s in enumerate(rest)
+            if j == 0 or s != rest[j - 1]
+        )
+
+    # the even-degree terms of E[P(Y + iv)] are real, the odd-degree ones imaginary
+    parts = [np.full(g0.shape, p.constant), np.zeros(g0.shape)]
+    for term in p.terms:
+        sites, powers = zip(*term.factors)
+        shifts = c_phi[list(sites)][:, :, np.newaxis] - c_theta[list(sites)][:, np.newaxis, :]
+        for taken in itertools.product(*(range(power + 1) for power in powers)):
+            m = moment(tuple(s for s, j in zip(sites, taken) for _ in range(j)))
+            if m == 0.0:
+                continue
+            left = sum(powers) - sum(taken)  # the power of i
+            x = term.coefficient * m * (-1) ** (left // 2) * math.prod(map(math.comb, powers, taken))
+            for shift, power, j in zip(shifts, powers, taken):
+                if power > j:
+                    x = x * shift ** (power - j)
+            parts[left % 2] += x
+    if is_even(p):
+        return g0 * parts[0]
+    return g0 * (parts[0] + 1j * parts[1])
 
 
 def check_theta_invariance(cov, lattice, tol=DEFAULT_INVARIANCE_TOL):

@@ -10,8 +10,10 @@ Three estimators produce GramReports:
 
 * exact Gaussian entries from the covariance quadratic form,
 * a direct Monte Carlo average of exp[i T(phi_m - theta phi_n)] weighted by
-  exp of the interaction density, with the exact Gaussian entries as a
-  control variate (so the estimate is exact at zero density), and
+  exp of the interaction density F, with two control variates whose means
+  are exact Gaussian expectations: the unweighted phase, whose mean is the
+  exact Gaussian entry (so the estimate is exact at zero density), and F
+  times the phase, whose mean is a Gaussian-polynomial closed form, and
 * a two-level factorized estimator that integrates partial averages H_m over
   the independent half-draw against the shared draw. With shared inner
   samples every outer draw contributes a rank-one Hermitian matrix, so the
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import check_sites, eval_potential_batch, is_even
-from .gaussian import char_fn, iter_sample_chunks, warn_unless_invariant
+from .density import Potential, check_sites, eval_potential_batch, is_even
+from .gaussian import char_fn, gaussian_polynomial_gram, iter_sample_chunks, warn_unless_invariant
 from .lattice import _as_site_vector, as_int, embed_plus, positive_support, reflect, restrict_plus
 from .streams import (
     CHUNK_SIZE,
@@ -58,6 +60,7 @@ _OUTER_CHUNK = 64
 _SUB_BLOCK = 16
 _N_BOOTSTRAP = 200
 _STABLE_FRACTION = 0.99
+_ONE = Potential(constant=1.0)
 
 
 class IllConditionedWeightsError(RuntimeError):
@@ -201,13 +204,10 @@ def small_lambda_probe(cov, lattice, phi, lambdas):
     return out
 
 
-def _char_fn_gram(cov, phis, thetas):
-    """The real matrix cf(phi_m - theta phi_n) of the centred Gaussian, one entry at a time."""
-    m = np.zeros((len(phis), len(thetas)))
-    for i, phi in enumerate(phis):
-        for j, theta in enumerate(thetas):
-            m[i, j] = char_fn(cov, np.asarray(phi, dtype=np.float64) - theta)
-    return m
+def _phase_matrices(lattice, phis):
+    """The test functions phi_m and their reflections theta phi_m as the columns of two N x k matrices."""
+    phi_mat = np.stack([np.asarray(p, dtype=np.float64) for p in phis], axis=1)
+    return phi_mat, np.stack([reflect(lattice, p) for p in phis], axis=1)
 
 
 def gram_exact_gaussian(cov, lattice, phis, tol=DEFAULT_GRAM_TOL):
@@ -215,7 +215,7 @@ def gram_exact_gaussian(cov, lattice, phis, tol=DEFAULT_GRAM_TOL):
     require_positive_support(lattice, phis)
     warn_unless_invariant(cov, lattice, "the Gram matrix does not test reflection positivity")
     k = len(phis)
-    m = _char_fn_gram(cov, phis, [reflect(lattice, phi) for phi in phis]).astype(np.complex128)
+    m = gaussian_polynomial_gram(cov, *_phase_matrices(lattice, phis), _ONE).astype(np.complex128)
     check = psd_check(m, tol)
     return GramReport(
         matrix=(m + np.conj(m.T)) / 2.0,
@@ -283,48 +283,66 @@ def _finish_mc_report(moments, tol, seed, kind, weight_stats, offset=None):
     )
 
 
-def _importance_weights(potential, configs, what):
-    """exp of the potential at each configuration, raw and unnormalized."""
+def _importance_weights(values, what):
+    """exp of the potential's values at the configurations, raw and unnormalized."""
     with np.errstate(over="ignore"):
-        w = np.exp(eval_potential_batch(potential, configs))
+        w = np.exp(values)
     if not np.all(np.isfinite(w)):
         raise IllConditionedWeightsError(f"exp of the {what} overflowed while weighting samples")
     return w
+
+
+def _control_coefficients(f_values, weights):
+    """b1, b2 of the regression of the weights on F, by centred dot products.
+
+    b2 is 0 when F does not vary (or its spread underflows), so a zero or
+    constant density keeps b1 = mean weight exactly.
+    """
+    f_mean = f_values.mean()
+    centred = f_values - f_mean
+    spread = centred @ centred
+    b2 = float(centred @ weights / spread) if f_values.max() > f_values.min() and spread > 0 else 0.0
+    return float(weights.mean() - b2 * f_mean), b2
 
 
 def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
     """Direct Monte Carlo Gram estimate for the density-weighted measure.
 
     M[m, n] = E[w exp(i(a_m - b_n))] over field draws T from the Gaussian
-    base measure, with w = exp F(T), a = T(phi) and b = T(theta phi). The
-    samples (w - beta) exp(i(a_m - b_n)) are averaged and beta G0 is added,
-    G0 being the closed-form Gaussian Gram (a control variate, Glasserman
-    2003, sec. 4.1); beta, the mean weight of an independent pilot, keeps
-    the estimate unbiased, and at zero density it is G0 exactly. The weights
-    are used raw (no normalization); their effective sample size
-    sum(w)/max(w) is reported as a degeneracy diagnostic.
+    base measure, with w = exp F(T), a = T(phi) and b = T(theta phi). Two
+    control variates with closed-form means take out most of the variance
+    (the regression estimator of Glasserman 2003, sec. 4.1.2):
+    exp(i(a_m - b_n)), whose mean is the Gaussian Gram G0, and
+    F(T) exp(i(a_m - b_n)), whose mean G1 gaussian_polynomial_gram gives
+    exactly. The samples (w - b1 - b2 F) exp(i(a_m - b_n)) are averaged
+    and b1 G0 + b2 G1 is added. b2, the regression slope of w on F, and
+    b1 = mean w - b2 mean F come from an independent pilot, which keeps the
+    estimate unbiased; F is evaluated once per draw, and w is its exp. A
+    zero or constant density gives b2 = 0 and b1 the pilot's mean weight,
+    so at zero density the estimate is G0 exactly. The weights are used
+    raw (no normalization); their effective sample size sum(w)/max(w) is
+    reported as a degeneracy diagnostic.
 
     The base measure is centred, so for an even f the estimate is real in
     expectation; only its real part is accumulated.
     """
     require_positive_support(lattice, phis)
     even = is_even(f)
-    thetas = [reflect(lattice, p) for p in phis]
-    phi_mat = np.stack([np.asarray(p, dtype=np.float64) for p in phis], axis=1)
-    theta_mat = np.stack(thetas, axis=1)
+    phi_mat, theta_mat = _phase_matrices(lattice, phis)
 
     moments = ChunkMoments()
     weight_stats = []
     # huge but finite weights overflow the sums; _finish_mc_report rejects what is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         n_pilot = min(params.n_samples, CHUNK_SIZE)
-        pilot = cov.draw(substream(params.seed, NS_PILOT, 0), n_pilot)
-        beta = float(_importance_weights(f, pilot, "density").mean())
+        pilot_f = eval_potential_batch(f, cov.draw(substream(params.seed, NS_PILOT, 0), n_pilot))
+        b1, b2 = _control_coefficients(pilot_f, _importance_weights(pilot_f, "density"))
         for _, block in iter_sample_chunks(cov, params.n_samples, params.seed):
             a = block @ phi_mat
             b = block @ theta_mat
-            w = _importance_weights(f, block, "density")
-            v = (w - beta)[:, np.newaxis]
+            values = eval_potential_batch(f, block)
+            w = _importance_weights(values, "density")
+            v = (w - b1 - b2 * values)[:, np.newaxis]
             if even:
                 # cos(a_m - b_n) = cos a_m cos b_n + sin a_m sin b_n: two real outer products
                 moments.add_real(v * np.cos(a), v * np.sin(a), np.cos(b), np.sin(b))
@@ -332,8 +350,8 @@ def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
                 # exp[i(a_m - b_n)] = exp(i a_m) exp(-i b_n): one outer product per sample
                 moments.add_outer(v * np.exp(1j * a), np.exp(-1j * b))
             weight_stats.append((float(w.sum()), float(w.max())))
-    offset = beta * _char_fn_gram(cov, phis, thetas)
-    return _finish_mc_report(moments, tol, params.seed, "mc-direct", weight_stats, offset)
+    g0, g1 = (gaussian_polynomial_gram(cov, phi_mat, theta_mat, p) for p in (_ONE, f))
+    return _finish_mc_report(moments, tol, params.seed, "mc-direct", weight_stats, b1 * g0 + b2 * g1)
 
 
 def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
@@ -388,7 +406,8 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
             rows = shared[start:start + _SUB_BLOCK]
             s = rng.standard_normal((rows.shape[0], n_inner, nh)) @ root_p.T
             s += rows[:, np.newaxis, :]
-            w = _importance_weights(g, s.reshape(-1, nh), "half-density").reshape(-1, n_inner)
+            w = _importance_weights(eval_potential_batch(g, s.reshape(-1, nh)), "half-density")
+            w = w.reshape(-1, n_inner)
             weights.append(w)
             futures.append(pool.submit(partial_averages, s, w))
         weights = np.concatenate(weights)

@@ -512,6 +512,14 @@ def test_selftest_checks_free_field_draws_against_the_dense_factor(monkeypatch):
     assert not _selftest_entry("sampler-momentum-vs-dense")["passed"]
 
 
+def test_selftest_checks_the_polynomial_closed_form_against_the_quadratic_derivative(monkeypatch):
+    entry = _selftest_entry("gaussian-polynomial-closed-form")
+    assert entry["passed"] and 0.0 <= entry["measured"] <= entry["gate"] == 1e-12
+    exact = gaussian.gaussian_polynomial_gram
+    monkeypatch.setattr(cli, "gaussian_polynomial_gram", lambda *args: exact(*args) * (1.0 + 1e-11))
+    assert not _selftest_entry("gaussian-polynomial-closed-form")["passed"]
+
+
 def test_selftest_with_zero_tolerance_reports_failures(tmp_path):
     out = tmp_path / "report.json"
     code = main(["selftest", "--psd-tol", "0", "--out", str(out), "--quiet"])

@@ -19,6 +19,8 @@ from rplattice import (
     decompose_pq,
     embed_plus,
     free_field_covariance,
+    gaussian_polynomial_gram,
+    gram_exact_gaussian,
     gram_mc_direct,
     phi4,
     random_test_functions,
@@ -28,6 +30,7 @@ from rplattice import (
     verify_convolution_identity,
 )
 from rplattice import gaussian
+from rplattice.density import Potential, Term, eval_potential_batch
 from rplattice.gaussian import covariance_factor, iter_sample_chunks, symmetrized
 from rplattice.streams import NS_FIELD, chunk_counts, substream
 
@@ -947,3 +950,95 @@ def test_pq_roots_are_the_psd_square_roots_of_the_split(time_extent, extents, ma
     # c_q is rank-deficient: its root is only Hoelder-1/2 continuous at the zero eigenvalues,
     # so eigenvalues that the two routes round to ~1e-17 apart reach the roots as ~1e-8
     assert np.abs(q - q_dense).max() <= math.sqrt(1e-14 * np.abs(pq.c_q).max())
+
+
+ONE = Potential(constant=1.0)
+
+
+def _phase_problem(lat, count, seed):
+    phis = random_test_functions(lat, count, seed)
+    return phis, np.stack(phis, axis=1), np.stack([reflect(lat, p) for p in phis], axis=1)
+
+
+def _polynomial_problems():
+    lat = build_lattice(2, [4])
+    x, y, z = (lat.index_of(site) for site in ([1, 0], [-1, 0], [2, 1]))
+    return lat, {
+        "phi4": phi4(lat, 0.1),
+        # odd and even degrees of both signs, and a constant: a complex matrix
+        "odd-cubic": Potential(
+            (Term(0.3, ((x, 3),)), Term(-0.5, ((y, 1), (z, 2))), Term(0.2, ((z, 1),)), Term(-0.1, ((x, 2),))),
+            constant=0.4,
+        ),
+        # E[(Y_x + i v_x)^2 (Y_y + i v_y)] pairs Y_x with Y_y: the cross covariance C_xy
+        "two-site-product": Potential((Term(1.0, ((x, 2), (y, 1))),)),
+    }
+
+
+@pytest.mark.parametrize(
+    "cov_kind", ["free-field", "explicit"],
+)
+def test_polynomial_gram_is_the_q_derivative_of_the_quadratic_closed_form(cov_kind):
+    # d/dq at q = 0 of det(I + qC)^(-1/2) exp(-(1/2) u^T C (I + qC)^-1 u) is minus half of
+    # E[exp(iu.T) sum_x T_x^2] = exp(-(1/2) u^T C u) (tr C - |Cu|^2)
+    lat = build_lattice(2, [4])
+    cov = free_field_covariance(lat, 1.0)
+    if cov_kind == "explicit":
+        a = np.random.default_rng(3).standard_normal((lat.site_count, lat.site_count))
+        cov = Covariance(symmetrized(a @ a.T / lat.site_count))
+    _, phi_mat, theta_mat = _phase_problem(lat, 4, 2024)
+    squares = Potential(tuple(Term(1.0, ((x, 2),)) for x in range(lat.site_count)))
+    d = phi_mat[:, :, np.newaxis] - theta_mat[:, np.newaxis, :]
+    v = np.einsum("xy,ymn->xmn", cov.matrix, d)
+    want = np.exp(-0.5 * (d * v).sum(axis=0)) * (np.trace(cov.matrix) - (v * v).sum(axis=0))
+    got = gaussian_polynomial_gram(cov, phi_mat, theta_mat, squares)
+    assert np.isrealobj(got)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["phi4", "odd-cubic", "two-site-product"])
+def test_polynomial_gram_matches_monte_carlo_for_twenty_seeds(name):
+    lat, polynomials = _polynomial_problems()
+    p = polynomials[name]
+    cov = free_field_covariance(lat, 1.0)
+    _, phi_mat, theta_mat = _phase_problem(lat, 2, 2024)
+    exact = gaussian_polynomial_gram(cov, phi_mat, theta_mat, p)
+    # a real matrix exactly when every term has even degree
+    assert np.iscomplexobj(exact) == (name != "phi4")
+    if np.iscomplexobj(exact):
+        assert np.abs(exact.imag).max() > 1e-3
+    sigmas = []
+    for seed in range(20):
+        draws = cov.draw(np.random.default_rng(seed), 20_000)
+        a, b = draws @ phi_mat, draws @ theta_mat
+        phase = np.exp(1j * (a[:, :, np.newaxis] - b[:, np.newaxis, :]))
+        x = eval_potential_batch(p, draws)[:, np.newaxis, np.newaxis] * phase
+        for part, want in ((x.real, exact.real), (x.imag, np.imag(exact))):
+            delta = np.abs(part.mean(axis=0) - want)
+            stderr = part.std(axis=0, ddof=1) / math.sqrt(part.shape[0])
+            # an entry with no spread (the zero function's imaginary part) must be exact
+            assert np.all(delta[stderr == 0.0] <= 1e-15)
+            sigmas.append(float((delta[stderr > 0] / stderr[stderr > 0]).max()))
+    assert max(sigmas) <= 5.0, max(sigmas)
+
+
+def test_constant_polynomials_give_multiples_of_the_exact_gaussian_gram():
+    lat = build_lattice(2, [4])
+    cov = free_field_covariance(lat, 1.0)
+    phis, phi_mat, theta_mat = _phase_problem(lat, 4, 2024)
+    g0 = gaussian_polynomial_gram(cov, phi_mat, theta_mat, ONE)
+    assert np.array_equal(gram_exact_gaussian(cov, lat, phis).matrix, (g0 + g0.T) / 2.0)
+    # the zero function against itself: u = 0, so the entry is exp(0) = 1
+    assert g0[-1, -1] == 1.0
+    for c in (0.0, -2.5, 1e-3, 7.0):
+        got = gaussian_polynomial_gram(cov, phi_mat, theta_mat, Potential(constant=c))
+        assert np.isrealobj(got) and np.array_equal(got, c * g0)
+
+
+def test_polynomial_gram_rejects_a_site_outside_the_covariance():
+    lat = build_lattice(2, [4])
+    _, phi_mat, theta_mat = _phase_problem(lat, 2, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        gaussian_polynomial_gram(
+            free_field_covariance(lat, 1.0), phi_mat, theta_mat, Potential((Term(1.0, ((lat.site_count, 2),)),))
+        )
