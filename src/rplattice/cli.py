@@ -566,14 +566,9 @@ def _summarize(report, quiet):
             if body is None:
                 print(f"  {name:<24} SKIPPED")
                 continue
-            if "passed" in body:
-                status = "PASS" if body["passed"] else "FAIL"
-            elif "verdict" in body:
-                status = body["verdict"].upper()
-            elif "is_splitting" in body:
-                status = "PASS" if body["is_splitting"] else "FAIL"
-            else:
-                status = "?"
+            # a Gram report carries a verdict, the split is_splitting, every other check passed
+            passed = body.get("passed", body.get("is_splitting"))
+            status = body["verdict"].upper() if passed is None else "PASS" if passed else "FAIL"
             print(f"  {name:<24} {status}")
     if report["failure_reasons"]:
         print("failure reasons: " + ", ".join(report["failure_reasons"]))
@@ -596,9 +591,10 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"rplattice {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
+    def common(p, needs_config=True, takes_seed=True):
         if needs_config:
             p.add_argument("--config", required=True, help="experiment config JSON")
+        if takes_seed:
             p.add_argument("--seed", type=int, help="override the mc seed from the config")
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
@@ -606,10 +602,10 @@ def build_parser():
     cg = sub.add_parser("check-gaussian", help="exact Gaussian reflection checks")
     common(cg)
     cg.add_argument("--csv-dir", help="dump matrices as CSV into this directory")
-    common(sub.add_parser("check-density", help="splitting decision for a density"))
+    common(sub.add_parser("check-density", help="splitting decision for a density"), takes_seed=False)
     common(sub.add_parser("verify-rp", help="full pipeline incl. Monte Carlo Gram checks"))
     st = sub.add_parser("selftest", help="run the built-in oracle battery")
-    common(st, needs_config=False)
+    common(st, needs_config=False, takes_seed=False)
     st.add_argument("--psd-tol", type=_tolerance, default=DEFAULT_PSD_TOL, help="PSD gate for the battery")
     return parser
 
@@ -635,7 +631,7 @@ def _run(args):
             resolved = resolve_config(
                 raw,
                 Path(args.config).parent,
-                seed_override=args.seed,
+                seed_override=getattr(args, "seed", None),
             )
             if args.command == "check-gaussian":
                 checks, reasons = cmd_check_gaussian(resolved, csv_dir=args.csv_dir)

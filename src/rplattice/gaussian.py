@@ -86,6 +86,7 @@ class Covariance:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"covariance must be square, got shape {m.shape}")
+        _check_entries(m)
         if not np.array_equal(m, m.T):
             raise ValueError("covariance must be exactly symmetric as stored")
         tol = _checked_tolerance(self.psd_tolerance)
@@ -114,6 +115,7 @@ class Covariance:
             raise ValueError(f"column table must have shape (*extents, n, n), got {cols.shape}")
         if roots.shape != cols.shape:
             raise ValueError(f"root table must have the column table's shape {cols.shape}, got {roots.shape}")
+        _check_entries(cols)
         if not np.array_equal(cols, _transposed(cols)):
             raise ValueError("covariance must be exactly symmetric as stored")
         if not np.isfinite(roots).all():
@@ -174,6 +176,15 @@ class Covariance:
         mixed = np.matmul(modes.reshape(spatial, count, times), roots_t, out=z.reshape(spatial, count, times))
         np.matmul(mixed.reshape(spatial, count * times).T, basis.T, out=x.reshape(count * times, spatial))
         return x
+
+
+def _check_entries(m):
+    """Raise ValueError unless every entry is finite and so is 2 max|S|^2, a bound on S_ii S_jj + S_ij^2."""
+    if not np.isfinite(m).all():
+        raise ValueError("covariance entries must be finite")
+    peak = max(float(m.max(initial=0.0)), -float(m.min(initial=0.0)))
+    if not math.isfinite(2.0 * peak * peak):  # Python floats overflow to inf without a warning
+        raise ValueError(f"covariance entry of magnitude {peak:.3e} is too large: S_ii S_jj + S_ij^2 overflows")
 
 
 def _checked_tolerance(tol):

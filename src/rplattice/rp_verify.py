@@ -21,6 +21,9 @@ Three estimators produce GramReports:
   O(1/n_inner) bias; with independent inner samples the entries are
   unbiased products but the structural guarantee is lost.
 
+Both Monte Carlo estimators accumulate real chunks (streams.ChunkMoments);
+a density with an odd term puts the imaginary part in a second accumulator.
+
 Verdicts are three-valued. An estimate passes when its smallest eigenvalue
 clears -tol - 5 * eig_error_bound, where eig_error_bound is the coarse
 Frobenius-type bound K * max entrywise standard error. Below the gate the
@@ -102,9 +105,9 @@ class GramReport:
     entrywise deviation before symmetrization, a self-consistency
     diagnostic. A Monte Carlo estimate for an even density is real: its
     imaginary part vanishes in expectation and is not estimated, and stderr
-    is the standard error of the real part. Otherwise stderr combines the
-    standard errors of the real and imaginary parts per entry. It is
-    identically zero for exact entries.
+    is the standard error of the real part. Otherwise the imaginary part is
+    accumulated apart, and stderr is sqrt(se_re^2 + se_im^2) per entry.
+    It is identically zero for exact entries.
     """
 
     matrix: np.ndarray
@@ -248,15 +251,19 @@ def _stable_below(counts, sums, threshold, seed):
     return below >= math.ceil(_STABLE_FRACTION * _N_BOOTSTRAP)
 
 
-def _finish_mc_report(moments, tol, seed, kind, weight_stats, offset=None):
+def _finish_mc_report(moments, tol, seed, kind, weight_stats, offset=None, imag=None):
     # effective sample size sum(w)/max(w) from per-batch (sum, max) of the weights
     w_sum = sum(s for s, _ in weight_stats)
     w_max = max(m for _, m in weight_stats)
+    sums = moments.sums
     with np.errstate(over="ignore", invalid="ignore"):
         mean, stderr = moments.mean_and_stderr()
+        if imag is not None:
+            mean_im, stderr_im = imag.mean_and_stderr()
+            mean, stderr = mean + 1j * mean_im, np.sqrt(stderr**2 + stderr_im**2)
+            sums = [re + 1j * im for re, im in zip(sums, imag.sums)]
     if not (np.isfinite(mean).all() and np.isfinite(stderr).all()):
         raise IllConditionedWeightsError(f"the weighted moments of the {kind} estimate overflowed")
-    sums = moments.sums
     if offset is not None:
         # a control variate's known mean, also in each chunk sum for the bootstrap
         mean = mean + offset
@@ -324,13 +331,14 @@ def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
     reported as a degeneracy diagnostic.
 
     The base measure is centred, so for an even f the estimate is real in
-    expectation; only its real part is accumulated.
+    expectation; only its real part is accumulated. An odd term adds the
+    imaginary part, sin(a - b) = sin a cos b - cos a sin b, in a second one.
     """
     require_positive_support(lattice, phis)
-    even = is_even(f)
     phi_mat, theta_mat = _phase_matrices(lattice, phis)
 
     moments = ChunkMoments()
+    imag = None if is_even(f) else ChunkMoments()
     weight_stats = []
     # huge but finite weights overflow the sums; _finish_mc_report rejects what is not finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -343,15 +351,13 @@ def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
             values = eval_potential_batch(f, block)
             w = _importance_weights(values, "density")
             v = (w - b1 - b2 * values)[:, np.newaxis]
-            if even:
-                # cos(a_m - b_n) = cos a_m cos b_n + sin a_m sin b_n: two real outer products
-                moments.add_real(v * np.cos(a), v * np.sin(a), np.cos(b), np.sin(b))
-            else:
-                # exp[i(a_m - b_n)] = exp(i a_m) exp(-i b_n): one outer product per sample
-                moments.add_outer(v * np.exp(1j * a), np.exp(-1j * b))
+            vc, vs, cb, sb = v * np.cos(a), v * np.sin(a), np.cos(b), np.sin(b)
+            moments.add_real(vc, vs, cb, sb)
+            if imag is not None:
+                imag.add_real(vs, -vc, cb, sb)
             weight_stats.append((float(w.sum()), float(w.max())))
     g0, g1 = (gaussian_polynomial_gram(cov, phi_mat, theta_mat, p) for p in (_ONE, f))
-    return _finish_mc_report(moments, tol, params.seed, "mc-direct", weight_stats, b1 * g0 + b2 * g1)
+    return _finish_mc_report(moments, tol, params.seed, "mc-direct", weight_stats, b1 * g0 + b2 * g1, imag)
 
 
 def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
@@ -370,7 +376,8 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
     n_samples on the report counts outer draws. For an even g the centred
     outer draws make the estimate real in expectation, and only
     Re(conj(H_m) H_n) = Re H_m Re H_n + Im H_m Im H_n is accumulated; with
-    shared inner draws it is still PSD by construction.
+    shared inner draws it is still PSD by construction. An odd term adds
+    Im(conj(H_m) H_n) = Re H_m Im H_n - Im H_m Re H_n in a second accumulator.
 
     The calling thread consumes every stream and evaluates the half-density,
     in chunk order, so the draws and the traced layers stay on it; one worker
@@ -390,13 +397,13 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
         )
     nh = lattice.n_plus
     check_sites(g, nh, f"{nh} positive-time sites")
-    even = is_even(g)
 
     h_mat = np.stack([restrict_plus(lattice, p) for p in phis], axis=1)
     root_p, root_q = pq.roots
 
     n_inner = params.n_inner
     moments = ChunkMoments()
+    imag = None if is_even(g) else ChunkMoments()
     weight_stats = []
 
     def draw_half(rng, shared, pool):
@@ -415,26 +422,24 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
         return futures
 
     def partial_averages(s, weights):
-        # sum of w exp(-i phase) as two real weighted matvecs; divide after the sum,
-        # so equal weights over a zero phase give exactly 1
+        # sum of w exp(-i phase) as two real weighted matvecs, (re, im) with H = (re - i im) / n_inner;
+        # divide after the sum, so equal weights over a zero phase give exactly 1
         phase = s @ h_mat
         w = weights[:, np.newaxis, :]
         with np.errstate(over="ignore", invalid="ignore"):  # error state is per thread
             re, im = (w @ np.cos(phase))[:, 0, :], (w @ np.sin(phase))[:, 0, :]
-            if even:
-                # H = (re - i im) / n_inner; the sign of im cancels in Re(conj(H_m) H_n)
-                return re / n_inner, im / n_inner
-            return ((re - 1j * im) / n_inner,)
+            return re / n_inner, im / n_inner
 
     def merge(halves):
         h = [
             [np.concatenate(parts) for parts in zip(*(future.result() for future in futures))]
             for futures in halves
         ]
-        if even:
-            moments.add_real(*h[0], *h[-1])
-        else:
-            moments.add_outer(np.conj(h[0][0]), h[-1][0])
+        (re, im), (re2, im2) = h[0], h[-1]
+        # the sign of im cancels in Re(conj(H_m) H_n) and flips Im(conj(H_m) H_n) to im re2 - re im2
+        moments.add_real(re, im, re2, im2)
+        if imag is not None:
+            imag.add_real(im, -re, re2, im2)
 
     # a chunk merges once the next one is drawn, so the draws never wait for its last sub-block;
     # overflowing weighted sums are left to _finish_mc_report, as in gram_mc_direct
@@ -450,4 +455,4 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
         merge(pending)
 
     kind = "mc-factorized-shared" if params.share_inner else "mc-factorized-independent"
-    return _finish_mc_report(moments, tol, params.seed, kind, weight_stats)
+    return _finish_mc_report(moments, tol, params.seed, kind, weight_stats, imag=imag)

@@ -45,69 +45,36 @@ def chunk_counts(n, chunk_size=CHUNK_SIZE):
         done += c
 
 
-def _parts(x):
-    """The real and imaginary parts of complex input; real input on its own."""
-    return (x.real, x.imag) if np.iscomplexobj(x) else (x,)
-
-
-def _outer_squares(p, q):
-    """Sums over s of Re(p[s, m] q[s, n])**2 and, for complex input, of Im(...)**2.
-
-    With p = a + ib and q = c + id the products expand to
-    Re**2 = a2 c2 - 2 ab cd + b2 d2 and Im**2 = a2 d2 + 2 ab cd + b2 c2,
-    and each term summed over samples is one (k, count) @ (count, k) product.
-    """
-    if not (np.iscomplexobj(p) or np.iscomplexobj(q)):
-        return [(p * p).T @ (q * q)]
-    a, b, c, d = p.real, p.imag, q.real, q.imag
-    a2, b2, c2, d2 = a * a, b * b, c * c, d * d
-    cross = 2.0 * ((a * b).T @ (c * d))
-    return [a2.T @ c2 - cross + b2.T @ d2, a2.T @ d2 + cross + b2.T @ c2]
-
-
 class ChunkMoments:
-    """Running moments of samples that arrive in chunks of outer products.
+    """Running moments of real samples that arrive in chunks of outer products.
 
-    A chunk is x[s, m, n] = p[s, m] * q[s, n] (add_outer), or the real
-    a[s, m] c[s, n] + b[s, m] d[s, n] (add_real); it is never formed, so a
-    chunk costs O(count * k + k * k) memory. Keeps every chunk's count and
-    sum, for a bootstrap over chunks, and the running sums of squares of the
-    real part and, for complex input only, of the imaginary part, so real
-    input allocates no imaginary temporaries. One accumulator takes one
-    kind of chunk.
+    A chunk is x[s, m, n] = a[s, m] c[s, n] + b[s, m] d[s, n]; it is never
+    formed, so a chunk costs O(count * k + k * k) memory. Keeps every chunk's
+    count and sum, for a bootstrap over chunks, and the running sum of
+    squares. A complex estimate takes two accumulators, one for its real and
+    one for its imaginary part.
     """
 
     def __init__(self):
         self.counts = []
         self.sums = []
-        self._squares = None
-
-    def _add(self, count, chunk_sum, squares):
-        if self._squares is not None:
-            squares = [acc + sq for acc, sq in zip(self._squares, squares)]
-        self._squares = squares
-        self.counts.append(count)
-        self.sums.append(chunk_sum)
-
-    def add_outer(self, p, q):
-        """Add the chunk p[s, :, None] * q[s, None, :] from its factors of shape (count, k)."""
-        self._add(p.shape[0], p.T @ q, _outer_squares(p, q))
+        self._squares = 0.0
 
     def add_real(self, a, b, c, d):
-        """Add the real chunk a[s, :, None] c[s, None, :] + b[s, :, None] d[s, None, :].
+        """Add the chunk a[s, :, None] c[s, None, :] + b[s, :, None] d[s, None, :].
 
         The four factors are real arrays of shape (count, k); the squares
         expand to a2 c2 + 2 ab cd + b2 d2, one matrix product per term.
         """
         cross = 2.0 * ((a * b).T @ (c * d))
-        self._add(a.shape[0], a.T @ c + b.T @ d, [(a * a).T @ (c * c) + cross + (b * b).T @ (d * d)])
+        self.counts.append(a.shape[0])
+        self.sums.append(a.T @ c + b.T @ d)
+        self._squares = self._squares + ((a * a).T @ (c * c) + cross + (b * b).T @ (d * d))
 
     def mean_and_stderr(self):
-        """Per-entry mean and its standard error; for complex chunks real and imaginary variances add."""
+        """Per-entry mean and its standard error."""
         n = sum(self.counts)
         mean = sum(self.sums) / n
-        var = 0.0
-        for sum_sq, part in zip(self._squares, _parts(mean)):
-            # one-pass unbiased estimate; cancellation can push it below zero
-            var = var + np.maximum(sum_sq - n * part**2, 0.0) / max(n - 1, 1)
+        # one-pass unbiased estimate; cancellation can push it below zero
+        var = np.maximum(self._squares - n * mean**2, 0.0) / max(n - 1, 1)
         return mean, np.sqrt(var / n)

@@ -302,6 +302,35 @@ def test_explicit_matrix_shape_mismatch_exits_two(tmp_path):
     assert main(["check-gaussian", "--config", cfg, "--quiet"]) == 2
 
 
+# explicit covariances whose draws' second moments overflow binary64, or that are not finite
+OVERFLOWING_COVARIANCES = {
+    "diagonal-1e308": ("1e308,0\n0,1e308\n", "too large"),
+    "full-1e308": ("1e308,1e308\n1e308,1e308\n", "too large"),
+    "diagonal-1e200": ("1e200,0\n0,1e200\n", "too large"),
+    "infinite": ("inf,0\n0,1\n", "must be finite"),
+}
+
+
+@pytest.mark.parametrize("with_out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("csv, reason", OVERFLOWING_COVARIANCES.values(), ids=OVERFLOWING_COVARIANCES.keys())
+def test_overflowing_explicit_covariance_exits_two_with_one_line(tmp_path, capsys, csv, reason, with_out):
+    (tmp_path / "cov.csv").write_text(csv, encoding="utf-8")
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            "lattice": {"time_extent": 1, "spatial_extents": []},
+            "covariance": {"kind": "explicit", "matrix_file": "cov.csv"},
+            "mc": {"n_samples": 1_000, "seed": 0},
+        },
+    )
+    out = tmp_path / "report.json"
+    argv = ["check-gaussian", "--config", cfg, "--quiet"] + (["--out", str(out)] if with_out else [])
+    assert main(argv) == 2  # tests fail on warnings, so none was raised on the way
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid covariance: ") and reason in err and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_explicit_test_functions_must_have_positive_support(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",
@@ -548,9 +577,10 @@ def test_matrix_csv_round_trip_is_exact(tmp_path):
         ["selftest", "--psd-tol", "nan"],
         ["selftest", "--psd-tol", "inf"],
         ["selftest", "--psd-tol", "-1"],
+        ["check-density", "--config", "CFG", "--seed", "5"],
     ],
     ids=["selftest-seed", "selftest-csv-dir", "selftest-both", "check-density-csv-dir", "verify-rp-csv-dir",
-         "selftest-psd-tol-nan", "selftest-psd-tol-inf", "selftest-psd-tol-negative"],
+         "selftest-psd-tol-nan", "selftest-psd-tol-inf", "selftest-psd-tol-negative", "check-density-seed"],
 )
 def test_flags_a_subcommand_does_not_use_are_usage_errors(tmp_path, argv):
     cfg = write_config(tmp_path / "cfg.json", free_field_config(n_samples=1_000))

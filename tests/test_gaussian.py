@@ -637,6 +637,25 @@ def test_covariance_rejects_tolerance_that_is_not_a_finite_number(tol):
         Covariance(np.array([[1.0, 2.0], [2.0, 1.0]]), tol)
 
 
+def test_covariance_rejects_entries_whose_second_moments_overflow():
+    # S_ii S_jj + S_ij^2 <= 2 max|S|^2, the variance of a draw's y_i y_j, must stay finite
+    peak = math.sqrt(np.finfo(np.float64).max / 2) * (1 - 2**-50)
+    assert math.isfinite(2.0 * peak * peak)
+    lat = build_lattice(1, [])
+    cov = Covariance(np.diag([peak, peak]))
+    assert verify_convolution_identity(decompose_pq(cov, lat), n_samples=1_000, seed=0).passed
+    for bad, match in ((2.0 * peak, "too large"), (-2.0 * peak, "too large"), (np.inf, "finite"), (np.nan, "finite")):
+        with pytest.raises(ValueError, match=match):
+            Covariance(np.diag([1.0, bad]))
+    free = free_field_covariance(build_lattice(2, [3]), 0.9)
+    roots = np.zeros_like(free.columns)
+    for bad, match in ((2.0 * peak, "too large"), (np.inf, "finite")):
+        cols = free.columns.copy()
+        cols[0, 0, 0] = bad
+        with pytest.raises(ValueError, match=match):
+            Covariance.from_columns(cols, roots)
+
+
 def test_covariance_factor_takes_the_matrix_as_stored():
     cov = free_field_covariance(build_lattice(2, [3]), 0.9)
     # a Covariance is exactly symmetric, so (C + C^T) / 2 is C bit for bit

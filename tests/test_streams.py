@@ -7,10 +7,11 @@ from rplattice.streams import CHUNK_SIZE, NS_FIELD, NS_PILOT, ChunkMoments, chun
 SPLIT = (2048, 2048, 17)
 
 
-def feed(moments, p, q, split=SPLIT):
+def feed(moments, a, b, c, d, split=SPLIT):
     start = 0
     for count in split:
-        moments.add_outer(p[start:start + count], q[start:start + count])
+        rows = slice(start, start + count)
+        moments.add_real(a[rows], b[rows], c[rows], d[rows])
         start += count
 
 
@@ -52,27 +53,27 @@ def test_the_pilot_draws_apart_from_the_field():
     ids=["real", "complex", "real-complex", "complex-real"],
 )
 def test_chunk_moments_match_a_direct_reference(p_kind, q_kind):
-    # the reference materializes the (count, 3, 4) tensor the accumulator never forms
+    # x = p q of complex factors p = a + ib, q = c + id, as the estimators accumulate it:
+    # Re x = a c - b d and Im x = a d + b c, each in its own real accumulator; the
+    # reference materializes the (count, 3, 4) tensor the accumulators never form
     p = sample_factor(p_kind, k=3, seed=5)
     q = sample_factor(q_kind, k=4, seed=6)
     x = p[:, :, np.newaxis] * q[:, np.newaxis, :]
-    n = x.shape[0]
-    moments = ChunkMoments()
-    feed(moments, p, q)
-    mean, stderr = moments.mean_and_stderr()
+    a, b, c, d = p.real, p.imag, q.real, q.imag
+    real, imag = ChunkMoments(), ChunkMoments()
+    feed(real, a, -b, c, d)
+    feed(imag, a, b, d, c)
 
-    var = x.real.var(axis=0, ddof=1)
-    if np.iscomplexobj(x):
-        var = var + x.imag.var(axis=0, ddof=1)
-    assert mean.shape == stderr.shape == (3, 4)
-    assert mean.dtype == x.dtype and stderr.dtype == np.float64
-    np.testing.assert_allclose(mean, x.mean(axis=0), rtol=1e-12)
-    np.testing.assert_allclose(stderr, np.sqrt(var / n), rtol=1e-12)
-
-    assert moments.counts == list(SPLIT)
-    starts = np.cumsum((0,) + SPLIT[:-1])
-    for start, count, chunk_sum in zip(starts, SPLIT, moments.sums):
-        np.testing.assert_allclose(chunk_sum, x[start:start + count].sum(axis=0), rtol=1e-12)
+    for moments, part in ((real, x.real), (imag, x.imag)):
+        mean, stderr = moments.mean_and_stderr()
+        assert mean.shape == stderr.shape == (3, 4)
+        assert mean.dtype == stderr.dtype == np.float64
+        np.testing.assert_allclose(mean, part.mean(axis=0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(stderr, np.sqrt(part.var(axis=0, ddof=1) / part.shape[0]), rtol=1e-12, atol=0)
+        assert moments.counts == list(SPLIT)
+        starts = np.cumsum((0,) + SPLIT[:-1])
+        for start, count, chunk_sum in zip(starts, SPLIT, moments.sums):
+            np.testing.assert_allclose(chunk_sum, part[start:start + count].sum(axis=0), rtol=1e-12, atol=0)
 
 
 def test_real_chunks_of_two_products_match_a_direct_reference():
@@ -81,13 +82,10 @@ def test_real_chunks_of_two_products_match_a_direct_reference():
     c, d = (sample_factor("real", k=4, seed=seed) for seed in (6, 8))
     x = a[:, :, np.newaxis] * c[:, np.newaxis, :] + b[:, :, np.newaxis] * d[:, np.newaxis, :]
     moments = ChunkMoments()
-    start = 0
-    for count in SPLIT:
-        rows = slice(start, start + count)
-        moments.add_real(a[rows], b[rows], c[rows], d[rows])
-        start += count
+    feed(moments, a, b, c, d)
     mean, stderr = moments.mean_and_stderr()
 
+    assert mean.shape == stderr.shape == (3, 4)
     assert mean.dtype == stderr.dtype == np.float64
     np.testing.assert_allclose(mean, x.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(stderr, np.sqrt(x.var(axis=0, ddof=1) / x.shape[0]), rtol=1e-12)
@@ -107,10 +105,6 @@ class _NoImag(np.ndarray):
 def test_real_chunks_never_touch_the_imaginary_part():
     p = sample_factor("real").view(_NoImag)
     moments = ChunkMoments()
-    feed(moments, p, p)
-    mean, stderr = moments.mean_and_stderr()
-    assert np.isrealobj(mean) and np.isrealobj(stderr)
-    moments = ChunkMoments()
     moments.add_real(p, p, p, p)
     mean, stderr = moments.mean_and_stderr()
     assert np.isrealobj(mean) and np.isrealobj(stderr)
@@ -118,7 +112,7 @@ def test_real_chunks_never_touch_the_imaginary_part():
 
 def test_single_sample_has_zero_stderr():
     moments = ChunkMoments()
-    moments.add_outer(np.array([[1.0 + 2.0j]]), np.array([[1.0]]))
+    moments.add_real(np.array([[1.0]]), np.array([[2.0]]), np.array([[3.0]]), np.array([[0.5]]))
     mean, stderr = moments.mean_and_stderr()
-    assert mean[0, 0] == 1.0 + 2.0j
+    assert mean[0, 0] == 4.0
     assert stderr[0, 0] == 0.0

@@ -1,15 +1,18 @@
 """Estimator kernels against the plainer paths they replaced.
 
-The tensor reference materializes every chunk x[s, m, n] = p[s, m] q[s, n]
-and sums its entries and squares along the sample axis. The complex-exp
-reference forms the factorized partial averages as the mean of
-w exp(-i phase) over 3-D batched draws. The estimators must agree with both
-to rounding, give the same verdicts, and never hold such a tensor themselves.
-The direct reference takes the same pilot coefficients and the same known means
-of its two control variates, both from its own closed forms. For an even
-density the estimators accumulate only the real part, and the references
-take the real part of their tensors; for a density with an odd term the
-estimators keep the complex path, whose reports are pinned by digest.
+The tensor reference materializes every chunk of samples as a complex
+(count, k, k) tensor, splits it into its real and imaginary parts itself, and
+sums each part's entries and squares along the sample axis, without the
+library's accumulator. The complex-exp reference forms the factorized partial
+averages as the mean of w exp(-i phase) over 3-D batched draws. The
+estimators must agree with both to rounding, give the same verdicts, and
+never hold such a tensor themselves. The direct reference takes the same
+pilot coefficients and the same known means of its two control variates,
+both from its own closed forms. For an even density the estimators
+accumulate only the real part, and the references keep only the real part
+of their tensors; for a density with an odd term the estimators accumulate
+the imaginary part in a second real accumulator, and the references keep
+both parts. Odd-density reports are also pinned by digest.
 """
 
 import dataclasses
@@ -44,23 +47,44 @@ from rplattice import (
 from rplattice.density import add_potentials, eval_potential_batch
 from rplattice.gaussian import iter_sample_chunks
 from rplattice.rp_verify import _OUTER_CHUNK, DEFAULT_GRAM_TOL, _finish_mc_report, _importance_weights
-from rplattice.streams import CHUNK_SIZE, NS_FACTORIZED, NS_FIELD, NS_PILOT, ChunkMoments, chunk_counts, substream
+from rplattice.streams import CHUNK_SIZE, NS_FACTORIZED, NS_FIELD, NS_PILOT, chunk_counts, substream
 
 RTOL = 1e-12
 
 
-class TensorMoments(ChunkMoments):
-    """Accumulates each chunk materialized as a (count, k, k) tensor."""
+class TensorMoments:
+    """Running moments of real samples, each chunk materialized as a (count, k, k) tensor."""
 
-    def add_outer(self, p, q):
-        self.add_tensor(p[:, :, np.newaxis] * q[:, np.newaxis, :])
+    def __init__(self):
+        self.counts = []
+        self.sums = []
+        self.squares = 0.0
 
     def add_real(self, a, b, c, d):
         self.add_tensor(a[:, :, np.newaxis] * c[:, np.newaxis, :] + b[:, :, np.newaxis] * d[:, np.newaxis, :])
 
     def add_tensor(self, x):
-        parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
-        self._add(x.shape[0], x.sum(axis=0), [(part**2).sum(axis=0) for part in parts])
+        assert np.isrealobj(x)
+        self.counts.append(x.shape[0])
+        self.sums.append(x.sum(axis=0))
+        self.squares = self.squares + (x**2).sum(axis=0)
+
+    def mean_and_stderr(self):
+        n = sum(self.counts)
+        mean = sum(self.sums) / n
+        return mean, np.sqrt(np.maximum(self.squares - n * mean**2, 0.0) / max(n - 1, 1) / n)
+
+
+def tensor_parts(f):
+    """Accumulators for the real part and, for a density with an odd term, the imaginary part."""
+    return TensorMoments(), None if is_even(f) else TensorMoments()
+
+
+def add_complex(real, imag, x):
+    """Add the parts of the complex tensor x to their accumulators; without one, the imaginary part is dropped."""
+    real.add_tensor(x.real)
+    if imag is not None:
+        imag.add_tensor(x.imag)
 
 
 def single_site_g1(cov, f, d, g0):
@@ -99,7 +123,7 @@ def tensor_gram_mc_direct(cov, lattice, f, phis, params):
     g0 = np.exp(-0.5 * np.einsum("imn,ij,jmn->mn", d, cov.matrix, d))
     g1 = single_site_g1(cov, f, d, g0)
     offset = b1 * g0 + b2 * (g1.real if is_even(f) else g1)
-    moments = TensorMoments()
+    real, imag = tensor_parts(f)
     weight_stats = []
     for _, block in iter_sample_chunks(cov, params.n_samples, params.seed):
         a, b = block @ phi_mat, block @ theta_mat
@@ -107,21 +131,22 @@ def tensor_gram_mc_direct(cov, lattice, f, phis, params):
         w = np.exp(values)
         phase = a[:, :, np.newaxis] - b[:, np.newaxis, :]
         x = (w - b1 - b2 * values)[:, np.newaxis, np.newaxis] * np.exp(1j * phase)
-        moments.add_tensor(x.real if is_even(f) else x)
+        add_complex(real, imag, x)
         weight_stats.append((float(w.sum()), float(w.max())))
-    return _finish_mc_report(moments, DEFAULT_GRAM_TOL, params.seed, "mc-direct", weight_stats, offset)
+    return _finish_mc_report(real, DEFAULT_GRAM_TOL, params.seed, "mc-direct", weight_stats, offset, imag)
 
 
 def exp_gram_mc_factorized(cov, lattice, g, phis, params):
     """gram_mc_factorized with batched 3-D draws and an inner mean of w exp(-i phase).
 
-    For an even g the outer products conj(H_m) H_n are formed and their real part accumulated.
+    The outer products conj(H_m) H_n are formed and split into their parts; for an even g
+    only the real part is accumulated.
     """
     pq = decompose_pq(cov, lattice)
     nh = lattice.n_plus
     h_mat = np.stack([restrict_plus(lattice, p) for p in phis], axis=1)
     root_p, root_q = pq.roots
-    moments = TensorMoments()
+    real, imag = tensor_parts(g)
     weight_stats = []
 
     def partial_averages(rng, shared, count):
@@ -135,12 +160,9 @@ def exp_gram_mc_factorized(cov, lattice, g, phis, params):
         shared = rng.standard_normal((count, nh)) @ root_q.T
         h1 = partial_averages(rng, shared, count)
         h2 = h1 if params.share_inner else partial_averages(rng, shared, count)
-        if is_even(g):
-            moments.add_tensor((np.conj(h1)[:, :, np.newaxis] * h2[:, np.newaxis, :]).real)
-        else:
-            moments.add_outer(np.conj(h1), h2)
+        add_complex(real, imag, np.conj(h1)[:, :, np.newaxis] * h2[:, np.newaxis, :])
     kind = "mc-factorized-shared" if params.share_inner else "mc-factorized-independent"
-    return _finish_mc_report(moments, DEFAULT_GRAM_TOL, params.seed, kind, weight_stats)
+    return _finish_mc_report(real, DEFAULT_GRAM_TOL, params.seed, kind, weight_stats, imag=imag)
 
 
 @pytest.fixture(scope="module")
@@ -168,14 +190,14 @@ def report_digest(report):
     return h.hexdigest()
 
 
-# Complex-path reports of odd_criterion_4 (numpy 2.4 with OpenBLAS 0.3.31 on x86-64; another
-# BLAS build may round the products otherwise). The factorized ones were taken before even
-# densities got the real path, the direct one when the direct estimator took F exp(i(a - b))
-# as its second control variate.
-ODD_DIRECT_DIGEST = "21b3e5ef1f53d9b733a37aadfd54914bda0c307f90deba0d952d83db6d076402"
+# Reports of odd_criterion_4, whose imaginary part has its own real accumulator (numpy 2.4 with
+# OpenBLAS 0.3.31 on x86-64, the same at one and two BLAS threads; another BLAS build may round
+# the products otherwise). They moved from those of the complex accumulator they replaced by at
+# most 2e-16 of the largest matrix entry and 6e-15 of the largest stderr.
+ODD_DIRECT_DIGEST = "d0b4f727983d36386619125c85aee1f588504ed0a75d4354aef85f97f283322d"
 ODD_FACTORIZED_DIGESTS = {
-    True: "3aa6e7d00de53c6709dc3ea424f75610e9ca5aacda56e271efd9b244fb217f42",
-    False: "cf58dbd3493971a5a72e0698661f2e5498fc532c81cbd38b927c4f182a67d492",
+    True: "4236c34fe58d04a3ef22985ffdb3d43921d24eba28705d11966d34df7606241c",
+    False: "2d5e8e79c7cd370a908304f210409844754dffb9ec7506bd1c30be51bf74199e",
 }
 
 
