@@ -89,7 +89,7 @@ def write_matrix_csv(path, matrix):
 def read_matrix_csv(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _fail(f"cannot read matrix file {path}: {exc}")
     try:
         rows = [
@@ -120,7 +120,7 @@ class Resolved:
 def load_config(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _fail(f"cannot read config {path}: {exc}")
     try:
         raw = json.loads(text)
@@ -176,14 +176,13 @@ def resolve_config(raw, config_dir, seed_override=None):
         seed = _number(mc_cfg, "mc", "seed", 0, int)
         if seed_override is not None:
             seed = int(seed_override)
+        # only the keys the config gives; McParams holds the defaults of the others
+        counts = [key for key in ("n_samples", "n_outer", "n_inner") if key in mc_cfg]
+        given = {key: _number(mc_cfg, "mc", key, None, int) for key in counts}
+        if "share_inner" in mc_cfg:
+            given["share_inner"] = mc_cfg["share_inner"]
         try:
-            mc = McParams(
-                n_samples=_number(mc_cfg, "mc", "n_samples", None, int),
-                seed=seed,
-                n_outer=_number(mc_cfg, "mc", "n_outer", 10_000, int),
-                n_inner=_number(mc_cfg, "mc", "n_inner", 1_000, int),
-                share_inner=mc_cfg.get("share_inner", True),
-            )
+            mc = McParams(seed=seed, **given)
         except ValueError as exc:
             _fail(f"invalid mc section: {exc}")
         echo["mc"] = _fields(mc)
@@ -281,6 +280,12 @@ def render_report(report):
     return json.dumps(report, indent=2, sort_keys=True, default=_numpy_to_json, allow_nan=False) + "\n"
 
 
+def _gram_entry(report):
+    """A GramReport as written: the hermitized matrix split into real and imaginary parts."""
+    entry = _fields(report, omit=("matrix", "hermiticity_gap", "tol"))
+    return dict(entry, matrix_re=report.matrix.real, matrix_im=report.matrix.imag)
+
+
 def _pq_entry(pq):
     return {
         "passed": pq.both_psd,
@@ -320,9 +325,10 @@ def cmd_check_gaussian(resolved, csv_dir=None):
     if not pq.both_psd:
         reasons.append("pq-decomposition")
 
-    n = resolved.mc.n_samples if resolved.mc is not None else 100_000
-    seed = resolved.mc.seed if resolved.mc is not None else 0
-    conv = verify_convolution_identity(pq, n_samples=n, seed=seed)
+    mc = resolved.mc
+    # without an mc section the sample count and seed are verify_convolution_identity's defaults
+    given = {} if mc is None else {"n_samples": mc.n_samples, "seed": mc.seed}
+    conv = verify_convolution_identity(pq, **given)
     checks["convolution_identity"] = _fields(conv)
     if not conv.passed:
         reasons.append("convolution-identity")
@@ -384,7 +390,7 @@ def cmd_verify_rp(resolved):
         checks["gram_direct"] = None
         reasons.append(ILL_CONDITIONED)
         return checks, reasons
-    checks["gram_direct"] = direct.to_json_dict()
+    checks["gram_direct"] = _gram_entry(direct)
     if direct.verdict == FAIL:
         reasons.append("gram-direct-stable-fail")
 
@@ -400,7 +406,7 @@ def cmd_verify_rp(resolved):
         checks["gram_factorized"] = None
         reasons.append(ILL_CONDITIONED)
         return checks, reasons
-    checks["gram_factorized"] = factorized.to_json_dict()
+    checks["gram_factorized"] = _gram_entry(factorized)
     if factorized.verdict == FAIL:
         reasons.append("gram-factorized-stable-fail")
 
@@ -536,7 +542,7 @@ def cmd_selftest(psd_tol=DEFAULT_PSD_TOL):
     closed = gram_exact_gaussian(Covariance((weighted + weighted.T) / 2.0), lat, phis, psd_tol).matrix
     direct = gram_mc_direct(cov, lat, quadratic, phis, McParams(20_000, seed=7))
     delta = np.abs(direct.matrix - closed * np.linalg.det(shifted) ** -0.5)
-    real = not np.any(direct.to_json_dict()["matrix_im"])
+    real = not np.any(direct.matrix.imag)
     within = bool((delta <= 5.0 * direct.stderr).all())
     # entries with stderr 0 count 0 sigma here; within fails them unless they are exact
     sigma = float(np.divide(delta, direct.stderr, out=np.zeros_like(delta), where=direct.stderr > 0).max())

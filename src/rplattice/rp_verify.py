@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import Potential, check_sites, eval_potential_batch, is_even
-from .gaussian import char_fn, gaussian_polynomial_gram, iter_sample_chunks, warn_unless_invariant
+from .gaussian import PsdReport, char_fn, gaussian_polynomial_gram, iter_sample_chunks, warn_unless_invariant
 from .lattice import _as_site_vector, as_int, embed_plus, positive_support, reflect, restrict_plus
 from .streams import (
     CHUNK_SIZE,
@@ -68,13 +68,6 @@ _ONE = Potential(constant=1.0)
 
 class IllConditionedWeightsError(RuntimeError):
     """exp of the density, or a moment it weights, overflowed; the estimate is unusable."""
-
-
-@dataclass(frozen=True)
-class PsdCheck:
-    verdict: str
-    min_eigenvalue: float
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -122,26 +115,12 @@ class GramReport:
     hermiticity_gap: float
     tol: float
 
-    def to_json_dict(self):
-        return {
-            "matrix_re": self.matrix.real.tolist(),
-            "matrix_im": self.matrix.imag.tolist(),
-            "stderr": self.stderr.tolist(),
-            "min_eigenvalue": self.min_eigenvalue,
-            "eig_error_bound": self.eig_error_bound,
-            "verdict": self.verdict,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "estimator_kind": self.estimator_kind,
-            "effective_sample_size": self.effective_sample_size,
-        }
-
 
 def psd_check(matrix, tol, eig_error_bound=0.0):
-    """Gate the smallest eigenvalue of a (hermitized) matrix.
+    """The PsdReport of the hermitized matrix, gated at -tol - 5 * eig_error_bound.
 
-    Passes when min eig >= -tol - 5 * eig_error_bound, fails otherwise;
-    estimators may downgrade a fail to inconclusive via bootstrap.
+    An estimator turns a report that does not pass into a fail, or, via the
+    bootstrap, an inconclusive verdict.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -149,8 +128,7 @@ def psd_check(matrix, tol, eig_error_bound=0.0):
     h = (m + np.conj(m.T)) / 2.0
     min_eig = float(np.linalg.eigvalsh(h).min()) if h.size else 0.0
     threshold = -float(tol) - 5.0 * float(eig_error_bound)
-    verdict = PASS if min_eig >= threshold else FAIL
-    return PsdCheck(verdict, min_eig, threshold)
+    return PsdReport(min_eig >= threshold, min_eig, threshold, float(tol))
 
 
 def schur_product(a, b):
@@ -217,22 +195,8 @@ def gram_exact_gaussian(cov, lattice, phis, tol=DEFAULT_GRAM_TOL):
     """Exact Gaussian Gram matrix; entries are closed-form, stderr is zero."""
     require_positive_support(lattice, phis)
     warn_unless_invariant(cov, lattice, "the Gram matrix does not test reflection positivity")
-    k = len(phis)
     m = gaussian_polynomial_gram(cov, *_phase_matrices(lattice, phis), _ONE).astype(np.complex128)
-    check = psd_check(m, tol)
-    return GramReport(
-        matrix=(m + np.conj(m.T)) / 2.0,
-        stderr=np.zeros((k, k)),
-        min_eigenvalue=check.min_eigenvalue,
-        eig_error_bound=0.0,
-        verdict=check.verdict,
-        n_samples=0,
-        seed=None,
-        estimator_kind="exact-gaussian",
-        effective_sample_size=None,
-        hermiticity_gap=0.0,
-        tol=float(tol),
-    )
+    return _gram_report(m, np.zeros(m.shape), tol, "exact-gaussian")
 
 
 def _stable_below(counts, sums, threshold, seed):
@@ -251,10 +215,35 @@ def _stable_below(counts, sums, threshold, seed):
     return below >= math.ceil(_STABLE_FRACTION * _N_BOOTSTRAP)
 
 
+def _gram_report(mean, stderr, tol, kind, n_samples=0, seed=None, ess=None, chunks=None):
+    """The GramReport of an estimate and its entrywise stderr, gated at eig_error_bound = k * max stderr.
+
+    chunks, the (counts, sums) of a Monte Carlo estimate, let a fail be
+    resampled: it stays a fail only when its sign survives the bootstrap. An
+    exact estimate has stderr 0 and no chunks.
+    """
+    hermitized = (mean + np.conj(mean.T)) / 2.0
+    eig_error_bound = float(mean.shape[0] * stderr.max())
+    check = psd_check(hermitized, tol, eig_error_bound)
+    verdict = PASS if check.passed else FAIL
+    if verdict == FAIL and chunks is not None and not _stable_below(*chunks, check.threshold, seed):
+        verdict = INCONCLUSIVE
+    return GramReport(
+        matrix=hermitized,
+        stderr=stderr,
+        min_eigenvalue=check.min_eigenvalue,
+        eig_error_bound=eig_error_bound,
+        verdict=verdict,
+        n_samples=n_samples,
+        seed=seed,
+        estimator_kind=kind,
+        effective_sample_size=ess,
+        hermiticity_gap=float(np.abs(mean - np.conj(mean.T)).max()),
+        tol=float(tol),
+    )
+
+
 def _finish_mc_report(moments, tol, seed, kind, weight_stats, offset=None, imag=None):
-    # effective sample size sum(w)/max(w) from per-batch (sum, max) of the weights
-    w_sum = sum(s for s, _ in weight_stats)
-    w_max = max(m for _, m in weight_stats)
     sums = moments.sums
     with np.errstate(over="ignore", invalid="ignore"):
         mean, stderr = moments.mean_and_stderr()
@@ -268,26 +257,10 @@ def _finish_mc_report(moments, tol, seed, kind, weight_stats, offset=None, imag=
         # a control variate's known mean, also in each chunk sum for the bootstrap
         mean = mean + offset
         sums = [s + count * offset for count, s in zip(moments.counts, sums)]
-    k = mean.shape[0]
-    herm_gap = float(np.abs(mean - np.conj(mean.T)).max())
-    eig_error_bound = float(k * stderr.max()) if stderr.size else 0.0
-    check = psd_check(mean, tol, eig_error_bound)
-    verdict = check.verdict
-    if verdict == FAIL and not _stable_below(moments.counts, sums, check.threshold, seed):
-        verdict = INCONCLUSIVE
-    return GramReport(
-        matrix=(mean + np.conj(mean.T)) / 2.0,
-        stderr=stderr,
-        min_eigenvalue=check.min_eigenvalue,
-        eig_error_bound=eig_error_bound,
-        verdict=verdict,
-        n_samples=int(sum(moments.counts)),
-        seed=int(seed),
-        estimator_kind=kind,
-        effective_sample_size=w_sum / w_max if w_max > 0 else 0.0,
-        hermiticity_gap=herm_gap,
-        tol=float(tol),
-    )
+    # effective sample size sum(w)/max(w) from per-batch (sum, max) of the weights
+    w_sum, w_max = sum(s for s, _ in weight_stats), max(m for _, m in weight_stats)
+    ess = w_sum / w_max if w_max > 0 else 0.0
+    return _gram_report(mean, stderr, tol, kind, int(sum(moments.counts)), int(seed), ess, (moments.counts, sums))
 
 
 def _importance_weights(values, what):

@@ -653,6 +653,25 @@ def test_malformed_config_values_exit_two_with_one_line(tmp_path, capsys, overri
     assert not out.exists()
 
 
+@pytest.mark.parametrize("reader", ["config", "matrix_file"])
+def test_an_input_file_that_is_not_utf8_exits_two_with_one_line(tmp_path, capsys, reader):
+    # bytes a UTF-8 decoder rejects, at the start of the config or of an explicit covariance's CSV
+    config = {
+        "lattice": {"time_extent": 1, "spatial_extents": []},
+        "covariance": {"kind": "explicit", "matrix_file": "cov.csv"},
+    }
+    csv = b"1,0.5\n0.5,1\n"
+    cfg = tmp_path / "cfg.json"
+    cfg_bytes = json.dumps(config).encode("utf-8")
+    cfg.write_bytes(b"\xff\xfe" + cfg_bytes if reader == "config" else cfg_bytes)
+    (tmp_path / "cov.csv").write_bytes(b"\xff\xfe" + csv if reader == "matrix_file" else csv)
+    out = tmp_path / "report.json"
+    assert main(["check-gaussian", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mass", [1e-200, 1e-9])
 @pytest.mark.parametrize("command", ["check-gaussian", "verify-rp"])
 def test_singular_free_field_exits_two_with_one_line(tmp_path, capsys, command, mass):

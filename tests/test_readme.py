@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import importlib
 import inspect
@@ -7,6 +8,7 @@ import re
 from pathlib import Path
 
 import rplattice
+from rplattice import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -58,3 +60,25 @@ def test_readme_names_resolve_in_the_package():
     assert checked
     stale = [name for name in checked if not resolves(namespaces[name.split(".")[0]], name.split(".")[1:])]
     assert not stale, stale
+
+
+def first_block_after(heading, lang):
+    """The first fenced block of the given language after the README heading line."""
+    text = README.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", text, re.DOTALL).group(1)
+
+
+def test_readme_cli_synopsis_names_each_subcommands_options():
+    parser = cli.build_parser()
+    (subparsers,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    synopsis = first_block_after("## CLI", "sh").splitlines()
+    documented = {line.split()[1]: set(re.findall(r"--[\w-]+", line)) for line in synopsis}
+    assert set(documented) == set(subparsers.choices)
+    for name, sub in subparsers.choices.items():
+        options = {opt for action in sub._actions for opt in action.option_strings if opt.startswith("--")}
+        assert documented[name] == options - {"--help"}, name
+
+
+def test_readme_config_schema_resolves(tmp_path):
+    resolved = cli.resolve_config(json.loads(first_block_after("### Config schema", "json")), tmp_path)
+    assert None not in (resolved.covariance, resolved.density, resolved.phis, resolved.mc)

@@ -25,6 +25,7 @@ from rplattice import (
     decompose_pq,
     eval_potential_batch,
     free_field_covariance,
+    gaussian_polynomial_gram,
     gram_exact_gaussian,
     gram_mc_direct,
     gram_mc_factorized,
@@ -33,6 +34,7 @@ from rplattice import (
     potential_from_obj,
     psd_check,
     random_test_functions,
+    reflect,
     sample,
     schur_product,
     small_lambda_probe,
@@ -58,19 +60,20 @@ def random_psd(rng, max_dim=8):
 
 def test_psd_check_identity_passes():
     check = psd_check(np.eye(2), tol=0.0)
-    assert check.verdict == PASS
+    assert check.passed
     assert check.min_eigenvalue == pytest.approx(1.0, abs=1e-14)
+    assert (check.threshold, check.tol) == (0.0, 0.0)
 
 
 def test_psd_check_two_site_gram_determinants():
     e = math.exp
     failing = np.array([[e(-1.5), e(-0.5)], [e(-0.5), 1.0]])
     assert np.linalg.det(failing) == pytest.approx(e(-1.5) - e(-1.0), abs=1e-14)
-    assert psd_check(failing, tol=1e-10).verdict == FAIL
+    assert not psd_check(failing, tol=1e-10).passed
 
     passing = np.array([[e(-0.5), e(-0.5)], [e(-0.5), 1.0]])
     assert np.linalg.det(passing) == pytest.approx(e(-0.5) - e(-1.0), abs=1e-14)
-    assert psd_check(passing, tol=1e-10).verdict == PASS
+    assert psd_check(passing, tol=1e-10).passed
 
 
 def test_psd_check_rejects_non_square():
@@ -541,22 +544,52 @@ def test_random_test_functions_contract():
     assert all(positive_support(lat, p) for p in phis)
 
 
-def test_gram_report_wire_format_keys():
-    lat = build_lattice(1, [])
-    rep = gram_exact_gaussian(two_site_cov(0.5), lat, TWO_SITE_PHIS)
-    obj = rep.to_json_dict()
-    assert set(obj) == {
-        "matrix_re",
-        "matrix_im",
-        "stderr",
-        "min_eigenvalue",
-        "eig_error_bound",
-        "verdict",
-        "n_samples",
-        "seed",
-        "estimator_kind",
-        "effective_sample_size",
-    }
+def test_gram_report_wire_format_keys(tmp_path):
+    # the keys of the Gram entries verify-rp writes through cli._fields, for either kind of inner draws
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    for share_inner in (True, False):
+        cfg.write_text(json.dumps({
+            "lattice": {"time_extent": 1, "spatial_extents": [2]},
+            "covariance": {"kind": "free_field", "mass": 1.0},
+            "density": {"terms": [], "constant": 0},
+            "mc": {"n_samples": 2_000, "seed": 0, "n_outer": 64, "n_inner": 16, "share_inner": share_inner},
+        }), encoding="utf-8")
+        assert cli.main(["verify-rp", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+        assert [checks[key]["estimator_kind"] for key in ("gram_direct", "gram_factorized")] == [
+            "mc-direct",
+            "mc-factorized-shared" if share_inner else "mc-factorized-independent",
+        ]
+        for key in ("gram_direct", "gram_factorized"):
+            assert set(checks[key]) == {
+                "matrix_re",
+                "matrix_im",
+                "stderr",
+                "min_eigenvalue",
+                "eig_error_bound",
+                "verdict",
+                "n_samples",
+                "seed",
+                "estimator_kind",
+                "effective_sample_size",
+            }
+
+
+def test_exact_report_hermiticity_gap_is_that_of_the_closed_form(monkeypatch):
+    lat = build_lattice(2, [4])
+    cov = free_field_covariance(lat, 1.0)
+    phis = random_test_functions(lat, 4, seed=2024)
+    phi_mat = np.stack(phis, axis=1)
+    theta_mat = np.stack([reflect(lat, p) for p in phis], axis=1)
+    g0 = gaussian_polynomial_gram(cov, phi_mat, theta_mat, Potential(constant=1.0))
+    rep = gram_exact_gaussian(cov, lat, phis)
+    assert rep.hermiticity_gap == float(np.abs(g0 - g0.conj().T).max())
+    # a G0 that is far from Hermitian: the gap is measured, and the matrix is its Hermitian part
+    skew = np.triu(np.full(g0.shape, 1e-3), 1)
+    monkeypatch.setattr(rp_verify, "gaussian_polynomial_gram", lambda *args: g0 + skew)
+    rep = gram_exact_gaussian(cov, lat, phis)
+    assert rep.hermiticity_gap == pytest.approx(1e-3, rel=1e-12)
+    np.testing.assert_array_equal(rep.matrix, ((g0 + skew) + (g0 + skew).conj().T) / 2.0)
 
 
 def test_bootstrap_stability_mechanics():
