@@ -47,6 +47,7 @@ from .gaussian import (
     theta_inner,
     verify_convolution_identity,
 )
+from .gaussian import _translates
 from .lattice import Lattice, as_float, as_int, build_lattice, reflect
 from .rp_verify import (
     FAIL,
@@ -169,6 +170,8 @@ def resolve_config(raw, config_dir, seed_override=None):
     echo = {"lattice": _fields(lattice), "tolerances": tolerances}
 
     mc = None
+    if seed_override is not None and "mc" not in raw:
+        _fail("--seed overrides mc.seed, and the config has no 'mc' section")
     if "mc" in raw:
         mc_cfg = _section(raw, "mc")
         if "n_samples" not in mc_cfg:
@@ -513,10 +516,15 @@ def cmd_selftest(psd_tol=DEFAULT_PSD_TOL):
     same = same and all(got.passed == want.passed for got, want in pairs)
     entry("exact-momentum-vs-dense", same and gap <= MOMENTUM_FLOOR_TOL, gap, MOMENTUM_FLOOR_TOL)
 
-    # free-field draws through the real Fourier basis against the same normals times the dense factor
+    # free-field draws against the same normals times the dense factor, which shares their real
+    # Fourier basis; that the factor is a root of C tests the basis, with C taken the basis-free
+    # way, as the inverse transform of the Green's tables R_k R_k^T
     small = free_field_covariance(build_lattice(2, [5, 4]), 0.5)  # two momenta per axis, and k = L/2
     want = np.random.default_rng(7).standard_normal((256, small.dim)) @ small.factor.T
     dev = float(np.abs(small.draw(np.random.default_rng(7), 256) - want).max() / np.abs(want).max())
+    roots = small.momentum_roots
+    c = _translates(np.fft.ifftn(roots @ roots.swapaxes(-1, -2), axes=(0, 1)).real)
+    dev = max(dev, float(np.abs(small.factor @ small.factor.T - c).max() / np.abs(c).max()))
     entry("sampler-momentum-vs-dense", dev <= 1e-14, dev, 1e-14)
 
     # the polynomial closed form for sum_x T_x^2, whose mean against exp(iu.T) is minus twice the

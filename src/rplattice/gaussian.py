@@ -21,11 +21,12 @@ the factorized Gram estimator integrates against.
 
 The free field's covariance (-laplacian + mass^2)^-1 is built without any
 N x N linear algebra: spatial translations block-diagonalise the operator
-into one 2T x 2T matrix K_k per spatial momentum k, so C comes from 2T
-columns in O(N^2) time and memory, and its draws from roots R_k with
-R_k R_k^T = K_k^-1, applied in the real Fourier basis of the spatial axes
-without an N x N factor. The Covariance keeps C's column table and the
-R_k, and the exact checks decide such a C per spatial momentum: B,
+into one 2T x 2T matrix K_k per spatial momentum k, so C is held as 2T
+columns, O(N T) numbers, and its draws come from roots R_k with
+R_k R_k^T = K_k^-1, applied to normals read as coefficients of the real
+Fourier modes of the spatial axes, without an N x N factor. The
+Covariance keeps C's column table and the R_k, expands C only when it is
+read, and the exact checks decide such a C per spatial momentum: B,
 c_p = A - B and c_q are block-diagonal in momentum too, so their spectra,
 and the PSD square roots of c_p and c_q, come from batched eigensolves of
 T x T blocks, and the invariance check and the split read the table.
@@ -59,13 +60,13 @@ class Covariance:
     Symmetry must hold exactly as stored. draw() samples the measure, one of
     two ways, chosen by what the caller holds:
 
-    * Column tables, through from_columns: C is expanded from its 2T columns
-      per spatial momentum, and the table is kept read-only as columns
-      beside the momentum roots R_k. free_field_covariance builds C this
-      way, so a free-field C is never diagonalised, the exact checks below
-      decide it per spatial momentum, and draw() applies the R_k in the real
-      Fourier basis of the spatial axes. The N x N sampling factor is
-      expanded only when factor is read.
+    * Column tables, through from_columns: C is kept as its 2T columns per
+      spatial momentum, read-only, beside the momentum roots R_k.
+      free_field_covariance builds C this way, so a free-field C is never
+      diagonalised, the exact checks below decide it per spatial momentum
+      from the table, and draw() applies the R_k to normals read as
+      coefficients of the real Fourier modes of the spatial axes. The
+      N x N matrix and factor are expanded only when they are read.
     * Otherwise the factor F with F F^T = matrix comes from one eigh of
       matrix, which also gates positive semidefiniteness up to psd_tolerance
       relative to the spectral norm. The gate reads the eigenvalues of that
@@ -106,8 +107,8 @@ class Covariance:
         gated here. The checks run on the tables: columns[d, t, s] ==
         columns[-d, s, t], which holds exactly when C is symmetric, and
         finite roots, exactly even under k -> -k on every axis as the real
-        basis of draw() needs. matrix is expanded here, so the Covariance
-        owns it without a copy; both tables are copied.
+        basis of draw() needs. Both tables are copied; matrix is expanded
+        from the columns on first read, and holds exactly their entries.
         """
         cols = np.array(columns, dtype=np.float64)
         roots = np.array(momentum_roots, dtype=np.float64)
@@ -124,7 +125,7 @@ class Covariance:
             raise ValueError("momentum roots must be even under k -> -k on every axis")
         tol = _checked_tolerance(psd_tolerance)
         cov = cls.__new__(cls)
-        cov._hold(tol, matrix=_translates(cols), columns=cols, momentum_roots=roots)
+        cov._hold(tol, columns=cols, momentum_roots=roots)
         return cov
 
     def _hold(self, tol, **arrays):
@@ -133,6 +134,14 @@ class Covariance:
             object.__setattr__(self, name, array)
         object.__setattr__(self, "psd_tolerance", tol)
 
+    def __getattr__(self, name):
+        # reached only for attributes not yet set: a column table's matrix is expanded on first read
+        if name != "matrix" or self.columns is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        matrix = _translates(self.columns)
+        self._hold(self.psd_tolerance, matrix=matrix)
+        return matrix
+
     def __eq__(self, other):
         if not isinstance(other, Covariance):
             return NotImplemented
@@ -140,13 +149,23 @@ class Covariance:
 
     @property
     def dim(self):
-        return self.matrix.shape[0]
+        if self.columns is None:
+            return self.matrix.shape[0]
+        return math.prod(self.columns.shape[:-1])
 
     @cached_property
     def factor(self):
-        """Read-only F with F F^T = matrix; a column table's F[(t, x), (s, y)] = ifftn(R)[x - y, t, s] on first read."""
-        roots = self.momentum_roots
-        factor = _translates(np.fft.ifftn(roots, axes=tuple(range(roots.ndim - 2))).real)
+        """Read-only F with F F^T = matrix, expanded on first read for a column table.
+
+        A column table's F[(t, x), (k, s)] = E[x, k] R_k[t, s] with E the real
+        Fourier basis of draw(): its columns are the modes k of the spatial
+        axes at each time s. It is a root of C but not C's translation-
+        invariant one: F F^T is the inverse transform of the Green's tables
+        R_k R_k^T up to rounding.
+        """
+        basis, roots_t = self._modes
+        spatial, times = basis.shape[0], roots_t.shape[-1]
+        factor = np.einsum("xk,kst->txks", basis, roots_t).reshape(times * spatial, spatial * times)
         factor.setflags(write=False)
         return factor
 
@@ -160,22 +179,22 @@ class Covariance:
     def draw(self, rng, count):
         """A fresh (count, dim) array x = z F^T for z = rng.standard_normal((count, dim)).
 
-        A column table's F is one R_k per column of the real Fourier basis E:
-        E^T z^T into x (z viewed as (count * 2T, S)), each column's slice
-        times its R_k^T into z, and that times E^T into x: 2N(2S + 2T) flops
-        per draw instead of 2N^2, in z and x alone. x then moves from
-        z @ factor.T at rounding.
+        A column table reads each row of z as the coefficients z[(k, s)] of
+        the spatial modes k at times s: one batched product of each mode's
+        (count, 2T) slice with its R_k^T, then one GEMM with E^T, 2N(2T + S)
+        flops per draw instead of 2N^2. Since E^T z^T is white noise too,
+        the draws have the law of those through C's translation-invariant
+        root. Each draw reads only its own row of z.
         """
         z = rng.standard_normal((count, self.dim))
         if self.momentum_roots is None:
             return z @ self.factor.T
         basis, roots_t = self._modes
         spatial, times = basis.shape[0], roots_t.shape[-1]
-        x = np.empty((count, self.dim))  # holds E^T z^T until the last product overwrites it
-        modes = np.matmul(basis.T, z.reshape(count * times, spatial).T, out=x.reshape(spatial, count * times))
-        mixed = np.matmul(modes.reshape(spatial, count, times), roots_t, out=z.reshape(spatial, count, times))
-        np.matmul(mixed.reshape(spatial, count * times).T, basis.T, out=x.reshape(count * times, spatial))
-        return x
+        mixed = np.matmul(z.reshape(count, spatial, times).swapaxes(0, 1), roots_t)
+        # every normal has been read: the product with E^T overwrites them with the draws
+        np.matmul(mixed.reshape(spatial, count * times).T, basis.T, out=z.reshape(count * times, spatial))
+        return z
 
 
 def _check_entries(m):
@@ -324,7 +343,7 @@ def free_field_covariance(lattice, mass, psd_tolerance=DEFAULT_PSD_TOL):
     makes C exactly symmetric, reflection invariant and translation invariant.
     The Covariance keeps the roots R_k R_k^T = K_k^-1 and draws through them,
     so its draws have covariance C up to rounding; no N x N matrix is
-    inverted, factored or multiplied. A mass too small for the operator to
+    built, inverted, factored or multiplied. A mass too small for the operator to
     be positive definite in binary64 is an error.
     """
     mass = as_float(mass, "mass")
@@ -595,13 +614,18 @@ def warn_unless_invariant(cov, lattice, consequence):
 
 
 def cross_block(cov, lattice, warn=True):
-    """B[x, y] = C[x, theta(y)] over positive-time sites.
+    """B[x, y] = C[x, theta(y)] over positive-time sites, as a fresh array.
 
     Symmetric whenever C is reflection invariant; a warning is emitted when
-    the invariance check fails at the default tolerance.
+    the invariance check fails at the default tolerance. A covariance with a
+    column table on this lattice expands B from its B table, whose entries
+    are those of C, so B equals the dense gather bit for bit without C.
     """
     if warn:
         warn_unless_invariant(cov, lattice, "the cross block loses its meaning")
+    cols = _columns_on(cov, lattice)
+    if cols is not None:
+        return _translates(_half_columns(cols)[1])
     plus = lattice.plus_sites
     return cov.matrix[np.ix_(plus, lattice.theta_perm[plus])]
 
@@ -654,26 +678,30 @@ def decompose_pq(cov, lattice):
     failing reports rather than raised: the failing report is the diagnostic
     product.
 
-    a_block is a read-only view of the covariance's matrix. A covariance
-    with a column table on this lattice is split on the tables of A and B,
-    and c_p and c_q are expanded from them. The dense blocks hold exactly
-    the table entries, and the refit is entrywise and stops once no entry
-    misses, so both equal the dense ones bit for bit. The reports come from
-    the per-momentum spectra, as in check_gaussian_rp.
+    a_block is read-only: a view of the covariance's matrix, or, for a
+    covariance with a column table on this lattice, the expansion of its A
+    table, and C is not expanded. Such a covariance is split on the tables
+    of A and B, and c_p and c_q are expanded from them. The dense blocks
+    hold exactly the table entries, and the refit is entrywise and stops
+    once no entry misses, so a_block, c_p and c_q equal the dense ones bit
+    for bit. The reports come from the per-momentum spectra, as in
+    check_gaussian_rp.
 
     Each summand is diagonalised once, by the eigh that gives both its
     report and its PSD square root (see PQPair.roots).
     """
     tol = cov.psd_tolerance
-    half = lattice.n_plus
-    a_block = cov.matrix[half:, half:]  # the positive half is the last n_plus sites
     cols = _columns_on(cov, lattice)
     if cols is None:
+        a_block = cov.matrix[lattice.n_plus:, lattice.n_plus:]  # the positive half is the last n_plus sites
         c_p, c_q = _split(a_block, cross_block(cov, lattice, warn=False))
         (report_p, root_p), (report_q, root_q) = _psd_root(c_p, tol), _psd_root(c_q, tol)
         return PQPair(c_p, c_q, a_block, report_p, report_q, cov, lattice, (root_p, root_q))
-    p, q = _split(*_half_columns(cols))
+    a, b = _half_columns(cols)
+    p, q = _split(a, b)
     (report_p, root_p), (report_q, root_q) = _momentum_psd_root(p, tol), _momentum_psd_root(q, tol)
+    a_block = _translates(a)
+    a_block.setflags(write=False)
     return PQPair(_translates(p), _translates(q), a_block, report_p, report_q, cov, lattice, (root_p, root_q))
 
 

@@ -541,6 +541,18 @@ def test_selftest_checks_free_field_draws_against_the_dense_factor(monkeypatch):
     assert not _selftest_entry("sampler-momentum-vs-dense")["passed"]
 
 
+def test_selftest_checks_the_free_field_basis_against_c(monkeypatch):
+    # draws and factor share the basis; two swapped columns of different momenta move both alike
+    basis = gaussian._real_fourier_basis
+
+    def swapped(n):
+        columns, momenta = basis(n)
+        return (columns[:, [1, 0, *range(2, n)]] if n > 1 else columns), momenta
+
+    monkeypatch.setattr(gaussian, "_real_fourier_basis", swapped)
+    assert not _selftest_entry("sampler-momentum-vs-dense")["passed"]
+
+
 def test_selftest_checks_the_polynomial_closed_form_against_the_quadratic_derivative(monkeypatch):
     entry = _selftest_entry("gaussian-polynomial-closed-form")
     assert entry["passed"] and 0.0 <= entry["measured"] <= entry["gate"] == 1e-12
@@ -578,17 +590,26 @@ def test_matrix_csv_round_trip_is_exact(tmp_path):
         ["selftest", "--psd-tol", "inf"],
         ["selftest", "--psd-tol", "-1"],
         ["check-density", "--config", "CFG", "--seed", "5"],
+        ["check-gaussian", "--config", "NO-MC", "--seed", "5", "--csv-dir", "CSV"],
     ],
     ids=["selftest-seed", "selftest-csv-dir", "selftest-both", "check-density-csv-dir", "verify-rp-csv-dir",
-         "selftest-psd-tol-nan", "selftest-psd-tol-inf", "selftest-psd-tol-negative", "check-density-seed"],
+         "selftest-psd-tol-nan", "selftest-psd-tol-inf", "selftest-psd-tol-negative", "check-density-seed",
+         "check-gaussian-seed-without-mc"],
 )
-def test_flags_a_subcommand_does_not_use_are_usage_errors(tmp_path, argv):
-    cfg = write_config(tmp_path / "cfg.json", free_field_config(n_samples=1_000))
+def test_flags_a_subcommand_does_not_use_are_usage_errors(tmp_path, capsys, argv):
+    config = free_field_config(n_samples=1_000)
+    cfg = write_config(tmp_path / "cfg.json", config)
+    # a seed has nothing to override without an mc section; this is known only once the config is read
+    no_mc = write_config(tmp_path / "no-mc.json", {key: config[key] for key in ("lattice", "covariance")})
     csv_dir = tmp_path / "csvs"
-    argv = [str(csv_dir) if a == "CSV" else cfg if a == "CFG" else a for a in argv]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--quiet"])
-    assert exc.value.code == 2
+    given = {"CSV": str(csv_dir), "CFG": cfg, "NO-MC": no_mc}
+    argv = [given.get(a, a) for a in argv]
+    try:
+        code = main(argv + ["--quiet"])
+    except SystemExit as exc:  # argparse rejects the flags it knows a subcommand lacks
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err.count("error:") == 1
     assert not csv_dir.exists()
 
 

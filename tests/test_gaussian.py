@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -280,7 +281,10 @@ def _assert_momentum_path_matches_dense(cov, lat):
     pq, pq_dense = decompose_pq(cov, lat), decompose_pq(twin, lat)
     for name in ("c_p", "c_q", "a_block"):
         assert np.array_equal(getattr(pq, name), getattr(pq_dense, name)), name
-    assert np.shares_memory(pq.a_block, cov.matrix) and not pq.a_block.flags.writeable
+    # the table path expands a_block from the A table, whose entries are C's
+    a_table = gaussian._half_columns(cov.columns)[0]
+    assert np.array_equal(pq.a_block, gaussian._translates(a_table)) and not pq.a_block.flags.writeable
+    assert np.array_equal(cross_block(cov, lat, warn=False), cross_block(twin, lat, warn=False))
     for got, want in ((rp, rp_dense), (pq.report_p, pq_dense.report_p), (pq.report_q, pq_dense.report_q)):
         assert got.passed == want.passed and got.tol == want.tol
         bound = MOMENTUM_FLOOR_TOL * want.threshold / -want.tol  # threshold = -tol * max(1, max |eig|)
@@ -698,9 +702,16 @@ def test_free_field_samples_are_draws_times_the_factor_to_rounding():
     lat = build_lattice(2, [3])
     cov = free_field_covariance(lat, 0.9)
     _assert_draws_are_near(cov, cov.factor, 5000, 11)
-    # the factor is translation invariant, F[(t, x), (s, y)] = f[x - y, t, s], as C is
-    blocks = cov.factor.reshape(*lat.shape, *lat.shape)
-    assert np.array_equal(np.roll(np.roll(blocks, 1, 1), 1, 3), blocks)
+    # the factor is E R: F[(t, x), (k, s)] = E[x, k] R_k[t, s] over the real Fourier modes k, which for
+    # L = 3 are the constant, cos and sin of momentum 1; it is a root of C, though not C's
+    # translation-invariant one
+    x = np.arange(3)
+    basis = np.stack([np.full(3, 1.0 / math.sqrt(3.0))]
+                     + [math.sqrt(2.0 / 3.0) * f(2.0 * np.pi * x / 3.0) for f in (np.cos, np.sin)], axis=1)
+    roots = cov.momentum_roots[[0, 1, 1]]
+    want = basis[np.newaxis, :, :, np.newaxis] * roots.transpose(1, 0, 2)[:, np.newaxis]
+    np.testing.assert_allclose(cov.factor.reshape(4, 3, 3, 4), want, rtol=0.0, atol=1e-15 * np.abs(want).max())
+    assert np.abs(cov.factor @ cov.factor.T - cov.matrix).max() <= 1e-14 * np.abs(cov.matrix).max()
 
 
 @pytest.mark.parametrize("n", [1, 2048, 2049])
@@ -732,6 +743,51 @@ def test_free_field_draws_per_momentum_match_the_dense_factor(time_extent, exten
     # every momentum pairing of the real basis shows in one chunk and across a chunk boundary
     cov = free_field_covariance(build_lattice(time_extent, extents), mass)
     _assert_draws_are_near(cov, cov.factor, 2049, 5)
+    # F F^T against C taken without the basis, as the inverse transform of the Green's tables R_k R_k^T;
+    # the refined matrix differs from these by the residual of the inverse, 2e-14 at mass 0.1
+    roots = cov.momentum_roots
+    c = gaussian._translates(np.fft.ifftn(roots @ roots.swapaxes(-1, -2), axes=tuple(range(roots.ndim - 2))).real)
+    assert np.abs(cov.factor @ cov.factor.T - c).max() <= 1e-14 * np.abs(c).max()
+
+
+@pytest.mark.parametrize("time_extent, extents", [(1, []), (2, [3]), (2, [5, 4]), (6, [12, 16])])
+def test_a_chunks_first_draws_do_not_depend_on_its_count(time_extent, extents):
+    cov = free_field_covariance(build_lattice(time_extent, extents), 0.5)
+    full = cov.draw(np.random.default_rng(3), 2048)
+    for m in (2, 3, 300, 2047):
+        assert np.array_equal(cov.draw(np.random.default_rng(3), m), full[:m]), m
+    # a single draw takes numpy's matrix-vector product, whose sums may round in another order
+    one = cov.draw(np.random.default_rng(3), 1)
+    assert np.abs(one - full[:1]).max() <= 1e-15 * np.abs(full[:1]).max()
+
+
+def test_free_field_exact_path_and_joint_law_check_never_expand_c():
+    lat = build_lattice(2, [3, 2])
+    cov = free_field_covariance(lat, 0.5)
+    assert cov.dim == lat.site_count
+    rp = check_gaussian_rp(cov, lat)
+    pq = decompose_pq(cov, lat)
+    sample(cov, 100, seed=1)
+    assert verify_convolution_identity(pq, n_samples=2000, seed=1).n_samples == 2000
+    assert rp.passed and "matrix" not in vars(cov) and "factor" not in vars(cov)
+    # read once, C is expanded from the table and held read-only
+    assert cov.matrix is cov.matrix and "matrix" in vars(cov) and not cov.matrix.flags.writeable
+    assert np.array_equal(cov.matrix, gaussian._translates(cov.columns))
+    with pytest.raises(AttributeError, match="no attribute 'other'"):
+        cov.other
+
+
+def test_free_field_decision_at_n2304_allocates_less_than_one_n_by_n_array():
+    lat = build_lattice(6, [12, 16])
+    tracemalloc.start()
+    try:
+        cov = free_field_covariance(lat, 0.5)
+        rp = check_gaussian_rp(cov, lat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rp.passed
+    assert peak < 8 * lat.site_count**2, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_free_field_sampling_and_direct_gram_never_expand_the_factor(count_linalg):

@@ -193,8 +193,10 @@ def report_digest(report):
 # Reports of odd_criterion_4, whose imaginary part has its own real accumulator (numpy 2.4 with
 # OpenBLAS 0.3.31 on x86-64, the same at one and two BLAS threads; another BLAS build may round
 # the products otherwise). They moved from those of the complex accumulator they replaced by at
-# most 2e-16 of the largest matrix entry and 6e-15 of the largest stderr.
-ODD_DIRECT_DIGEST = "d0b4f727983d36386619125c85aee1f588504ed0a75d4354aef85f97f283322d"
+# most 2e-16 of the largest matrix entry and 6e-15 of the largest stderr. The direct digest was
+# taken again, at one and two BLAS threads, once free-field draws read their normals as
+# coefficients of the spatial modes: its draws, not their law, changed per seed.
+ODD_DIRECT_DIGEST = "652fdbcd0c488c67a6dadb38bac931da7fd72b491b4a3b303bfc913b3075c26b"
 ODD_FACTORIZED_DIGESTS = {
     True: "4236c34fe58d04a3ef22985ffdb3d43921d24eba28705d11966d34df7606241c",
     False: "2d5e8e79c7cd370a908304f210409844754dffb9ec7506bd1c30be51bf74199e",
