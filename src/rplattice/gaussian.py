@@ -25,12 +25,12 @@ into one 2T x 2T matrix K_k per spatial momentum k, so C is held as 2T
 columns, O(N T) numbers, and its draws come from roots R_k with
 R_k R_k^T = K_k^-1, applied to normals read as coefficients of the real
 Fourier modes of the spatial axes, without an N x N factor. The
-Covariance keeps C's column table and the R_k, expands C only when it is
-read, and the exact checks decide such a C per spatial momentum: B,
-c_p = A - B and c_q are block-diagonal in momentum too, so their spectra,
-and the PSD square roots of c_p and c_q, come from batched eigensolves of
-T x T blocks, and the invariance check and the split read the table.
-Explicit covariances take the dense path, which stays the oracle.
+Covariance keeps C's column table and the R_k and expands C only when it
+is read. The exact checks read any C, column table or dense, as a table
+over its two time axes, and index its halves, flip and split alike; only
+the eigensolves differ. A column table's B, c_p = A - B and c_q are
+block-diagonal in momentum, so their spectra and PSD roots come from
+batched T x T eigensolves; a dense C keeps dense ones, which stay the oracle.
 
 gaussian_polynomial_gram gives the Gram entries E[exp(i(a_m - b_n)) P(T)]
 of a polynomial P in closed form, by Isserlis' theorem; P = 1 gives the
@@ -308,24 +308,16 @@ def _spectral_psd(eigs, tol):
     return PsdReport(min_eig >= threshold, min_eig, threshold, tol)
 
 
-def _require_psd(eigs, tol, what):
-    gate = _spectral_psd(eigs, tol)
-    if not gate.passed:
-        raise ValueError(
-            f"{what} is not positive semidefinite: eigenvalue {gate.min_eigenvalue:.3e} "
-            f"below {gate.threshold:.3e}"
-        )
-
-
 def symmetrized(matrix):
     """(M + M^T) / 2, which equals M bit for bit when M is exactly symmetric."""
     return (matrix + matrix.T) / 2.0
 
 
-def _psd_root(matrix, tol):
-    """The PsdReport of symmetrized(matrix) and its PSD square root V sqrt(max(L, 0)) V^T, from one eigh."""
-    eigs, vecs = np.linalg.eigh(symmetrized(matrix))
-    return _spectral_psd(eigs, tol), (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.T
+def _psd_root(blocks, tol):
+    """One eigh of a Hermitian block or a stack: a PsdReport over all spectra, and each root V sqrt(max(L, 0)) V^H."""
+    eigs, vecs = np.linalg.eigh(blocks)
+    root = (vecs * np.sqrt(np.clip(eigs, 0.0, None))[..., np.newaxis, :]) @ vecs.conj().swapaxes(-1, -2)
+    return _spectral_psd(eigs.ravel(), tol), root
 
 
 def free_field_covariance(lattice, mass, psd_tolerance=DEFAULT_PSD_TOL):
@@ -539,19 +531,45 @@ def gaussian_polynomial_gram(cov, phi_mat, theta_mat, p):
 def check_theta_invariance(cov, lattice, tol=DEFAULT_INVARIANCE_TOL):
     """Deviation of C from its conjugate under the reflection permutation.
 
-    On a column table theta flips both time indices: every entry of C is a
-    table entry and every table entry is an entry of C, so the deviation
-    and the scale read the table and equal the dense ones bit for bit.
+    theta flips both time axes of _layout's table, whose entries are exactly
+    C's, so the deviation and the scale read the table and equal the ones of
+    the gathered C[theta, theta] bit for bit.
     """
-    cols = _columns_on(cov, lattice)
-    if cols is None:
-        values, flipped = _time_blocks(cov.matrix, lattice)
-    else:
-        values, flipped = cols, cols[..., ::-1, ::-1]
-    deviation = float(np.abs(flipped - values).max())
-    scale = max(1.0, float(np.abs(values).max()))
+    table = _layout(cov, lattice)[0]
+    deviation = float(np.abs(table[..., ::-1, ::-1] - table).max())
+    scale = max(1.0, float(np.abs(table).max()))
     threshold = tol * scale
     return InvarianceReport(deviation <= threshold, deviation, threshold, tol)
+
+
+def _layout(cov, lattice):
+    """C as a table over its time axes, and the ways back: (table, expand, blocks, unblock).
+
+    table[..., t, s] is a column table on this lattice as held, or else the
+    view D[x, y, t, s] = C[(t, x), (s, y)]; theta flips its last two axes
+    either way. expand gives a half table's matrix, a view of a dense C where
+    the strides allow. blocks gives Hermitian blocks whose spectra together
+    are the symmetrised matrix's, and unblock takes a function of them back
+    to a table: per spatial momentum for a column table, while a dense C is
+    one block, so its eigensolves stay the dense oracle.
+    """
+    if cov.dim != lattice.site_count:
+        raise ValueError(f"covariance is {cov.dim}x{cov.dim}, lattice has {lattice.site_count} sites")
+    cols = _columns_on(cov, lattice)
+    if cols is not None:
+        axes = tuple(range(cols.ndim - 2))  # a Fourier transform over these block-diagonalises C
+
+        def momentum_blocks(half):
+            return np.fft.fftn((half + _transposed(half)) / 2.0, axes=axes)
+
+        return cols, _translates, momentum_blocks, lambda root: np.fft.ifftn(root, axes=axes).real
+    times, rest = lattice.shape[0], lattice.site_count // lattice.shape[0]
+
+    def expand(table):
+        return table.transpose(2, 0, 3, 1).reshape(table.shape[-1] * rest, -1)
+
+    table = cov.matrix.reshape(times, rest, times, rest).transpose(1, 3, 0, 2)
+    return table, expand, lambda half: symmetrized(expand(half)), lambda root: root
 
 
 def _columns_on(cov, lattice):
@@ -562,44 +580,10 @@ def _columns_on(cov, lattice):
     return None
 
 
-def _half_columns(cols):
-    """Tables of A and B: a[d, i, j] = c[d, T + i, T + j] and b[d, i, j] = c[d, T + i, T - 1 - j]."""
-    half = cols.shape[-1] // 2
-    return cols[..., half:, half:], cols[..., half:, :half][..., ::-1]
-
-
-def _momentum_psd_root(table, tol):
-    """_psd_root of the matrix the table expands to, from one batched eigh of its _momentum_blocks.
-
-    The root is returned as the table of the same form, the inverse
-    transform of the blocks' roots U sqrt(max(L, 0)) U^H.
-    """
-    eigs, vecs = np.linalg.eigh(_momentum_blocks(table))
-    roots = (vecs * np.sqrt(np.clip(eigs, 0.0, None))[..., np.newaxis, :]) @ vecs.conj().swapaxes(-1, -2)
-    return _spectral_psd(eigs.ravel(), tol), np.fft.ifftn(roots, axes=tuple(range(table.ndim - 2))).real
-
-
-def _momentum_blocks(table):
-    """One Hermitian T x T block per spatial momentum of the symmetrised matrix the table expands to.
-
-    The Fourier transform over the spatial axes block-diagonalises the
-    translation-invariant matrix: the blocks' spectra together are its spectrum.
-    """
-    sym = (table + _transposed(table)) / 2.0
-    return np.fft.fftn(sym, axes=tuple(range(sym.ndim - 2)))
-
-
-def _time_blocks(matrix, lattice):
-    """matrix viewed as (2T, S, 2T, S) blocks, and its conjugate under theta.
-
-    theta reverses the leading time axis of the C-ordered site grid, so
-    M[theta(x), theta(y)] is the view with both time axes flipped: the same
-    values as the np.ix_(theta, theta) gather, without an N^2 copy.
-    """
-    times = lattice.shape[0]
-    rest = lattice.site_count // times
-    blocks = matrix.reshape(times, rest, times, rest)
-    return blocks, blocks[::-1, :, ::-1, :]
+def _half_columns(table):
+    """Tables of A and B: a[..., i, j] = c[..., T + i, T + j] and b[..., i, j] = c[..., T + i, T - 1 - j]."""
+    half = table.shape[-1] // 2
+    return table[..., half:, half:], table[..., half:, :half][..., ::-1]
 
 
 def warn_unless_invariant(cov, lattice, consequence):
@@ -617,36 +601,31 @@ def cross_block(cov, lattice, warn=True):
     """B[x, y] = C[x, theta(y)] over positive-time sites, as a fresh array.
 
     Symmetric whenever C is reflection invariant; a warning is emitted when
-    the invariance check fails at the default tolerance. A covariance with a
-    column table on this lattice expands B from its B table, whose entries
-    are those of C, so B equals the dense gather bit for bit without C.
+    the invariance check fails at the default tolerance. B is expanded from
+    _layout's B table, whose entries are C's, so it equals the gather bit for
+    bit, and a column table on this lattice is not expanded to C.
     """
     if warn:
         warn_unless_invariant(cov, lattice, "the cross block loses its meaning")
-    cols = _columns_on(cov, lattice)
-    if cols is not None:
-        return _translates(_half_columns(cols)[1])
-    plus = lattice.plus_sites
-    return cov.matrix[np.ix_(plus, lattice.theta_perm[plus])]
+    table, expand, _, _ = _layout(cov, lattice)
+    block = expand(_half_columns(table)[1])
+    # a dense C with one time slice per half or one spatial site expands to a read-only view of itself
+    return block if block.flags.writeable else block.copy()
 
 
 def check_gaussian_rp(cov, lattice, tol=DEFAULT_PSD_TOL, invariance_tol=DEFAULT_INVARIANCE_TOL):
     """Reflection positivity of the Gaussian: the cross block must be PSD.
 
     A reflection-invariance violation is reported as its own failure kind,
-    distinct from a genuinely negative cross-block spectrum. A covariance
-    with a column table on this lattice is decided per spatial momentum,
-    from the T x T blocks of its cross-block table; its smallest eigenvalue
-    and threshold then differ from the dense ones at rounding. Only the
-    spectrum is computed, never a root.
+    distinct from a genuinely negative cross-block spectrum. The spectrum is
+    that of _layout's blocks of the B table; a column table on this lattice
+    is decided per spatial momentum, and its smallest eigenvalue and
+    threshold then differ from the dense ones at rounding. Only the spectrum
+    is computed, never a root.
     """
     inv = check_theta_invariance(cov, lattice, invariance_tol)
-    cols = _columns_on(cov, lattice)
-    if cols is None:
-        block = symmetrized(cross_block(cov, lattice, warn=False))
-    else:
-        block = _momentum_blocks(_half_columns(cols)[1])
-    psd = _spectral_psd(np.linalg.eigvalsh(block).ravel(), tol)
+    table, _, blocks, _ = _layout(cov, lattice)
+    psd = _spectral_psd(np.linalg.eigvalsh(blocks(_half_columns(table)[1])).ravel(), tol)
     if not inv.passed:
         kind = "not-theta-invariant"
     elif not psd.passed:
@@ -678,31 +657,22 @@ def decompose_pq(cov, lattice):
     failing reports rather than raised: the failing report is the diagnostic
     product.
 
-    a_block is read-only: a view of the covariance's matrix, or, for a
-    covariance with a column table on this lattice, the expansion of its A
-    table, and C is not expanded. Such a covariance is split on the tables
-    of A and B, and c_p and c_q are expanded from them. The dense blocks
-    hold exactly the table entries, and the refit is entrywise and stops
-    once no entry misses, so a_block, c_p and c_q equal the dense ones bit
-    for bit. The reports come from the per-momentum spectra, as in
-    check_gaussian_rp.
+    The split runs on _layout's tables of A and B, which hold exactly C's
+    entries, and the refit is entrywise and stops once no entry misses, so
+    the expanded a_block, c_p and c_q equal the split of the gathered blocks
+    bit for bit. a_block is read-only: a view of the covariance's matrix,
+    or, for a column table on this lattice, the expansion of its A table.
 
-    Each summand is diagonalised once, by the eigh that gives both its
-    report and its PSD square root (see PQPair.roots).
+    Each summand is diagonalised once, by the eigh of its _layout blocks
+    that gives both its report and its PSD square root (see PQPair.roots).
     """
-    tol = cov.psd_tolerance
-    cols = _columns_on(cov, lattice)
-    if cols is None:
-        a_block = cov.matrix[lattice.n_plus:, lattice.n_plus:]  # the positive half is the last n_plus sites
-        c_p, c_q = _split(a_block, cross_block(cov, lattice, warn=False))
-        (report_p, root_p), (report_q, root_q) = _psd_root(c_p, tol), _psd_root(c_q, tol)
-        return PQPair(c_p, c_q, a_block, report_p, report_q, cov, lattice, (root_p, root_q))
-    a, b = _half_columns(cols)
+    table, expand, blocks, unblock = _layout(cov, lattice)
+    a, b = _half_columns(table)
     p, q = _split(a, b)
-    (report_p, root_p), (report_q, root_q) = _momentum_psd_root(p, tol), _momentum_psd_root(q, tol)
-    a_block = _translates(a)
+    (report_p, root_p), (report_q, root_q) = (_psd_root(blocks(half), cov.psd_tolerance) for half in (p, q))
+    a_block = expand(a)
     a_block.setflags(write=False)
-    return PQPair(_translates(p), _translates(q), a_block, report_p, report_q, cov, lattice, (root_p, root_q))
+    return PQPair(expand(p), expand(q), a_block, report_p, report_q, cov, lattice, (unblock(root_p), unblock(root_q)))
 
 
 def _split(a, b):
@@ -726,7 +696,9 @@ def covariance_factor(matrix, psd_tolerance):
 
     The matrix must be exactly symmetric as given. Negative eigenvalues
     within the tolerance band are clipped; anything below it is an error.
-    Rank-deficient matrices are fine.
+    Rank-deficient matrices are fine. Nothing in the package calls it, but
+    the tests draw explicit covariances against it and bench/tracing.py
+    times it by name: removing it breaks the traced benchmark run.
     """
     if not np.array_equal(matrix, matrix.T):
         raise ValueError("matrix to factor must be exactly symmetric")
@@ -735,7 +707,12 @@ def covariance_factor(matrix, psd_tolerance):
 
 def _psd_factor(matrix, psd_tolerance, what):
     eigvals, eigvecs = np.linalg.eigh(matrix)
-    _require_psd(eigvals, psd_tolerance, what)
+    gate = _spectral_psd(eigvals, psd_tolerance)
+    if not gate.passed:
+        raise ValueError(
+            f"{what} is not positive semidefinite: eigenvalue {gate.min_eigenvalue:.3e} "
+            f"below {gate.threshold:.3e}"
+        )
     eigvecs *= np.sqrt(np.clip(eigvals, 0.0, None))
     return eigvecs
 
@@ -757,6 +734,8 @@ def sample(cov, n, seed):
     returns bit-identical samples, whatever the BLAS thread count. configs
     is a fresh array owned by the sample; a single chunk's block is
     returned without a copy. See Covariance.draw for how a block is drawn.
+    A sample of fewer draws is not always a bitwise prefix: the BLAS may
+    round an explicit covariance's z @ F^T otherwise for a few rows.
     """
     blocks = [block for _, block in iter_sample_chunks(cov, n, seed)]
     configs = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)

@@ -210,7 +210,19 @@ def test_theta_conjugation_as_a_view_equals_the_gather(time_extent, extents):
     x = np.random.default_rng(7).standard_normal((n, n))
     m = symmetrized(x @ x.T)  # PSD and, unlike a free field, not reflection invariant
     deviation = float(np.abs(m[np.ix_(theta, theta)] - m).max())
-    assert check_theta_invariance(Covariance(m), lat).deviation == deviation
+    cov = Covariance(m)
+    assert check_theta_invariance(cov, lat).deviation == deviation
+    # the blocks the dense path reads through its table view, against np.ix_ gathers
+    plus = lat.plus_sites
+    a, b = m[np.ix_(plus, plus)], m[np.ix_(plus, theta[plus])]
+    got = cross_block(cov, lat, warn=False)
+    assert np.array_equal(got, b) and got.flags.writeable and not np.shares_memory(got, cov.matrix)
+    pq = decompose_pq(cov, lat)
+    assert np.array_equal(pq.a_block, m[lat.n_plus:, lat.n_plus:]) and np.array_equal(pq.a_block, a)
+    assert np.shares_memory(pq.a_block, cov.matrix) and not pq.a_block.flags.writeable
+    c_p, c_q = gaussian._split(a, b)
+    assert np.array_equal(pq.c_p, c_p) and np.array_equal(pq.c_q, c_q)
+    assert check_gaussian_rp(cov, lat).min_eigenvalue == np.linalg.eigvalsh(symmetrized(b)).min()
 
 
 def _apply_operator_by_stencil(lat, mass, x):
@@ -354,6 +366,15 @@ def test_a_free_field_on_another_lattice_of_the_same_size_takes_the_dense_path()
     twin = Covariance(cov.matrix)
     assert check_gaussian_rp(cov, other) == check_gaussian_rp(twin, other)
     assert decompose_pq(cov, other) == decompose_pq(twin, other)
+
+
+@pytest.mark.parametrize("check", [check_theta_invariance, cross_block, check_gaussian_rp, decompose_pq])
+@pytest.mark.parametrize("layout", ["column-table", "dense"])
+def test_a_covariance_of_another_size_is_one_clear_error(check, layout):
+    free = free_field_covariance(build_lattice(2, [5]), 0.5)
+    cov = free if layout == "column-table" else Covariance(free.matrix)
+    with pytest.raises(ValueError, match=r"^covariance is 20x20, lattice has 16 sites$"):
+        check(cov, build_lattice(2, [4]))
 
 
 def test_column_table_is_checked_held_read_only_and_not_part_of_the_value():
@@ -685,6 +706,15 @@ def test_samples_are_bitwise_draws_times_the_standalone_factor():
     free = free_field_covariance(build_lattice(2, [3]), 0.9)
     cov = Covariance(free.matrix.copy())
     _assert_draws_are_bitwise(cov, covariance_factor(cov.matrix, cov.psd_tolerance), 5000, 11)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 8, 16, 300])
+def test_explicit_draws_are_a_prefix_to_rounding(count):
+    # the GEMM z @ factor.T may round a few rows otherwise than a full chunk's: in the last bit for
+    # count <= 8 with OpenBLAS 0.3.31; other BLAS builds do so at other counts
+    cov = Covariance(free_field_covariance(build_lattice(2, [5, 4]), 0.5).matrix)
+    full = cov.draw(np.random.default_rng(3), 2048)[:count]
+    assert np.abs(cov.draw(np.random.default_rng(3), count) - full).max() <= 1e-15 * np.abs(full).max()
 
 
 def _assert_draws_are_near(cov, factor, n, seed, rel=1e-14):
