@@ -47,7 +47,7 @@ from .gaussian import (
     theta_inner,
     verify_convolution_identity,
 )
-from .gaussian import _translates
+from .gaussian import _checked_tolerance, _translates
 from .lattice import Lattice, as_float, as_int, build_lattice, reflect
 from .rp_verify import (
     FAIL,
@@ -161,12 +161,12 @@ def resolve_config(raw, config_dir, seed_override=None):
         _fail(f"invalid lattice section: {exc}")
 
     tol_cfg = _section(raw, "tolerances")
-    tolerances = {
-        "psd_tol": _number(tol_cfg, "tolerances", "psd_tol", DEFAULT_PSD_TOL),
-        "invariance_tol": _number(tol_cfg, "tolerances", "invariance_tol", DEFAULT_INVARIANCE_TOL),
-    }
-    if not all(math.isfinite(t) and t >= 0 for t in tolerances.values()):
-        _fail("tolerances must be finite and nonnegative")
+    tolerances = {}
+    for key, default in (("psd_tol", DEFAULT_PSD_TOL), ("invariance_tol", DEFAULT_INVARIANCE_TOL)):
+        try:
+            tolerances[key] = _checked_tolerance(tol_cfg.get(key, default), f"tolerances.{key}")
+        except (ValueError, OverflowError) as exc:  # float() of a huge JSON integer overflows
+            _fail(str(exc))
     echo = {"lattice": _fields(lattice), "tolerances": tolerances}
 
     mc = None
@@ -591,10 +591,10 @@ def _summarize(report, quiet):
 
 def _tolerance(text):
     """argparse type: a finite, nonnegative float."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
-    return value
+    try:
+        return _checked_tolerance(float(text), "the tolerance")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser():

@@ -206,10 +206,11 @@ def _check_entries(m):
         raise ValueError(f"covariance entry of magnitude {peak:.3e} is too large: S_ii S_jj + S_ij^2 overflows")
 
 
-def _checked_tolerance(tol):
-    tol = as_float(tol, "psd_tolerance")
+def _checked_tolerance(tol, name="psd_tolerance"):
+    """tol as a float; the one rule of every gate's tolerance, named name in the message."""
+    tol = as_float(tol, name)
     if not (math.isfinite(tol) and tol >= 0):  # NaN and inf would turn every gate into a no-op
-        raise ValueError(f"psd_tolerance must be finite and nonnegative, got {tol}")
+        raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
     return tol
 
 
@@ -335,22 +336,14 @@ def free_field_covariance(lattice, mass, psd_tolerance=DEFAULT_PSD_TOL):
     makes C exactly symmetric, reflection invariant and translation invariant.
     The Covariance keeps the roots R_k R_k^T = K_k^-1 and draws through them,
     so its draws have covariance C up to rounding; no N x N matrix is
-    built, inverted, factored or multiplied. A mass too small for the operator to
-    be positive definite in binary64 is an error.
+    built, inverted, factored or multiplied. A mass is too small, and an
+    error, when the Cholesky fails or the returned C leaves a residual
+    ||I - (-laplacian + mass^2) C||_inf of 1 or more, read off the table.
     """
     mass = as_float(mass, "mass")
     # NaN fails every comparison; a mass whose square overflows would give C = 0
     if not (mass > 0 and math.isfinite(mass * mass)):
         raise ValueError(f"mass must be positive with a finite square, got {mass}")
-    # Each row of the assembled -laplacian + mass^2 sums exactly to its
-    # diagonal minus its degree. If mass^2 is lost from every diagonal entry,
-    # the operator annihilates the constant field; if one row keeps it, the
-    # operator is irreducibly diagonally dominant and so positive definite.
-    if all(_assembled_diagonal(mass, degree) == degree for degree in _site_degrees(lattice)):
-        raise ValueError(
-            f"mass {mass} is too small: its square vanishes beside the site degrees, "
-            "so -laplacian + mass^2 is singular"
-        )
     times = lattice.shape[0]
     extents = lattice.shape[1:] or (1,)  # a pure time lattice is one spatial site
     path = 2.0 * np.eye(times) - np.eye(times, k=1) - np.eye(times, k=-1)
@@ -364,28 +357,16 @@ def free_field_covariance(lattice, mass, psd_tolerance=DEFAULT_PSD_TOL):
     green = roots @ roots.swapaxes(-1, -2)
     axes = tuple(range(len(extents)))
     cols = np.fft.ifftn(green, axes=axes).real
-    residual = -_apply_operator(cols, mass)  # one step of iterative refinement
-    residual[(0,) * len(extents)] += np.eye(times)
-    cols += np.fft.ifftn(green @ np.fft.fftn(residual, axes=axes), axes=axes).real
+    cols += np.fft.ifftn(green @ np.fft.fftn(_residual(cols, mass), axes=axes), axes=axes).real  # one refinement step
     # averaging with c[-d, s, t] makes C exactly symmetric, then with the
     # time-flipped table exactly reflection invariant; each keeps the other
     cols = (cols + _transposed(cols)) / 2.0
     cols = (cols + cols[..., ::-1, ::-1]) / 2.0
+    # ||I - (-laplacian + mass^2) C||_inf, the largest row sum of the residual; NaN fails
+    residual = float(np.abs(_residual(cols, mass)).sum(axis=(*axes, -1)).max())
+    if not residual < 1.0:
+        raise ValueError(f"mass {mass} is too small: ||I - (-laplacian + mass^2) C||_inf = {residual:.3e} >= 1")
     return Covariance.from_columns(cols, roots, psd_tolerance)
-
-
-def _site_degrees(lattice):
-    """The distinct numbers of link ends at a site: 1 or 2 in time, 2 per spatial ring."""
-    spatial = 2 * sum(extent > 1 for extent in lattice.spatial_extents)
-    return {min(2, lattice.shape[0] - 1) + spatial, 1 + spatial}
-
-
-def _assembled_diagonal(mass, degree):
-    """mass^2 followed by one +1.0 per link end, added left to right as assembling the operator does."""
-    total = mass * mass
-    for _ in range(degree):
-        total += 1.0
-    return total
 
 
 def _momentum_shifts(extents, mass):
@@ -399,6 +380,13 @@ def _momentum_shifts(extents, mass):
         k = np.arange(n)
         shifts = np.add.outer(shifts, 2.0 - 2.0 * np.cos(2.0 * np.pi * np.minimum(k, n - k) / n))
     return mass * mass + shifts
+
+
+def _residual(cols, mass):
+    """The table of I - (-laplacian + mass^2) C for C expanded from the columns cols."""
+    residual = -_apply_operator(cols, mass)
+    residual[(0,) * (cols.ndim - 2)] += np.eye(cols.shape[-1])
+    return residual
 
 
 def _apply_operator(cols, mass):
@@ -535,6 +523,7 @@ def check_theta_invariance(cov, lattice, tol=DEFAULT_INVARIANCE_TOL):
     C's, so the deviation and the scale read the table and equal the ones of
     the gathered C[theta, theta] bit for bit.
     """
+    tol = _checked_tolerance(tol, "tol")
     table = _layout(cov, lattice)[0]
     deviation = float(np.abs(table[..., ::-1, ::-1] - table).max())
     scale = max(1.0, float(np.abs(table).max()))
@@ -623,7 +612,8 @@ def check_gaussian_rp(cov, lattice, tol=DEFAULT_PSD_TOL, invariance_tol=DEFAULT_
     threshold then differ from the dense ones at rounding. Only the spectrum
     is computed, never a root.
     """
-    inv = check_theta_invariance(cov, lattice, invariance_tol)
+    tol = _checked_tolerance(tol, "tol")
+    inv = check_theta_invariance(cov, lattice, _checked_tolerance(invariance_tol, "invariance_tol"))
     table, _, blocks, _ = _layout(cov, lattice)
     psd = _spectral_psd(np.linalg.eigvalsh(blocks(_half_columns(table)[1])).ravel(), tol)
     if not inv.passed:

@@ -40,7 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import Potential, check_sites, eval_potential_batch, is_even
-from .gaussian import PsdReport, char_fn, gaussian_polynomial_gram, iter_sample_chunks, warn_unless_invariant
+from .gaussian import (
+    PsdReport, _checked_tolerance, char_fn, gaussian_polynomial_gram, iter_sample_chunks, warn_unless_invariant,
+)
 from .lattice import _as_site_vector, as_int, embed_plus, positive_support, reflect, restrict_plus
 from .streams import (
     CHUNK_SIZE,
@@ -125,10 +127,11 @@ def psd_check(matrix, tol, eig_error_bound=0.0):
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
+    tol, bound = _checked_tolerance(tol, "tol"), _checked_tolerance(eig_error_bound, "eig_error_bound")
     h = (m + np.conj(m.T)) / 2.0
     min_eig = float(np.linalg.eigvalsh(h).min()) if h.size else 0.0
-    threshold = -float(tol) - 5.0 * float(eig_error_bound)
-    return PsdReport(min_eig >= threshold, min_eig, threshold, float(tol))
+    threshold = -tol - 5.0 * bound
+    return PsdReport(min_eig >= threshold, min_eig, threshold, tol)
 
 
 def schur_product(a, b):
@@ -178,8 +181,8 @@ def small_lambda_probe(cov, lattice, phi, lambdas):
     out = []
     for lam in lambdas:
         lam = float(lam)
-        if lam <= 0:
-            raise ValueError(f"probe scale must be positive, got {lam}")
+        if not (lam > 0 and 0.0 < lam * lam < math.inf):  # NaN fails; a square that under- or overflows too
+            raise ValueError(f"probe scale must be positive with a finite, positive square, got {lam}")
         value = (char_fn(cov, lam * diff) - 2.0 * char_fn(cov, lam * phi) + 1.0) / lam**2
         out.append(value)
     return out
@@ -193,6 +196,7 @@ def _phase_matrices(lattice, phis):
 
 def gram_exact_gaussian(cov, lattice, phis, tol=DEFAULT_GRAM_TOL):
     """Exact Gaussian Gram matrix; entries are closed-form, stderr is zero."""
+    tol = _checked_tolerance(tol, "tol")
     require_positive_support(lattice, phis)
     warn_unless_invariant(cov, lattice, "the Gram matrix does not test reflection positivity")
     m = gaussian_polynomial_gram(cov, *_phase_matrices(lattice, phis), _ONE).astype(np.complex128)
@@ -239,7 +243,7 @@ def _gram_report(mean, stderr, tol, kind, n_samples=0, seed=None, ess=None, chun
         estimator_kind=kind,
         effective_sample_size=ess,
         hermiticity_gap=float(np.abs(mean - np.conj(mean.T)).max()),
-        tol=float(tol),
+        tol=check.tol,
     )
 
 
@@ -307,6 +311,7 @@ def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
     expectation; only its real part is accumulated. An odd term adds the
     imaginary part, sin(a - b) = sin a cos b - cos a sin b, in a second one.
     """
+    tol = _checked_tolerance(tol, "tol")
     require_positive_support(lattice, phis)
     phi_mat, theta_mat = _phase_matrices(lattice, phis)
 
@@ -360,6 +365,7 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
     it on one thread instead of spinning a second one on the worker's core.
     Neither the sub-blocks nor the worker change a bit of the report.
     """
+    tol = _checked_tolerance(tol, "tol")
     lattice = pq.lattice
     require_positive_support(lattice, phis)
     if not pq.both_psd:

@@ -693,15 +693,23 @@ def test_an_input_file_that_is_not_utf8_exits_two_with_one_line(tmp_path, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mass", [1e-200, 1e-9])
+@pytest.mark.parametrize(
+    "time_extent, extents, mass",
+    [
+        pytest.param(2, [3], 1e-200, id="1e-200"),
+        pytest.param(2, [3], 1e-9, id="1e-09"),
+        # the Cholesky succeeds, but the table misses the inverse by 2.6e13; this used to exit 1
+        pytest.param(2, [4], 2e-8, id="T2-L4-2e-08"),
+    ],
+)
 @pytest.mark.parametrize("command", ["check-gaussian", "verify-rp"])
-def test_singular_free_field_exits_two_with_one_line(tmp_path, capsys, command, mass):
-    # both masses vanish from -laplacian + mass^2; the inverse used to pass as a covariance
-    lat = build_lattice(2, [3])
+def test_singular_free_field_exits_two_with_one_line(tmp_path, capsys, command, time_extent, extents, mass):
+    # each mass is too small for binary64 to invert -laplacian + mass^2 on its lattice
+    lat = build_lattice(time_extent, extents)
     cfg = write_config(
         tmp_path / "cfg.json",
         {
-            "lattice": {"time_extent": 2, "spatial_extents": [3]},
+            "lattice": {"time_extent": time_extent, "spatial_extents": extents},
             "covariance": {"kind": "free_field", "mass": mass},
             "density": potential_to_obj(lat, phi4(lat, 0.1)),
             "mc": {"n_samples": 1_000, "seed": 0},
@@ -710,7 +718,7 @@ def test_singular_free_field_exits_two_with_one_line(tmp_path, capsys, command, 
     out = tmp_path / "report.json"
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: invalid covariance: mass ") and err.count("\n") == 1, err
+    assert err.startswith(f"error: invalid covariance: mass {mass} is too small: ") and err.count("\n") == 1, err
     assert not out.exists()
 
 

@@ -46,8 +46,8 @@ def _laplacian_plus_mass(lattice, mass):
     Each diagonal entry is mass^2 followed by one +1.0 per link end, added
     left to right; adding mass^2 + degree in one step can differ in the last ulp.
     The dense N x N reference the free field is compared against;
-    free_field_covariance applies the same diagonal rule through
-    gaussian._assembled_diagonal and never forms it.
+    free_field_covariance never forms it, and applies the operator to its
+    column table as a stencil instead.
     """
     n = lattice.site_count
     op = np.zeros((n, n))
@@ -145,23 +145,34 @@ def test_free_field_rejects_a_mass_lost_from_the_operator(time_extent, extents, 
 
 
 def test_free_field_accepts_a_mass_kept_by_the_operator():
-    # mass^2 = 1.21e-16 survives in the diagonal of the two degree-1 sites
-    cov = free_field_covariance(build_lattice(1, []), 1.1e-8)
+    # at mass 1.1e-8 the table leaves ||I - (-laplacian + mass^2) C||_inf = 1.0, so C does not
+    # invert the operator; at 2e-8 the residual is 0.0099
+    lat = build_lattice(1, [])
+    with pytest.raises(ValueError, match="mass 1.1e-08 is too small"):
+        free_field_covariance(lat, 1.1e-8)
+    cov = free_field_covariance(lat, 2e-8)
     assert np.isfinite(cov.matrix).all() and np.isfinite(cov.factor).all()
 
 
-@pytest.mark.parametrize("time_extent, extents", [(1, []), (3, []), (1, [2]), (2, [3]), (2, [3, 4]), (1, [1, 5])])
-def test_mass_lost_gate_follows_the_assembled_operator(time_extent, extents):
-    # masses whose square is a fraction of an ulp of the site degrees: the gate
-    # must raise exactly when every row of the assembled operator sums to zero
+@pytest.mark.parametrize(
+    "time_extent, extents",
+    [(1, []), (3, []), (1, [2]), (2, [3]), (2, [3, 4]), (1, [1, 5]), (2, [4]), (2, [5]), (4, [8])],
+)
+def test_small_mass_gate_returns_only_fields_that_pass(time_extent, extents):
+    # every field the gate lets through must pass the exact checks; the sweep holds masses whose
+    # tables miss the inverse (2e-8 on T=2, L=[4]; 1.2e-8 on T=3; 1.53e-8 on T=1) and one that a
+    # model of the assembled operator refused though its table inverts it (1.548e-8 on T=2, L=[3])
     lat = build_lattice(time_extent, extents)
-    for mass in np.sqrt(np.linspace(0.25, 12.0, 48) * 2.0**-52):
-        lost = not _laplacian_plus_mass(lat, mass).sum(axis=1).any()
-        if lost:
-            with pytest.raises(ValueError, match="its square vanishes beside the site degrees"):
-                free_field_covariance(lat, mass)
-        else:
-            assert np.isfinite(free_field_covariance(lat, mass).matrix).all()
+    for mass in [*np.geomspace(1e-8, 1e-6, 40), 1.2e-8, 1.53e-8, 1.548e-8, 2e-8]:
+        try:
+            cov = free_field_covariance(lat, mass)
+        except ValueError as exc:
+            assert f"mass {mass} is too small" in str(exc)
+            assert mass < 1e-6, "the top of the sweep is refused"
+            continue
+        assert check_theta_invariance(cov, lat).passed, mass
+        assert check_gaussian_rp(cov, lat).passed, mass
+        assert decompose_pq(cov, lat).both_psd, mass
 
 
 def test_free_field_rejects_nonpositive_mass():

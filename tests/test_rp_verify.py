@@ -21,6 +21,7 @@ from rplattice import (
     Term,
     ZERO_POTENTIAL,
     build_lattice,
+    check_gaussian_rp,
     check_theta_invariance,
     decompose_pq,
     eval_potential_batch,
@@ -130,6 +131,51 @@ def test_estimators_reject_non_finite_test_functions(call, bad):
     phis = [np.array([0.0, bad]), np.zeros(2)]
     with pytest.raises(ValueError, match="test function 0 has a NaN or infinite entry"):
         call(free_field_covariance(lat, 1.0), lat, phis)
+
+
+def _factorized_with_tol(cov, lat, tol):
+    split = split_check(lat, phi4(lat, 0.1))
+    params = McParams(1, seed=0, n_outer=64, n_inner=16)
+    return gram_mc_factorized(decompose_pq(cov, lat), split.witness_g, TWO_SITE_PHIS, params, tol)
+
+
+TOLERANCE_GATES = {
+    "check_theta_invariance": lambda cov, lat, tol: check_theta_invariance(cov, lat, tol),
+    "check_gaussian_rp-tol": lambda cov, lat, tol: check_gaussian_rp(cov, lat, tol),
+    "check_gaussian_rp-invariance_tol": lambda cov, lat, tol: check_gaussian_rp(cov, lat, invariance_tol=tol),
+    "psd_check-tol": lambda cov, lat, tol: psd_check(np.eye(2), tol),
+    "psd_check-eig_error_bound": lambda cov, lat, tol: psd_check(np.eye(2), 0.0, tol),
+    "gram_exact_gaussian": lambda cov, lat, tol: gram_exact_gaussian(cov, lat, TWO_SITE_PHIS, tol),
+    "gram_mc_direct": lambda cov, lat, tol: gram_mc_direct(
+        cov, lat, phi4(lat, 0.1), TWO_SITE_PHIS, McParams(2_000, seed=0), tol
+    ),
+    "gram_mc_factorized": _factorized_with_tol,
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("gate", TOLERANCE_GATES.values(), ids=TOLERANCE_GATES.keys())
+def test_gates_refuse_a_tolerance_that_is_not_finite_and_nonnegative(monkeypatch, gate, tol):
+    # NaN failed a PSD block and a zero deviation, -1 failed every gate, inf passed anything;
+    # the estimators must refuse before a sample is drawn
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a sample was drawn before the tolerance was checked")
+
+    lat = build_lattice(1, [])
+    cov = free_field_covariance(lat, 1.0)
+    monkeypatch.setattr(rp_verify, "substream", no_draws)
+    monkeypatch.setattr(rp_verify, "iter_sample_chunks", no_draws)
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        gate(cov, lat, tol)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 1e-300, 1e200, 0.0, -0.1])
+def test_probe_refuses_a_scale_whose_square_is_not_positive_and_finite(scale):
+    # NaN returned [nan], inf warned, 1e-300 divided by a square that underflows to zero
+    lat = build_lattice(1, [])
+    with pytest.raises(ValueError, match="probe scale must be positive"):
+        small_lambda_probe(two_site_cov(0.5), lat, np.array([0.0, 1.0]), [scale])
 
 
 def test_gram_exact_warns_on_invariance_violation():
