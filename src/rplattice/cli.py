@@ -517,15 +517,19 @@ def cmd_selftest(psd_tol=DEFAULT_PSD_TOL):
     entry("exact-momentum-vs-dense", same and gap <= MOMENTUM_FLOOR_TOL, gap, MOMENTUM_FLOOR_TOL)
 
     # free-field draws against the same normals times the dense factor, which shares their real
-    # Fourier basis; that the factor is a root of C tests the basis, with C taken the basis-free
-    # way, as the inverse transform of the Green's tables R_k R_k^T
-    small = free_field_covariance(build_lattice(2, [5, 4]), 0.5)  # two momenta per axis, and k = L/2
-    want = np.random.default_rng(7).standard_normal((256, small.dim)) @ small.factor.T
-    dev = float(np.abs(small.draw(np.random.default_rng(7), 256) - want).max() / np.abs(want).max())
-    roots = small.momentum_roots
+    # Fourier basis, and F F^T against C, taken the basis-free way as the inverse transform of the
+    # Green's tables R_k R_k^T; then the half-lattice summands of that field against c_p and c_q
+    small_lat = build_lattice(2, [5, 4])  # two momenta per axis, and k = L/2
+    small = free_field_covariance(small_lat, 0.5)
+    split, roots = decompose_pq(small, small_lat), small.momentum_roots
     c = _translates(np.fft.ifftn(roots @ roots.swapaxes(-1, -2), axes=(0, 1)).real)
-    dev = max(dev, float(np.abs(small.factor @ small.factor.T - c).max() / np.abs(c).max()))
-    entry("sampler-momentum-vs-dense", dev <= 1e-14, dev, 1e-14)
+    for name, pairs in (("sampler", [(small, c)]), ("split", [(split.p, split.c_p), (split.q, split.c_q)])):
+        dev = 0.0
+        for drawn, target in pairs:
+            want = np.random.default_rng(7).standard_normal((256, drawn.dim)) @ drawn.factor.T
+            dev = max(dev, float(np.abs(drawn.draw(np.random.default_rng(7), 256) - want).max() / np.abs(want).max()))
+            dev = max(dev, float(np.abs(drawn.factor @ drawn.factor.T - target).max() / np.abs(target).max()))
+        entry(f"{name}-momentum-vs-dense", dev <= 1e-14, dev, 1e-14)
 
     # the polynomial closed form for sum_x T_x^2, whose mean against exp(iu.T) is minus twice the
     # q-derivative at q = 0 of the quadratic density's (below): exp(-(1/2) u^T C u) (tr C - |Cu|^2)

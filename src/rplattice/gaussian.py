@@ -28,9 +28,9 @@ Fourier modes of the spatial axes, without an N x N factor. The
 Covariance keeps C's column table and the R_k and expands C only when it
 is read. The exact checks read any C, column table or dense, as a table
 over its two time axes, and index its halves, flip and split alike; only
-the eigensolves differ. A column table's B, c_p = A - B and c_q are
-block-diagonal in momentum, so their spectra and PSD roots come from
-batched T x T eigensolves; a dense C keeps dense ones, which stay the oracle.
+the eigensolves differ. A column table's B, c_p = A - B and c_q are block-
+diagonal in momentum, with spectra and roots from batched T x T eigensolves,
+and c_p and c_q draw per momentum; a dense C keeps dense ones, the oracle.
 
 gaussian_polynomial_gram gives the Gram entries E[exp(i(a_m - b_n)) P(T)]
 of a polynomial P in closed form, by Isserlis' theorem; P = 1 gives the
@@ -67,15 +67,16 @@ class Covariance:
       from the table, and draw() applies the R_k to normals read as
       coefficients of the real Fourier modes of the spatial axes. The
       N x N matrix and factor are expanded only when they are read.
-    * Otherwise the factor F with F F^T = matrix comes from one eigh of
-      matrix, which also gates positive semidefiniteness up to psd_tolerance
-      relative to the spectral norm. The gate reads the eigenvalues of that
-      eigh, not of a separate eigvalsh; only a matrix whose smallest
-      eigenvalue lies within rounding of the threshold can tell the two apart.
+    * Otherwise F is the symmetric root V sqrt(max(L, 0)) V^T of one eigh of
+      matrix: unique, so it moves at rounding with matrix, where V sqrt(L)
+      can turn with the eigenbasis of a repeated eigenvalue. That eigh gates
+      positive semidefiniteness up to psd_tolerance relative to the spectral
+      norm; a separate eigvalsh could disagree only within rounding of it.
 
     columns and momentum_roots are None on the second way. Like factor, they
     are not part of the value, and dataclasses.replace, which takes the
-    second way, drops them.
+    second way, drops them. decompose_pq holds its summands unchecked: a C
+    that is not reflection invariant splits into halves that are not symmetric.
     """
 
     matrix: np.ndarray
@@ -93,16 +94,16 @@ class Covariance:
         tol = _checked_tolerance(self.psd_tolerance)
         # factor the caller's array before copying it, so the factorization's
         # workspace and the copy are never alive together
-        factor = _psd_factor(m, tol, "covariance")
+        factor = _psd_factor(m, tol)
         self._hold(tol, matrix=np.array(m), factor=factor)
 
     @classmethod
     def from_columns(cls, columns, momentum_roots, psd_tolerance=DEFAULT_PSD_TOL):
         """The covariance C[(t, x), (s, y)] = columns[x - y, t, s], drawn through momentum_roots.
 
-        Both tables have shape (*spatial_extents, 2T, 2T) and lay C out on the
-        lattice of shape (2T, *spatial_extents); momentum_roots[k] is a root
-        R_k of C's 2T x 2T block at spatial momentum k. The caller vouches
+        Both tables have shape (*spatial_extents, n, n) and lay C out on sites
+        (t, x), t over the n times of a block; momentum_roots[k] is a root
+        R_k of C's n x n block at spatial momentum k. The caller vouches
         that R_k R_k^T is that block up to rounding; it is not factored or
         gated here. The checks run on the tables: columns[d, t, s] ==
         columns[-d, s, t], which holds exactly when C is symmetric, and
@@ -123,24 +124,21 @@ class Covariance:
             raise ValueError("root must be finite")
         if not all(np.array_equal(roots, roots.take(-np.arange(n) % n, a)) for a, n in enumerate(cols.shape[:-2])):
             raise ValueError("momentum roots must be even under k -> -k on every axis")
-        tol = _checked_tolerance(psd_tolerance)
-        cov = cls.__new__(cls)
-        cov._hold(tol, columns=cols, momentum_roots=roots)
-        return cov
+        return cls.__new__(cls)._hold(_checked_tolerance(psd_tolerance), columns=cols, momentum_roots=roots)
 
     def _hold(self, tol, **arrays):
-        for name, array in arrays.items():  # a factor given here fills the cached property
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        for name, array in arrays.items():  # as given, unchecked; a factor fills the cached property
+            if array is not None:
+                array.setflags(write=False)
+                object.__setattr__(self, name, array)
         object.__setattr__(self, "psd_tolerance", tol)
+        return self
 
     def __getattr__(self, name):
         # reached only for attributes not yet set: a column table's matrix is expanded on first read
         if name != "matrix" or self.columns is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        matrix = _translates(self.columns)
-        self._hold(self.psd_tolerance, matrix=matrix)
-        return matrix
+        return self._hold(self.psd_tolerance, matrix=_translates(self.columns)).matrix
 
     def __eq__(self, other):
         if not isinstance(other, Covariance):
@@ -181,17 +179,19 @@ class Covariance:
 
         A column table reads each row of z as the coefficients z[(k, s)] of
         the spatial modes k at times s: one batched product of each mode's
-        (count, 2T) slice with its R_k^T, then one GEMM with E^T, 2N(2T + S)
+        (count, n) slice with its R_k^T, then one GEMM with E^T, 2N(n + S)
         flops per draw instead of 2N^2. Since E^T z^T is white noise too,
         the draws have the law of those through C's translation-invariant
         root. Each draw reads only its own row of z.
         """
-        z = rng.standard_normal((count, self.dim))
         if self.momentum_roots is None:
-            return z @ self.factor.T
+            return rng.standard_normal((count, self.dim)) @ self.factor.T
         basis, roots_t = self._modes
         spatial, times = basis.shape[0], roots_t.shape[-1]
-        mixed = np.matmul(z.reshape(count, spatial, times).swapaxes(0, 1), roots_t)
+        # taken before z, so its free leaves a hole under z, not a heap top that glibc trims and refaults
+        mixed = np.empty((spatial, count, times))
+        z = rng.standard_normal((count, self.dim))
+        np.matmul(z.reshape(count, spatial, times).swapaxes(0, 1), roots_t, out=mixed)
         # every normal has been read: the product with E^T overwrites them with the draws
         np.matmul(mixed.reshape(spatial, count * times).T, basis.T, out=z.reshape(count * times, spatial))
         return z
@@ -242,19 +242,15 @@ class GaussianRpReport:
 
 @dataclass(frozen=True)
 class PQPair:
-    """Covariances of the independent (c_p) and shared (c_q) half-lattice draws, and their source.
+    """Covariances p (c_p = A - B) and q (c_q) of the independent and shared half-draws, and their source."""
 
-    root_tables: the PSD roots of c_p and c_q from their reports' eigh, as tables on a column-table split.
-    """
-
-    c_p: np.ndarray
-    c_q: np.ndarray
-    a_block: np.ndarray
+    p: Covariance
+    q: Covariance
     report_p: PsdReport
     report_q: PsdReport
     covariance: Covariance = field(repr=False, compare=False)
     lattice: Lattice = field(repr=False, compare=False)
-    root_tables: tuple = field(repr=False, compare=False)
+    a: Covariance = field(repr=False, compare=False)  # A, held as p and q are, without a root
 
     def __eq__(self, other):
         if not isinstance(other, PQPair):
@@ -267,10 +263,9 @@ class PQPair:
             and np.array_equal(self.a_block, other.a_block)
         )
 
-    @cached_property
-    def roots(self):
-        """(R_p, R_q), the unique PSD roots: symmetric, and R R^T = c_p and c_q, to rounding."""
-        return tuple(root if root.ndim == 2 else _translates(root) for root in self.root_tables)
+    c_p = property(lambda self: self.p.matrix)
+    c_q = property(lambda self: self.q.matrix)
+    a_block = property(lambda self: self.a.matrix)
 
     @property
     def both_psd(self):
@@ -532,33 +527,42 @@ def check_theta_invariance(cov, lattice, tol=DEFAULT_INVARIANCE_TOL):
 
 
 def _layout(cov, lattice):
-    """C as a table over its time axes, and the ways back: (table, expand, blocks, unblock).
+    """C as a table over its time axes, and the ways back: (table, expand, blocks, hold).
 
     table[..., t, s] is a column table on this lattice as held, or else the
     view D[x, y, t, s] = C[(t, x), (s, y)]; theta flips its last two axes
     either way. expand gives a half table's matrix, a view of a dense C where
     the strides allow. blocks gives Hermitian blocks whose spectra together
-    are the symmetrised matrix's, and unblock takes a function of them back
-    to a table: per spatial momentum for a column table, while a dense C is
-    one block, so its eigensolves stay the dense oracle.
+    are the symmetrised matrix's: per spatial momentum for a column table,
+    while a dense C is one block, so its eigensolves stay the dense oracle.
+    hold(half, root) holds a half table as a Covariance drawn through root.
     """
     if cov.dim != lattice.site_count:
         raise ValueError(f"covariance is {cov.dim}x{cov.dim}, lattice has {lattice.site_count} sites")
-    cols = _columns_on(cov, lattice)
+    tol, cols = cov.psd_tolerance, _columns_on(cov, lattice)
     if cols is not None:
         axes = tuple(range(cols.ndim - 2))  # a Fourier transform over these block-diagonalises C
 
         def momentum_blocks(half):
             return np.fft.fftn((half + _transposed(half)) / 2.0, axes=axes)
 
-        return cols, _translates, momentum_blocks, lambda root: np.fft.ifftn(root, axes=axes).real
+        def hold(half, root):
+            if root is not None:  # real, and exactly even under k -> -k on every axis, as draw's basis needs
+                for axis, n in enumerate(half.shape[:-2]):
+                    root = (root.real + root.real.take(-np.arange(n) % n, axis)) / 2.0
+            return Covariance.__new__(Covariance)._hold(tol, columns=half, momentum_roots=root)
+
+        return cols, _translates, momentum_blocks, hold
     times, rest = lattice.shape[0], lattice.site_count // lattice.shape[0]
 
     def expand(table):
         return table.transpose(2, 0, 3, 1).reshape(table.shape[-1] * rest, -1)
 
+    def hold(half, root):
+        return Covariance.__new__(Covariance)._hold(tol, matrix=expand(half), factor=root)
+
     table = cov.matrix.reshape(times, rest, times, rest).transpose(1, 3, 0, 2)
-    return table, expand, lambda half: symmetrized(expand(half)), lambda root: root
+    return table, expand, lambda half: symmetrized(expand(half)), hold
 
 
 def _columns_on(cov, lattice):
@@ -651,18 +655,16 @@ def decompose_pq(cov, lattice):
     entries, and the refit is entrywise and stops once no entry misses, so
     the expanded a_block, c_p and c_q equal the split of the gathered blocks
     bit for bit. a_block is read-only: a view of the covariance's matrix,
-    or, for a column table on this lattice, the expansion of its A table.
+    or, for a column table on this lattice, its A table expanded on first read.
 
     Each summand is diagonalised once, by the eigh of its _layout blocks
-    that gives both its report and its PSD square root (see PQPair.roots).
+    that gives both its report and the PSD root it is held and drawn with.
     """
-    table, expand, blocks, unblock = _layout(cov, lattice)
+    table, expand, blocks, hold = _layout(cov, lattice)
     a, b = _half_columns(table)
     p, q = _split(a, b)
     (report_p, root_p), (report_q, root_q) = (_psd_root(blocks(half), cov.psd_tolerance) for half in (p, q))
-    a_block = expand(a)
-    a_block.setflags(write=False)
-    return PQPair(expand(p), expand(q), a_block, report_p, report_q, cov, lattice, (unblock(root_p), unblock(root_q)))
+    return PQPair(hold(p, root_p), hold(q, root_q), report_p, report_q, cov, lattice, hold(a, None))
 
 
 def _split(a, b):
@@ -682,29 +684,26 @@ def _split(a, b):
 
 
 def covariance_factor(matrix, psd_tolerance):
-    """Factor F with F F^T = matrix, eigenvalues clipped at zero.
+    """The symmetric root F = V sqrt(L) V^T, so F F^T = matrix, eigenvalues L clipped at zero.
 
-    The matrix must be exactly symmetric as given. Negative eigenvalues
-    within the tolerance band are clipped; anything below it is an error.
+    The factor of Covariance(matrix, psd_tolerance), with its checks: the
+    matrix must be exactly symmetric as given, negative eigenvalues within
+    the tolerance band are clipped, and anything below it is an error.
     Rank-deficient matrices are fine. Nothing in the package calls it, but
     the tests draw explicit covariances against it and bench/tracing.py
     times it by name: removing it breaks the traced benchmark run.
     """
-    if not np.array_equal(matrix, matrix.T):
-        raise ValueError("matrix to factor must be exactly symmetric")
-    return _psd_factor(matrix, psd_tolerance, "matrix")
+    return Covariance(matrix, psd_tolerance).factor
 
 
-def _psd_factor(matrix, psd_tolerance, what):
-    eigvals, eigvecs = np.linalg.eigh(matrix)
-    gate = _spectral_psd(eigvals, psd_tolerance)
+def _psd_factor(matrix, psd_tolerance):
+    gate, root = _psd_root(matrix, psd_tolerance)
     if not gate.passed:
         raise ValueError(
-            f"{what} is not positive semidefinite: eigenvalue {gate.min_eigenvalue:.3e} "
+            f"covariance is not positive semidefinite: eigenvalue {gate.min_eigenvalue:.3e} "
             f"below {gate.threshold:.3e}"
         )
-    eigvecs *= np.sqrt(np.clip(eigvals, 0.0, None))
-    return eigvecs
+    return root
 
 
 def iter_sample_chunks(cov, n, seed):
@@ -735,8 +734,8 @@ def sample(cov, n, seed):
 def verify_convolution_identity(pq, n_samples=100_000, seed=0):
     """Sampling check of the factorized representation behind pq.
 
-    Per sample, one shared Q through pq.roots[1] and two independent P_1, P_2
-    through pq.roots[0] give y = [P_1 + Q, P_2 + Q]. Over n_samples draws its
+    Per sample, one shared Q drawn by pq.q and two independent P_1, P_2 by
+    pq.p give y = [P_1 + Q, P_2 + Q]. Over n_samples draws its
     second moment must match S = [[A, B], [B, A]], the joint law of
     (restrict_plus(T), restrict_plus(reflect(T))), entrywise within five
     standard errors taken from S: Var(y_i y_j) = S_ii S_jj + S_ij^2 (Isserlis).
@@ -747,14 +746,12 @@ def verify_convolution_identity(pq, n_samples=100_000, seed=0):
     """
     a, b = pq.a_block, cross_block(pq.covariance, pq.lattice, warn=False)
     target = np.block([[a, b], [b, a]])
-    root_p, root_q = pq.roots
-    half = pq.lattice.n_plus
     second = np.zeros_like(target)
     for k, count in chunk_counts(n_samples):
         rng = substream(seed, NS_FIELD, k)
-        shared = rng.standard_normal((count, half)) @ root_q.T
-        y = (rng.standard_normal((2 * count, half)) @ root_p.T).reshape(count, 2 * half)
-        y.reshape(count, 2, half)[...] += shared[:, np.newaxis]
+        shared = pq.q.draw(rng, count)
+        y = pq.p.draw(rng, 2 * count).reshape(count, -1)
+        y.reshape(count, 2, -1)[...] += shared[:, np.newaxis]
         second += y.T @ y
     delta = np.abs(second / n_samples - target)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -341,9 +341,8 @@ def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
 def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
     """Two-level Gram estimate through the half-lattice split pq.
 
-    Outer draws L come from the shared covariance pq.c_q, inner draws T from
-    the independent covariance pq.c_p, each through its PSD root in pq.roots;
-    the partial averages
+    Outer draws L come from the shared covariance pq.q, inner draws T from
+    the independent covariance pq.p, each by its draw; the partial averages
 
         H_m(L) = inner mean of exp[-i (T + L) . h_m + G(T + L)]
 
@@ -360,9 +359,9 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
     The calling thread consumes every stream and evaluates the half-density,
     in chunk order, so the draws and the traced layers stay on it; one worker
     thread, scoped to the call, computes the phase kernel of each sub-block
-    of outer draws, and chunks merge in order. Inner draws are mixed by one
-    (n_inner, nh) product per outer draw, small enough that OpenBLAS keeps
-    it on one thread instead of spinning a second one on the worker's core.
+    of outer draws, and chunks merge in order. Inner draws are one pq.p.draw
+    of n_inner rows per outer draw, small enough that OpenBLAS keeps it on
+    one thread instead of spinning a second one on the worker's core.
     Neither the sub-blocks nor the worker change a bit of the report.
     """
     tol = _checked_tolerance(tol, "tol")
@@ -378,7 +377,6 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
     check_sites(g, nh, f"{nh} positive-time sites")
 
     h_mat = np.stack([restrict_plus(lattice, p) for p in phis], axis=1)
-    root_p, root_q = pq.roots
 
     n_inner = params.n_inner
     moments = ChunkMoments()
@@ -386,12 +384,12 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
     weight_stats = []
 
     def draw_half(rng, shared, pool):
-        # the stream fills C order, so the sub-blocks' draws are those of one (count, n_inner) fill
         futures, weights = [], []
         for start in range(0, shared.shape[0], _SUB_BLOCK):
             rows = shared[start:start + _SUB_BLOCK]
-            s = rng.standard_normal((rows.shape[0], n_inner, nh)) @ root_p.T
-            s += rows[:, np.newaxis, :]
+            s = np.empty((rows.shape[0], n_inner, nh))  # filled in place: np.stack of the rows faulted pages in
+            for row, out in zip(rows, s):
+                np.add(pq.p.draw(rng, n_inner), row, out=out)
             w = _importance_weights(eval_potential_batch(g, s.reshape(-1, nh)), "half-density")
             w = w.reshape(-1, n_inner)
             weights.append(w)
@@ -426,7 +424,7 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
         pending = None
         for chunk_index, count in chunk_counts(params.n_outer, _OUTER_CHUNK):
             rng = substream(params.seed, NS_FACTORIZED, chunk_index)
-            shared = rng.standard_normal((count, nh)) @ root_q.T
+            shared = pq.q.draw(rng, count)
             halves = [draw_half(rng, shared, pool) for _ in range(1 if params.share_inner else 2)]
             if pending is not None:
                 merge(pending)

@@ -23,10 +23,10 @@ NS_PILOT = 4
 def substream(seed, namespace, chunk_index):
     """Return the PCG64 generator for one chunk of one consumer.
 
-    Seeds are folded into the nonnegative range accepted by SeedSequence;
+    Integer seeds are folded into the nonnegative range accepted by SeedSequence;
     the fold is deterministic, so negative seeds are legal and reproducible.
     """
-    entropy = int(seed) % (1 << 64)
+    entropy = as_int(seed, "seed") % (1 << 64)
     ss = np.random.SeedSequence(entropy=entropy, spawn_key=(int(namespace), int(chunk_index)))
     return np.random.default_rng(ss)
 

@@ -553,6 +553,20 @@ def test_selftest_checks_the_free_field_basis_against_c(monkeypatch):
     assert not _selftest_entry("sampler-momentum-vs-dense")["passed"]
 
 
+def test_selftest_checks_the_split_draws_against_c_p_and_c_q(monkeypatch):
+    entry = _selftest_entry("split-momentum-vs-dense")
+    assert entry["passed"] and 0.0 < entry["measured"] <= entry["gate"] == 1e-14
+    psd_root = gaussian._psd_root
+
+    def perturbed(blocks, tol):
+        report, root = psd_root(blocks, tol)
+        return report, root * (1.0 + 1e-13)
+
+    # draws and factor share the perturbed root, so only F F^T against the split can see it
+    monkeypatch.setattr(gaussian, "_psd_root", perturbed)
+    assert not _selftest_entry("split-momentum-vs-dense")["passed"]
+
+
 def test_selftest_checks_the_polynomial_closed_form_against_the_quadratic_derivative(monkeypatch):
     entry = _selftest_entry("gaussian-polynomial-closed-form")
     assert entry["passed"] and 0.0 <= entry["measured"] <= entry["gate"] == 1e-12

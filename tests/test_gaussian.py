@@ -550,18 +550,23 @@ def criterion_1_split():
     return decompose_pq(free_field_covariance(lat, 0.5), lat)
 
 
+def _zero_like(summand):
+    return Covariance(np.zeros((summand.dim, summand.dim)))
+
+
 @pytest.mark.parametrize(
     "roots",
     [
         lambda p, q: (q, p),
-        lambda p, q: (p, np.zeros_like(q)),
-        lambda p, q: (np.zeros_like(p), q),
+        lambda p, q: (p, _zero_like(q)),
+        lambda p, q: (_zero_like(p), q),
     ],
     ids=["swapped", "zero-shared", "zero-independent"],
 )
 def test_convolution_identity_fails_a_split_with_wrong_roots(criterion_1_split, roots):
-    # the check draws through the split's roots alone, so the roots must be what it checks
-    pq = dataclasses.replace(criterion_1_split, root_tables=roots(*criterion_1_split.root_tables))
+    # the check draws through the split's summands alone, so the summands must be what it checks
+    p, q = roots(criterion_1_split.p, criterion_1_split.q)
+    pq = dataclasses.replace(criterion_1_split, p=p, q=q)
     report = verify_convolution_identity(pq, n_samples=100_000, seed=0)
     assert not report.passed
     assert report.max_sigma_deviation > 20.0
@@ -585,14 +590,20 @@ def test_convolution_identity_passes_a_free_field_at_small_sample_counts(n):
 
 @pytest.mark.parametrize("shape", [(2, [4]), (4, [8]), (3, [5]), (2, [3, 2])], ids=str)
 def test_convolution_identity_reads_the_same_law_from_an_explicit_twin(shape):
-    # per-momentum and dense roots agree at rounding, and both are drawn from the same streams
+    # per-momentum draws agree at rounding with the same streams through their expanded factors,
+    # held as dense summands; the explicit twin draws through other roots, and passes as well
     lat = build_lattice(*shape)
     free = free_field_covariance(lat, 0.7)
-    got = [
-        verify_convolution_identity(decompose_pq(cov, lat), n_samples=20_000, seed=5).max_sigma_deviation
-        for cov in (free, Covariance(free.matrix))
+    pq = decompose_pq(free, lat)
+    dense = [
+        Covariance.__new__(Covariance)._hold(c.psd_tolerance, matrix=c.matrix, factor=c.factor) for c in (pq.p, pq.q)
     ]
-    assert got[0] == pytest.approx(got[1], abs=1e-6)
+    got = [
+        verify_convolution_identity(split, n_samples=20_000, seed=5)
+        for split in (pq, dataclasses.replace(pq, p=dense[0], q=dense[1]), decompose_pq(Covariance(free.matrix), lat))
+    ]
+    assert got[0].max_sigma_deviation == pytest.approx(got[1].max_sigma_deviation, abs=1e-6)
+    assert all(report.passed for report in got)
 
 
 def test_convolution_identity_rejects_a_sample_count_below_one(criterion_1_split):
@@ -831,6 +842,42 @@ def test_free_field_decision_at_n2304_allocates_less_than_one_n_by_n_array():
     assert peak < 8 * lat.site_count**2, f"peak {peak / 2**20:.1f} MiB"
 
 
+def test_free_field_split_and_its_draws_at_n4096_allocate_no_half_block():
+    # one N_+ x N_+ float64 array is 32 MiB here; the draws come in blocks of 256 rows
+    lat = build_lattice(4, [16, 32])
+    cov = free_field_covariance(lat, 0.5)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        pq = decompose_pq(cov, lat)
+        for summand in (pq.p, pq.q):
+            for _ in range(8):
+                assert summand.draw(rng, 256).shape == (256, lat.n_plus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pq.both_psd and not any("matrix" in vars(summand) for summand in (pq.p, pq.q, pq.a))
+    assert peak < 8 * lat.n_plus**2, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cov, pq: sample(cov, 3, 2.5),
+        lambda cov, pq: sample(cov, 3, True),
+        lambda cov, pq: sample(cov, 3, "1"),
+        lambda cov, pq: verify_convolution_identity(pq, 100, seed=7.9),
+        lambda cov, pq: verify_convolution_identity(pq, 100, seed=np.bool_(False)),
+    ],
+    ids=["sample-fraction", "sample-bool", "sample-string", "joint-law-fraction", "joint-law-bool"],
+)
+def test_a_seed_that_is_not_an_integer_is_refused(call):
+    lat = build_lattice(2, [3])
+    cov = free_field_covariance(lat, 0.9)
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        call(cov, decompose_pq(cov, lat))
+
+
 def test_free_field_sampling_and_direct_gram_never_expand_the_factor(count_linalg):
     lat = build_lattice(2, [3])
     phis = random_test_functions(lat, 3, seed=4)
@@ -1052,20 +1099,20 @@ def test_pq_roots_are_the_psd_square_roots_of_the_split(time_extent, extents, ma
     lat = build_lattice(time_extent, extents)
     cov = free_field_covariance(lat, mass)
     pq, pq_dense = decompose_pq(cov, lat), decompose_pq(Covariance(cov.matrix), lat)
-    # the free-field split keeps its roots as T x T column tables until they are read
-    assert [table.shape for table in pq.root_tables] == [(*(extents or [1]), time_extent, time_extent)] * 2
-    assert pq.roots is pq.roots
+    # the free-field split keeps its summands and their roots as T x T column tables until read
+    for summand in (pq.p, pq.q, pq.a):
+        assert summand.columns.shape == (*(extents or [1]), time_extent, time_extent)
+        assert "matrix" not in vars(summand)
+    assert pq.a.momentum_roots is None and pq_dense.a.columns is None
     for split in (pq, pq_dense):
-        for root, c in zip(split.roots, (split.c_p, split.c_q)):
-            scale = np.abs(c).max()
-            assert root.shape == c.shape
-            assert np.abs(root - root.T).max() <= 1e-15 * max(1.0, np.abs(root).max())
-            assert np.abs(root @ root.T - c).max() <= 1e-14 * scale
-    (p, q), (p_dense, q_dense) = pq.roots, pq_dense.roots
-    assert np.abs(p - p_dense).max() <= 1e-12
-    # c_q is rank-deficient: its root is only Hoelder-1/2 continuous at the zero eigenvalues,
-    # so eigenvalues that the two routes round to ~1e-17 apart reach the roots as ~1e-8
-    assert np.abs(q - q_dense).max() <= math.sqrt(1e-14 * np.abs(pq.c_q).max())
+        for summand, c in zip((split.p, split.q), (split.c_p, split.c_q)):
+            factor = summand.factor
+            assert factor.shape == c.shape and summand.matrix is c
+            assert np.abs(factor @ factor.T - c).max() <= 1e-14 * np.abs(c).max()
+    # the dense factors are the unique PSD roots, symmetric; a column table's mixes the real
+    # Fourier basis of the spatial axes with each momentum's root, and is not
+    for root in (pq_dense.p.factor, pq_dense.q.factor):
+        assert np.abs(root - root.T).max() <= 1e-15 * max(1.0, np.abs(root).max())
 
 
 ONE = Potential(constant=1.0)

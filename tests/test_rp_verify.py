@@ -418,15 +418,17 @@ def test_direct_estimator_evaluates_the_density_once_per_draw(monkeypatch, n_sam
 
 
 def test_a_last_ulp_change_of_c_moves_the_factorized_estimate_only_at_rounding():
-    # c_p and c_q have degenerate eigenvalues, so an eigenbasis factor V sqrt(L) of either can
+    # C, c_p and c_q have degenerate eigenvalues, so an eigenbasis factor V sqrt(L) of any can
     # turn by O(1) under a 1-ulp change of C; their PSD roots are unique and move at rounding
     lat = build_lattice(2, [4])
     c = np.array(free_field_covariance(lat, 1.0).matrix)
     plus, theta = lat.plus_sites, lat.theta_perm
-    witness = split_check(lat, phi4(lat, 0.1)).witness_g
+    density = phi4(lat, 0.1)
+    witness = split_check(lat, density).witness_g
     phis = random_test_functions(lat, 4, seed=2024)
-    params = McParams(1, seed=0, n_outer=2048, n_inner=100)
+    params = McParams(20_000, seed=0, n_outer=2048, n_inner=100)
     base = gram_mc_factorized(decompose_pq(Covariance(c), lat), witness, phis, params)
+    base_direct = gram_mc_direct(Covariance(c), lat, density, phis, params)
     for i, j in ((plus[3], plus[5]), (plus[1], theta[plus[2]])):  # an entry of A, and one of B
         bumped = c.copy()
         for a, b in {(i, j), (j, i), (theta[i], theta[j]), (theta[j], theta[i])}:
@@ -435,6 +437,29 @@ def test_a_last_ulp_change_of_c_moves_the_factorized_estimate_only_at_rounding()
         assert not np.array_equal(bumped, c) and check_theta_invariance(cov, lat).deviation == 0.0
         moved = gram_mc_factorized(decompose_pq(cov, lat), witness, phis, params)
         assert np.abs(moved.matrix - base.matrix).max() <= 1e-9
+        moved = gram_mc_direct(cov, lat, density, phis, params)
+        assert np.abs(moved.matrix - base_direct.matrix).max() <= 5e-12
+
+
+def test_a_last_ulp_change_of_a_column_table_moves_the_factorized_estimate_only_at_rounding():
+    # the dense test's two changes, each made at every translate: the per-momentum roots of the
+    # split are unique too, and its draws through the real Fourier basis move at rounding
+    lat = build_lattice(2, [4])
+    free = free_field_covariance(lat, 1.0)
+    witness = split_check(lat, phi4(lat, 0.1)).witness_g
+    phis = random_test_functions(lat, 4, seed=2024)
+    params = McParams(1, seed=0, n_outer=2048, n_inner=100)
+    base = gram_mc_factorized(decompose_pq(free, lat), witness, phis, params)
+    for d, t, s in ((2, 2, 3), (1, 2, 1)):  # d = x - y mod 4, and times t, s of the 2T: A, then B
+        cols = free.columns.copy()
+        # with its transpose partner, its reflection and their mirrors -d: symmetric, invariant, even
+        for d_, t_, s_ in ((d, t, s), (-d, s, t), (d, 3 - t, 3 - s), (-d, 3 - s, 3 - t)):
+            for index in {(d_ % 4, t_, s_), (-d_ % 4, t_, s_)}:
+                cols[index] = np.nextafter(free.columns[index], np.inf)
+        cov = Covariance.from_columns(cols, free.momentum_roots)
+        assert not np.array_equal(cols, free.columns) and check_theta_invariance(cov, lat).deviation == 0.0
+        moved = gram_mc_factorized(decompose_pq(cov, lat), witness, phis, params)
+        assert np.abs(moved.matrix - base.matrix).max() <= 5e-12
 
 
 def test_factorized_overflow_raises_with_sub_blocks_pending_and_joins_the_worker(monkeypatch):
@@ -454,11 +479,11 @@ def test_factorized_overflow_raises_with_sub_blocks_pending_and_joins_the_worker
     monkeypatch.setattr(rp_verify, "ThreadPoolExecutor", HeldPool)
     lat = build_lattice(2, [2])
     pq = decompose_pq(free_field_covariance(lat, 1.0), lat)
-    # exp(200 x^2) overflows at |x| > 1.9; with seed 13 the sixth sub-block is the first to reach it
+    # exp(200 x^2) overflows at |x| > 1.9; with seed 60 the sixth sub-block is the first to reach it
     g = Potential((Term(200.0, ((0, 2),)),))
     before = threading.active_count()
     with pytest.raises(IllConditionedWeightsError, match="half-density"):
-        gram_mc_factorized(pq, g, random_test_functions(lat, 2, 0), McParams(1, seed=13, n_outer=200, n_inner=20))
+        gram_mc_factorized(pq, g, random_test_functions(lat, 2, 0), McParams(1, seed=60, n_outer=200, n_inner=20))
     assert pending == [5]
     assert all(future.done() for future in futures)
     assert threading.active_count() == before

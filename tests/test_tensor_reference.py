@@ -145,7 +145,7 @@ def exp_gram_mc_factorized(cov, lattice, g, phis, params):
     pq = decompose_pq(cov, lattice)
     nh = lattice.n_plus
     h_mat = np.stack([restrict_plus(lattice, p) for p in phis], axis=1)
-    root_p, root_q = pq.roots
+    root_p, root_q = pq.p.factor, pq.q.factor
     real, imag = tensor_parts(g)
     weight_stats = []
 
@@ -195,11 +195,12 @@ def report_digest(report):
 # the products otherwise). They moved from those of the complex accumulator they replaced by at
 # most 2e-16 of the largest matrix entry and 6e-15 of the largest stderr. The direct digest was
 # taken again, at one and two BLAS threads, once free-field draws read their normals as
-# coefficients of the spatial modes: its draws, not their law, changed per seed.
+# coefficients of the spatial modes: its draws, not their law, changed per seed. The factorized
+# digests were taken again the same way once the half-lattice summands drew through those modes.
 ODD_DIRECT_DIGEST = "652fdbcd0c488c67a6dadb38bac931da7fd72b491b4a3b303bfc913b3075c26b"
 ODD_FACTORIZED_DIGESTS = {
-    True: "4236c34fe58d04a3ef22985ffdb3d43921d24eba28705d11966d34df7606241c",
-    False: "2d5e8e79c7cd370a908304f210409844754dffb9ec7506bd1c30be51bf74199e",
+    True: "870f34bdd94d08ba14961e7d682629b5e36da141fe6f653d2beddbd0b38383a5",
+    False: "4512079087489c60fde2c1e53bbfe2bd30dd072d149c19a51dba3a513ceec4c2",
 }
 
 
@@ -285,13 +286,14 @@ def test_factorized_zero_function_entry_is_exact_without_a_density(criterion_4, 
 def tensor_joint_law_sigma(pq, n_samples, seed):
     """verify_convolution_identity's statistic, from each chunk's (count, k, k) tensor of y_i y_j.
 
-    The same streams and roots give P_1 (even rows) and P_2 (odd rows) and the shared Q; the
-    standard errors are Isserlis' S_ii S_jj + S_ij S_ji of the target S, entry by entry.
+    The same streams through the summands' expanded factors give P_1 (even rows) and P_2 (odd
+    rows) and the shared Q; the standard errors are Isserlis' S_ii S_jj + S_ij S_ji of the
+    target S, entry by entry.
     """
     lat = pq.lattice
     a, b = pq.a_block, cross_block(pq.covariance, lat, warn=False)
     target = np.block([[a, b], [b, a]])
-    root_p, root_q = pq.roots
+    root_p, root_q = pq.p.factor, pq.q.factor
     total = np.zeros_like(target)
     for chunk_index, count in chunk_counts(n_samples):
         rng = substream(seed, NS_FIELD, chunk_index)
@@ -311,7 +313,7 @@ def tensor_joint_law_sigma(pq, n_samples, seed):
 def test_joint_law_check_matches_the_tensor_path():
     lat = build_lattice(4, [8])
     free = free_field_covariance(lat, 0.5)
-    # per-momentum roots, and the dense roots of the same matrix given explicitly
+    # per-momentum summands, and the dense summands of the same matrix given explicitly
     for cov in (free, Covariance(free.matrix)):
         pq = decompose_pq(cov, lat)
         got = verify_convolution_identity(pq, n_samples=5_000, seed=17)
@@ -338,7 +340,8 @@ def test_joint_law_check_memory_does_not_grow_with_the_sample_count():
     # only the running y^T y is kept: ten times the chunks cost no more memory
     lat = build_lattice(4, [16, 2])
     pq = decompose_pq(free_field_covariance(lat, 0.5), lat)
-    pq.roots  # expanded once, outside the traced calls
+    for summand in (pq.p, pq.q):
+        summand.draw(np.random.default_rng(0), 1)  # the basis is built once, outside the traced calls
     peaks = []
     for n in (4096, 40960):
         tracemalloc.start()
