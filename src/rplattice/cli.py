@@ -310,11 +310,10 @@ def cmd_check_gaussian(resolved, csv_dir=None):
     if resolved.covariance is None:
         _fail("check-gaussian needs a 'covariance' section")
     lattice, cov = resolved.lattice, resolved.covariance
-    tols = resolved.tolerances
     checks = {}
     reasons = []
 
-    rp = check_gaussian_rp(cov, lattice, tols["psd_tol"], tols["invariance_tol"])
+    rp = check_gaussian_rp(cov, lattice, invariance_tol=resolved.tolerances["invariance_tol"])
     checks["theta_invariance"] = _fields(rp.invariance)
     if not rp.invariance.passed:
         reasons.append("theta-invariance")
@@ -362,7 +361,6 @@ def cmd_verify_rp(resolved):
     if resolved.covariance is None or resolved.density is None or resolved.mc is None:
         _fail("verify-rp needs 'covariance', 'density' and 'mc' sections")
     lattice, cov = resolved.lattice, resolved.covariance
-    tols = resolved.tolerances
     mc = resolved.mc
     phis = resolved.phis
     if phis is None:
@@ -372,7 +370,7 @@ def cmd_verify_rp(resolved):
     checks = {}
     reasons = []
 
-    rp = check_gaussian_rp(cov, lattice, tols["psd_tol"], tols["invariance_tol"])
+    rp = check_gaussian_rp(cov, lattice, invariance_tol=resolved.tolerances["invariance_tol"])
     checks["theta_invariance"] = _fields(rp.invariance)
     checks["gaussian_rp"] = _fields(rp, omit=("invariance",))
     if not rp.passed:
@@ -386,9 +384,7 @@ def cmd_verify_rp(resolved):
         return checks, reasons
 
     try:
-        direct = gram_mc_direct(
-            cov, lattice, resolved.density, phis, mc, tols["psd_tol"]
-        )
+        direct = gram_mc_direct(cov, lattice, resolved.density, phis, mc)
     except IllConditionedWeightsError:
         checks["gram_direct"] = None
         reasons.append(ILL_CONDITIONED)
@@ -404,7 +400,7 @@ def cmd_verify_rp(resolved):
         return checks, reasons
 
     try:
-        factorized = gram_mc_factorized(pq, split.witness_g, phis, mc, tols["psd_tol"])
+        factorized = gram_mc_factorized(pq, split.witness_g, phis, mc)
     except IllConditionedWeightsError:
         checks["gram_factorized"] = None
         reasons.append(ILL_CONDITIONED)
@@ -456,15 +452,15 @@ def cmd_selftest(psd_tol=DEFAULT_PSD_TOL):
     dev = float(np.abs(cov2.matrix - np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0).max())
     entry("free-field-2site-inverse", dev <= 1e-12, dev, 1e-12)
 
-    chalf = Covariance(np.array([[1.0, 0.5], [0.5, 1.0]]))
-    cneg = Covariance(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+    chalf = Covariance(np.array([[1.0, 0.5], [0.5, 1.0]]), psd_tol)
+    cneg = Covariance(np.array([[1.0, -0.5], [-0.5, 1.0]]), psd_tol)
     phi = np.array([0.0, 1.0])
     dev = abs(char_fn(chalf, phi) - float(np.exp(-0.5)))
     entry("char-fn-closed-form", dev <= 1e-15, dev, 1e-15)
 
     phis = [phi, np.zeros(2)]
     for cov, c, want in ((chalf, 0.5, "pass"), (cneg, -0.5, "fail")):
-        rep = gram_exact_gaussian(cov, lat2, phis, psd_tol)
+        rep = gram_exact_gaussian(cov, lat2, phis)
         det = float(np.linalg.det(rep.matrix.real))
         closed = float(np.exp(-(1.0 - c)) - np.exp(-1.0))
         ok = abs(det - closed) <= 1e-12 and rep.verdict == want
@@ -503,7 +499,7 @@ def cmd_selftest(psd_tol=DEFAULT_PSD_TOL):
 
     # the per-momentum decision against the dense one on the same matrix
     twin = Covariance(cov.matrix, cov.psd_tolerance)
-    rp, rp_dense = (check_gaussian_rp(c, lat, cov.psd_tolerance) for c in (cov, twin))
+    rp, rp_dense = (check_gaussian_rp(c, lat) for c in (cov, twin))
     pq_dense = decompose_pq(twin, lat)
     pairs = ((rp, rp_dense), (pq.report_p, pq_dense.report_p), (pq.report_q, pq_dense.report_q))
     # each gap relative to max(1, max |eigenvalue|) = threshold / -tol
@@ -551,7 +547,7 @@ def cmd_selftest(psd_tol=DEFAULT_PSD_TOL):
     quadratic = Potential(tuple(Term(-q / 2, ((x, 2),)) for x in range(lat.site_count)))
     shifted = np.eye(cov.dim) + q * cov.matrix
     weighted = np.linalg.solve(shifted, cov.matrix)
-    closed = gram_exact_gaussian(Covariance((weighted + weighted.T) / 2.0), lat, phis, psd_tol).matrix
+    closed = gram_exact_gaussian(Covariance((weighted + weighted.T) / 2.0, psd_tol), lat, phis).matrix
     direct = gram_mc_direct(cov, lat, quadratic, phis, McParams(20_000, seed=7))
     delta = np.abs(direct.matrix - closed * np.linalg.det(shifted) ** -0.5)
     real = not np.any(direct.matrix.imag)

@@ -73,13 +73,18 @@ class Covariance:
       positive semidefiniteness up to psd_tolerance relative to the spectral
       norm; a separate eigvalsh could disagree only within rounding of it.
 
+    psd_tolerance is the one PSD tolerance of everything derived from C:
+    check_gaussian_rp gates B, decompose_pq c_p and c_q, and the Gram
+    estimators their verdicts at it.
+
     columns and momentum_roots are None on the second way. Like factor, they
     are not part of the value, and dataclasses.replace, which takes the
-    second way, drops them. decompose_pq holds its summands unchecked: a C
-    that is not reflection invariant splits into halves that are not symmetric.
+    second way, drops them; repr shows none of the arrays, so it expands no
+    matrix. decompose_pq holds its summands unchecked: a C that is not
+    reflection invariant splits into halves that are not symmetric.
     """
 
-    matrix: np.ndarray
+    matrix: np.ndarray = field(repr=False)
     psd_tolerance: float = DEFAULT_PSD_TOL
     columns: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
     momentum_roots: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
@@ -250,18 +255,8 @@ class PQPair:
     report_q: PsdReport
     covariance: Covariance = field(repr=False, compare=False)
     lattice: Lattice = field(repr=False, compare=False)
-    a: Covariance = field(repr=False, compare=False)  # A, held as p and q are, without a root
-
-    def __eq__(self, other):
-        if not isinstance(other, PQPair):
-            return NotImplemented
-        return (
-            self.report_p == other.report_p
-            and self.report_q == other.report_q
-            and np.array_equal(self.c_p, other.c_p)
-            and np.array_equal(self.c_q, other.c_q)
-            and np.array_equal(self.a_block, other.a_block)
-        )
+    a: Covariance = field(repr=False)  # A, held as p and q are, without a root
+    sum_exact: bool  # whether c_p + c_q reproduces A bit for bit: a diagnostic of the rounding, not a gate
 
     c_p = property(lambda self: self.p.matrix)
     c_q = property(lambda self: self.q.matrix)
@@ -270,11 +265,6 @@ class PQPair:
     @property
     def both_psd(self):
         return self.report_p.passed and self.report_q.passed
-
-    @property
-    def sum_exact(self):
-        """Whether c_p + c_q reproduces A bit for bit: a diagnostic of the rounding, not a gate."""
-        return bool(np.array_equal(self.c_p + self.c_q, self.a_block))
 
 
 @dataclass(frozen=True)
@@ -606,8 +596,8 @@ def cross_block(cov, lattice, warn=True):
     return block if block.flags.writeable else block.copy()
 
 
-def check_gaussian_rp(cov, lattice, tol=DEFAULT_PSD_TOL, invariance_tol=DEFAULT_INVARIANCE_TOL):
-    """Reflection positivity of the Gaussian: the cross block must be PSD.
+def check_gaussian_rp(cov, lattice, *, invariance_tol=DEFAULT_INVARIANCE_TOL):
+    """Reflection positivity of the Gaussian: the cross block must be PSD up to cov.psd_tolerance.
 
     A reflection-invariance violation is reported as its own failure kind,
     distinct from a genuinely negative cross-block spectrum. The spectrum is
@@ -616,17 +606,16 @@ def check_gaussian_rp(cov, lattice, tol=DEFAULT_PSD_TOL, invariance_tol=DEFAULT_
     threshold then differ from the dense ones at rounding. Only the spectrum
     is computed, never a root.
     """
-    tol = _checked_tolerance(tol, "tol")
     inv = check_theta_invariance(cov, lattice, _checked_tolerance(invariance_tol, "invariance_tol"))
     table, _, blocks, _ = _layout(cov, lattice)
-    psd = _spectral_psd(np.linalg.eigvalsh(blocks(_half_columns(table)[1])).ravel(), tol)
+    psd = _spectral_psd(np.linalg.eigvalsh(blocks(_half_columns(table)[1])).ravel(), cov.psd_tolerance)
     if not inv.passed:
         kind = "not-theta-invariant"
     elif not psd.passed:
         kind = "cross-block-not-psd"
     else:
         kind = None
-    return GaussianRpReport(kind is None, psd.min_eigenvalue, psd.threshold, tol, kind, inv)
+    return GaussianRpReport(kind is None, psd.min_eigenvalue, psd.threshold, psd.tol, kind, inv)
 
 
 def theta_inner(cov, lattice, phi):
@@ -654,8 +643,9 @@ def decompose_pq(cov, lattice):
     The split runs on _layout's tables of A and B, which hold exactly C's
     entries, and the refit is entrywise and stops once no entry misses, so
     the expanded a_block, c_p and c_q equal the split of the gathered blocks
-    bit for bit. a_block is read-only: a view of the covariance's matrix,
-    or, for a column table on this lattice, its A table expanded on first read.
+    bit for bit, and so does sum_exact, decided on the tables. a_block is
+    read-only: a view of the covariance's matrix, or, for a column table on
+    this lattice, its A table expanded on first read.
 
     Each summand is diagonalised once, by the eigh of its _layout blocks
     that gives both its report and the PSD root it is held and drawn with.
@@ -664,7 +654,8 @@ def decompose_pq(cov, lattice):
     a, b = _half_columns(table)
     p, q = _split(a, b)
     (report_p, root_p), (report_q, root_q) = (_psd_root(blocks(half), cov.psd_tolerance) for half in (p, q))
-    return PQPair(hold(p, root_p), hold(q, root_q), report_p, report_q, cov, lattice, hold(a, None))
+    sum_exact = bool(np.array_equal(p + q, a))
+    return PQPair(hold(p, root_p), hold(q, root_q), report_p, report_q, cov, lattice, hold(a, None), sum_exact)
 
 
 def _split(a, b):

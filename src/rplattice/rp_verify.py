@@ -25,7 +25,8 @@ Both Monte Carlo estimators accumulate real chunks (streams.ChunkMoments);
 a density with an odd term puts the imaginary part in a second accumulator.
 
 Verdicts are three-valued. An estimate passes when its smallest eigenvalue
-clears -tol - 5 * eig_error_bound, where eig_error_bound is the coarse
+clears -tol - 5 * eig_error_bound, where tol is the psd_tolerance of the
+covariance the estimate samples and eig_error_bound is the coarse
 Frobenius-type bound K * max entrywise standard error. Below the gate the
 verdict is a fail only when the sign survives a bootstrap over sample
 chunks; otherwise the run is inconclusive. Estimates are never divided by
@@ -58,8 +59,6 @@ from .streams import (
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
-
-DEFAULT_GRAM_TOL = 1e-10
 
 _OUTER_CHUNK = 64
 _SUB_BLOCK = 16
@@ -194,13 +193,12 @@ def _phase_matrices(lattice, phis):
     return phi_mat, np.stack([reflect(lattice, p) for p in phis], axis=1)
 
 
-def gram_exact_gaussian(cov, lattice, phis, tol=DEFAULT_GRAM_TOL):
-    """Exact Gaussian Gram matrix; entries are closed-form, stderr is zero."""
-    tol = _checked_tolerance(tol, "tol")
+def gram_exact_gaussian(cov, lattice, phis):
+    """Exact Gaussian Gram matrix; entries are closed-form, stderr is zero, the gate is cov.psd_tolerance."""
     require_positive_support(lattice, phis)
     warn_unless_invariant(cov, lattice, "the Gram matrix does not test reflection positivity")
     m = gaussian_polynomial_gram(cov, *_phase_matrices(lattice, phis), _ONE).astype(np.complex128)
-    return _gram_report(m, np.zeros(m.shape), tol, "exact-gaussian")
+    return _gram_report(m, np.zeros(m.shape), cov.psd_tolerance, "exact-gaussian")
 
 
 def _stable_below(counts, sums, threshold, seed):
@@ -289,7 +287,7 @@ def _control_coefficients(f_values, weights):
     return float(weights.mean() - b2 * f_mean), b2
 
 
-def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
+def gram_mc_direct(cov, lattice, f, phis, params):
     """Direct Monte Carlo Gram estimate for the density-weighted measure.
 
     M[m, n] = E[w exp(i(a_m - b_n))] over field draws T from the Gaussian
@@ -310,8 +308,8 @@ def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
     The base measure is centred, so for an even f the estimate is real in
     expectation; only its real part is accumulated. An odd term adds the
     imaginary part, sin(a - b) = sin a cos b - cos a sin b, in a second one.
+    The verdict gates at cov.psd_tolerance.
     """
-    tol = _checked_tolerance(tol, "tol")
     require_positive_support(lattice, phis)
     phi_mat, theta_mat = _phase_matrices(lattice, phis)
 
@@ -335,10 +333,10 @@ def gram_mc_direct(cov, lattice, f, phis, params, tol=DEFAULT_GRAM_TOL):
                 imag.add_real(vs, -vc, cb, sb)
             weight_stats.append((float(w.sum()), float(w.max())))
     g0, g1 = (gaussian_polynomial_gram(cov, phi_mat, theta_mat, p) for p in (_ONE, f))
-    return _finish_mc_report(moments, tol, params.seed, "mc-direct", weight_stats, b1 * g0 + b2 * g1, imag)
+    return _finish_mc_report(moments, cov.psd_tolerance, params.seed, "mc-direct", weight_stats, b1 * g0 + b2 * g1, imag)
 
 
-def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
+def gram_mc_factorized(pq, g, phis, params):
     """Two-level Gram estimate through the half-lattice split pq.
 
     Outer draws L come from the shared covariance pq.q, inner draws T from
@@ -355,6 +353,7 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
     Re(conj(H_m) H_n) = Re H_m Re H_n + Im H_m Im H_n is accumulated; with
     shared inner draws it is still PSD by construction. An odd term adds
     Im(conj(H_m) H_n) = Re H_m Im H_n - Im H_m Re H_n in a second accumulator.
+    The verdict gates at pq.covariance.psd_tolerance, the tol of pq's reports.
 
     The calling thread consumes every stream and evaluates the half-density,
     in chunk order, so the draws and the traced layers stay on it; one worker
@@ -364,7 +363,6 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
     one thread instead of spinning a second one on the worker's core.
     Neither the sub-blocks nor the worker change a bit of the report.
     """
-    tol = _checked_tolerance(tol, "tol")
     lattice = pq.lattice
     require_positive_support(lattice, phis)
     if not pq.both_psd:
@@ -432,4 +430,4 @@ def gram_mc_factorized(pq, g, phis, params, tol=DEFAULT_GRAM_TOL):
         merge(pending)
 
     kind = "mc-factorized-shared" if params.share_inner else "mc-factorized-independent"
-    return _finish_mc_report(moments, tol, params.seed, kind, weight_stats, imag=imag)
+    return _finish_mc_report(moments, pq.covariance.psd_tolerance, params.seed, kind, weight_stats, imag=imag)

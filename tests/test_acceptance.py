@@ -59,7 +59,7 @@ def test_criterion_1_gaussian_rp_criterion():
     cov = free_field_covariance(lat, 0.5)
     inv = check_theta_invariance(cov, lat, tol=1e-12)
     assert inv.passed, f"invariance deviation {inv.deviation}"
-    rp = check_gaussian_rp(cov, lat, tol=1e-10)
+    rp = check_gaussian_rp(cov, lat)
     assert rp.passed, f"cross-block min eigenvalue {rp.min_eigenvalue}"
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0

@@ -133,40 +133,44 @@ def test_estimators_reject_non_finite_test_functions(call, bad):
         call(free_field_covariance(lat, 1.0), lat, phis)
 
 
-def _factorized_with_tol(cov, lat, tol):
-    split = split_check(lat, phi4(lat, 0.1))
-    params = McParams(1, seed=0, n_outer=64, n_inner=16)
-    return gram_mc_factorized(decompose_pq(cov, lat), split.witness_g, TWO_SITE_PHIS, params, tol)
-
-
 TOLERANCE_GATES = {
+    "Covariance": lambda cov, lat, tol: Covariance(np.eye(2), tol),
+    "Covariance.from_columns": lambda cov, lat, tol: Covariance.from_columns(cov.columns, cov.momentum_roots, tol),
+    "free_field_covariance": lambda cov, lat, tol: free_field_covariance(lat, 1.0, tol),
     "check_theta_invariance": lambda cov, lat, tol: check_theta_invariance(cov, lat, tol),
-    "check_gaussian_rp-tol": lambda cov, lat, tol: check_gaussian_rp(cov, lat, tol),
     "check_gaussian_rp-invariance_tol": lambda cov, lat, tol: check_gaussian_rp(cov, lat, invariance_tol=tol),
     "psd_check-tol": lambda cov, lat, tol: psd_check(np.eye(2), tol),
     "psd_check-eig_error_bound": lambda cov, lat, tol: psd_check(np.eye(2), 0.0, tol),
-    "gram_exact_gaussian": lambda cov, lat, tol: gram_exact_gaussian(cov, lat, TWO_SITE_PHIS, tol),
-    "gram_mc_direct": lambda cov, lat, tol: gram_mc_direct(
-        cov, lat, phi4(lat, 0.1), TWO_SITE_PHIS, McParams(2_000, seed=0), tol
-    ),
-    "gram_mc_factorized": _factorized_with_tol,
 }
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
 @pytest.mark.parametrize("gate", TOLERANCE_GATES.values(), ids=TOLERANCE_GATES.keys())
-def test_gates_refuse_a_tolerance_that_is_not_finite_and_nonnegative(monkeypatch, gate, tol):
+def test_gates_refuse_a_tolerance_that_is_not_finite_and_nonnegative(gate, tol):
     # NaN failed a PSD block and a zero deviation, -1 failed every gate, inf passed anything;
-    # the estimators must refuse before a sample is drawn
-    def no_draws(*args, **kwargs):
-        raise AssertionError("a sample was drawn before the tolerance was checked")
-
+    # the PSD gates of the estimators read the covariance's tolerance, checked when it was built
     lat = build_lattice(1, [])
-    cov = free_field_covariance(lat, 1.0)
-    monkeypatch.setattr(rp_verify, "substream", no_draws)
-    monkeypatch.setattr(rp_verify, "iter_sample_chunks", no_draws)
     with pytest.raises(ValueError, match="must be finite and nonnegative"):
-        gate(cov, lat, tol)
+        gate(free_field_covariance(lat, 1.0), lat, tol)
+
+
+def test_every_psd_gate_reads_the_covariance_tolerance():
+    # B = c_q = [[-5e-9]] is negative, but within the covariance's 1e-8, which every gate reads
+    lat = build_lattice(1, [])
+    cov = Covariance(np.array([[1.0, -5e-9], [-5e-9, 1.0]]), psd_tolerance=1e-8)
+    rp, pq = check_gaussian_rp(cov, lat), decompose_pq(cov, lat)
+    exact = gram_exact_gaussian(cov, lat, TWO_SITE_PHIS)
+    assert rp.passed and pq.report_q.passed and exact.verdict == PASS
+    assert rp.tol == pq.report_q.tol == exact.tol == 1e-8
+    free = free_field_covariance(lat, 1.0, psd_tolerance=1e-8)
+    params = McParams(1_000, seed=0, n_outer=64, n_inner=16)
+    direct = gram_mc_direct(free, lat, phi4(lat, 0.1), TWO_SITE_PHIS, params)
+    witness = split_check(lat, phi4(lat, 0.1)).witness_g
+    factorized = gram_mc_factorized(decompose_pq(free, lat), witness, TWO_SITE_PHIS, params)
+    assert direct.tol == factorized.tol == 1e-8
+    # a third positional argument would bind a tolerance that is no longer there
+    with pytest.raises(TypeError):
+        check_gaussian_rp(cov, lat, 1e-10)
 
 
 @pytest.mark.filterwarnings("error")

@@ -46,7 +46,7 @@ from rplattice import (
 )
 from rplattice.density import add_potentials, eval_potential_batch
 from rplattice.gaussian import iter_sample_chunks
-from rplattice.rp_verify import _OUTER_CHUNK, DEFAULT_GRAM_TOL, _finish_mc_report, _importance_weights
+from rplattice.rp_verify import _OUTER_CHUNK, _finish_mc_report, _importance_weights
 from rplattice.streams import CHUNK_SIZE, NS_FACTORIZED, NS_FIELD, NS_PILOT, chunk_counts, substream
 
 RTOL = 1e-12
@@ -133,7 +133,7 @@ def tensor_gram_mc_direct(cov, lattice, f, phis, params):
         x = (w - b1 - b2 * values)[:, np.newaxis, np.newaxis] * np.exp(1j * phase)
         add_complex(real, imag, x)
         weight_stats.append((float(w.sum()), float(w.max())))
-    return _finish_mc_report(real, DEFAULT_GRAM_TOL, params.seed, "mc-direct", weight_stats, offset, imag)
+    return _finish_mc_report(real, cov.psd_tolerance, params.seed, "mc-direct", weight_stats, offset, imag)
 
 
 def exp_gram_mc_factorized(cov, lattice, g, phis, params):
@@ -162,7 +162,7 @@ def exp_gram_mc_factorized(cov, lattice, g, phis, params):
         h2 = h1 if params.share_inner else partial_averages(rng, shared, count)
         add_complex(real, imag, np.conj(h1)[:, :, np.newaxis] * h2[:, np.newaxis, :])
     kind = "mc-factorized-shared" if params.share_inner else "mc-factorized-independent"
-    return _finish_mc_report(real, DEFAULT_GRAM_TOL, params.seed, kind, weight_stats, imag=imag)
+    return _finish_mc_report(real, cov.psd_tolerance, params.seed, kind, weight_stats, imag=imag)
 
 
 @pytest.fixture(scope="module")
