@@ -168,9 +168,29 @@ def test_every_psd_gate_reads_the_covariance_tolerance():
     witness = split_check(lat, phi4(lat, 0.1)).witness_g
     factorized = gram_mc_factorized(decompose_pq(free, lat), witness, TWO_SITE_PHIS, params)
     assert direct.tol == factorized.tol == 1e-8
+
+
+REMOVED_TOLERANCE_CALLS = {
     # a third positional argument would bind a tolerance that is no longer there
+    "check_gaussian_rp-positional": lambda cov, lat, pq, params: check_gaussian_rp(cov, lat, 1e-10),
+    "check_gaussian_rp-tol": lambda cov, lat, pq, params: check_gaussian_rp(cov, lat, tol=1e-10),
+    "gram_exact_gaussian": lambda cov, lat, pq, params: gram_exact_gaussian(cov, lat, TWO_SITE_PHIS, tol=1e-10),
+    "gram_mc_direct": lambda cov, lat, pq, params: gram_mc_direct(
+        cov, lat, ZERO_POTENTIAL, TWO_SITE_PHIS, params, tol=1e-10
+    ),
+    "gram_mc_factorized": lambda cov, lat, pq, params: gram_mc_factorized(
+        pq, np.zeros(1), TWO_SITE_PHIS, params, tol=1e-10
+    ),
+}
+
+
+@pytest.mark.parametrize("call", REMOVED_TOLERANCE_CALLS.values(), ids=REMOVED_TOLERANCE_CALLS.keys())
+def test_a_psd_tolerance_passed_to_a_derived_gate_is_refused(call):
+    # the gates read the covariance's tolerance; a caller's own tolerance is an error, not ignored
+    lat = build_lattice(1, [])
+    cov = two_site_cov(0.5)
     with pytest.raises(TypeError):
-        check_gaussian_rp(cov, lat, 1e-10)
+        call(cov, lat, decompose_pq(cov, lat), McParams(16, seed=0, n_outer=4, n_inner=4))
 
 
 @pytest.mark.filterwarnings("error")
