@@ -176,16 +176,13 @@ def resolve_config(raw, config_dir, seed_override=None):
         mc_cfg = _section(raw, "mc")
         if "n_samples" not in mc_cfg:
             _fail("mc section needs n_samples")
-        seed = _number(mc_cfg, "mc", "seed", 0, int)
+        # only the keys the config gives, unconverted; McParams checks them and holds the other defaults
+        keys = ("n_samples", "seed", "n_outer", "n_inner", "share_inner")
+        given = {"seed": 0, **{key: mc_cfg[key] for key in keys if key in mc_cfg}}
         if seed_override is not None:
-            seed = int(seed_override)
-        # only the keys the config gives; McParams holds the defaults of the others
-        counts = [key for key in ("n_samples", "n_outer", "n_inner") if key in mc_cfg]
-        given = {key: _number(mc_cfg, "mc", key, None, int) for key in counts}
-        if "share_inner" in mc_cfg:
-            given["share_inner"] = mc_cfg["share_inner"]
+            given["seed"] = seed_override
         try:
-            mc = McParams(seed=seed, **given)
+            mc = McParams(**given)
         except ValueError as exc:
             _fail(f"invalid mc section: {exc}")
         echo["mc"] = _fields(mc)

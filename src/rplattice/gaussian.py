@@ -80,7 +80,8 @@ class Covariance:
     columns and momentum_roots are None on the second way. Like factor, they
     are not part of the value, and dataclasses.replace, which takes the
     second way, drops them; repr shows none of the arrays, so it expands no
-    matrix. decompose_pq holds its summands unchecked: a C that is not
+    matrix, and == compares two column tables of one shape table to table.
+    decompose_pq holds its summands unchecked: a C that is not
     reflection invariant splits into halves that are not symmetric.
     """
 
@@ -148,7 +149,11 @@ class Covariance:
     def __eq__(self, other):
         if not isinstance(other, Covariance):
             return NotImplemented
-        return self.psd_tolerance == other.psd_tolerance and np.array_equal(self.matrix, other.matrix)
+        if self.psd_tolerance != other.psd_tolerance:
+            return False
+        if self.columns is not None and other.columns is not None and self.columns.shape == other.columns.shape:
+            return np.array_equal(self.columns, other.columns)  # the expansion holds exactly the table's entries
+        return np.array_equal(self.matrix, other.matrix)
 
     @property
     def dim(self):
@@ -634,44 +639,27 @@ def decompose_pq(cov, lattice):
     With c_p = A - B and c_q = A - c_p, the sum c_p + c_q reproduces A
     bit-exactly wherever 0 <= B/A <= 2 entrywise: by Sterbenz's lemma one of
     the two subtractions is then exact. Elsewhere the sum can miss A in the
-    last ulp; _split refits c_p to A - c_q on those entries, which repairs
-    some with B/A > 2, and the rest stay inexact. c_q may differ from
-    the raw cross block in the last ulp. Non-PSD summands are returned with
-    failing reports rather than raised: the failing report is the diagnostic
+    last ulp, and sum_exact reads false. c_q may differ from the raw cross
+    block in the last ulp. Non-PSD summands are returned with failing
+    reports rather than raised: the failing report is the diagnostic
     product.
 
     The split runs on _layout's tables of A and B, which hold exactly C's
-    entries, and the refit is entrywise and stops once no entry misses, so
-    the expanded a_block, c_p and c_q equal the split of the gathered blocks
-    bit for bit, and so does sum_exact, decided on the tables. a_block is
-    read-only: a view of the covariance's matrix, or, for a column table on
-    this lattice, its A table expanded on first read.
+    entries, so the expanded a_block, c_p and c_q equal the split of the
+    gathered blocks bit for bit, and so does sum_exact, decided on the
+    tables. a_block is read-only: a view of the covariance's matrix, or, for
+    a column table on this lattice, its A table expanded on first read.
 
     Each summand is diagonalised once, by the eigh of its _layout blocks
     that gives both its report and the PSD root it is held and drawn with.
     """
     table, expand, blocks, hold = _layout(cov, lattice)
     a, b = _half_columns(table)
-    p, q = _split(a, b)
+    p = a - b
+    q = a - p
     (report_p, root_p), (report_q, root_q) = (_psd_root(blocks(half), cov.psd_tolerance) for half in (p, q))
     sum_exact = bool(np.array_equal(p + q, a))
     return PQPair(hold(p, root_p), hold(q, root_q), report_p, report_q, cov, lattice, hold(a, None), sum_exact)
-
-
-def _split(a, b):
-    """c_p = A - B and c_q = A - c_p, refit entrywise where c_p + c_q misses A."""
-    c_p = a - b
-    c_q = a - c_p
-    for _ in range(4):
-        bad = (c_p + c_q) != a
-        if not bad.any():
-            break
-        c_q = np.where(bad, a - c_p, c_q)
-        bad = (c_p + c_q) != a
-        if not bad.any():
-            break
-        c_p = np.where(bad, a - c_q, c_p)
-    return c_p, c_q
 
 
 def covariance_factor(matrix, psd_tolerance):

@@ -504,6 +504,14 @@ def test_seed_override_is_echoed(tmp_path):
     assert load_report(out)["config"]["mc"]["seed"] == 99
 
 
+@pytest.mark.parametrize("override", [2.7, True], ids=["fraction", "bool"])
+def test_a_seed_override_that_is_not_an_integer_is_refused(tmp_path, override):
+    # never truncated to 2 or read as 1
+    raw = free_field_config(n_samples=2_000, seed=1)
+    with pytest.raises(cli.ConfigError, match="^invalid mc section: seed must be an integer"):
+        cli.resolve_config(raw, tmp_path, seed_override=override)
+
+
 def test_selftest_passes_and_is_deterministic(tmp_path):
     out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["selftest", "--out", str(out_a), "--quiet"]) == 0
@@ -783,7 +791,7 @@ RUNAWAY_DENSITY = {
 # name -> (config overrides, or None for a missing config; estimator patch; exit code; stderr)
 EXIT_CASES = {
     "missing-config": (None, None, 2, "error: cannot read config "),
-    "malformed-value": ({"mc": {"n_samples": "1000"}}, None, 2, "error: mc.n_samples must be an integer"),
+    "malformed-value": ({"mc": {"n_samples": "1000"}}, None, 2, "error: invalid mc section: n_samples must be an integer"),
     "ill-conditioned-weights": ({"density": RUNAWAY_DENSITY}, None, 3, ""),
     "internal-error": ({}, _raise_in_the_estimator, 4, "internal error: RuntimeError('estimator bug')"),
 }

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -231,8 +232,7 @@ def test_theta_conjugation_as_a_view_equals_the_gather(time_extent, extents):
     pq = decompose_pq(cov, lat)
     assert np.array_equal(pq.a_block, m[lat.n_plus:, lat.n_plus:]) and np.array_equal(pq.a_block, a)
     assert np.shares_memory(pq.a_block, cov.matrix) and not pq.a_block.flags.writeable
-    c_p, c_q = gaussian._split(a, b)
-    assert np.array_equal(pq.c_p, c_p) and np.array_equal(pq.c_q, c_q)
+    assert np.array_equal(pq.c_p, a - b) and np.array_equal(pq.c_q, a - (a - b))
     assert check_gaussian_rp(cov, lat).min_eigenvalue == np.linalg.eigvalsh(symmetrized(b)).min()
 
 
@@ -554,14 +554,20 @@ def _zero_like(summand):
     return Covariance(np.zeros((summand.dim, summand.dim)))
 
 
+def _one_draw_per_pair(summand):
+    # both halves of each sample get the same independent draw, as if P were shared like Q
+    return types.SimpleNamespace(draw=lambda rng, n: np.repeat(summand.draw(rng, n // 2), 2, axis=0))
+
+
 @pytest.mark.parametrize(
     "roots",
     [
         lambda p, q: (q, p),
         lambda p, q: (p, _zero_like(q)),
         lambda p, q: (_zero_like(p), q),
+        lambda p, q: (_one_draw_per_pair(p), q),
     ],
-    ids=["swapped", "zero-shared", "zero-independent"],
+    ids=["swapped", "zero-shared", "zero-independent", "one-p-for-both-halves"],
 )
 def test_convolution_identity_fails_a_split_with_wrong_roots(criterion_1_split, roots):
     # the check draws through the split's summands alone, so the summands must be what it checks
@@ -846,11 +852,14 @@ def test_free_field_split_and_its_draws_at_n4096_allocate_no_half_block():
     # one N_+ x N_+ float64 array is 32 MiB here; the draws come in blocks of 256 rows
     lat = build_lattice(4, [16, 32])
     cov = free_field_covariance(lat, 0.5)
+    twin = free_field_covariance(lat, 0.5)
+    twin_pq = decompose_pq(twin, lat)
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
         pq = decompose_pq(cov, lat)
         assert pq.sum_exact and cli._pq_entry(pq)["sum_exact"]
+        assert cov == twin and pq == twin_pq
         for summand in (pq.p, pq.q):
             for _ in range(8):
                 assert summand.draw(rng, 256).shape == (256, lat.n_plus)
@@ -1061,17 +1070,16 @@ def test_pq_split_is_exact_wherever_cross_ratio_is_between_0_and_2():
     assert np.array_equal(c_p + c_q, a)
 
 
-def test_decompose_pq_repairs_a_split_outside_the_sterbenz_range():
-    # B/A is 3 off the diagonal: A - B rounds, and the plain split misses A by an ulp
+def test_decompose_pq_reports_a_split_outside_the_sterbenz_range_as_inexact():
+    # B/A is 3 off the diagonal: A - B rounds, and the split misses A by an ulp there
     a01 = -(2.0**52 + 1) * 2.0**-60
     b01 = -(3 * 2.0**52 + 2) * 2.0**-60
     a = np.array([[1.0, a01], [a01, 1.0]])
     b = np.array([[0.1, b01], [b01, 0.1]])
-    c_p, c_q = _plain_split(a, b)
-    assert (c_p + c_q)[0, 1] != a01
     pq = decompose_pq(Covariance(np.block([[a, b], [b, a]])), build_lattice(1, [2]))
-    assert np.array_equal(pq.c_p + pq.c_q, pq.a_block)
-    assert pq.c_p[0, 1] != c_p[0, 1] and np.array_equal(pq.c_q, c_q)
+    assert np.array_equal(pq.c_p, a - b) and np.array_equal(pq.c_q, a - pq.c_p)
+    assert (pq.c_p + pq.c_q)[0, 1] != a01
+    assert not pq.sum_exact
 
 
 def test_pq_pair_equality_compares_the_split_and_its_reports():
