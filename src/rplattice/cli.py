@@ -45,6 +45,7 @@ from .gaussian import (
     free_field_covariance,
     gaussian_polynomial_gram,
     theta_inner,
+    tilted_gaussian,
     verify_convolution_identity,
 )
 from .gaussian import _checked_tolerance, _translates
@@ -537,16 +538,26 @@ def cmd_selftest(psd_tol=DEFAULT_PSD_TOL):
     dev = float(np.abs(got - want).max() / np.abs(want).max())
     entry("gaussian-polynomial-closed-form", dev <= 1e-12, dev, 1e-12)
 
+    # the per-momentum tilt of the free field by exp(-(q/2) |T|^2) is the free field at mass
+    # sqrt(1 + q), and its log Z = -(1/2) log det(I + qC) is the dense tilt's, by slogdet
+    q = 0.3
+    tilted, log_z = tilted_gaussian(cov, q)
+    heavier = free_field_covariance(lat, math.sqrt(1.0 + q))
+    dense_tilted, dense_log_z = tilted_gaussian(twin, q)
+    dev = max(
+        float(np.abs(tilted.columns - heavier.columns).max() / np.abs(heavier.columns).max()),
+        abs(log_z - dense_log_z) / abs(dense_log_z),
+    )
+    entry("tilted-free-field", dev <= 1e-14, dev, 1e-14)
+
     # the quadratic density -(q/2) sum_x T_x^2 splits and is even, and it weights the Gaussian
-    # into the Gaussian of covariance C (I + qC)^-1 and mass det(I + qC)^(-1/2): a real
-    # estimate, within 5 sigma of that closed form
-    q, phis = 0.2, random_test_functions(lat, 3, 7)
+    # into the dense tilt's Gaussian C (I + qC)^-1 of mass Z: a real estimate, within 5 sigma of
+    # that closed form; q is off the estimator's tilt grid, so its weights still vary
+    phis = random_test_functions(lat, 3, 7)
     quadratic = Potential(tuple(Term(-q / 2, ((x, 2),)) for x in range(lat.site_count)))
-    shifted = np.eye(cov.dim) + q * cov.matrix
-    weighted = np.linalg.solve(shifted, cov.matrix)
-    closed = gram_exact_gaussian(Covariance((weighted + weighted.T) / 2.0, psd_tol), lat, phis).matrix
+    closed = gram_exact_gaussian(dense_tilted, lat, phis).matrix * math.exp(dense_log_z)
     direct = gram_mc_direct(cov, lat, quadratic, phis, McParams(20_000, seed=7))
-    delta = np.abs(direct.matrix - closed * np.linalg.det(shifted) ** -0.5)
+    delta = np.abs(direct.matrix - closed)
     real = not np.any(direct.matrix.imag)
     within = bool((delta <= 5.0 * direct.stderr).all())
     # entries with stderr 0 count 0 sigma here; within fails them unless they are exact

@@ -162,6 +162,14 @@ class Covariance:
         return math.prod(self.columns.shape[:-1])
 
     @cached_property
+    def inf_norm(self):
+        """||C||_inf, the largest absolute row sum and a bound on the spectral norm; a column table is not expanded."""
+        if self.columns is None:
+            return float(np.abs(self.matrix).sum(axis=1).max(initial=0.0))
+        # row (t, x) sums |columns[d, t, s]| over every spatial difference d and time s
+        return float(np.abs(self.columns).sum(axis=(*range(self.columns.ndim - 2), -1)).max())
+
+    @cached_property
     def factor(self):
         """Read-only F with F F^T = matrix, expanded on first read for a column table.
 
@@ -359,6 +367,49 @@ def free_field_covariance(lattice, mass, psd_tolerance=DEFAULT_PSD_TOL):
     return Covariance.from_columns(cols, roots, psd_tolerance)
 
 
+def tilted_gaussian(cov, q):
+    """The Gaussian that exp(-(q/2) |T|^2) weights mu_C into, for q >= 0: (C', log Z).
+
+    exp(-(q/2) |T|^2) mu_C = Z mu_C' with C' = C (I + qC)^-1 = (C^-1 + qI)^-1
+    and log Z = -(1/2) log det(I + qC). At q = 0 it is cov itself and log Z = 0.
+    A column table tilts per spatial momentum: each root R_k becomes
+    R_k U_k^-T, with U_k U_k^T = I + q R_k^T R_k by one batched Cholesky, and
+    log Z = -sum over k of log det U_k, det(I + q R_k R_k^T) being
+    det(I + q R_k^T R_k). The table is the inverse transform of the new
+    roots' R_k R_k^T, symmetrised as free_field_covariance's is: under
+    (t, s, d) <-> (s, t, -d), and under theta when C's table is theta
+    invariant bit for bit, since the tilt commutes with theta. So the free
+    field at mass m tilts into the free field at mass sqrt(m^2 + q), up to
+    rounding. A dense C takes one solve and the Covariance eigh, and log Z
+    its slogdet. C' keeps cov's psd_tolerance.
+    """
+    q = as_float(q, "q")
+    if not (q >= 0 and math.isfinite(q)):  # NaN fails
+        raise ValueError(f"tilt q must be finite and nonnegative, got {q}")
+    if q == 0:
+        return cov, 0.0
+    if cov.momentum_roots is None:
+        shifted = np.eye(cov.dim) + q * cov.matrix
+        tilted = Covariance(symmetrized(np.linalg.solve(shifted, cov.matrix)), cov.psd_tolerance)
+        return tilted, -0.5 * float(np.linalg.slogdet(shifted)[1])
+    roots = cov.momentum_roots
+    lower = np.linalg.cholesky(np.eye(roots.shape[-1]) + q * roots.swapaxes(-1, -2) @ roots)
+    roots = _even_roots(np.linalg.solve(lower, roots.swapaxes(-1, -2)).swapaxes(-1, -2))
+    log_z = -float(np.log(np.diagonal(lower, axis1=-2, axis2=-1)).sum())
+    cols = np.fft.ifftn(roots @ roots.swapaxes(-1, -2), axes=tuple(range(roots.ndim - 2))).real
+    cols = (cols + _transposed(cols)) / 2.0
+    if np.array_equal(cov.columns, cov.columns[..., ::-1, ::-1]):
+        cols = (cols + cols[..., ::-1, ::-1]) / 2.0
+    return Covariance.from_columns(cols, roots, cov.psd_tolerance), log_z
+
+
+def _even_roots(roots):
+    """A real root table made exactly even under k -> -k on every spatial axis, as draw's basis needs."""
+    for axis, n in enumerate(roots.shape[:-2]):
+        roots = (roots + roots.take(-np.arange(n) % n, axis)) / 2.0
+    return roots
+
+
 def _momentum_shifts(extents, mass):
     """mass^2 + lambda_k, lambda_k the sum over axes of 2 - 2 cos(2 pi k_a / L_a).
 
@@ -542,9 +593,7 @@ def _layout(cov, lattice):
             return np.fft.fftn((half + _transposed(half)) / 2.0, axes=axes)
 
         def hold(half, root):
-            if root is not None:  # real, and exactly even under k -> -k on every axis, as draw's basis needs
-                for axis, n in enumerate(half.shape[:-2]):
-                    root = (root.real + root.real.take(-np.arange(n) % n, axis)) / 2.0
+            root = None if root is None else _even_roots(root.real)
             return Covariance.__new__(Covariance)._hold(tol, columns=half, momentum_roots=root)
 
         return cols, _translates, momentum_blocks, hold

@@ -40,9 +40,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import Potential, check_sites, eval_potential_batch, is_even
+from .density import Potential, Term, add_potentials, check_sites, eval_potential_batch, is_even
 from .gaussian import (
-    PsdReport, _checked_tolerance, char_fn, gaussian_polynomial_gram, iter_sample_chunks, warn_unless_invariant,
+    PsdReport,
+    _checked_tolerance,
+    char_fn,
+    gaussian_polynomial_gram,
+    iter_sample_chunks,
+    tilted_gaussian,
+    warn_unless_invariant,
 )
 from .lattice import _as_site_vector, as_int, embed_plus, positive_support, reflect, restrict_plus
 from .streams import (
@@ -64,6 +70,8 @@ _OUTER_CHUNK = 64
 _SUB_BLOCK = 16
 _N_BOOTSTRAP = 200
 _STABLE_FRACTION = 0.99
+# q ||C||_inf of the tilted Gaussians the direct estimator tries; q ||C||_inf <= 0.8 keeps q lambda_max(C) < 1
+_TILT_GRID = (0.0, 0.2, 0.4, 0.8)
 _ONE = Potential(constant=1.0)
 
 
@@ -287,23 +295,77 @@ def _control_coefficients(f_values, weights):
     return float(weights.mean() - b2 * f_mean), b2
 
 
+def _tilts(cov, f):
+    """(q, C', log Z) of each tilted Gaussian the direct estimator tries for f, q = 0 (cov itself) first.
+
+    Only a density bounded above by construction is tilted: it has a term,
+    and every term a negative coefficient and only even powers. Then each q
+    of the grid has q lambda_max(C) <= q ||C||_inf <= 0.8 < 1, and the tilted
+    weights exp(F + (q/2) |T|^2 + log Z) have finite variance under C'.
+    Every other density, and C = 0, keeps q = 0 alone, and with it the
+    estimate of the untilted base measure bit for bit.
+    """
+    bounded = f.terms and all(t.coefficient < 0 and all(p % 2 == 0 for _, p in t.factors) for t in f.terms)
+    scale = cov.inf_norm
+    qs = [g / scale for g in _TILT_GRID] if bounded and scale > 0 else [0.0]
+    return [(q, *tilted_gaussian(cov, q)) for q in qs]
+
+
+def _tilted_density(f, block, q):
+    """F' = F + (q/2) |T|^2 at the draws: F's values, with one row sum of squares added when q > 0."""
+    values = eval_potential_batch(f, block)
+    if q == 0:
+        return values
+    return values + 0.5 * q * np.einsum("ij,ij->i", block, block)
+
+
+def _pick_tilt(cov, f, n_pilot, seed):
+    """(q, C', log Z, b1, b2) of the tilt whose pilot leaves the least variance in w - b1 - b2 F'.
+
+    Every candidate draws its pilot from its C' through the same normals, of
+    the substream (seed, NS_PILOT, 0), so they are compared on common random
+    numbers; b1 and b2 are fitted on that pilot. Ties go to the smaller q,
+    and so do tilts whose pilot weights overflow; q = 0's overflow raises.
+    """
+    best = None
+    for q, tilted, log_z in _tilts(cov, f):
+        block = tilted.draw(substream(seed, NS_PILOT, 0), n_pilot)
+        values = _tilted_density(f, block, q)
+        try:
+            w = _importance_weights(values + log_z, "density")
+        except IllConditionedWeightsError:
+            if q == 0:
+                raise
+            continue
+        b1, b2 = _control_coefficients(values, w)
+        variance = float(np.var(w - b1 - b2 * values))
+        if best is None or variance < best[0]:
+            best = variance, (q, tilted, log_z, b1, b2)
+    return best[1]
+
+
 def gram_mc_direct(cov, lattice, f, phis, params):
     """Direct Monte Carlo Gram estimate for the density-weighted measure.
 
-    M[m, n] = E[w exp(i(a_m - b_n))] over field draws T from the Gaussian
-    base measure, with w = exp F(T), a = T(phi) and b = T(theta phi). Two
-    control variates with closed-form means take out most of the variance
-    (the regression estimator of Glasserman 2003, sec. 4.1.2):
-    exp(i(a_m - b_n)), whose mean is the Gaussian Gram G0, and
-    F(T) exp(i(a_m - b_n)), whose mean G1 gaussian_polynomial_gram gives
-    exactly. The samples (w - b1 - b2 F) exp(i(a_m - b_n)) are averaged
-    and b1 G0 + b2 G1 is added. b2, the regression slope of w on F, and
-    b1 = mean w - b2 mean F come from an independent pilot, which keeps the
-    estimate unbiased; F is evaluated once per draw, and w is its exp. A
-    zero or constant density gives b2 = 0 and b1 the pilot's mean weight,
-    so at zero density the estimate is G0 exactly. The weights are used
-    raw (no normalization); their effective sample size sum(w)/max(w) is
-    reported as a degeneracy diagnostic.
+    M[m, n] = E[w exp(i(a_m - b_n))] over field draws T from a Gaussian
+    proposal, with a = T(phi) and b = T(theta phi). The proposal is the
+    tilted Gaussian C' = C (I + qC)^-1 of tilted_gaussian, and
+    exp(-(q/2) |T|^2) mu_C = Z mu_C' makes the weight w = exp(F' + log Z)
+    with F' = F + (q/2) |T|^2 (importance sampling, Glasserman 2003,
+    sec. 4.6); at q = 0 the proposal is the base measure and w = exp F. Two
+    control variates with closed-form means under C' take out most of the
+    variance (the regression estimator of sec. 4.1.2): exp(i(a_m - b_n)),
+    whose mean is the Gaussian Gram G0, and F' exp(i(a_m - b_n)), whose mean
+    G1 gaussian_polynomial_gram gives exactly. The samples
+    (w - b1 - b2 F') exp(i(a_m - b_n)) are averaged and b1 G0 + b2 G1 is
+    added. q, the regression slope b2 of w on F' and b1 = mean w - b2 mean F'
+    come from an independent pilot, which keeps the estimate unbiased; q is
+    the one of _tilts' grid whose pilot leaves the least variance in
+    w - b1 - b2 F'. F is evaluated once per draw. A zero or constant density
+    gives q = 0, b2 = 0 and b1 the pilot's mean weight, so at zero density
+    the estimate is G0 exactly. The weights are used raw (no
+    normalization); their effective sample size sum(w)/max(w) is reported
+    as a degeneracy diagnostic.
 
     The base measure is centred, so for an even f the estimate is real in
     expectation; only its real part is accumulated. An odd term adds the
@@ -318,21 +380,21 @@ def gram_mc_direct(cov, lattice, f, phis, params):
     weight_stats = []
     # huge but finite weights overflow the sums; _finish_mc_report rejects what is not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        n_pilot = min(params.n_samples, CHUNK_SIZE)
-        pilot_f = eval_potential_batch(f, cov.draw(substream(params.seed, NS_PILOT, 0), n_pilot))
-        b1, b2 = _control_coefficients(pilot_f, _importance_weights(pilot_f, "density"))
-        for _, block in iter_sample_chunks(cov, params.n_samples, params.seed):
+        q, tilted, log_z, b1, b2 = _pick_tilt(cov, f, min(params.n_samples, CHUNK_SIZE), params.seed)
+        for _, block in iter_sample_chunks(tilted, params.n_samples, params.seed):
             a = block @ phi_mat
             b = block @ theta_mat
-            values = eval_potential_batch(f, block)
-            w = _importance_weights(values, "density")
+            values = _tilted_density(f, block, q)
+            w = _importance_weights(values + log_z, "density")
             v = (w - b1 - b2 * values)[:, np.newaxis]
             vc, vs, cb, sb = v * np.cos(a), v * np.sin(a), np.cos(b), np.sin(b)
             moments.add_real(vc, vs, cb, sb)
             if imag is not None:
                 imag.add_real(vs, -vc, cb, sb)
             weight_stats.append((float(w.sum()), float(w.max())))
-    g0, g1 = (gaussian_polynomial_gram(cov, phi_mat, theta_mat, p) for p in (_ONE, f))
+    # F' as a potential, for the closed form of its control's mean
+    control = f if q == 0 else add_potentials(f, Potential(tuple(Term(q / 2, ((x, 2),)) for x in range(cov.dim))))
+    g0, g1 = (gaussian_polynomial_gram(tilted, phi_mat, theta_mat, p) for p in (_ONE, control))
     return _finish_mc_report(moments, cov.psd_tolerance, params.seed, "mc-direct", weight_stats, b1 * g0 + b2 * g1, imag)
 
 

@@ -110,8 +110,9 @@ def test_criterion_4_weighted_measure_stays_reflection_positive():
     for seed in range(10):
         rep = gram_mc_direct(cov, lat, density, phis, McParams(200_000, seed=seed))
         verdicts.append(rep.verdict)
-        # the two control variates: about 8.5e-4 on these seeds, 2.2e-3 with the first alone
-        assert rep.eig_error_bound <= 1.0e-3, (seed, rep.eig_error_bound)
+        # drawn from the tilted Gaussian q ||C||_inf = 0.4 with both control variates: 2.11-2.43e-4
+        # on these seeds; 8.1-8.7e-4 untilted, and 2.2e-3 with the first control alone
+        assert rep.eig_error_bound <= 4.0e-4, (seed, rep.eig_error_bound)
         if seed == 0:
             first_direct = rep
     assert all(v in (PASS, INCONCLUSIVE) for v in verdicts), verdicts

@@ -583,6 +583,24 @@ def test_selftest_checks_the_polynomial_closed_form_against_the_quadratic_deriva
     assert not _selftest_entry("gaussian-polynomial-closed-form")["passed"]
 
 
+@pytest.mark.parametrize("part", ["table", "log_z"])
+def test_selftest_checks_the_tilt_per_momentum(monkeypatch, part):
+    entry = _selftest_entry("tilted-free-field")
+    assert entry["passed"] and 0.0 <= entry["measured"] <= entry["gate"] == 1e-14
+    exact = gaussian.tilted_gaussian
+
+    def off(cov, q):
+        tilted, log_z = exact(cov, q)
+        if cov.momentum_roots is None:
+            return tilted, log_z
+        if part == "log_z":
+            return tilted, log_z * (1.0 + 1e-13)
+        return gaussian.Covariance.from_columns(tilted.columns * (1.0 + 1e-13), tilted.momentum_roots), log_z
+
+    monkeypatch.setattr(cli, "tilted_gaussian", off)
+    assert not _selftest_entry("tilted-free-field")["passed"]
+
+
 def test_selftest_with_zero_tolerance_reports_failures(tmp_path):
     out = tmp_path / "report.json"
     code = main(["selftest", "--psd-tol", "0", "--out", str(out), "--quiet"])

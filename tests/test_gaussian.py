@@ -29,9 +29,10 @@ from rplattice import (
     reflect,
     sample,
     theta_inner,
+    tilted_gaussian,
     verify_convolution_identity,
 )
-from rplattice import cli, gaussian
+from rplattice import cli, gaussian, rp_verify
 from rplattice.density import Potential, Term, eval_potential_batch
 from rplattice.gaussian import covariance_factor, iter_sample_chunks, symmetrized
 from rplattice.streams import NS_FIELD, chunk_counts, substream
@@ -896,8 +897,11 @@ def test_free_field_sampling_and_direct_gram_never_expand_the_factor(count_linal
     sample(cov, 3000, seed=2)
     gram_mc_direct(cov, lat, phi4(lat, 0.1), phis, McParams(3000, seed=1))
     assert "factor" not in vars(cov)
-    # the batched Cholesky and its inverse, then only the k x k Gram spectra of the verdict
-    assert [name for name, _ in calls if name != "eigvalsh"] == ["cholesky", "inv"]
+    # the batched Cholesky and its inverse, one batched Cholesky of the momentum roots per tilt
+    # the direct estimator tries, then only the k x k Gram spectra of the verdict
+    tilts = len(rp_verify._TILT_GRID) - 1
+    assert [name for name, _ in calls if name != "eigvalsh"] == ["cholesky", "inv"] + ["cholesky"] * tilts
+    assert {shape for name, shape in calls[2:] if name == "cholesky"} == {cov.momentum_roots.shape}
     k = len(phis)
     assert all(shape[-2:] == (k, k) for name, shape in calls if name == "eigvalsh")
 
@@ -1214,3 +1218,95 @@ def test_polynomial_gram_rejects_a_site_outside_the_covariance():
         gaussian_polynomial_gram(
             free_field_covariance(lat, 1.0), phi_mat, theta_mat, Potential((Term(1.0, ((lat.site_count, 2),)),))
         )
+
+
+def _green(cov):
+    return cov.momentum_roots @ cov.momentum_roots.swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("time_extent, extents, mass", [(2, [4], 1.0), (4, [8], 0.5), (6, [12, 16], 0.5)])
+def test_the_tilted_free_field_is_the_heavier_free_field(time_extent, extents, mass):
+    # exp(-(q/2) |T|^2) adds q to the mass squared: C' = (-laplacian + m^2 + q)^-1
+    lat = build_lattice(time_extent, extents)
+    cov = free_field_covariance(lat, mass, psd_tolerance=1e-12)
+    for q in (0.1, 0.3, 0.8):
+        tilted, _ = tilted_gaussian(cov, q)
+        heavier = free_field_covariance(lat, math.sqrt(mass * mass + q))
+        assert np.abs(tilted.columns - heavier.columns).max() <= 1e-15 * np.abs(heavier.columns).max()
+        assert np.abs(_green(tilted) - _green(heavier)).max() <= 2e-15 * np.abs(_green(heavier)).max()
+        assert tilted.psd_tolerance == 1e-12
+        assert check_theta_invariance(tilted, lat).deviation == 0.0
+
+
+@pytest.mark.parametrize("time_extent, extents, mass", [(1, [], 1.0), (2, [4], 1.0), (2, [3, 4], 0.7)])
+def test_the_tilt_per_momentum_is_the_dense_solve(time_extent, extents, mass):
+    lat = build_lattice(time_extent, extents)
+    cov = free_field_covariance(lat, mass)
+    for q in (0.2, 0.8, 5.0):
+        tilted, log_z = tilted_gaussian(cov, q)
+        shifted = np.eye(cov.dim) + q * cov.matrix
+        want = np.linalg.solve(shifted, cov.matrix)
+        assert np.abs(tilted.matrix - want).max() <= 1e-15 * np.abs(want).max()
+        assert log_z == pytest.approx(-0.5 * np.linalg.slogdet(shifted)[1], rel=1e-14)
+        dense, dense_log_z = tilted_gaussian(Covariance(cov.matrix), q)
+        assert dense.momentum_roots is None
+        assert np.abs(dense.matrix - want).max() <= 1e-15 * np.abs(want).max()
+        assert dense_log_z == pytest.approx(log_z, rel=1e-14)
+
+
+def test_the_dense_tilt_of_an_explicit_covariance():
+    # a rank-deficient C: C' = C (I + qC)^-1 keeps its null space, and on its range C'^-1 = C^-1 + q
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((6, 4))
+    c = symmetrized(x @ x.T)
+    cov = Covariance(c)
+    eigs, vecs = np.linalg.eigh(c)
+    for q in (0.05, 0.5, 3.0):
+        tilted, log_z = tilted_gaussian(cov, q)
+        shifted = np.eye(6) + q * c
+        np.testing.assert_allclose(tilted.matrix, np.linalg.solve(shifted, c), rtol=0, atol=1e-14)
+        assert np.array_equal(tilted.matrix, tilted.matrix.T)
+        want = (vecs * (eigs / (1.0 + q * eigs))) @ vecs.T
+        np.testing.assert_allclose(tilted.matrix, want, rtol=0, atol=1e-13)
+        assert log_z == pytest.approx(-0.5 * np.log1p(q * eigs[eigs > 1e-12]).sum(), rel=1e-13)
+
+
+def test_a_tilt_keeps_theta_symmetry_only_when_the_table_has_it():
+    # a column table from random roots, even under k -> -k but not theta invariant: its tilt
+    # is the dense one of its matrix, and stays off theta invariance as C is
+    lat = build_lattice(2, [4])
+    rng = np.random.default_rng(5)
+    roots = rng.standard_normal((4, 4, 4))
+    roots = (roots + roots[-np.arange(4) % 4]) / 2.0
+    cols = np.fft.ifftn(roots @ roots.swapaxes(-1, -2), axes=(0,)).real
+    cols = (cols + gaussian._transposed(cols)) / 2.0
+    cov = Covariance.from_columns(cols, roots)
+    assert not check_theta_invariance(cov, lat).passed
+    tilted, log_z = tilted_gaussian(cov, 0.3)
+    dense, dense_log_z = tilted_gaussian(Covariance(cov.matrix), 0.3)
+    assert np.abs(tilted.matrix - dense.matrix).max() <= 1e-14 * np.abs(dense.matrix).max()
+    assert log_z == pytest.approx(dense_log_z, rel=1e-13)
+    assert not check_theta_invariance(tilted, lat).passed
+
+
+def test_no_tilt_is_the_covariance_itself():
+    cov = free_field_covariance(build_lattice(2, [4]), 1.0)
+    assert tilted_gaussian(cov, 0.0) == (cov, 0.0) and tilted_gaussian(cov, 0)[0] is cov
+
+
+@pytest.mark.parametrize("q", [-0.1, float("nan"), float("inf"), True, "0.2"])
+def test_a_tilt_must_be_finite_and_nonnegative(q):
+    with pytest.raises(ValueError):
+        tilted_gaussian(two_site_cov(0.5), q)
+
+
+@pytest.mark.parametrize("time_extent, extents, mass", [(2, [4], 1.0), (4, [8], 0.5), (2, [3, 4], 0.7)])
+def test_the_row_sum_norm_reads_the_table(time_extent, extents, mass):
+    lat = build_lattice(time_extent, extents)
+    cov = free_field_covariance(lat, mass)
+    dense = Covariance(cov.matrix)
+    assert cov.inf_norm == pytest.approx(np.abs(cov.matrix).sum(axis=1).max(), rel=1e-14)
+    assert dense.inf_norm == np.abs(cov.matrix).sum(axis=1).max()
+    # the free field's rows sum to 1/m^2, its spectral norm: the bound is tight
+    assert cov.inf_norm == pytest.approx(1.0 / mass**2, rel=1e-13)
+    assert cov.inf_norm >= np.linalg.eigvalsh(cov.matrix).max() * (1 - 1e-14)

@@ -80,5 +80,11 @@ def test_readme_cli_synopsis_names_each_subcommands_options():
 
 
 def test_readme_config_schema_resolves(tmp_path):
-    resolved = cli.resolve_config(json.loads(first_block_after("### Config schema", "json")), tmp_path)
+    config = json.loads(first_block_after("### Config schema", "json"))
+    resolved = cli.resolve_config(config, tmp_path)
     assert None not in (resolved.covariance, resolved.density, resolved.phis, resolved.mc)
+    # and verify-rp passes on it, at fewer draws
+    config["mc"].update(n_samples=4000, n_outer=200, n_inner=50)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["verify-rp", "--config", str(path), "--out", str(tmp_path / "report.json"), "--quiet"]) == 0

@@ -43,6 +43,7 @@ from rplattice import (
     theta_inner,
 )
 from rplattice import cli, rp_verify
+from rplattice.density import add_potentials
 from rplattice.rp_verify import _control_coefficients, _stable_below
 
 
@@ -438,7 +439,66 @@ def test_direct_estimator_evaluates_the_density_once_per_draw(monkeypatch, n_sam
     lat = build_lattice(2, [4])
     cov, phis = free_field_covariance(lat, 1.0), random_test_functions(lat, 2, 0)
     gram_mc_direct(cov, lat, phi4(lat, 0.1), phis, McParams(n_samples, seed=1))
-    assert sum(rows) == n_samples + min(n_samples, 2048)
+    # one pilot per tilt of the grid that phi^4 admits, q = 0 among them
+    assert sum(rows) == n_samples + len(rp_verify._TILT_GRID) * min(n_samples, 2048)
+
+
+def untilted_densities(lat):
+    """Densities the direct estimator keeps at q = 0: each breaks the rule of a bound above."""
+    plus = [lat.index_of([1, x]) for x in range(4)]
+    minus = [lat.index_of([-1, x]) for x in range(4)]
+    squares = Potential(tuple(Term(0.05, ((x, 2),)) for x in range(lat.site_count)))
+    cubic = Potential(tuple(Term(-0.05, ((x, 3),)) for x in plus + minus))
+    return {
+        "mixed-support": Potential(tuple(Term(-1.5, ((a, 1), (b, 1))) for a, b in zip(plus, minus))),
+        "zero": ZERO_POTENTIAL,
+        "constant": Potential(constant=0.25),
+        "positive-coefficient": squares,
+        "one-positive-term": add_potentials(phi4(lat, 0.1), squares),
+        "odd-power": add_potentials(phi4(lat, 0.1), cubic),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(untilted_densities(build_lattice(2, [4]))))
+def test_an_untilted_density_is_evaluated_on_one_pilot(monkeypatch, name):
+    rows = []
+
+    def counted(p, configs):
+        rows.append(len(configs))
+        return eval_potential_batch(p, configs)
+
+    lat = build_lattice(2, [4])
+    cov, phis = free_field_covariance(lat, 1.0), random_test_functions(lat, 2, 0)
+    density = untilted_densities(lat)[name]
+    assert [q for q, _, _ in rp_verify._tilts(cov, density)] == [0.0]
+    monkeypatch.setattr(rp_verify, "eval_potential_batch", counted)
+    gram_mc_direct(cov, lat, density, phis, McParams(5_000, seed=1))
+    assert sum(rows) == 5_000 + 2048
+
+
+def test_the_tilt_grid_is_scaled_by_the_row_sum_norm():
+    lat = build_lattice(2, [4])
+    cov = free_field_covariance(lat, 0.5)  # ||C||_inf = 1/m^2 = 4
+    tilts = rp_verify._tilts(cov, phi4(lat, 0.1))
+    assert [q for q, _, _ in tilts] == pytest.approx([g / 4.0 for g in rp_verify._TILT_GRID], rel=1e-15)
+    assert tilts[0][1] is cov and tilts[0][2] == 0.0
+    for q, _, log_z in tilts[1:]:
+        assert q * float(np.linalg.eigvalsh(cov.matrix).max()) <= 0.8 * (1 + 1e-15)
+        assert log_z < 0.0
+    # C = 0 has nothing to tilt
+    zero = Covariance(np.zeros((lat.site_count, lat.site_count)))
+    assert [q for q, _, _ in rp_verify._tilts(zero, phi4(lat, 0.1))] == [0.0]
+
+
+@pytest.mark.parametrize("constant", [700.0, 709.0])
+def test_ties_and_overflowing_tilts_go_to_the_smaller_q(constant):
+    # at 700 every candidate's residual variance overflows to inf, a tie; at 709 the weights
+    # of every q > 0 overflow, and those tilts are passed over
+    lat = build_lattice(2, [4])
+    cov = free_field_covariance(lat, 1.0)
+    density = Potential(tuple(Term(-1e-3, ((x, 4),)) for x in range(lat.site_count)), constant=constant)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert rp_verify._pick_tilt(cov, density, 2048, 0)[0] == 0.0
 
 
 def test_a_last_ulp_change_of_c_moves_the_factorized_estimate_only_at_rounding():
@@ -711,7 +771,9 @@ def test_verdict_rule_constants():
 ODD_UNIT_WEIGHT = Potential((Term(1e-300, ((1, 1),)),))
 
 
-def test_unstable_fail_is_downgraded_to_inconclusive():
+def test_unstable_fail_is_downgraded_to_inconclusive(monkeypatch):
+    # the tilt would absorb most of the quadratic density below; held at q = 0, its weights vary
+    monkeypatch.setattr(rp_verify, "_TILT_GRID", (0.0,))
     lat = build_lattice(1, [])
     params = McParams(8192, seed=0)
     # unit weights make the control variate's coefficient 1 exactly: the estimate is the

@@ -8,11 +8,12 @@ averages as the mean of w exp(-i phase) over 3-D batched draws. The
 estimators must agree with both to rounding, give the same verdicts, and
 never hold such a tensor themselves. The direct reference takes the same
 pilot coefficients and the same known means of its two control variates,
-both from its own closed forms. For an even density the estimators
+both from its own closed forms, at the tilt the estimator is held to. For an even density the estimators
 accumulate only the real part, and the references keep only the real part
 of their tensors; for a density with an odd term the estimators accumulate
 the imaginary part in a second real accumulator, and the references keep
-both parts. Odd-density reports are also pinned by digest.
+both parts. Odd-density reports, and those of densities the direct
+estimator does not tilt, are also pinned by digest.
 """
 
 import dataclasses
@@ -42,6 +43,7 @@ from rplattice import (
     restrict_plus,
     rp_verify,
     split_check,
+    tilted_gaussian,
     verify_convolution_identity,
 )
 from rplattice.density import add_potentials, eval_potential_batch
@@ -103,32 +105,41 @@ def single_site_g1(cov, f, d, g0):
     return g0 * g1
 
 
-def tensor_gram_mc_direct(cov, lattice, f, phis, params):
-    """gram_mc_direct with the phase exp[i(a_m - b_n)] formed per sample and entry.
+def tensor_gram_mc_direct(cov, lattice, f, phis, params, q=0.0):
+    """gram_mc_direct at the tilt q, with the phase exp[i(a_m - b_n)] formed per sample and entry.
 
-    Each sample is (w - b1 - b2 F) exp[i(a_m - b_n)], with w = exp F and the pilot chunk's
-    regression coefficients b2 = sum (F - mean F) w / sum (F - mean F)^2 and
-    b1 = mean w - b2 mean F; b1 G0 + b2 G1 is added back, where G0[m, n] = exp(-d^T C d / 2)
+    The draws come from the tilted Gaussian C' of tilted_gaussian(cov, q), and F' = F + (q/2) |T|^2.
+    Each sample is (w - b1 - b2 F') exp[i(a_m - b_n)], with w = exp(F' + log Z) and the pilot
+    chunk's regression coefficients b2 = sum (F' - mean F') w / sum (F' - mean F')^2 and
+    b1 = mean w - b2 mean F'; b1 G0 + b2 G1 is added back, where G0[m, n] = exp(-d^T C' d / 2)
     for d = phi_m - theta phi_n is formed for all k^2 differences at once, and G1 is
-    single_site_g1. For an even f only the real part of each sample's tensor is accumulated.
+    single_site_g1 of F' as a potential. For an even f only the real part of each sample's
+    tensor is accumulated.
     """
+    cov, log_z = tilted_gaussian(cov, q)
+    squares = Potential(tuple(Term(q / 2, ((x, 2),)) for x in range(cov.dim)) if q else ())
+
+    def tilted_values(x):
+        return eval_potential_batch(f, x) + 0.5 * q * np.einsum("ij,ij->i", x, x)
+
     phi_mat = np.stack(phis, axis=1)
     theta_mat = np.stack([reflect(lattice, p) for p in phis], axis=1)
     pilot = substream(params.seed, NS_PILOT, 0).standard_normal((min(params.n_samples, CHUNK_SIZE), cov.dim))
-    f_pilot = eval_potential_batch(f, pilot @ cov.factor.T)
+    f_pilot = tilted_values(pilot @ cov.factor.T)
+    w_pilot = np.exp(f_pilot + log_z)
     centred = f_pilot - f_pilot.mean()
-    b2 = centred @ np.exp(f_pilot) / (centred @ centred)
-    b1 = np.exp(f_pilot).mean() - b2 * f_pilot.mean()
+    b2 = centred @ w_pilot / (centred @ centred)
+    b1 = w_pilot.mean() - b2 * f_pilot.mean()
     d = phi_mat[:, :, np.newaxis] - theta_mat[:, np.newaxis, :]
     g0 = np.exp(-0.5 * np.einsum("imn,ij,jmn->mn", d, cov.matrix, d))
-    g1 = single_site_g1(cov, f, d, g0)
+    g1 = single_site_g1(cov, add_potentials(f, squares), d, g0)
     offset = b1 * g0 + b2 * (g1.real if is_even(f) else g1)
     real, imag = tensor_parts(f)
     weight_stats = []
     for _, block in iter_sample_chunks(cov, params.n_samples, params.seed):
         a, b = block @ phi_mat, block @ theta_mat
-        values = eval_potential_batch(f, block)
-        w = np.exp(values)
+        values = tilted_values(block)
+        w = np.exp(values + log_z)
         phase = a[:, :, np.newaxis] - b[:, np.newaxis, :]
         x = (w - b1 - b2 * values)[:, np.newaxis, np.newaxis] * np.exp(1j * phase)
         add_complex(real, imag, x)
@@ -220,13 +231,54 @@ def assert_same_report(got, want):
 
 
 @pytest.mark.parametrize("seed", [0, 9])
-def test_direct_gram_matches_the_tensor_path(criterion_4, seed):
+def test_direct_gram_matches_the_tensor_path(criterion_4, monkeypatch, seed):
+    monkeypatch.setattr(rp_verify, "_TILT_GRID", (0.0,))
     lat, cov, density, phis = criterion_4
     params = McParams(200_000, seed=seed)
     assert_same_report(
         gram_mc_direct(cov, lat, density, phis, params),
         tensor_gram_mc_direct(cov, lat, density, phis, params),
     )
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_tilted_direct_gram_matches_the_tensor_path(criterion_4, monkeypatch, seed):
+    # the grid held at the one tilt q ||C||_inf = 0.4, which phi^4 picks on these seeds
+    monkeypatch.setattr(rp_verify, "_TILT_GRID", (0.4,))
+    lat, cov, density, phis = criterion_4
+    params = McParams(200_000, seed=seed)
+    assert_same_report(
+        gram_mc_direct(cov, lat, density, phis, params),
+        tensor_gram_mc_direct(cov, lat, density, phis, params, q=0.4 / cov.inf_norm),
+    )
+
+
+# Reports of densities the direct estimator does not tilt, on the criterion-4 problem at 20k
+# samples, seed 3, taken before the tilt existed (numpy 2.4 with OpenBLAS 0.3.31 on x86-64, the
+# same at one and two BLAS threads): the tilt must leave them byte-identical.
+UNTILTED_DIRECT_DIGESTS = {
+    "mixed-support": "cefc445808ed1c127f9b00067f507d249c6c8d3cc85933fc4ab9c5026634d3aa",
+    "zero": "70383d6281b9889594edb10cc39a38647d068950f89437866a065bd4e826925b",
+    "constant": "fbca91b9f63c6b02d091e256abd6ac605edfd962871c472c17db627bc2aed065",
+    "positive-coefficient": "64a22556c493d1b5f10484ffb3738ad6c7a03f19a30bc910a61e5131aa9f7c10",
+    "mixed-sign": "4ebe8072be3ac34b09980038ecace6f8e282e7b7b129f112f2798fd996103aea",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNTILTED_DIRECT_DIGESTS))
+def test_untilted_direct_reports_keep_their_bytes(criterion_4, name):
+    lat, cov, phi4_density, phis = criterion_4
+    plus, minus = ([lat.index_of([t, x]) for x in range(4)] for t in (1, -1))
+    squares = Potential(tuple(Term(0.05, ((x, 2),)) for x in range(lat.site_count)))
+    density = {
+        "mixed-support": Potential(tuple(Term(-1.5, ((a, 1), (b, 1))) for a, b in zip(plus, minus))),
+        "zero": ZERO_POTENTIAL,
+        "constant": Potential(constant=0.25),
+        "positive-coefficient": squares,
+        "mixed-sign": add_potentials(phi4_density, squares),
+    }[name]
+    got = gram_mc_direct(cov, lat, density, phis, McParams(20_000, seed=3))
+    assert report_digest(got) == UNTILTED_DIRECT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("share_inner", [True, False], ids=["shared", "independent"])

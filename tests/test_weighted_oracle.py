@@ -1,15 +1,18 @@
 """A weighted measure with a closed-form Gram matrix: the quadratic splitting density.
 
 On a lattice with no t = 0 sites, F(T) = -(q/2) sum_x T_x^2 splits (each site's term
-has its mirror) and is even. The weighted measure exp(F) mu_C is the Gaussian of
-covariance C (I + qC)^-1 with total mass det(I + qC)^(-1/2), so
+has its mirror) and is even. The weighted measure exp(F) mu_C is Z mu_C', the tilted
+Gaussian of tilted_gaussian: covariance C' = C (I + qC)^-1 and mass Z = det(I + qC)^(-1/2), so
 
-    M[m, n] = det(I + qC)^(-1/2) exp(-(1/2) d^T C (I + qC)^-1 d),  d = phi_m - theta phi_n.
+    M[m, n] = Z exp(-(1/2) d^T C' d),  d = phi_m - theta phi_n.
 
-With zero density the direct estimator's control variate makes its estimate exact, so
-these tests are the ones that hold its sampler, and the factorized one's, to an exact
-answer with weights that vary.
+With zero density the direct estimator's control variate makes its estimate exact, and
+the direct estimator's own tilt on the grid q ||C||_inf in (0.2, 0.4, 0.8) absorbs this
+density into constant weights; with the grid held at (0.0,), these tests are the ones that
+hold its sampler, and the factorized one's, to an exact answer with weights that vary.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -28,10 +31,13 @@ from rplattice import (
     gram_mc_direct,
     gram_mc_factorized,
     is_even,
+    phi4,
     random_test_functions,
-    reflect,
+    rp_verify,
     split_check,
+    tilted_gaussian,
 )
+from rplattice.density import add_potentials
 
 Q = 0.2
 
@@ -41,14 +47,15 @@ def quadratic_density(lattice, q=Q):
 
 
 def quadratic_gram(cov, lattice, phis, q=Q):
-    """The closed-form weighted Gram matrix, from all k^2 differences d at once."""
-    shifted = np.eye(cov.dim) + q * cov.matrix
-    weighted = np.linalg.solve(shifted, cov.matrix)
-    phi_mat = np.stack(phis, axis=1)
-    theta_mat = np.stack([reflect(lattice, p) for p in phis], axis=1)
-    d = phi_mat[:, :, np.newaxis] - theta_mat[:, np.newaxis, :]
-    quad = np.einsum("imn,ij,jmn->mn", d, weighted, d)
-    return np.linalg.det(shifted) ** -0.5 * np.exp(-0.5 * quad)
+    """The closed-form weighted Gram matrix Z G0(C'), from the dense tilt of cov's matrix."""
+    tilted, log_z = tilted_gaussian(Covariance(cov.matrix), q)
+    return math.exp(log_z) * gram_exact_gaussian(tilted, lattice, phis).matrix.real
+
+
+@pytest.fixture
+def untilted(monkeypatch):
+    """The direct estimator held at q = 0, so that the quadratic density's weights vary."""
+    monkeypatch.setattr(rp_verify, "_TILT_GRID", (0.0,))
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +84,7 @@ def test_the_quadratic_density_splits_and_is_even(criterion_4_lattice):
     np.testing.assert_allclose(quadratic_gram(cov, lat, phis, q=0.0), want, rtol=1e-13)
 
 
-def test_direct_estimate_matches_the_closed_form_for_twenty_seeds(criterion_4_lattice):
+def test_direct_estimate_matches_the_closed_form_for_twenty_seeds(criterion_4_lattice, untilted):
     lat, cov, phis = criterion_4_lattice
     density, exact = quadratic_density(lat), quadratic_gram(cov, lat, phis)
     sigmas = [
@@ -99,7 +106,7 @@ def test_independent_factorized_estimate_matches_the_closed_form_for_twenty_seed
     assert max(sigmas) <= 5.0, sigmas
 
 
-def test_weighted_non_rp_covariance_fails_stably():
+def assert_weighted_non_rp_fails_stably():
     lat, cov, phis = two_site(-0.5)
     exact = quadratic_gram(cov, lat, phis)
     exact_min = float(np.linalg.eigvalsh(exact).min())
@@ -109,6 +116,15 @@ def test_weighted_non_rp_covariance_fails_stably():
         assert rep.verdict == FAIL, f"seed {seed} gave {rep.verdict}"
         assert rep.eig_error_bound < 1e-3
         assert abs(rep.min_eigenvalue - exact_min) <= 5.0 * rep.eig_error_bound
+
+
+def test_weighted_non_rp_covariance_fails_stably(untilted):
+    assert_weighted_non_rp_fails_stably()
+
+
+def test_weighted_non_rp_covariance_fails_stably_under_the_tilt():
+    # ||C||_inf = 1.5: the grid's q = 0.2/1.5, 0.4/1.5 and 0.8/1.5 miss the density's q = 0.2
+    assert_weighted_non_rp_fails_stably()
 
 
 @pytest.mark.parametrize("problem", ["criterion-4", "two-site"])
@@ -123,3 +139,34 @@ def test_zero_density_direct_estimate_is_the_exact_gaussian_gram(criterion_4_lat
     assert rep.min_eigenvalue == pytest.approx(exact.min_eigenvalue, rel=1e-12, abs=1e-15)
     # the weights are still drawn: every one is 1
     assert rep.effective_sample_size == 5_000.0
+
+
+def test_the_tilted_direct_estimate_of_the_quadratic_density_is_the_closed_form(criterion_4_lattice):
+    # ||C||_inf = 1/m^2 = 1, so the grid's q = 0.2 absorbs the density: F' = F + 0.1 |T|^2 vanishes,
+    # the weights are Z at every draw, and the estimate is b1 G0(C') = Z G0(C') to rounding
+    lat, cov, phis = criterion_4_lattice
+    density, exact = quadratic_density(lat), quadratic_gram(cov, lat, phis)
+    assert cov.inf_norm == 1.0
+    for seed in range(3):
+        assert rp_verify._pick_tilt(cov, density, 2048, seed)[0] == 0.2
+        rep = gram_mc_direct(cov, lat, density, phis, McParams(20_000, seed=seed))
+        np.testing.assert_allclose(rep.matrix.real, exact, rtol=1e-14, atol=1e-14)
+        assert rep.stderr.max() <= 1e-15
+        assert rep.effective_sample_size == pytest.approx(20_000, rel=1e-12)
+
+
+def test_tilted_direct_estimate_agrees_with_the_independent_factorized_one(criterion_4_lattice):
+    # a quadratic-plus-quartic density that the tilt shifts but cannot absorb, against the
+    # unbiased factorized estimate of its split
+    lat, cov, phis = criterion_4_lattice
+    density = add_potentials(phi4(lat, 0.1), quadratic_density(lat))
+    witness = split_check(lat, density).witness_g
+    pq = decompose_pq(cov, lat)
+    sigmas = []
+    for seed in range(10):
+        assert rp_verify._pick_tilt(cov, density, 2048, seed)[0] > 0.0
+        direct = gram_mc_direct(cov, lat, density, phis, McParams(20_000, seed=seed))
+        params = McParams(1, seed=seed, n_outer=1024, n_inner=32, share_inner=False)
+        fact = gram_mc_factorized(pq, witness, phis, params)
+        sigmas.append(float((np.abs(direct.matrix - fact.matrix) / np.hypot(direct.stderr, fact.stderr)).max()))
+    assert max(sigmas) <= 5.0, sigmas
