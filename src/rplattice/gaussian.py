@@ -46,11 +46,16 @@ from functools import cache, cached_property, reduce
 import numpy as np
 
 from .density import check_sites, is_even
-from .lattice import Lattice, as_float, reflect, restrict_plus, positive_support, _as_site_vector
-from .streams import NS_FIELD, chunk_counts, substream
+from .lattice import Lattice, as_float, as_int, reflect, restrict_plus, positive_support, _as_site_vector
+from .streams import CHUNK_SIZE, NS_FIELD, chunk_counts, substream
 
 DEFAULT_PSD_TOL = 1e-10
 DEFAULT_INVARIANCE_TOL = 1e-12
+# A column table's draw turns its normals into draws a block of about _DRAW_BLOCK
+# doubles at a time, never fewer than _DRAW_MIN_ROWS rows: a block of one row
+# rounds otherwise than the whole draw, so the bits would depend on the blocks.
+_DRAW_BLOCK = 1 << 17
+_DRAW_MIN_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -196,22 +201,37 @@ class Covariance:
         """A fresh (count, dim) array x = z F^T for z = rng.standard_normal((count, dim)).
 
         A column table reads each row of z as the coefficients z[(k, s)] of
-        the spatial modes k at times s: one batched product of each mode's
-        (count, n) slice with its R_k^T, then one GEMM with E^T, 2N(n + S)
+        the spatial modes k at times s: a batched product of each mode's
+        (rows, n) slice with its R_k^T, then a GEMM with E^T, 2N(n + S)
         flops per draw instead of 2N^2. Since E^T z^T is white noise too,
         the draws have the law of those through C's translation-invariant
-        root. Each draw reads only its own row of z.
+        root. Each draw reads only its own row of z, so z is turned into x
+        in place, a block of rows at a time: the draw holds z and one
+        scratch block of about _DRAW_BLOCK doubles, not a second (count,
+        dim) array. Blocks have at least _DRAW_MIN_ROWS rows, and x is bit
+        for bit what the two products over the whole of z at once give.
         """
+        return self._draws(rng.standard_normal, count)
+
+    def _draws(self, normals, count):
+        """draw(rng, count) with z = normals((count, dim)); a column table writes the draws over z."""
         if self.momentum_roots is None:
-            return rng.standard_normal((count, self.dim)) @ self.factor.T
+            return normals((count, self.dim)) @ self.factor.T
         basis, roots_t = self._modes
         spatial, times = basis.shape[0], roots_t.shape[-1]
+        dim = spatial * times
+        # blocks of equal size, so no remainder of a few rows is left for a last one
+        blocks = max(1, count // max(_DRAW_MIN_ROWS, _DRAW_BLOCK // dim))
         # taken before z, so its free leaves a hole under z, not a heap top that glibc trims and refaults
-        mixed = np.empty((spatial, count, times))
-        z = rng.standard_normal((count, self.dim))
-        np.matmul(z.reshape(count, spatial, times).swapaxes(0, 1), roots_t, out=mixed)
-        # every normal has been read: the product with E^T overwrites them with the draws
-        np.matmul(mixed.reshape(spatial, count * times).T, basis.T, out=z.reshape(count * times, spatial))
+        scratch = np.empty(-(-count // blocks) * dim)
+        z = normals((count, dim))
+        for b in range(blocks):
+            start, stop = count * b // blocks, count * (b + 1) // blocks
+            rows, m = z[start:stop], stop - start
+            mixed = scratch[: m * dim].reshape(spatial, m, times)
+            np.matmul(rows.reshape(m, spatial, times).swapaxes(0, 1), roots_t, out=mixed)
+            # every normal of these rows has been read: the product with E^T overwrites them with their draws
+            np.matmul(mixed.reshape(spatial, m * times).T, basis.T, out=rows.reshape(m * times, spatial))
         return z
 
 
@@ -750,12 +770,21 @@ def sample(cov, n, seed):
     Deterministic given (n, seed, site ordering): the same call always
     returns bit-identical samples, whatever the BLAS thread count. configs
     is a fresh array owned by the sample; a single chunk's block is
-    returned without a copy. See Covariance.draw for how a block is drawn.
+    returned without a copy, and more chunks are copied one by one into
+    rows of configs, so the sample holds configs and one chunk at a time.
+    See Covariance.draw for how a block is drawn.
     A sample of fewer draws is not always a bitwise prefix: the BLAS may
     round an explicit covariance's z @ F^T otherwise for a few rows.
     """
-    blocks = [block for _, block in iter_sample_chunks(cov, n, seed)]
-    configs = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
+    n = as_int(n, "sample count")
+    chunks = iter_sample_chunks(cov, n, seed)
+    if n <= CHUNK_SIZE:
+        ((_, configs),) = chunks
+    else:
+        configs = np.empty((n, cov.dim))
+        for k, block in chunks:
+            configs[k * CHUNK_SIZE : k * CHUNK_SIZE + len(block)] = block
+            del block  # freed before the next chunk is drawn
     return FieldSample(configs=configs, seed=int(seed), count=int(n))
 
 

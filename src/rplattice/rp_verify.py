@@ -322,14 +322,16 @@ def _tilted_density(f, block, q):
 def _pick_tilt(cov, f, n_pilot, seed):
     """(q, C', log Z, b1, b2) of the tilt whose pilot leaves the least variance in w - b1 - b2 F'.
 
-    Every candidate draws its pilot from its C' through the same normals, of
-    the substream (seed, NS_PILOT, 0), so they are compared on common random
-    numbers; b1 and b2 are fitted on that pilot. Ties go to the smaller q,
-    and so do tilts whose pilot weights overflow; q = 0's overflow raises.
+    Every candidate draws its pilot from its C' through a copy of the same
+    normals, drawn once from the substream (seed, NS_PILOT, 0), so they are
+    compared on common random numbers; b1 and b2 are fitted on that pilot.
+    Ties go to the smaller q, and so do tilts whose pilot weights overflow;
+    q = 0's overflow raises.
     """
     best = None
+    z = substream(seed, NS_PILOT, 0).standard_normal((n_pilot, cov.dim))
     for q, tilted, log_z in _tilts(cov, f):
-        block = tilted.draw(substream(seed, NS_PILOT, 0), n_pilot)
+        block = tilted._draws(lambda shape: z.copy(), n_pilot)
         values = _tilted_density(f, block, q)
         try:
             w = _importance_weights(values + log_z, "density")

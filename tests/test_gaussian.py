@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -775,7 +776,7 @@ def test_free_field_samples_are_draws_times_the_factor_to_rounding():
 
 @pytest.mark.parametrize("n", [1, 2048, 2049])
 def test_sample_configs_are_fresh_owned_and_writable(n):
-    # one chunk is returned as drawn, more are concatenated; either way the caller owns the block
+    # one chunk is returned as drawn, more are copied into one array; either way the caller owns the block
     cov = free_field_covariance(build_lattice(2, [3]), 0.9)
     _assert_draws_are_near(cov, cov.factor, n, 3)
     a, b = sample(cov, n, seed=3).configs, sample(cov, n, seed=3).configs
@@ -818,6 +819,56 @@ def test_a_chunks_first_draws_do_not_depend_on_its_count(time_extent, extents):
     # a single draw takes numpy's matrix-vector product, whose sums may round in another order
     one = cov.draw(np.random.default_rng(3), 1)
     assert np.abs(one - full[:1]).max() <= 1e-15 * np.abs(full[:1]).max()
+
+
+def _whole_chunk_draws(cov, rng, count):
+    # the two products over the whole chunk at once, as a draw made them before it went by blocks of rows
+    basis, roots_t = cov._modes
+    spatial, times = basis.shape[0], roots_t.shape[-1]
+    z = rng.standard_normal((count, cov.dim))
+    mixed = np.matmul(z.reshape(count, spatial, times).swapaxes(0, 1), roots_t)
+    return (mixed.reshape(spatial, count * times).T @ basis.T).reshape(count, cov.dim)
+
+
+@pytest.mark.parametrize("time_extent, extents", [(2, [4]), (4, [8, 16]), (6, [12, 16])], ids=["n16", "n1024", "n2304"])
+def test_blocked_draws_equal_the_whole_chunk_products_bitwise(time_extent, extents):
+    # 2048 draws take 16 blocks at N=1024 and 32 at N=2304; 65 at N=2304 take one block, not 64 rows and 1
+    cov = free_field_covariance(build_lattice(time_extent, extents), 0.5)
+    for count in (1, 63, 64, 65, 2048):
+        want = _whole_chunk_draws(cov, np.random.default_rng(count), count)
+        assert np.array_equal(cov.draw(np.random.default_rng(count), count), want), count
+    assert cov.draw(np.random.default_rng(0), 0).shape == (0, cov.dim)
+
+
+def test_free_field_sample_bytes_are_pinned():
+    # sha256 of these bytes as drawn before draws went by blocks of rows, at one and at two BLAS threads
+    configs = sample(free_field_covariance(build_lattice(6, [12, 16]), 0.5), 2048, 0).configs
+    assert hashlib.sha256(configs).hexdigest() == "b74b2407d4154d147d01c134298ca4a0a907e2e20fdeffcd0dbbd3d9e6353644"
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_free_field_draw_allocates_little_beyond_its_output():
+    # a second (count, N) array for the batched product would double the peak
+    cov = free_field_covariance(build_lattice(6, [12, 16]), 0.5)
+    cov.draw(np.random.default_rng(0), 1)  # the basis and the roots are cached on first use
+    x, peak = _traced_peak(lambda: cov.draw(np.random.default_rng(0), 2048))
+    assert peak <= 1.1 * x.nbytes, f"peak {peak / x.nbytes:.3f} x the draws"
+
+
+def test_a_sample_of_three_chunks_holds_one_chunk_beside_its_configs():
+    # configs and one 2048-row chunk: 4/3 of the output, where concatenating the chunks takes twice it
+    cov = free_field_covariance(build_lattice(4, [8, 16]), 0.5)
+    cov.draw(np.random.default_rng(0), 1)
+    drawn, peak = _traced_peak(lambda: sample(cov, 3 * 2048, 3))
+    assert peak <= 1.4 * drawn.configs.nbytes, f"peak {peak / drawn.configs.nbytes:.3f} x the sample"
 
 
 def test_free_field_exact_path_and_joint_law_check_never_expand_c():

@@ -45,6 +45,7 @@ from rplattice import (
 from rplattice import cli, rp_verify
 from rplattice.density import add_potentials
 from rplattice.rp_verify import _control_coefficients, _stable_below
+from rplattice.streams import NS_PILOT, substream
 
 
 def two_site_cov(c):
@@ -441,6 +442,23 @@ def test_direct_estimator_evaluates_the_density_once_per_draw(monkeypatch, n_sam
     gram_mc_direct(cov, lat, phi4(lat, 0.1), phis, McParams(n_samples, seed=1))
     # one pilot per tilt of the grid that phi^4 admits, q = 0 among them
     assert sum(rows) == n_samples + len(rp_verify._TILT_GRID) * min(n_samples, 2048)
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["column-table", "explicit"])
+def test_tilt_pilots_draw_their_normals_once_and_each_as_its_draw_would(monkeypatch, explicit):
+    keys, pilots = [], []
+    monkeypatch.setattr(rp_verify, "substream", lambda *key: keys.append(key) or substream(*key))
+    tilted_density = rp_verify._tilted_density
+    monkeypatch.setattr(rp_verify, "_tilted_density", lambda f, block, q: pilots.append(block) or tilted_density(f, block, q))
+    lat = build_lattice(2, [4])
+    cov = free_field_covariance(lat, 1.0)
+    cov = Covariance(cov.matrix) if explicit else cov
+    rp_verify._pick_tilt(cov, phi4(lat, 0.1), 300, 5)
+    assert keys == [(5, NS_PILOT, 0)]
+    tilts = rp_verify._tilts(cov, phi4(lat, 0.1))
+    assert len(pilots) == len(tilts) > 1
+    for block, (_, tilted, _) in zip(pilots, tilts):
+        assert np.array_equal(block, tilted.draw(substream(5, NS_PILOT, 0), 300))
 
 
 def untilted_densities(lat):
