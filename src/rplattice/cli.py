@@ -355,6 +355,24 @@ def cmd_check_density(resolved):
     return {"split": check}, reasons
 
 
+def _gram_stage(checks, reasons, name, estimate, *args):
+    """Write estimate(*args) to checks[name], and its reason on a fail.
+
+    Ill-conditioned weights write None and ill-conditioned-weights, and the
+    None returned stops the command.
+    """
+    try:
+        report = estimate(*args)
+    except IllConditionedWeightsError:
+        checks[name] = None
+        reasons.append(ILL_CONDITIONED)
+        return None
+    checks[name] = _gram_entry(report)
+    if report.verdict == FAIL:
+        reasons.append(name.replace("_", "-") + "-stable-fail")
+    return report
+
+
 def cmd_verify_rp(resolved):
     if resolved.covariance is None or resolved.density is None or resolved.mc is None:
         _fail("verify-rp needs 'covariance', 'density' and 'mc' sections")
@@ -381,15 +399,9 @@ def cmd_verify_rp(resolved):
         reasons.append("split:" + split.violations[0].reason)
         return checks, reasons
 
-    try:
-        direct = gram_mc_direct(cov, lattice, resolved.density, phis, mc)
-    except IllConditionedWeightsError:
-        checks["gram_direct"] = None
-        reasons.append(ILL_CONDITIONED)
+    direct = _gram_stage(checks, reasons, "gram_direct", gram_mc_direct, cov, lattice, resolved.density, phis, mc)
+    if direct is None:
         return checks, reasons
-    checks["gram_direct"] = _gram_entry(direct)
-    if direct.verdict == FAIL:
-        reasons.append("gram-direct-stable-fail")
 
     pq = decompose_pq(cov, lattice)
     checks["pq_decomposition"] = _pq_entry(pq)
@@ -397,15 +409,9 @@ def cmd_verify_rp(resolved):
         reasons.append("pq-decomposition")
         return checks, reasons
 
-    try:
-        factorized = gram_mc_factorized(pq, split.witness_g, phis, mc)
-    except IllConditionedWeightsError:
-        checks["gram_factorized"] = None
-        reasons.append(ILL_CONDITIONED)
+    factorized = _gram_stage(checks, reasons, "gram_factorized", gram_mc_factorized, pq, split.witness_g, phis, mc)
+    if factorized is None:
         return checks, reasons
-    checks["gram_factorized"] = _gram_entry(factorized)
-    if factorized.verdict == FAIL:
-        reasons.append("gram-factorized-stable-fail")
 
     if mc.share_inner:
         structural_ok = factorized.min_eigenvalue >= STRUCTURAL_PSD_FLOOR
@@ -425,10 +431,10 @@ def cmd_verify_rp(resolved):
     # one with gate 0 and a difference has no finite ratio, written as null
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(gate > 0, delta / gate, np.where(delta <= gate, 0.0, np.inf))
-    ratio = float(ratios.max()) if delta.size else 0.0
+    ratio = float(ratios.max())
     checks["estimator_agreement"] = {
         "passed": agree,
-        "max_abs_difference": float(delta.max()) if delta.size else 0.0,
+        "max_abs_difference": float(delta.max()),
         "max_gate_ratio": ratio if math.isfinite(ratio) else None,
         "bias_allowance": bias_allowance,
     }

@@ -328,8 +328,11 @@ def _spectral_psd(eigs, tol):
 
 
 def symmetrized(matrix):
-    """(M + M^T) / 2, which equals M bit for bit when M is exactly symmetric."""
-    return (matrix + matrix.T) / 2.0
+    """(M + M^H) / 2 over the last two axes, of one matrix or a stack; M bit for bit when M is exactly Hermitian.
+
+    A real matrix is not conjugated: ndarray.conj returns the array itself.
+    """
+    return (matrix + matrix.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _psd_root(blocks, tol):
@@ -814,7 +817,7 @@ def verify_convolution_identity(pq, n_samples=100_000, seed=0):
     with np.errstate(divide="ignore", invalid="ignore"):
         stderr = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n_samples)
         sigmas = np.where(stderr > 0, delta / stderr, np.where(delta <= 1e-12, 0.0, np.inf))
-    max_sigma = float(sigmas.max()) if sigmas.size else 0.0
+    max_sigma = float(sigmas.max())
     if math.isinf(max_sigma):
         return ConvolutionReport(False, None, int(n_samples), int(seed))
     return ConvolutionReport(max_sigma <= 5.0, max_sigma, int(n_samples), int(seed))

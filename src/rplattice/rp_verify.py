@@ -21,8 +21,9 @@ Three estimators produce GramReports:
   O(1/n_inner) bias; with independent inner samples the entries are
   unbiased products but the structural guarantee is lost.
 
-Both Monte Carlo estimators accumulate real chunks (streams.ChunkMoments);
-a density with an odd term puts the imaginary part in a second accumulator.
+Both Monte Carlo estimators add their samples through _add_samples: real
+chunks (streams.ChunkMoments), and for a density with an odd term the
+imaginary part in a second accumulator.
 
 Verdicts are three-valued. An estimate passes when its smallest eigenvalue
 clears -tol - 5 * eig_error_bound, where tol is the psd_tolerance of the
@@ -47,6 +48,7 @@ from .gaussian import (
     char_fn,
     gaussian_polynomial_gram,
     iter_sample_chunks,
+    symmetrized,
     tilted_gaussian,
     warn_unless_invariant,
 )
@@ -135,8 +137,7 @@ def psd_check(matrix, tol, eig_error_bound=0.0):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     tol, bound = _checked_tolerance(tol, "tol"), _checked_tolerance(eig_error_bound, "eig_error_bound")
-    h = (m + np.conj(m.T)) / 2.0
-    min_eig = float(np.linalg.eigvalsh(h).min()) if h.size else 0.0
+    min_eig = float(np.linalg.eigvalsh(symmetrized(m)).min()) if m.size else 0.0
     threshold = -tol - 5.0 * bound
     return PsdReport(min_eig >= threshold, min_eig, threshold, tol)
 
@@ -210,18 +211,14 @@ def gram_exact_gaussian(cov, lattice, phis):
 
 
 def _stable_below(counts, sums, threshold, seed):
-    """Bootstrap over chunk sums: does the failing sign persist?"""
+    """Bootstrap over chunk sums: does the failing sign persist? One eigvalsh over the stack of resample means."""
     counts = np.asarray(counts, dtype=np.float64)
     sums = np.stack(sums)
     n_chunks = counts.shape[0]
     rng = substream(seed, NS_BOOTSTRAP, 0)
     idx = rng.integers(0, n_chunks, size=(_N_BOOTSTRAP, n_chunks))
-    below = 0
-    for row in idx:
-        m = sums[row].sum(axis=0) / counts[row].sum()
-        m = (m + np.conj(m.T)) / 2.0
-        if float(np.linalg.eigvalsh(m).min()) < threshold:
-            below += 1
+    means = np.stack([sums[row].sum(axis=0) / counts[row].sum() for row in idx])
+    below = int((np.linalg.eigvalsh(symmetrized(means)).min(axis=-1) < threshold).sum())
     return below >= math.ceil(_STABLE_FRACTION * _N_BOOTSTRAP)
 
 
@@ -232,7 +229,7 @@ def _gram_report(mean, stderr, tol, kind, n_samples=0, seed=None, ess=None, chun
     resampled: it stays a fail only when its sign survives the bootstrap. An
     exact estimate has stderr 0 and no chunks.
     """
-    hermitized = (mean + np.conj(mean.T)) / 2.0
+    hermitized = symmetrized(mean)
     eig_error_bound = float(mean.shape[0] * stderr.max())
     check = psd_check(hermitized, tol, eig_error_bound)
     verdict = PASS if check.passed else FAIL
@@ -251,6 +248,17 @@ def _gram_report(mean, stderr, tol, kind, n_samples=0, seed=None, ess=None, chun
         hermiticity_gap=float(np.abs(mean - np.conj(mean.T)).max()),
         tol=check.tol,
     )
+
+
+def _add_samples(moments, imag, a, b, c, d):
+    """Add the samples (a + ib)(c - id) of real factors a, b, c, d of shape (count, k).
+
+    Their real part ac + bd goes to moments; their imaginary part bc - ad to
+    imag, unless it is None, as for an even density.
+    """
+    moments.add_real(a, b, c, d)
+    if imag is not None:
+        imag.add_real(b, -a, c, d)
 
 
 def _finish_mc_report(moments, tol, seed, kind, weight_stats, offset=None, imag=None):
@@ -371,8 +379,8 @@ def gram_mc_direct(cov, lattice, f, phis, params):
 
     The base measure is centred, so for an even f the estimate is real in
     expectation; only its real part is accumulated. An odd term adds the
-    imaginary part, sin(a - b) = sin a cos b - cos a sin b, in a second one.
-    The verdict gates at cov.psd_tolerance.
+    imaginary part in a second accumulator, both by _add_samples of
+    w exp(i a) exp(-i b). The verdict gates at cov.psd_tolerance.
     """
     require_positive_support(lattice, phis)
     phi_mat, theta_mat = _phase_matrices(lattice, phis)
@@ -389,10 +397,7 @@ def gram_mc_direct(cov, lattice, f, phis, params):
             values = _tilted_density(f, block, q)
             w = _importance_weights(values + log_z, "density")
             v = (w - b1 - b2 * values)[:, np.newaxis]
-            vc, vs, cb, sb = v * np.cos(a), v * np.sin(a), np.cos(b), np.sin(b)
-            moments.add_real(vc, vs, cb, sb)
-            if imag is not None:
-                imag.add_real(vs, -vc, cb, sb)
+            _add_samples(moments, imag, v * np.cos(a), v * np.sin(a), np.cos(b), np.sin(b))
             weight_stats.append((float(w.sum()), float(w.max())))
     # F' as a potential, for the closed form of its control's mean
     control = f if q == 0 else add_potentials(f, Potential(tuple(Term(q / 2, ((x, 2),)) for x in range(cov.dim))))
@@ -416,7 +421,7 @@ def gram_mc_factorized(pq, g, phis, params):
     outer draws make the estimate real in expectation, and only
     Re(conj(H_m) H_n) = Re H_m Re H_n + Im H_m Im H_n is accumulated; with
     shared inner draws it is still PSD by construction. An odd term adds
-    Im(conj(H_m) H_n) = Re H_m Im H_n - Im H_m Re H_n in a second accumulator.
+    Im(conj(H_m) H_n) in a second accumulator, both by _add_samples.
     The verdict gates at pq.covariance.psd_tolerance, the tol of pq's reports.
 
     The calling thread consumes every stream and evaluates the half-density,
@@ -475,10 +480,7 @@ def gram_mc_factorized(pq, g, phis, params):
             for futures in halves
         ]
         (re, im), (re2, im2) = h[0], h[-1]
-        # the sign of im cancels in Re(conj(H_m) H_n) and flips Im(conj(H_m) H_n) to im re2 - re im2
-        moments.add_real(re, im, re2, im2)
-        if imag is not None:
-            imag.add_real(im, -re, re2, im2)
+        _add_samples(moments, imag, re, im, re2, im2)  # conj(H_m) H_n = (re + i im)(re2 - i im2)
 
     # a chunk merges once the next one is drawn, so the draws never wait for its last sub-block;
     # overflowing weighted sums are left to _finish_mc_report, as in gram_mc_direct

@@ -36,13 +36,8 @@ def chunk_counts(n, chunk_size=CHUNK_SIZE):
     n = as_int(n, "sample count")
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
-    k = 0
-    done = 0
-    while done < n:
-        c = min(chunk_size, n - done)
-        yield k, c
-        k += 1
-        done += c
+    for k, start in enumerate(range(0, n, chunk_size)):
+        yield k, min(chunk_size, n - start)
 
 
 class ChunkMoments:

@@ -701,6 +701,13 @@ MALFORMED_CONFIGS = {
     "mass-infinity": {"covariance": {"kind": "free_field", "mass": INF}},
     "matrix_file-number": {"covariance": {"kind": "explicit", "matrix_file": 5}},
     "matrix_file-list": {"covariance": {"kind": "explicit", "matrix_file": ["a"]}},
+    "mc-without-n_samples": {"mc": {"seed": 1}},
+    "free_field-without-mass": {"covariance": {"kind": "free_field"}},
+    "covariance-kind-unknown": {"covariance": {"kind": "wishart", "mass": 1.0}},
+    "test_functions-count-zero": {"test_functions": {"kind": "random", "count": 0}},
+    "test_functions-vectors-empty": {"test_functions": {"kind": "explicit", "vectors": []}},
+    "test_functions-vectors-not-a-list": {"test_functions": {"kind": "explicit", "vectors": {"0": [0.0] * 16}}},
+    "test_functions-kind-unknown": {"test_functions": {"kind": "fourier"}},
 }
 
 
@@ -711,6 +718,37 @@ def test_malformed_config_values_exit_two_with_one_line(tmp_path, capsys, overri
     assert main(["check-gaussian", "--config", cfg, "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+TWO_SITES = {"lattice": {"time_extent": 1, "spatial_extents": []}}
+EXPLICIT_TWO_SITES = {**TWO_SITES, "covariance": {"kind": "explicit", "matrix_file": "cov.csv"}}
+# name -> (command, config: an object, or JSON text that is not one; cov.csv's text or None; the error)
+MALFORMED_INPUTS = {
+    "config-not-an-object": ("check-gaussian", "[1, 2]", None, "must be a JSON object"),
+    "matrix-ragged": ("check-gaussian", EXPLICIT_TWO_SITES, "1,0.5\n0.5\n", "is ragged or empty"),
+    "matrix-non-numeric": ("check-gaussian", EXPLICIT_TWO_SITES, "1,0.5\n0.5,x\n", "has a non-numeric entry"),
+    "check-gaussian-without-covariance": ("check-gaussian", TWO_SITES, None, "needs a 'covariance' section"),
+    "check-density-without-density": ("check-density", TWO_SITES, None, "needs a 'density' section"),
+    "verify-rp-without-sections": (
+        "verify-rp",
+        {**TWO_SITES, "covariance": {"kind": "free_field", "mass": 1.0}},
+        None,
+        "needs 'covariance', 'density' and 'mc' sections",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, config, csv, message", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_inputs_exit_two_with_one_line(tmp_path, capsys, command, config, csv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+    if csv is not None:
+        (tmp_path / "cov.csv").write_text(csv, encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
     assert not out.exists()
 
 
@@ -802,6 +840,13 @@ def _raise_in_the_estimator(*args, **kwargs):
     raise RuntimeError("estimator bug")
 
 
+# a two-site verify-rp run that passes every check in well under a second
+SMALL_VERIFY_RP = {
+    **TWO_SITES,
+    "covariance": {"kind": "free_field", "mass": 1.0},
+    "density": {"terms": [], "constant": 0},
+    "mc": {"n_samples": 1_000, "seed": 0, "n_outer": 64, "n_inner": 16},
+}
 RUNAWAY_DENSITY = {
     "terms": [{"coefficient": 1000, "factors": [{"site": [t], "power": 2}]} for t in (1, -1)],
     "constant": 0,
@@ -819,13 +864,7 @@ EXIT_CASES = {
 def test_exit_codes_keep_errors_apart_from_verified_failures(tmp_path, capsys, monkeypatch, overrides, patch, code, err):
     cfg = str(tmp_path / "missing.json")
     if overrides is not None:
-        base = {
-            "lattice": {"time_extent": 1, "spatial_extents": []},
-            "covariance": {"kind": "free_field", "mass": 1.0},
-            "density": {"terms": [], "constant": 0},
-            "mc": {"n_samples": 1_000, "seed": 0, "n_outer": 64, "n_inner": 16},
-        }
-        cfg = write_config(tmp_path / "cfg.json", {**base, **overrides})
+        cfg = write_config(tmp_path / "cfg.json", {**SMALL_VERIFY_RP, **overrides})
     if patch is not None:
         monkeypatch.setattr(cli, "gram_mc_direct", patch)
     out = tmp_path / "report.json"
@@ -916,3 +955,86 @@ def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, command, 
         assert len(body) < sum(map(len, lines))
         digests.add(hashlib.sha256(body).hexdigest())
     assert len(digests) == 1
+
+
+def test_verify_rp_echoes_explicit_test_functions(tmp_path):
+    lat = build_lattice(1, [])
+    vectors = [rplattice.embed_plus(lat, [0.7]).tolist(), [0.0, 0.0]]
+    cfg = write_config(
+        tmp_path / "cfg.json", {**SMALL_VERIFY_RP, "test_functions": {"kind": "explicit", "vectors": vectors}}
+    )
+    out = tmp_path / "report.json"
+    assert main(["verify-rp", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = load_report(out)
+    assert report["config"]["test_functions"] == {"kind": "explicit", "vectors": vectors}
+    assert np.shape(report["checks"]["gram_direct"]["matrix_re"]) == (2, 2)
+
+
+@pytest.mark.parametrize("invariance_tol, code", [(1e-7, 1), (1e-5, 0)], ids=["beyond", "within"])
+def test_check_gaussian_flags_a_covariance_that_is_not_theta_invariant(tmp_path, invariance_tol, code):
+    # theta swaps the two sites, and their variances differ by 1e-6
+    write_matrix_csv(tmp_path / "cov.csv", np.array([[1.0, 0.2], [0.2, 1.0 + 1e-6]]))
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {
+            **EXPLICIT_TWO_SITES,
+            "tolerances": {"invariance_tol": invariance_tol},
+            "mc": {"n_samples": 1_000, "seed": 0},
+        },
+    )
+    out = tmp_path / "report.json"
+    assert main(["check-gaussian", "--config", cfg, "--out", str(out), "--quiet"]) == code
+    report = load_report(out)
+    assert report["checks"]["theta_invariance"]["passed"] == (code == 0)
+    if code:
+        assert report["failure_reasons"][0] == "theta-invariance"
+        assert report["checks"]["gaussian_rp"]["failure_kind"] == "not-theta-invariant"
+
+
+def test_an_ill_conditioned_factorized_estimate_after_a_usable_direct_one_exits_three(tmp_path, monkeypatch):
+    def overflow(*args):
+        raise rp_verify.IllConditionedWeightsError("the weighted moments overflowed")
+
+    monkeypatch.setattr(cli, "gram_mc_factorized", overflow)
+    cfg = write_config(tmp_path / "cfg.json", SMALL_VERIFY_RP)
+    out = tmp_path / "report.json"
+    assert main(["verify-rp", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    report = load_report(out)
+    assert report["checks"]["gram_direct"]["verdict"] == "pass"
+    assert report["checks"]["gram_factorized"] is None
+    assert "estimator_agreement" not in report["checks"]
+    assert (report["failure_reasons"], report["verdict"]) == (["ill-conditioned-weights"], "inconclusive")
+
+
+@pytest.mark.parametrize("estimator", ["direct", "factorized"])
+def test_a_stable_fail_of_either_estimate_is_its_own_reason(tmp_path, monkeypatch, estimator):
+    estimate = getattr(rp_verify, f"gram_mc_{estimator}")
+    monkeypatch.setattr(cli, f"gram_mc_{estimator}", lambda *args: dataclasses.replace(estimate(*args), verdict="fail"))
+    cfg = write_config(tmp_path / "cfg.json", SMALL_VERIFY_RP)
+    out = tmp_path / "report.json"
+    assert main(["verify-rp", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    report = load_report(out)
+    assert report["checks"][f"gram_{estimator}"]["verdict"] == "fail"
+    assert report["failure_reasons"] == [f"gram-{estimator}-stable-fail"]
+    # the stage reports the fail and the pipeline goes on to the agreement check
+    assert report["checks"]["estimator_agreement"]["passed"]
+
+
+def test_out_into_a_missing_directory_exits_two_with_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {**TWO_SITES, "density": {"terms": [], "constant": 0}})
+    out = tmp_path / "missing" / "report.json"
+    assert main(["check-density", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report: ") and err.count("\n") == 1, err
+    assert not out.parent.exists()
+
+
+def test_selftest_summary_has_one_line_per_entry(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["selftest", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    entries = load_report(out)["checks"]["selftest"]
+    assert lines[0].endswith(" — selftest") and lines[-1] == "overall: PASS (exit 0)"
+    assert len(lines) == len(entries) + 2
+    for line, entry in zip(lines[1:-1], entries):
+        assert line.split(None, 2) == [entry["name"], "PASS", f"measured={entry['measured']}"]

@@ -711,6 +711,17 @@ def test_covariance_rejects_entries_whose_second_moments_overflow():
             Covariance.from_columns(cols, roots)
 
 
+def test_symmetrized_is_the_hermitian_part_of_each_matrix_bit_for_bit():
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    got = symmetrized(stack)
+    for m, h in zip(stack, got):
+        assert np.array_equal(h, (m + m.conj().T) / 2.0)
+    real = rng.standard_normal((4, 4))
+    assert symmetrized(real).dtype == np.float64
+    assert np.array_equal(symmetrized(real), (real + real.T) / 2.0)
+
+
 def test_covariance_factor_takes_the_matrix_as_stored():
     cov = free_field_covariance(build_lattice(2, [3]), 0.9)
     # a Covariance is exactly symmetric, so (C + C^T) / 2 is C bit for bit

@@ -45,7 +45,7 @@ from rplattice import (
 from rplattice import cli, rp_verify
 from rplattice.density import add_potentials
 from rplattice.rp_verify import _control_coefficients, _stable_below
-from rplattice.streams import NS_PILOT, substream
+from rplattice.streams import NS_BOOTSTRAP, NS_PILOT, substream
 
 
 def two_site_cov(c):
@@ -778,6 +778,24 @@ def test_bootstrap_stability_mechanics():
     # a real 2x2 chunk sum with eigenvalues 1 and -1 in every chunk
     swing = [np.array([[0.0, 1.0], [1.0, 0.0]]) for _ in range(20)]
     assert _stable_below([1] * 20, swing, threshold=-0.5, seed=0)
+
+
+def test_stable_below_counts_what_a_per_resample_loop_counts():
+    # complex 3x3 chunk sums; the reference hermitizes and solves each resample mean on its own
+    rng = np.random.default_rng(11)
+    sums = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(12)]
+    counts = [50 + i for i in range(12)]
+    idx = substream(5, NS_BOOTSTRAP, 0).integers(0, 12, size=(rp_verify._N_BOOTSTRAP, 12))
+    stacked, weights, mins = np.stack(sums), np.asarray(counts, dtype=np.float64), []
+    for row in idx:
+        m = stacked[row].sum(axis=0) / weights[row].sum()
+        mins.append(float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min()))
+    need = math.ceil(rp_verify._STABLE_FRACTION * rp_verify._N_BOOTSTRAP)
+    edge = sorted(mins)[need - 1]
+    assert sum(v < edge for v in mins) == need - 1
+    # at the need-th smallest minimum one resample short of a stable fail, just above it a stable fail
+    assert not _stable_below(counts, sums, edge, seed=5)
+    assert _stable_below(counts, sums, np.nextafter(edge, np.inf), seed=5)
 
 
 def test_verdict_rule_constants():
