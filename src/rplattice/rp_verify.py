@@ -19,7 +19,9 @@ Three estimators produce GramReports:
   samples every outer draw contributes a rank-one Hermitian matrix, so the
   estimate is positive semidefinite by construction at the price of an
   O(1/n_inner) bias; with independent inner samples the entries are
-  unbiased products but the structural guarantee is lost.
+  unbiased products but the structural guarantee is lost. The shared draws
+  may come from a tilted Gaussian, each outer term weighted by a positive
+  importance weight, which keeps both properties.
 
 Both Monte Carlo estimators add their samples through _add_samples: real
 chunks (streams.ChunkMoments), and for a density with an odd term the
@@ -72,8 +74,11 @@ _OUTER_CHUNK = 64
 _SUB_BLOCK = 16
 _N_BOOTSTRAP = 200
 _STABLE_FRACTION = 0.99
-# q ||C||_inf of the tilted Gaussians the direct estimator tries; q ||C||_inf <= 0.8 keeps q lambda_max(C) < 1
+# q ||C||_inf of the tilted Gaussians the Monte Carlo estimators try; q ||C||_inf <= 0.8 keeps q lambda_max(C) < 1
 _TILT_GRID = (0.0, 0.2, 0.4, 0.8)
+# shared and inner draws of the factorized estimator's tilt pilot, at most
+_PILOT_OUTER = 256
+_PILOT_INNER = 64
 _ONE = Potential(constant=1.0)
 
 
@@ -304,14 +309,16 @@ def _control_coefficients(f_values, weights):
 
 
 def _tilts(cov, f):
-    """(q, C', log Z) of each tilted Gaussian the direct estimator tries for f, q = 0 (cov itself) first.
+    """(q, C', log Z) of each tilted Gaussian an estimator tries for f drawn from cov, q = 0 (cov itself) first.
 
     Only a density bounded above by construction is tilted: it has a term,
     and every term a negative coefficient and only even powers. Then each q
     of the grid has q lambda_max(C) <= q ||C||_inf <= 0.8 < 1, and the tilted
-    weights exp(F + (q/2) |T|^2 + log Z) have finite variance under C'.
-    Every other density, and C = 0, keeps q = 0 alone, and with it the
-    estimate of the untilted base measure bit for bit.
+    weights exp(F + (q/2) |T|^2 + log Z) have finite variance under C': the
+    direct estimator's weights, and, with exp F bounded, the factorized
+    estimator's outer weights times its bounded partial averages. Every
+    other density, and C = 0, keeps q = 0 alone, and with it the estimate of
+    the untilted base measure bit for bit.
     """
     bounded = f.terms and all(t.coefficient < 0 and all(p % 2 == 0 for _, p in t.factors) for t in f.terms)
     scale = cov.inf_norm
@@ -319,12 +326,36 @@ def _tilts(cov, f):
     return [(q, *tilted_gaussian(cov, q)) for q in qs]
 
 
+def _half_squares(block, q):
+    """(q/2) |T|^2 of each draw T, a row of block: the exponent the tilt q takes out of the base measure."""
+    return 0.5 * q * np.einsum("ij,ij->i", block, block)
+
+
 def _tilted_density(f, block, q):
     """F' = F + (q/2) |T|^2 at the draws: F's values, with one row sum of squares added when q > 0."""
     values = eval_potential_batch(f, block)
     if q == 0:
         return values
-    return values + 0.5 * q * np.einsum("ij,ij->i", block, block)
+    return values + _half_squares(block, q)
+
+
+def _least_variance(tilts, pilot):
+    """(q, C', log Z, *extra) of the tilt whose pilot(q, C', log Z) = (variance, extra) is least.
+
+    Ties go to the smaller q, and so do tilts whose pilot weights overflow;
+    q = 0's overflow raises.
+    """
+    best = None
+    for q, tilted, log_z in tilts:
+        try:
+            variance, extra = pilot(q, tilted, log_z)
+        except IllConditionedWeightsError:
+            if q == 0:
+                raise
+            continue
+        if best is None or variance < best[0]:
+            best = variance, (q, tilted, log_z, *extra)
+    return best[1]
 
 
 def _pick_tilt(cov, f, n_pilot, seed):
@@ -333,25 +364,51 @@ def _pick_tilt(cov, f, n_pilot, seed):
     Every candidate draws its pilot from its C' through a copy of the same
     normals, drawn once from the substream (seed, NS_PILOT, 0), so they are
     compared on common random numbers; b1 and b2 are fitted on that pilot.
-    Ties go to the smaller q, and so do tilts whose pilot weights overflow;
-    q = 0's overflow raises.
     """
-    best = None
     z = substream(seed, NS_PILOT, 0).standard_normal((n_pilot, cov.dim))
-    for q, tilted, log_z in _tilts(cov, f):
+
+    def pilot(q, tilted, log_z):
         block = tilted._draws(lambda shape: z.copy(), n_pilot)
         values = _tilted_density(f, block, q)
-        try:
-            w = _importance_weights(values + log_z, "density")
-        except IllConditionedWeightsError:
-            if q == 0:
-                raise
-            continue
+        w = _importance_weights(values + log_z, "density")
         b1, b2 = _control_coefficients(values, w)
-        variance = float(np.var(w - b1 - b2 * values))
-        if best is None or variance < best[0]:
-            best = variance, (q, tilted, log_z, b1, b2)
-    return best[1]
+        return float(np.var(w - b1 - b2 * values)), (b1, b2)
+
+    return _least_variance(_tilts(cov, f), pilot)
+
+
+def _pick_shared_tilt(pq, g, params):
+    """(q, c_q', log Z) of the tilt of the shared draws whose pilot leaves the least variance in omega H0^2.
+
+    The candidates are _tilts(pq.q, g). A pilot of min(n_outer, 256) shared
+    draws, from the substream (seed, NS_PILOT, 1), gives each candidate its
+    draws L through a copy of the same normals, and min(n_inner, 64) inner
+    draws of pq.p about each, one draw shared by every candidate, so they are
+    compared on common random numbers. H0(L) is the inner mean of exp G(T + L),
+    the partial average of the zero test function, and omega(L) = exp(log Z
+    + (q/2) |L|^2) the weight of the outer term. A half-density that is not
+    tilted draws no pilot.
+    """
+    tilts = _tilts(pq.q, g)
+    if len(tilts) == 1:
+        return tilts[0]
+    n_outer, n_inner = min(params.n_outer, _PILOT_OUTER), min(params.n_inner, _PILOT_INNER)
+    nh = pq.p.dim
+    rng = substream(params.seed, NS_PILOT, 1)
+    z = rng.standard_normal((n_outer, nh))
+    # T + L site by site, the column layout eval_potential_batch reads, so it takes no transposed copy
+    inner = pq.p.draw(rng, n_outer * n_inner).reshape(n_outer, n_inner, nh).transpose(2, 0, 1)
+    s = np.empty((nh, n_outer, n_inner))
+
+    def pilot(q, tilted, log_z):
+        shared = tilted._draws(lambda shape: z.copy(), n_outer)
+        np.add(inner, shared.T[:, :, np.newaxis], out=s)
+        values = eval_potential_batch(g, s.reshape(nh, -1).T).reshape(n_outer, n_inner)
+        h0 = _importance_weights(values, "half-density").mean(axis=1)
+        omega = _importance_weights(log_z + _half_squares(shared, q), "shared tilt")
+        return float(np.var(omega * h0 * h0)), ()
+
+    return _least_variance(tilts, pilot)
 
 
 def gram_mc_direct(cov, lattice, f, phis, params):
@@ -424,13 +481,26 @@ def gram_mc_factorized(pq, g, phis, params):
     Im(conj(H_m) H_n) in a second accumulator, both by _add_samples.
     The verdict gates at pq.covariance.psd_tolerance, the tol of pq's reports.
 
+    The outer draws are importance sampled as gram_mc_direct's draws are:
+    L comes from the tilted c_q' of tilted_gaussian(pq.q, q), and each outer
+    term is weighted by omega(L) = exp(log Z + (q/2) |L|^2) = d mu_{c_q} / d mu_{c_q'},
+    so omega conj(H_m) H_n keeps its mean, the shared inner bias included. Both
+    halves' H are scaled by sqrt(omega) before they are added; omega > 0, so with
+    shared inner draws each term is still a rank-one PSD matrix, and c_q'
+    keeps c_q's range, so a rank-deficient c_q is tilted as well. q is the
+    one of _tilts(pq.q, g) that _pick_shared_tilt's pilot picks; a g that is
+    not bounded above by construction keeps q = 0 and the report it had
+    before the tilt, bit for bit. The effective sample size is that of the
+    inner weights exp G.
+
     The calling thread consumes every stream and evaluates the half-density,
     in chunk order, so the draws and the traced layers stay on it; one worker
     thread, scoped to the call, computes the phase kernel of each sub-block
-    of outer draws, and chunks merge in order. Inner draws are one pq.p.draw
-    of n_inner rows per outer draw, small enough that OpenBLAS keeps it on
-    one thread instead of spinning a second one on the worker's core.
-    Neither the sub-blocks nor the worker change a bit of the report.
+    of outer draws, and chunks merge in order. The inner draws of a sub-block
+    are one pq.p.draw of n_inner rows per outer draw. The worker changes no
+    bit of the report, and neither do the sub-blocks for a column table with
+    n_inner >= 2; a dense pq.p at small n_inner, or n_inner = 1, rounds its
+    draws as BLAS rounds a product of that many rows.
     """
     lattice = pq.lattice
     require_positive_support(lattice, phis)
@@ -454,9 +524,8 @@ def gram_mc_factorized(pq, g, phis, params):
         futures, weights = [], []
         for start in range(0, shared.shape[0], _SUB_BLOCK):
             rows = shared[start:start + _SUB_BLOCK]
-            s = np.empty((rows.shape[0], n_inner, nh))  # filled in place: np.stack of the rows faulted pages in
-            for row, out in zip(rows, s):
-                np.add(pq.p.draw(rng, n_inner), row, out=out)
+            s = pq.p.draw(rng, rows.shape[0] * n_inner).reshape(rows.shape[0], n_inner, nh)
+            s += rows[:, np.newaxis, :]
             w = _importance_weights(eval_potential_batch(g, s.reshape(-1, nh)), "half-density")
             w = w.reshape(-1, n_inner)
             weights.append(w)
@@ -474,9 +543,10 @@ def gram_mc_factorized(pq, g, phis, params):
             re, im = (w @ np.cos(phase))[:, 0, :], (w @ np.sin(phase))[:, 0, :]
             return re / n_inner, im / n_inner
 
-    def merge(halves):
+    def merge(halves, root_omega):
+        # sqrt(omega) H of each half, so that each sample is omega conj(H_m) H_n
         h = [
-            [np.concatenate(parts) for parts in zip(*(future.result() for future in futures))]
+            [np.concatenate(parts) * root_omega for parts in zip(*(future.result() for future in futures))]
             for futures in halves
         ]
         (re, im), (re2, im2) = h[0], h[-1]
@@ -485,15 +555,17 @@ def gram_mc_factorized(pq, g, phis, params):
     # a chunk merges once the next one is drawn, so the draws never wait for its last sub-block;
     # overflowing weighted sums are left to _finish_mc_report, as in gram_mc_direct
     with np.errstate(over="ignore", invalid="ignore"), ThreadPoolExecutor(max_workers=1) as pool:
+        q, tilted, log_z = _pick_shared_tilt(pq, g, params)
         pending = None
         for chunk_index, count in chunk_counts(params.n_outer, _OUTER_CHUNK):
             rng = substream(params.seed, NS_FACTORIZED, chunk_index)
-            shared = pq.q.draw(rng, count)
+            shared = tilted.draw(rng, count)
+            root_omega = _importance_weights(0.5 * (log_z + _half_squares(shared, q)), "shared tilt")[:, np.newaxis]
             halves = [draw_half(rng, shared, pool) for _ in range(1 if params.share_inner else 2)]
             if pending is not None:
-                merge(pending)
-            pending = halves
-        merge(pending)
+                merge(*pending)
+            pending = halves, root_omega
+        merge(*pending)
 
     kind = "mc-factorized-shared" if params.share_inner else "mc-factorized-independent"
     return _finish_mc_report(moments, pq.covariance.psd_tolerance, params.seed, kind, weight_stats, imag=imag)

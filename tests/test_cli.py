@@ -200,12 +200,29 @@ def test_an_explicit_covariance_splits_on_the_dense_blocks(tmp_path, monkeypatch
         },
     )
     calls = _count_split_work(monkeypatch, count_linalg)
+    # the linalg calls tilted_gaussian makes are named apart
+    tilt_calls, tilt = [], rp_verify.tilted_gaussian
+
+    def counted_tilt(cov, q):
+        start = len(calls)
+        try:
+            return tilt(cov, q)
+        finally:
+            tilt_calls.extend(calls[start:])
+            del calls[start:]
+
+    monkeypatch.setattr(rp_verify, "tilted_gaussian", counted_tilt)
     assert main([command, "--config", cfg, "--quiet"]) == 0
     half = (8, 8)
     assert calls.count(("decompose_pq", None)) == 1
     # the cross block's spectrum alone, then c_p and c_q with their roots, and none in the estimator
     assert calls.count(("eigvalsh", half)) == 1
     assert calls.count(("eigh", half)) == 2
+    # the dense tilt of c_q takes the Covariance eigh of its c_q', once per non-zero tilt the
+    # factorized estimator tries; the direct estimator's tilts of C are 16 x 16
+    tilts = len(rp_verify._TILT_GRID) - 1 if command == "verify-rp" else 0
+    assert tilt_calls.count(("eigh", half)) == tilts
+    assert tilt_calls.count(("eigh", (16, 16))) == tilts
 
 
 def _reject_constant(name):
@@ -279,6 +296,15 @@ def test_reports_are_strict_json():
         cli.render_report({"max_gate_ratio": float("inf")})
     with pytest.raises(ValueError):
         cli.render_report({"value": np.float64("nan")})
+
+
+def test_numpy_scalars_are_written_as_their_python_values():
+    assert cli.render_report({"count": np.int64(3), "flag": np.bool_(True)}) == '{\n  "count": 3,\n  "flag": true\n}\n'
+
+
+def test_an_object_json_cannot_hold_is_a_type_error():
+    with pytest.raises(TypeError, match="^object is not JSON serializable$"):
+        cli.render_report({"value": object()})
 
 
 def test_malformed_config_exits_two(tmp_path):
@@ -1004,6 +1030,50 @@ def test_an_ill_conditioned_factorized_estimate_after_a_usable_direct_one_exits_
     assert report["checks"]["gram_factorized"] is None
     assert "estimator_agreement" not in report["checks"]
     assert (report["failure_reasons"], report["verdict"]) == (["ill-conditioned-weights"], "inconclusive")
+
+
+def test_an_ill_conditioned_estimate_is_summarized_as_skipped(tmp_path, monkeypatch, capsys):
+    def overflow(*args):
+        raise rp_verify.IllConditionedWeightsError("the weighted moments overflowed")
+
+    monkeypatch.setattr(cli, "gram_mc_factorized", overflow)
+    cfg = write_config(tmp_path / "cfg.json", SMALL_VERIFY_RP)
+    assert main(["verify-rp", "--config", cfg]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert f"  {'gram_factorized':<24} SKIPPED" in lines
+    assert lines[-2:] == ["failure reasons: ill-conditioned-weights", "overall: INCONCLUSIVE (exit 3)"]
+
+
+def test_a_split_that_is_not_psd_stops_verify_rp_before_the_factorized_estimate(tmp_path, monkeypatch):
+    split = gaussian.decompose_pq
+
+    def failing_split(cov, lattice):
+        pq = split(cov, lattice)
+        return dataclasses.replace(pq, report_q=dataclasses.replace(pq.report_q, passed=False))
+
+    monkeypatch.setattr(cli, "decompose_pq", failing_split)
+    cfg = write_config(tmp_path / "cfg.json", SMALL_VERIFY_RP)
+    out = tmp_path / "report.json"
+    assert main(["verify-rp", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    report = load_report(out)
+    assert report["checks"]["gram_direct"]["verdict"] == "pass"
+    assert not report["checks"]["pq_decomposition"]["passed"]
+    assert "gram_factorized" not in report["checks"] and "estimator_agreement" not in report["checks"]
+    assert report["failure_reasons"] == ["pq-decomposition"]
+
+
+def test_a_shared_estimate_below_the_structural_floor_is_its_own_reason(tmp_path, monkeypatch):
+    estimate = rp_verify.gram_mc_factorized
+    monkeypatch.setattr(
+        cli, "gram_mc_factorized", lambda *args: dataclasses.replace(estimate(*args), min_eigenvalue=-1e-9)
+    )
+    cfg = write_config(tmp_path / "cfg.json", SMALL_VERIFY_RP)
+    out = tmp_path / "report.json"
+    assert main(["verify-rp", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    report = load_report(out)
+    assert report["checks"]["structural_psd"] == {"passed": False, "min_eigenvalue": -1e-9, "floor": -1e-10}
+    assert report["checks"]["estimator_agreement"]["passed"]
+    assert report["failure_reasons"] == ["structural-psd"]
 
 
 @pytest.mark.parametrize("estimator", ["direct", "factorized"])
