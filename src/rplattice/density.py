@@ -106,6 +106,96 @@ def check_sites(p, count, where):
                 raise ValueError(f"site index {site} out of range for {where}")
 
 
+@dataclass(frozen=True)
+class TermBlock:
+    """Terms of one power shape as arrays: term i is coefficients[i] * prod_j T[sites[i, j]] ** powers[j].
+
+    order[i] is the term's place in its polynomial's term order, ascending
+    along the block. A row may name one site twice: the product is the same.
+    """
+
+    powers: tuple
+    coefficients: np.ndarray
+    sites: np.ndarray
+    order: np.ndarray
+
+
+@dataclass(frozen=True)
+class PolynomialTable:
+    """A polynomial as TermBlocks, one block per power shape, plus a constant.
+
+    The array form of a Potential: of(p) keeps p's terms, each at its place
+    in p's term order. plus_squares and squared build polynomials of many
+    terms, such as the square of a tilted density, without a Term object
+    per term; their terms are ordered block by block.
+    """
+
+    blocks: tuple = ()
+    constant: float = 0.0
+
+    @classmethod
+    def of(cls, p):
+        """The table of a Potential p, or p itself when it is a table."""
+        if isinstance(p, PolynomialTable):
+            return p
+        shapes = {}
+        for i, t in enumerate(p.terms):
+            shapes.setdefault(tuple(power for _, power in t.factors), []).append((i, t))
+        blocks = tuple(
+            TermBlock(
+                powers,
+                np.array([t.coefficient for _, t in terms]),
+                np.array([[site for site, _ in t.factors] for _, t in terms], dtype=np.intp).reshape(len(terms), -1),
+                np.array([i for i, _ in terms], dtype=np.intp),
+            )
+            for powers, terms in shapes.items()
+        )
+        return cls(blocks, p.constant)
+
+    @property
+    def term_count(self):
+        return sum(len(b.order) for b in self.blocks)
+
+    def is_even(self):
+        """True when every term has even total degree, as density.is_even decides a Potential."""
+        return all(sum(b.powers) % 2 == 0 for b in self.blocks)
+
+    def plus_squares(self, coefficient, dim):
+        """This polynomial plus coefficient * sum over the dim sites x of T_x^2, as one more block."""
+        squares = ((2,), np.full(dim, float(coefficient)), np.arange(dim).reshape(dim, 1))
+        return _ordered([(b.powers, b.coefficients, b.sites) for b in self.blocks] + [squares], self.constant)
+
+    def squared(self):
+        """The square: each unordered pair of terms once, the pairs of two distinct terms twice, and 2 c P + c^2.
+
+        A product's sites are its factors' sites side by side, unmerged, so
+        a table of n terms squares into n (n + 1) / 2 terms and up to n more.
+        """
+        blocks = []
+        for a, left in enumerate(self.blocks):
+            for right in self.blocks[a:]:
+                if right is left:
+                    i, j = np.triu_indices(len(left.order))
+                    scale = np.where(i == j, 1.0, 2.0)
+                else:
+                    i, j = (index.ravel() for index in np.indices((len(left.order), len(right.order))))
+                    scale = 2.0
+                sites = np.concatenate([left.sites[i], right.sites[j]], axis=1)
+                blocks.append((left.powers + right.powers, scale * left.coefficients[i] * right.coefficients[j], sites))
+        if self.constant:
+            blocks += [(b.powers, 2.0 * self.constant * b.coefficients, b.sites) for b in self.blocks]
+        return _ordered(blocks, self.constant * self.constant)
+
+
+def _ordered(blocks, constant):
+    """The PolynomialTable of blocks given as (powers, coefficients, sites), its terms numbered block by block."""
+    start, ordered = 0, []
+    for powers, coefficients, sites in blocks:
+        ordered.append(TermBlock(powers, coefficients, sites, np.arange(start, start + len(coefficients))))
+        start += len(coefficients)
+    return PolynomialTable(tuple(ordered), constant)
+
+
 def eval_potential(p, values):
     """Evaluate at one configuration (full or half vector, as indexed)."""
     row = np.asarray(values, dtype=np.float64)[np.newaxis, :]

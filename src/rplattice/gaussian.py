@@ -45,7 +45,7 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .density import check_sites, is_even
+from .density import PolynomialTable
 from .lattice import Lattice, as_float, as_int, reflect, restrict_plus, positive_support, _as_site_vector
 from .streams import CHUNK_SIZE, NS_FIELD, chunk_counts, substream
 
@@ -56,6 +56,8 @@ DEFAULT_INVARIANCE_TOL = 1e-12
 # rounds otherwise than the whole draw, so the bits would depend on the blocks.
 _DRAW_BLOCK = 1 << 17
 _DRAW_MIN_ROWS = 64
+# doubles a chunk of gaussian_polynomial_gram's terms holds in shares and powers of shifts, about
+_POLYNOMIAL_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -524,60 +526,141 @@ def gaussian_polynomial_gram(cov, phi_mat, theta_mat, p):
     """The k x k matrix E[exp(i(a_m - b_n)) P(T)] of the centred Gaussian, in closed form.
 
     a_m = T(phi_m) and b_n = T(theta_n) for the k columns phi_m of phi_mat
-    and theta_n of theta_mat, and P is a Potential over the covariance's
-    sites. With u = phi_m - theta_n and v = Cu, completing the square gives
+    and theta_n of theta_mat, and P is a Potential or a PolynomialTable over
+    the covariance's sites. With u = phi_m - theta_n and v = Cu, completing
+    the square gives
 
         E[exp(iu.T) P(T)] = exp(-(1/2) u^T C u) E[P(Y + iv)],   Y ~ N(0, C).
 
     Each factor (Y_x + i v_x)^p expands binomially, and the mixed moments of
     Y follow from Isserlis' theorem, by Wick recursion over the multiset of
-    sites. C Phi and C Theta are the only products with C, so all k^2
-    shifts are exact at once, with no sampling. The matrix is real when
-    every term of P has even degree and complex otherwise; the constant
-    polynomial 1 gives the Gaussian Gram G0 = exp(-(1/2) u^T C u).
+    a term's factors. C Phi and C Theta are the only products with C, so all
+    k^2 shifts are exact at once, with no sampling. The terms of one power
+    shape are evaluated together, as arrays, a chunk of terms at a time, so
+    the temporaries stay near _POLYNOMIAL_BLOCK doubles; the terms' shares
+    are still added one by one in term order, so the result does not depend
+    on the grouping or the chunks. The matrix is real when every term of P
+    has even degree and complex otherwise; the constant polynomial 1 gives
+    the Gaussian Gram G0 = exp(-(1/2) u^T C u).
     """
     c = cov.matrix
     phi_mat = np.asarray(phi_mat, dtype=np.float64)
     theta_mat = np.asarray(theta_mat, dtype=np.float64)
-    check_sites(p, cov.dim, f"a covariance of {cov.dim} sites")
+    table = PolynomialTable.of(p)
+    for block in table.blocks:
+        if block.sites.size and block.sites.max() >= cov.dim:
+            raise ValueError(f"site index {block.sites.max()} out of range for a covariance of {cov.dim} sites")
     c_phi, c_theta = c @ phi_mat, c @ theta_mat
     # u^T C u = phi^T C phi + theta^T C theta - 2 phi^T C theta, C being exactly symmetric
     phi_norms, theta_norms = (phi_mat * c_phi).sum(axis=0), (theta_mat * c_theta).sum(axis=0)
     quad = phi_norms[:, np.newaxis] + theta_norms - 2.0 * (phi_mat.T @ c_theta)
     g0 = np.exp(-0.5 * quad)
 
-    @cache
-    def moment(sites):
-        # E[Y_s1 ... Y_sj] for a sorted tuple of sites: pair the first with each of the others
-        if len(sites) % 2:
-            return 0.0
-        if not sites:
-            return 1.0
-        first, rest = sites[0], sites[1:]
-        return sum(
-            rest.count(s) * c[first, s] * moment(rest[:j] + rest[j + 1:])
-            for j, s in enumerate(rest)
-            if j == 0 or s != rest[j - 1]
-        )
-
     # the even-degree terms of E[P(Y + iv)] are real, the odd-degree ones imaginary
-    parts = [np.full(g0.shape, p.constant), np.zeros(g0.shape)]
-    for term in p.terms:
-        sites, powers = zip(*term.factors)
-        shifts = c_phi[list(sites)][:, :, np.newaxis] - c_theta[list(sites)][:, np.newaxis, :]
-        for taken in itertools.product(*(range(power + 1) for power in powers)):
-            m = moment(tuple(s for s, j in zip(sites, taken) for _ in range(j)))
-            if m == 0.0:
-                continue
-            left = sum(powers) - sum(taken)  # the power of i
-            x = term.coefficient * m * (-1) ** (left // 2) * math.prod(map(math.comb, powers, taken))
-            for shift, power, j in zip(shifts, powers, taken):
-                if power > j:
-                    x = x * shift ** (power - j)
-            parts[left % 2] += x
-    if is_even(p):
+    parts = [np.full(g0.shape, table.constant), np.zeros(g0.shape)]
+    for parity, part in enumerate(parts):
+        blocks = [b for b in table.blocks if sum(b.powers) % 2 == parity]
+        if not blocks:
+            continue
+        patterns = [_wick_patterns(b.powers) for b in blocks]
+        moments = [_wick_moments(c, b.sites, slots) for b, (slots, *_) in zip(blocks, patterns)]
+        # each term's shares, one per pattern, are added at its place in term order
+        counts = np.zeros(table.term_count, dtype=np.intp)
+        for b, m in zip(blocks, moments):
+            counts[b.order] = m.shape[1]
+        ends = np.cumsum(counts)
+        step = max(1, _POLYNOMIAL_BLOCK // (3 * counts.max() * g0.size))
+        for lo in range(0, len(counts), step):
+            hi = min(lo + step, len(counts))
+            first = ends[lo] - counts[lo]
+            shares = np.empty((1 + ends[hi - 1] - first, *g0.shape))
+            shares[0] = part
+            for b, (_, signs, binomials, exponents), m in zip(blocks, patterns, moments):
+                rows = slice(*np.searchsorted(b.order, (lo, hi)))
+                if rows.start == rows.stop:
+                    continue
+                x = (b.coefficients[rows, np.newaxis] * m[rows] * signs * binomials)[:, :, np.newaxis, np.newaxis]
+                for shift in _shift_powers(c_phi, c_theta, b.sites[rows], exponents):
+                    x = x * shift
+                if not m[rows].all():  # a zero moment shares -0.0, which adds nothing
+                    x = np.where((m[rows] == 0.0)[:, :, np.newaxis, np.newaxis], -0.0, x)
+                at = ends[b.order[rows]] - counts[b.order[rows]] - first + 1
+                shares[at[:, np.newaxis] + np.arange(m.shape[1])] = x
+            part[...] = np.add.accumulate(shares, axis=0, out=shares)[-1]
+    if table.is_even():
         return g0 * parts[0]
     return g0 * (parts[0] + 1j * parts[1])
+
+
+@cache
+def _wick_patterns(powers):
+    """(slots, signs, binomials, exponents) of the ways to expand a term of these powers with a nonzero moment.
+
+    In pattern r, factor j of the term contributes taken[j] of its p_j
+    copies of Y and p_j - taken[j] = exponents[r, j] of iv; the moment
+    E[prod_j Y_j^taken[j]] is nonzero only when sum(taken) is even.
+    slots[r] is factor j repeated taken[j] times, signs[r] = (-1)^(left // 2)
+    for the left = sum(exponents[r]) powers of i, and binomials[r] =
+    prod_j C(p_j, taken[j]). Patterns run in itertools.product order.
+    """
+    taken = [t for t in itertools.product(*(range(power + 1) for power in powers)) if sum(t) % 2 == 0]
+    exponents = np.array(powers) - np.array(taken).reshape(len(taken), len(powers))
+    slots = tuple(tuple(j for j, count in enumerate(t) for _ in range(count)) for t in taken)
+    signs = np.array([(-1) ** (left // 2) for left in exponents.sum(axis=1)])
+    binomials = np.array([math.prod(map(math.comb, powers, t)) for t in taken])
+    for shared in (signs, binomials, exponents):  # cached: every caller reads the same arrays
+        shared.setflags(write=False)
+    return slots, signs, binomials, exponents
+
+
+def _wick_moments(c, sites, slots):
+    """The (terms, patterns) moments E[prod over the factors j in slots[r] of Y_j], by Wick recursion.
+
+    Y_j is Y at the site of factor j of each row of sites, Y ~ N(0, c); the
+    recursion pairs the first factor of a sorted slots tuple with each of
+    the others, as Isserlis' theorem sums over pairings.
+    """
+    pairs, cached = {}, {}
+
+    def pair(j, l):
+        if (j, l) not in pairs:
+            pairs[j, l] = c[sites[:, j], sites[:, l]]
+        return pairs[j, l]
+
+    def moment(slots):
+        if not slots:
+            return 1.0
+        if slots not in cached:
+            first, rest = slots[0], slots[1:]
+            cached[slots] = sum(
+                rest.count(s) * pair(first, s) * moment(rest[:j] + rest[j + 1:])
+                for j, s in enumerate(rest)
+                if j == 0 or s != rest[j - 1]
+            )
+        return cached[slots]
+
+    out = np.empty((len(sites), len(slots)))
+    for r, slot in enumerate(slots):
+        out[:, r] = moment(slot)
+    return out
+
+
+def _shift_powers(c_phi, c_theta, sites, exponents):
+    """Yield, per factor j, the (terms, patterns, k, k) powers shift_j^exponents[:, j].
+
+    shift_j = (C Phi)_x - (C Theta)_x at the site x of factor j is raised to
+    each power once per site the rows name, not once per term; exponent 0
+    gives 1.0, which multiplies nothing.
+    """
+    named = np.zeros(len(c_phi), dtype=bool)
+    named[sites] = True
+    unique = np.flatnonzero(named)
+    place = np.zeros(len(c_phi), dtype=np.intp)
+    place[unique] = np.arange(len(unique))
+    shifts = c_phi[unique][:, :, np.newaxis] - c_theta[unique][:, np.newaxis, :]
+    powered = np.stack([np.ones_like(shifts)] + [shifts**e for e in range(1, exponents.max(initial=0) + 1)])
+    for j in range(exponents.shape[1]):
+        yield powered[exponents[:, j], place[sites[:, j], np.newaxis]]
 
 
 def check_theta_invariance(cov, lattice, tol=DEFAULT_INVARIANCE_TOL):

@@ -10,10 +10,12 @@ Three estimators produce GramReports:
 
 * exact Gaussian entries from the covariance quadratic form,
 * a direct Monte Carlo average of exp[i T(phi_m - theta phi_n)] weighted by
-  exp of the interaction density F, with two control variates whose means
-  are exact Gaussian expectations: the unweighted phase, whose mean is the
-  exact Gaussian entry (so the estimate is exact at zero density), and F
-  times the phase, whose mean is a Gaussian-polynomial closed form, and
+  exp of the interaction density F, with control variates whose means are
+  exact Gaussian expectations: the unweighted phase, whose mean is the
+  exact Gaussian entry (so the estimate is exact at zero density), F times
+  the phase, whose mean is a Gaussian-polynomial closed form, and, for a
+  tilted density, F and F^2 times the phase damped by a Gaussian factor,
+  whose means are closed forms under a heavier Gaussian, and
 * a two-level factorized estimator that integrates partial averages H_m over
   the independent half-draw against the shared draw. With shared inner
   samples every outer draw contributes a rank-one Hermitian matrix, so the
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import Potential, Term, add_potentials, check_sites, eval_potential_batch, is_even
+from .density import Potential, PolynomialTable, check_sites, eval_potential_batch, is_even
 from .gaussian import (
     PsdReport,
     _checked_tolerance,
@@ -76,6 +78,10 @@ _N_BOOTSTRAP = 200
 _STABLE_FRACTION = 0.99
 # q ||C||_inf of the tilted Gaussians the Monte Carlo estimators try; q ||C||_inf <= 0.8 keeps q lambda_max(C) < 1
 _TILT_GRID = (0.0, 0.2, 0.4, 0.8)
+# alpha ||C'||_inf of the damping exp(-(alpha/2) |T|^2) in the direct estimator's second-order controls
+_DAMPING = 0.2
+# the most terms of F'^2 whose closed form those controls take; a tilt of a larger F' keeps (1, F')
+_DAMPED_TERMS = 1 << 14
 # shared and inner draws of the factorized estimator's tilt pilot, at most
 _PILOT_OUTER = 256
 _PILOT_INNER = 64
@@ -326,17 +332,34 @@ def _tilts(cov, f):
     return [(q, *tilted_gaussian(cov, q)) for q in qs]
 
 
+def _row_squares(block):
+    """|T|^2 of each draw T, a row of block."""
+    return np.einsum("ij,ij->i", block, block)
+
+
 def _half_squares(block, q):
     """(q/2) |T|^2 of each draw T, a row of block: the exponent the tilt q takes out of the base measure."""
-    return 0.5 * q * np.einsum("ij,ij->i", block, block)
+    return 0.5 * q * _row_squares(block)
 
 
 def _tilted_density(f, block, q):
-    """F' = F + (q/2) |T|^2 at the draws: F's values, with one row sum of squares added when q > 0."""
+    """(F', |T|^2) at the draws, F' = F + (q/2) |T|^2 from one row sum of squares; (F, None) at q = 0."""
     values = eval_potential_batch(f, block)
     if q == 0:
-        return values
-    return values + _half_squares(block, q)
+        return values, None
+    squares = _row_squares(block)
+    return values + 0.5 * q * squares, squares
+
+
+def _damped(values, squares, alpha):
+    """d F' at the draws, d = exp(-(alpha/2) |T|^2): the damped pair of controls is (d F', d F' F')."""
+    return np.exp(-0.5 * alpha * squares) * values
+
+
+def _damps(f, tilted):
+    """alpha of the damped pair of controls under the tilted C', or None when F'^2 has over _DAMPED_TERMS terms."""
+    n = len(f.terms) + tilted.dim  # F' = F + (q/2) sum_x T_x^2
+    return _DAMPING / tilted.inf_norm if n * (n + 1) // 2 <= _DAMPED_TERMS else None
 
 
 def _least_variance(tilts, pilot):
@@ -359,20 +382,31 @@ def _least_variance(tilts, pilot):
 
 
 def _pick_tilt(cov, f, n_pilot, seed):
-    """(q, C', log Z, b1, b2) of the tilt whose pilot leaves the least variance in w - b1 - b2 F'.
+    """(q, C', log Z, b, alpha) of the tilt whose pilot leaves the least variance in w less its controls.
 
     Every candidate draws its pilot from its C' through a copy of the same
     normals, drawn once from the substream (seed, NS_PILOT, 0), so they are
-    compared on common random numbers; b1 and b2 are fitted on that pilot.
+    compared on common random numbers; the coefficients b are fitted on that
+    pilot. q = 0 regresses w on (1, F) by _control_coefficients, with alpha
+    None. A q > 0 regresses w on (1, F', d F', d F'^2), d = exp(-(alpha/2)
+    |T|^2), by least squares, with alpha from _damps; singular values below
+    lstsq's default cut, as of a density the tilt absorbs, fit nothing. When
+    _damps gives None, q > 0 keeps (1, F') as q = 0 does.
     """
     z = substream(seed, NS_PILOT, 0).standard_normal((n_pilot, cov.dim))
 
     def pilot(q, tilted, log_z):
         block = tilted._draws(lambda shape: z.copy(), n_pilot)
-        values = _tilted_density(f, block, q)
+        values, squares = _tilted_density(f, block, q)
         w = _importance_weights(values + log_z, "density")
-        b1, b2 = _control_coefficients(values, w)
-        return float(np.var(w - b1 - b2 * values)), (b1, b2)
+        alpha = None if q == 0 else _damps(f, tilted)
+        if alpha is None:
+            b1, b2 = _control_coefficients(values, w)
+            return float(np.var(w - b1 - b2 * values)), ((b1, b2), None)
+        damped = _damped(values, squares, alpha)
+        controls = np.stack([np.ones_like(values), values, damped, damped * values], axis=1)
+        b = np.linalg.lstsq(controls, w, rcond=None)[0]
+        return float(np.var(w - controls @ b)), (tuple(map(float, b)), alpha)
 
     return _least_variance(_tilts(cov, f), pilot)
 
@@ -419,20 +453,32 @@ def gram_mc_direct(cov, lattice, f, phis, params):
     tilted Gaussian C' = C (I + qC)^-1 of tilted_gaussian, and
     exp(-(q/2) |T|^2) mu_C = Z mu_C' makes the weight w = exp(F' + log Z)
     with F' = F + (q/2) |T|^2 (importance sampling, Glasserman 2003,
-    sec. 4.6); at q = 0 the proposal is the base measure and w = exp F. Two
-    control variates with closed-form means under C' take out most of the
+    sec. 4.6); at q = 0 the proposal is the base measure and w = exp F.
+    Control variates with closed-form means under C' take out most of the
     variance (the regression estimator of sec. 4.1.2): exp(i(a_m - b_n)),
     whose mean is the Gaussian Gram G0, and F' exp(i(a_m - b_n)), whose mean
-    G1 gaussian_polynomial_gram gives exactly. The samples
-    (w - b1 - b2 F') exp(i(a_m - b_n)) are averaged and b1 G0 + b2 G1 is
-    added. q, the regression slope b2 of w on F' and b1 = mean w - b2 mean F'
-    come from an independent pilot, which keeps the estimate unbiased; q is
-    the one of _tilts' grid whose pilot leaves the least variance in
-    w - b1 - b2 F'. F is evaluated once per draw. A zero or constant density
-    gives q = 0, b2 = 0 and b1 the pilot's mean weight, so at zero density
-    the estimate is G0 exactly. The weights are used raw (no
-    normalization); their effective sample size sum(w)/max(w) is reported
-    as a degeneracy diagnostic.
+    G1 gaussian_polynomial_gram gives exactly. At q = 0 the samples
+    (w - b1 - b2 F) exp(i(a_m - b_n)) are averaged and b1 G0 + b2 G1 is
+    added, with b2 the regression slope of w on F and b1 = mean w - b2 mean F.
+
+    A q > 0 adds the damped pair d F' and d F'^2, d = exp(-(alpha/2) |T|^2)
+    with alpha = _DAMPING / ||C'||_inf: the samples are
+    (w - b1 - b2 F' - b3 d F' - b4 d F'^2) exp(i(a_m - b_n)), with b the least
+    squares fit of w on (1, F', d F', d F'^2), and exp(-(alpha/2) |T|^2) mu_C'
+    = Z_alpha mu_C'_alpha gives the pair's means Z_alpha G(C'_alpha, F') and
+    Z_alpha G(C'_alpha, F'^2), (C'_alpha, log Z_alpha) = tilted_gaussian(C',
+    alpha). Undamped, F'^2 has a heavy tail under C', and a pilot fit of it
+    widens the bound; the factor d keeps both controls bounded. F'^2 is
+    built as a PolynomialTable of n (n + 1) / 2 terms for the n terms of F';
+    past _DAMPED_TERMS of them a tilt keeps (1, F').
+
+    q and b come from an independent pilot, which keeps the estimate
+    unbiased; q is the one of _tilts' grid whose pilot leaves the least
+    variance in w less its controls. F is evaluated once per draw, and |T|^2
+    is the row sum the tilt takes. A zero or constant density gives q = 0,
+    b2 = 0 and b1 the pilot's mean weight, so at zero density the estimate is
+    G0 exactly. The weights are used raw (no normalization); their effective
+    sample size sum(w)/max(w) is reported as a degeneracy diagnostic.
 
     The base measure is centred, so for an even f the estimate is real in
     expectation; only its real part is accumulated. An odd term adds the
@@ -447,19 +493,29 @@ def gram_mc_direct(cov, lattice, f, phis, params):
     weight_stats = []
     # huge but finite weights overflow the sums; _finish_mc_report rejects what is not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        q, tilted, log_z, b1, b2 = _pick_tilt(cov, f, min(params.n_samples, CHUNK_SIZE), params.seed)
+        q, tilted, log_z, b, alpha = _pick_tilt(cov, f, min(params.n_samples, CHUNK_SIZE), params.seed)
         for _, block in iter_sample_chunks(tilted, params.n_samples, params.seed):
             a = block @ phi_mat
-            b = block @ theta_mat
-            values = _tilted_density(f, block, q)
+            phase_b = block @ theta_mat
+            values, squares = _tilted_density(f, block, q)
             w = _importance_weights(values + log_z, "density")
-            v = (w - b1 - b2 * values)[:, np.newaxis]
-            _add_samples(moments, imag, v * np.cos(a), v * np.sin(a), np.cos(b), np.sin(b))
+            if alpha is None:
+                v = (w - b[0] - b[1] * values)[:, np.newaxis]
+            else:
+                damped = _damped(values, squares, alpha)
+                v = (w - b[0] - b[1] * values - damped * (b[2] + b[3] * values))[:, np.newaxis]
+            _add_samples(moments, imag, v * np.cos(a), v * np.sin(a), np.cos(phase_b), np.sin(phase_b))
             weight_stats.append((float(w.sum()), float(w.max())))
-    # F' as a potential, for the closed form of its control's mean
-    control = f if q == 0 else add_potentials(f, Potential(tuple(Term(q / 2, ((x, 2),)) for x in range(cov.dim))))
+    # F' as a table of terms, for the closed forms of its controls' means
+    control = f if q == 0 else PolynomialTable.of(f).plus_squares(q / 2, cov.dim)
     g0, g1 = (gaussian_polynomial_gram(tilted, phi_mat, theta_mat, p) for p in (_ONE, control))
-    return _finish_mc_report(moments, cov.psd_tolerance, params.seed, "mc-direct", weight_stats, b1 * g0 + b2 * g1, imag)
+    offset = b[0] * g0 + b[1] * g1
+    if alpha is not None:
+        # E_C'[d P exp(i(a - b))] = Z_alpha G(C'_alpha, P), exp(-(alpha/2) |T|^2) mu_C' = Z_alpha mu_C'_alpha
+        heavier, log_z_alpha = tilted_gaussian(tilted, alpha)
+        g1d, g2d = (gaussian_polynomial_gram(heavier, phi_mat, theta_mat, p) for p in (control, control.squared()))
+        offset = offset + math.exp(log_z_alpha) * (b[2] * g1d + b[3] * g2d)
+    return _finish_mc_report(moments, cov.psd_tolerance, params.seed, "mc-direct", weight_stats, offset, imag)
 
 
 def gram_mc_factorized(pq, g, phis, params):
@@ -490,8 +546,10 @@ def gram_mc_factorized(pq, g, phis, params):
     keeps c_q's range, so a rank-deficient c_q is tilted as well. q is the
     one of _tilts(pq.q, g) that _pick_shared_tilt's pilot picks; a g that is
     not bounded above by construction keeps q = 0 and the report it had
-    before the tilt, bit for bit. The effective sample size is that of the
-    inner weights exp G.
+    before the tilt, bit for bit. The effective sample size is sum(omega w) /
+    max(omega w) over the inner samples, w = exp G(T + L) and omega the
+    square of the sqrt(omega) their outer draw's term is scaled by; at q = 0,
+    omega = 1 exactly.
 
     The calling thread consumes every stream and evaluates the half-density,
     in chunk order, so the draws and the traced layers stay on it; one worker
@@ -520,7 +578,7 @@ def gram_mc_factorized(pq, g, phis, params):
     imag = None if is_even(g) else ChunkMoments()
     weight_stats = []
 
-    def draw_half(rng, shared, pool):
+    def draw_half(rng, shared, omega, pool):
         futures, weights = [], []
         for start in range(0, shared.shape[0], _SUB_BLOCK):
             rows = shared[start:start + _SUB_BLOCK]
@@ -530,7 +588,8 @@ def gram_mc_factorized(pq, g, phis, params):
             w = w.reshape(-1, n_inner)
             weights.append(w)
             futures.append(pool.submit(partial_averages, s, w))
-        weights = np.concatenate(weights)
+        # the weight of each inner sample in the estimate is omega(L) exp G(T + L)
+        weights = np.concatenate(weights) * omega
         weight_stats.append((float(weights.sum()), float(weights.max())))
         return futures
 
@@ -561,7 +620,8 @@ def gram_mc_factorized(pq, g, phis, params):
             rng = substream(params.seed, NS_FACTORIZED, chunk_index)
             shared = tilted.draw(rng, count)
             root_omega = _importance_weights(0.5 * (log_z + _half_squares(shared, q)), "shared tilt")[:, np.newaxis]
-            halves = [draw_half(rng, shared, pool) for _ in range(1 if params.share_inner else 2)]
+            omega = root_omega * root_omega  # the weight the outer term carries
+            halves = [draw_half(rng, shared, omega, pool) for _ in range(1 if params.share_inner else 2)]
             if pending is not None:
                 merge(*pending)
             pending = halves, root_omega

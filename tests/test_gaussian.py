@@ -34,9 +34,10 @@ from rplattice import (
     verify_convolution_identity,
 )
 from rplattice import cli, gaussian, rp_verify
-from rplattice.density import Potential, Term, eval_potential_batch
+from rplattice.density import Potential, PolynomialTable, Term, add_potentials, eval_potential_batch
 from rplattice.gaussian import covariance_factor, iter_sample_chunks, symmetrized
 from rplattice.streams import NS_FIELD, chunk_counts, substream
+from wick_reference import product, wick_polynomial_gram
 
 
 def two_site_cov(c):
@@ -960,9 +961,10 @@ def test_free_field_sampling_and_direct_gram_never_expand_the_factor(count_linal
     gram_mc_direct(cov, lat, phi4(lat, 0.1), phis, McParams(3000, seed=1))
     assert "factor" not in vars(cov)
     # the batched Cholesky and its inverse, one batched Cholesky of the momentum roots per tilt
-    # the direct estimator tries, then only the k x k Gram spectra of the verdict
+    # the direct estimator tries and one more for C'_alpha, the damping of the tilt it picks, then
+    # only the k x k Gram spectra of the verdict
     tilts = len(rp_verify._TILT_GRID) - 1
-    assert [name for name, _ in calls if name != "eigvalsh"] == ["cholesky", "inv"] + ["cholesky"] * tilts
+    assert [name for name, _ in calls if name != "eigvalsh"] == ["cholesky", "inv"] + ["cholesky"] * (tilts + 1)
     assert {shape for name, shape in calls[2:] if name == "cholesky"} == {cov.momentum_roots.shape}
     k = len(phis)
     assert all(shape[-2:] == (k, k) for name, shape in calls if name == "eigvalsh")
@@ -1280,6 +1282,118 @@ def test_polynomial_gram_rejects_a_site_outside_the_covariance():
         gaussian_polynomial_gram(
             free_field_covariance(lat, 1.0), phi_mat, theta_mat, Potential((Term(1.0, ((lat.site_count, 2),)),))
         )
+
+
+def _array_form_problems(lat, cov):
+    """(the polynomial gaussian_polynomial_gram reads, the Potential the Wick reference reads) by name."""
+    f = phi4(lat, 0.1)
+    q = 0.4 / cov.inf_norm
+    tilted_f = add_potentials(f, Potential(tuple(Term(q / 2, ((x, 2),)) for x in range(lat.site_count))))
+    plus, minus = ([lat.index_of([t, x]) for x in range(4)] for t in (1, -1))
+    cubic = Potential(tuple(Term(0.05, ((x, 3),)) for x in (plus[0], minus[0])), constant=0.3)
+    # the mixed-support family: products across the plane, of one and of several factors per half
+    mixed = Potential(
+        tuple(Term(-1.5, ((a, 1), (b, 1))) for a, b in zip(plus, minus))
+        + (Term(0.25, ((plus[1], 2), (minus[1], 1), (minus[2], 1))),)
+    )
+    return {
+        "phi4": (f, f),
+        "tilted-square": (
+            PolynomialTable.of(f).plus_squares(q / 2, lat.site_count).squared(),
+            product(tilted_f, tilted_f),
+        ),
+        "odd": (add_potentials(f, cubic), add_potentials(f, cubic)),
+        "mixed-support": (mixed, mixed),
+        "mixed-support-square": (PolynomialTable.of(mixed).squared(), product(mixed, mixed)),
+    }
+
+
+@pytest.mark.parametrize("cov_kind", ["column-table", "explicit", "diagonal"])
+@pytest.mark.parametrize("name", ["phi4", "tilted-square", "odd", "mixed-support", "mixed-support-square"])
+def test_the_array_form_matches_the_wick_reference(cov_kind, name):
+    lat = build_lattice(2, [4])
+    cov = free_field_covariance(lat, 1.0)
+    if cov_kind == "explicit":
+        a = np.random.default_rng(3).standard_normal((lat.site_count, lat.site_count))
+        cov = Covariance(symmetrized(a @ a.T / lat.site_count))
+    elif cov_kind == "diagonal":
+        # uncorrelated sites: every moment that pairs two sites is exactly zero, and is skipped
+        cov = Covariance(np.diag(np.linspace(0.5, 2.0, lat.site_count)))
+    _, phi_mat, theta_mat = _phase_problem(lat, 4, 2024)
+    p, reference = _array_form_problems(lat, cov)[name]
+    got = gaussian_polynomial_gram(cov, phi_mat, theta_mat, p)
+    want = wick_polynomial_gram(cov, phi_mat, theta_mat, reference)
+    assert np.iscomplexobj(got) == np.iscomplexobj(want) == (name == "odd")
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    if isinstance(p, Potential):
+        # a Potential's shares are added in its term order, as the reference adds them: the same bits
+        assert np.array_equal(got, want)
+
+
+def test_the_array_form_does_not_depend_on_its_chunks(monkeypatch):
+    # the tilted phi^4 squared at N = 64: 8256 terms, in chunks of a few hundred and in one chunk per term
+    lat = build_lattice(4, [8])
+    cov = free_field_covariance(lat, 1.0)
+    _, phi_mat, theta_mat = _phase_problem(lat, 3, 7)
+    square = PolynomialTable.of(phi4(lat, 0.1)).plus_squares(0.1, lat.site_count).squared()
+    assert square.term_count == 128 * 129 // 2
+    cov.matrix  # expanded outside the traced call
+    tracemalloc.start()
+    try:
+        got = gaussian_polynomial_gram(cov, phi_mat, theta_mat, square)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    monkeypatch.setattr(gaussian, "_POLYNOMIAL_BLOCK", 1)
+    assert np.array_equal(gaussian_polynomial_gram(cov, phi_mat, theta_mat, square), got)
+
+
+def test_a_square_has_every_pair_of_terms_once():
+    lat = build_lattice(2, [4])
+    f = add_potentials(phi4(lat, 0.1), Potential(constant=-0.5))
+    table = PolynomialTable.of(f).plus_squares(0.2, lat.site_count)
+    square = table.squared()
+    # n (n + 1) / 2 pairs, and the constant's 2 c P: n more
+    assert square.term_count == 32 * 33 // 2 + 32 and square.constant == 0.25
+    x = np.random.default_rng(0).standard_normal((50, lat.site_count))
+    values = eval_potential_batch(f, x) + 0.2 * (x * x).sum(axis=1)
+    np.testing.assert_allclose(_table_values(square, x), values * values, rtol=1e-12, atol=1e-14)
+    # its terms are ordered block by block
+    assert np.array_equal(np.concatenate([b.order for b in square.blocks]), np.arange(square.term_count))
+
+
+def _table_values(table, x):
+    """A PolynomialTable at the rows of x, term by term."""
+    out = np.full(len(x), table.constant)
+    for b in table.blocks:
+        for c, sites in zip(b.coefficients, b.sites):
+            out += c * np.prod([x[:, s] ** p for s, p in zip(sites, b.powers)], axis=0)
+    return out
+
+
+@pytest.mark.parametrize("name", ["tilted", "square"])
+def test_the_damped_mean_is_the_closed_form_of_the_heavier_gaussian(name):
+    # E_C[P d exp(i(a - b))] = Z_alpha G(C_alpha, P), d = exp(-(alpha/2) |T|^2): against Gauss-Hermite
+    # quadrature over the two sites, 80 nodes per axis
+    lat = build_lattice(1, [])
+    cov = two_site_cov(0.3)
+    alpha, q = 0.2 / cov.inf_norm, 0.3
+    tilted = PolynomialTable.of(phi4(lat, 0.5)).plus_squares(q / 2, 2)
+    p = tilted if name == "tilted" else tilted.squared()
+    phis = [np.array([0.0, 1.0]), np.array([0.0, -0.7]), np.zeros(2)]
+    phi_mat, theta_mat = np.stack(phis, axis=1), np.stack([reflect(lat, phi) for phi in phis], axis=1)
+    damped, log_z = tilted_gaussian(cov, alpha)
+    got = math.exp(log_z) * gaussian_polynomial_gram(damped, phi_mat, theta_mat, p)
+    nodes, weights = np.polynomial.hermite.hermgauss(80)
+    z = np.sqrt(2.0) * np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+    w = np.outer(weights, weights).ravel() / np.pi
+    t = z @ np.linalg.cholesky(cov.matrix).T
+    integrand = w * _table_values(p, t) * np.exp(-0.5 * alpha * (t * t).sum(axis=1))
+    phase = (t @ phi_mat)[:, :, np.newaxis] - (t @ theta_mat)[:, np.newaxis, :]
+    want = np.einsum("i,imn->mn", integrand, np.cos(phase))
+    assert np.isrealobj(got)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15 * np.abs(want).max())
 
 
 def _green(cov):

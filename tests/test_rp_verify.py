@@ -45,7 +45,7 @@ from rplattice import (
 from rplattice import cli, rp_verify
 from rplattice.density import add_potentials
 from rplattice.rp_verify import _control_coefficients, _stable_below
-from rplattice.streams import NS_BOOTSTRAP, NS_PILOT, substream
+from rplattice.streams import NS_BOOTSTRAP, NS_FACTORIZED, NS_PILOT, chunk_counts, substream
 
 
 def two_site_cov(c):
@@ -519,6 +519,78 @@ def test_ties_and_overflowing_tilts_go_to_the_smaller_q(constant):
         assert rp_verify._pick_tilt(cov, density, 2048, 0)[0] == 0.0
 
 
+def test_a_tilt_regresses_on_the_damped_pair_up_to_the_term_cap(monkeypatch):
+    # criterion 4: F' has 32 terms, F'^2 528; q = 0 keeps (1, F) and no damping
+    lat = build_lattice(2, [4])
+    cov, density = free_field_covariance(lat, 1.0), phi4(lat, 0.1)
+    q, tilted, _, b, alpha = rp_verify._pick_tilt(cov, density, 2048, 0)
+    assert q > 0.0 and len(b) == 4 and alpha == rp_verify._DAMPING / tilted.inf_norm
+    monkeypatch.setattr(rp_verify, "_DAMPED_TERMS", 528)
+    assert rp_verify._damps(density, tilted) == alpha
+    monkeypatch.setattr(rp_verify, "_DAMPED_TERMS", 527)
+    assert rp_verify._damps(density, tilted) is None
+    q, _, _, b, alpha = rp_verify._pick_tilt(cov, density, 2048, 0)
+    assert q > 0.0 and len(b) == 2 and alpha is None
+    monkeypatch.setattr(rp_verify, "_TILT_GRID", (0.0,))
+    q, _, _, b, alpha = rp_verify._pick_tilt(cov, density, 2048, 0)
+    assert q == 0.0 and len(b) == 2 and alpha is None
+
+
+def test_a_tilt_above_the_term_cap_keeps_the_first_order_control(monkeypatch):
+    # N = 96: F' has 192 terms, so F'^2 would have 18528 > 2^14; the tilt keeps (1, F') and
+    # no closed form of F'^2 is taken
+    lat = build_lattice(2, [24])
+    cov, density, phis = free_field_covariance(lat, 1.0), phi4(lat, 0.1), random_test_functions(lat, 2, seed=3)
+    assert 192 * 193 // 2 > rp_verify._DAMPED_TERMS
+    picks, closed_forms = [], []
+    pick, closed_form = rp_verify._pick_tilt, rp_verify.gaussian_polynomial_gram
+    monkeypatch.setattr(rp_verify, "_pick_tilt", lambda *args: picks.append(pick(*args)) or picks[-1])
+    monkeypatch.setattr(
+        rp_verify, "gaussian_polynomial_gram", lambda *args: closed_forms.append(args[-1]) or closed_form(*args)
+    )
+    params = McParams(4096, seed=1)
+    rep = gram_mc_direct(cov, lat, density, phis, params)
+    ((q, _, _, b, alpha),) = picks
+    assert q > 0.0 and len(b) == 2 and alpha is None
+    assert len(closed_forms) == 2
+    monkeypatch.setattr(rp_verify, "_TILT_GRID", (0.0,))
+    untilted = gram_mc_direct(cov, lat, density, phis, params)
+    assert rep.verdict == untilted.verdict == PASS
+    assert np.all(np.abs(rep.matrix - untilted.matrix) <= 5.0 * np.hypot(rep.stderr, untilted.stderr))
+
+
+def test_the_damped_controls_keep_the_mean(monkeypatch):
+    # tilted with the damped pair against untilted with (1, F) on the same seeds: per entry, the
+    # difference averages to zero (largest |z| 2.1); dropping Z_alpha from the closed forms reads 6.1
+    lat = build_lattice(2, [4])
+    cov, density, phis = free_field_covariance(lat, 1.0), phi4(lat, 0.1), random_test_functions(lat, 4, seed=2024)
+    diffs = []
+    for seed in range(7000, 7024):
+        params = McParams(20_000, seed=seed)
+        assert rp_verify._pick_tilt(cov, density, 2048, seed)[4] is not None
+        damped = gram_mc_direct(cov, lat, density, phis, params)
+        with monkeypatch.context() as m:
+            m.setattr(rp_verify, "_TILT_GRID", (0.0,))
+            untilted = gram_mc_direct(cov, lat, density, phis, params)
+        diffs.append(damped.matrix - untilted.matrix)
+    diffs = np.array(diffs)
+    z = diffs.mean(axis=0) / (diffs.std(axis=0, ddof=1) / math.sqrt(len(diffs)))
+    assert np.abs(z).max() <= 3.0, z
+
+
+@pytest.mark.parametrize("seed", [1005, 2000])
+def test_the_damped_pair_narrows_the_tilted_bound(monkeypatch, seed):
+    # criterion 4 at 200k draws: seed 1005 read 3.00e-4 with (1, F') and 1.68e-4 with the damped pair
+    lat = build_lattice(2, [4])
+    cov, density, phis = free_field_covariance(lat, 1.0), phi4(lat, 0.1), random_test_functions(lat, 4, seed=2024)
+    params = McParams(200_000, seed=seed)
+    damped = gram_mc_direct(cov, lat, density, phis, params)
+    monkeypatch.setattr(rp_verify, "_DAMPED_TERMS", 0)
+    first_order = gram_mc_direct(cov, lat, density, phis, params)
+    assert damped.verdict == first_order.verdict == PASS
+    assert damped.eig_error_bound < 0.7 * first_order.eig_error_bound
+
+
 def _criterion_4_split(coupling=0.1):
     lat = build_lattice(2, [4])
     pq = decompose_pq(free_field_covariance(lat, 1.0), lat)
@@ -586,6 +658,28 @@ def test_the_shared_tilt_narrows_the_bound(monkeypatch, coupling):
             untilted = gram_mc_factorized(pq, g, phis, params)
         assert tilted.verdict == untilted.verdict == PASS
         assert tilted.eig_error_bound < untilted.eig_error_bound
+
+
+def test_the_factorized_effective_sample_size_counts_the_outer_weights():
+    # sum(omega w) / max(omega w) over the inner samples, recomputed from the chunk substreams; the
+    # inner weights alone, sum(w) / max(w), miss how few outer draws carry the tilted estimate
+    pq, g, phis = _criterion_4_split(coupling=1.0)
+    params = McParams(1, seed=3, n_outer=512, n_inner=100)
+    q, tilted, log_z = rp_verify._pick_shared_tilt(pq, g, params)
+    assert q > 0.0
+    rep = gram_mc_factorized(pq, g, phis, params)
+    weighted, inner = [], []
+    for chunk_index, count in chunk_counts(params.n_outer, rp_verify._OUTER_CHUNK):
+        rng = substream(params.seed, NS_FACTORIZED, chunk_index)
+        shared = tilted.draw(rng, count)
+        s = shared[:, np.newaxis, :] + pq.p.draw(rng, count * params.n_inner).reshape(count, params.n_inner, -1)
+        w = np.exp(eval_potential_batch(g, s.reshape(-1, s.shape[-1]))).reshape(count, params.n_inner)
+        omega = np.exp(log_z + 0.5 * q * np.einsum("ij,ij->i", shared, shared))
+        weighted.append(omega[:, np.newaxis] * w)
+        inner.append(w)
+    weighted, inner = np.concatenate(weighted), np.concatenate(inner)
+    assert rep.effective_sample_size == pytest.approx(weighted.sum() / weighted.max(), rel=1e-12)
+    assert rep.effective_sample_size < 0.5 * inner.sum() / inner.max()
 
 
 @pytest.mark.parametrize("tilt", [0.2, 0.8])

@@ -7,9 +7,11 @@ library's accumulator. The complex-exp reference forms the factorized partial
 averages as the mean of w exp(-i phase) over 3-D batched draws, and weights
 each outer product by the tilt of the shared draws the estimator picked. The
 estimators must agree with both to rounding, give the same verdicts, and
-never hold such a tensor themselves. The direct reference takes the same
-pilot coefficients and the same known means of its two control variates,
-both from its own closed forms, at the tilt the estimator is held to. For an even density the estimators
+never hold such a tensor themselves. The direct reference fits the same
+pilot coefficients and takes the same known means of its control variates,
+two untilted and four tilted, from its own closed forms (the Wick reference
+of tests/wick_reference.py for F'^2), at the tilt the estimator is held to.
+For an even density the estimators
 accumulate only the real part, and the references keep only the real part
 of their tensors; for a density with an odd term the estimators accumulate
 the imaginary part in a second real accumulator, and the references keep
@@ -51,6 +53,7 @@ from rplattice.density import add_potentials, eval_potential_batch
 from rplattice.gaussian import iter_sample_chunks
 from rplattice.rp_verify import _OUTER_CHUNK, _finish_mc_report, _importance_weights
 from rplattice.streams import CHUNK_SIZE, NS_FACTORIZED, NS_FIELD, NS_PILOT, chunk_counts, substream
+from wick_reference import product, wick_polynomial_gram
 
 RTOL = 1e-12
 
@@ -110,39 +113,58 @@ def tensor_gram_mc_direct(cov, lattice, f, phis, params, q=0.0):
     """gram_mc_direct at the tilt q, with the phase exp[i(a_m - b_n)] formed per sample and entry.
 
     The draws come from the tilted Gaussian C' of tilted_gaussian(cov, q), and F' = F + (q/2) |T|^2.
-    Each sample is (w - b1 - b2 F') exp[i(a_m - b_n)], with w = exp(F' + log Z) and the pilot
-    chunk's regression coefficients b2 = sum (F' - mean F') w / sum (F' - mean F')^2 and
-    b1 = mean w - b2 mean F'; b1 G0 + b2 G1 is added back, where G0[m, n] = exp(-d^T C' d / 2)
-    for d = phi_m - theta phi_n is formed for all k^2 differences at once, and G1 is
-    single_site_g1 of F' as a potential. For an even f only the real part of each sample's
+    At q = 0 each sample is (w - b1 - b2 F) exp[i(a_m - b_n)], with w = exp F and the pilot chunk's
+    regression coefficients b2 = sum (F - mean F) w / sum (F - mean F)^2 and b1 = mean w - b2 mean F;
+    b1 G0 + b2 G1 is added back, where G0[m, n] = exp(-d^T C' d / 2) for d = phi_m - theta phi_n is
+    formed for all k^2 differences at once, and G1 is single_site_g1 of F. At q > 0 the weight
+    w = exp(F' + log Z) is regressed on (1, F', D F', D F'^2) by least squares on the pilot, with
+    D = exp(-(alpha/2) |T|^2) and alpha = 0.2 / ||C'||_inf, and Z_a (b3 G1a + b4 G2a) is added too:
+    under C'_a of tilted_gaussian(C', alpha), G1a is single_site_g1 of F' and G2a the Wick
+    reference of F'^2 built term by term. For an even f only the real part of each sample's
     tensor is accumulated.
     """
     cov, log_z = tilted_gaussian(cov, q)
     squares = Potential(tuple(Term(q / 2, ((x, 2),)) for x in range(cov.dim)) if q else ())
+    tilted_f = add_potentials(f, squares)
+    alpha = 0.2 / cov.inf_norm
 
     def tilted_values(x):
-        return eval_potential_batch(f, x) + 0.5 * q * np.einsum("ij,ij->i", x, x)
+        sq = np.einsum("ij,ij->i", x, x)
+        values = eval_potential_batch(f, x) + 0.5 * q * sq
+        damped = np.exp(-0.5 * alpha * sq) * values
+        controls = [np.ones_like(values), values] + ([damped, damped * values] if q else [])
+        return values, np.stack(controls, axis=1)
 
     phi_mat = np.stack(phis, axis=1)
     theta_mat = np.stack([reflect(lattice, p) for p in phis], axis=1)
     pilot = substream(params.seed, NS_PILOT, 0).standard_normal((min(params.n_samples, CHUNK_SIZE), cov.dim))
-    f_pilot = tilted_values(pilot @ cov.factor.T)
+    f_pilot, x_pilot = tilted_values(pilot @ cov.factor.T)
     w_pilot = np.exp(f_pilot + log_z)
-    centred = f_pilot - f_pilot.mean()
-    b2 = centred @ w_pilot / (centred @ centred)
-    b1 = w_pilot.mean() - b2 * f_pilot.mean()
+    if q:
+        coefficients = np.linalg.lstsq(x_pilot, w_pilot, rcond=None)[0]
+    else:
+        centred = f_pilot - f_pilot.mean()
+        b2 = centred @ w_pilot / (centred @ centred)
+        coefficients = np.array([w_pilot.mean() - b2 * f_pilot.mean(), b2])
     d = phi_mat[:, :, np.newaxis] - theta_mat[:, np.newaxis, :]
     g0 = np.exp(-0.5 * np.einsum("imn,ij,jmn->mn", d, cov.matrix, d))
-    g1 = single_site_g1(cov, add_potentials(f, squares), d, g0)
-    offset = b1 * g0 + b2 * (g1.real if is_even(f) else g1)
+    means = [g0, single_site_g1(cov, tilted_f, d, g0)]
+    if q:
+        damped, log_z_alpha = tilted_gaussian(cov, alpha)
+        g0_alpha = np.exp(-0.5 * np.einsum("imn,ij,jmn->mn", d, damped.matrix, d))
+        means += [
+            math.exp(log_z_alpha) * single_site_g1(damped, tilted_f, d, g0_alpha),
+            math.exp(log_z_alpha) * wick_polynomial_gram(damped, phi_mat, theta_mat, product(tilted_f, tilted_f)),
+        ]
+    offset = sum(b * (g.real if is_even(f) else g) for b, g in zip(coefficients, means))
     real, imag = tensor_parts(f)
     weight_stats = []
     for _, block in iter_sample_chunks(cov, params.n_samples, params.seed):
         a, b = block @ phi_mat, block @ theta_mat
-        values = tilted_values(block)
+        values, controls = tilted_values(block)
         w = np.exp(values + log_z)
         phase = a[:, :, np.newaxis] - b[:, np.newaxis, :]
-        x = (w - b1 - b2 * values)[:, np.newaxis, np.newaxis] * np.exp(1j * phase)
+        x = (w - controls @ coefficients)[:, np.newaxis, np.newaxis] * np.exp(1j * phase)
         add_complex(real, imag, x)
         weight_stats.append((float(w.sum()), float(w.max())))
     return _finish_mc_report(real, cov.psd_tolerance, params.seed, "mc-direct", weight_stats, offset, imag)
@@ -152,8 +174,9 @@ def exp_gram_mc_factorized(cov, lattice, g, phis, params):
     """gram_mc_factorized with each chunk's inner draws as one 3-D batch and an inner mean of w exp(-i phase).
 
     The shared draws L come from the tilted c_q' of the tilt q the estimator picks, and the outer
-    products exp(log Z + (q/2) |L|^2) conj(H_m) H_n are formed and split into their parts; for an
-    even g only the real part is accumulated. Both levels draw through Covariance.draw, whose
+    products omega conj(H_m) H_n, omega = exp(log Z + (q/2) |L|^2), are formed and split into their
+    parts; for an even g only the real part is accumulated. The effective sample size is that of
+    the weights omega exp G of the inner samples. Both levels draw through Covariance.draw, whose
     rows do not depend on how many are drawn at once, so the weights, and with them the effective
     sample size, are the estimator's bit for bit.
     """
@@ -164,18 +187,23 @@ def exp_gram_mc_factorized(cov, lattice, g, phis, params):
     real, imag = tensor_parts(g)
     weight_stats = []
 
-    def partial_averages(rng, shared, count):
+    def partial_averages(rng, shared, omega):
+        count = len(shared)
         s = shared[:, np.newaxis, :] + pq.p.draw(rng, count * params.n_inner).reshape(count, params.n_inner, nh)
         w = _importance_weights(eval_potential_batch(g, s.reshape(-1, nh)), "half-density").reshape(count, params.n_inner)
-        weight_stats.append((float(w.sum()), float(w.max())))
+        # each inner sample weighs omega(L) exp G(T + L) in the estimate
+        weighted = omega[:, np.newaxis] * w
+        weight_stats.append((float(weighted.sum()), float(weighted.max())))
         return (w[:, :, np.newaxis] * np.exp(-1j * (s @ h_mat))).mean(axis=1)
 
     for chunk_index, count in chunk_counts(params.n_outer, _OUTER_CHUNK):
         rng = substream(params.seed, NS_FACTORIZED, chunk_index)
         shared = tilted.draw(rng, count)
-        w = np.exp(log_z + 0.5 * q * (shared**2).sum(axis=1))
-        h1 = partial_averages(rng, shared, count)
-        h2 = h1 if params.share_inner else partial_averages(rng, shared, count)
+        # the estimator's sqrt(omega), squared: the weight of the outer term, bit for bit
+        root = np.exp(0.5 * (log_z + 0.5 * q * np.einsum("ij,ij->i", shared, shared)))
+        w = root * root
+        h1 = partial_averages(rng, shared, w)
+        h2 = h1 if params.share_inner else partial_averages(rng, shared, w)
         add_complex(real, imag, w[:, np.newaxis, np.newaxis] * np.conj(h1)[:, :, np.newaxis] * h2[:, np.newaxis, :])
     kind = "mc-factorized-shared" if params.share_inner else "mc-factorized-independent"
     return _finish_mc_report(real, cov.psd_tolerance, params.seed, kind, weight_stats, imag=imag)
@@ -248,7 +276,8 @@ def test_direct_gram_matches_the_tensor_path(criterion_4, monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", [0, 9])
 def test_tilted_direct_gram_matches_the_tensor_path(criterion_4, monkeypatch, seed):
-    # the grid held at the one tilt q ||C||_inf = 0.4, which phi^4 picks on these seeds
+    # the grid held at the one tilt q ||C||_inf = 0.4 (phi^4 picks 0.2 or 0.4 by seed): four controls,
+    # the damped pair among them
     monkeypatch.setattr(rp_verify, "_TILT_GRID", (0.4,))
     lat, cov, density, phis = criterion_4
     params = McParams(200_000, seed=seed)
