@@ -213,12 +213,8 @@ class Covariance:
         dim) array. Blocks have at least _DRAW_MIN_ROWS rows, and x is bit
         for bit what the two products over the whole of z at once give.
         """
-        return self._draws(rng.standard_normal, count)
-
-    def _draws(self, normals, count):
-        """draw(rng, count) with z = normals((count, dim)); a column table writes the draws over z."""
         if self.momentum_roots is None:
-            return normals((count, self.dim)) @ self.factor.T
+            return rng.standard_normal((count, self.dim)) @ self.factor.T
         basis, roots_t = self._modes
         spatial, times = basis.shape[0], roots_t.shape[-1]
         dim = spatial * times
@@ -226,7 +222,7 @@ class Covariance:
         blocks = max(1, count // max(_DRAW_MIN_ROWS, _DRAW_BLOCK // dim))
         # taken before z, so its free leaves a hole under z, not a heap top that glibc trims and refaults
         scratch = np.empty(-(-count // blocks) * dim)
-        z = normals((count, dim))
+        z = rng.standard_normal((count, dim))
         for b in range(blocks):
             start, stop = count * b // blocks, count * (b + 1) // blocks
             rows, m = z[start:stop], stop - start

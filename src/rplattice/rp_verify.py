@@ -337,20 +337,6 @@ def _row_squares(block):
     return np.einsum("ij,ij->i", block, block)
 
 
-def _half_squares(block, q):
-    """(q/2) |T|^2 of each draw T, a row of block: the exponent the tilt q takes out of the base measure."""
-    return 0.5 * q * _row_squares(block)
-
-
-def _tilted_density(f, block, q):
-    """(F', |T|^2) at the draws, F' = F + (q/2) |T|^2 from one row sum of squares; (F, None) at q = 0."""
-    values = eval_potential_batch(f, block)
-    if q == 0:
-        return values, None
-    squares = _row_squares(block)
-    return values + 0.5 * q * squares, squares
-
-
 def _damped(values, squares, alpha):
     """d F' at the draws, d = exp(-(alpha/2) |T|^2): the damped pair of controls is (d F', d F' F')."""
     return np.exp(-0.5 * alpha * squares) * values
@@ -360,6 +346,17 @@ def _damps(f, tilted):
     """alpha of the damped pair of controls under the tilted C', or None when F'^2 has over _DAMPED_TERMS terms."""
     n = len(f.terms) + tilted.dim  # F' = F + (q/2) sum_x T_x^2
     return _DAMPING / tilted.inf_norm if n * (n + 1) // 2 <= _DAMPED_TERMS else None
+
+
+def _reweights(squares, q):
+    """d mu_C' / d mu_C at pilot draws T from C, r = exp(-(q/2) |T|^2) normalised to sum 1, so log Z cancels."""
+    r = np.exp(-0.5 * q * (squares - squares.min()))  # the largest r is 1 before the sum: no underflow to 0
+    return r / r.sum()
+
+
+def _reweighted_variance(x, r):
+    """The variance under C' of x, from its values at pilot draws from C and their reweights r, about its r-mean."""
+    return float(r @ (x - r @ x) ** 2)
 
 
 def _least_variance(tilts, pilot):
@@ -384,29 +381,33 @@ def _least_variance(tilts, pilot):
 def _pick_tilt(cov, f, n_pilot, seed):
     """(q, C', log Z, b, alpha) of the tilt whose pilot leaves the least variance in w less its controls.
 
-    Every candidate draws its pilot from its C' through a copy of the same
-    normals, drawn once from the substream (seed, NS_PILOT, 0), so they are
-    compared on common random numbers; the coefficients b are fitted on that
-    pilot. q = 0 regresses w on (1, F) by _control_coefficients, with alpha
-    None. A q > 0 regresses w on (1, F', d F', d F'^2), d = exp(-(alpha/2)
-    |T|^2), by least squares, with alpha from _damps; singular values below
-    lstsq's default cut, as of a density the tilt absorbs, fit nothing. When
-    _damps gives None, q > 0 keeps (1, F') as q = 0 does.
+    One pilot is drawn from cov itself, from the substream (seed, NS_PILOT,
+    0), and F and |T|^2 are evaluated on it once. Each candidate reads it as
+    draws from its C' through _reweights: both the fit and the score, the
+    variance of w less its controls, are r-weighted. q = 0 regresses w on
+    (1, F) by _control_coefficients, with alpha None. A q > 0 regresses w on
+    (1, F', d F', d F'^2), d = exp(-(alpha/2) |T|^2), with alpha from
+    _damps, or on (1, F') when _damps gives None; singular values below
+    lstsq's default cut, as of a density the tilt absorbs, fit nothing.
     """
-    z = substream(seed, NS_PILOT, 0).standard_normal((n_pilot, cov.dim))
+    block = cov.draw(substream(seed, NS_PILOT, 0), n_pilot)
+    values, squares = eval_potential_batch(f, block), _row_squares(block)
 
     def pilot(q, tilted, log_z):
-        block = tilted._draws(lambda shape: z.copy(), n_pilot)
-        values, squares = _tilted_density(f, block, q)
-        w = _importance_weights(values + log_z, "density")
+        tilted_values = values + 0.5 * q * squares
+        w = _importance_weights(tilted_values + log_z, "density")
         alpha = None if q == 0 else _damps(f, tilted)
-        if alpha is None:
-            b1, b2 = _control_coefficients(values, w)
-            return float(np.var(w - b1 - b2 * values)), ((b1, b2), None)
-        damped = _damped(values, squares, alpha)
-        controls = np.stack([np.ones_like(values), values, damped, damped * values], axis=1)
-        b = np.linalg.lstsq(controls, w, rcond=None)[0]
-        return float(np.var(w - controls @ b)), (tuple(map(float, b)), alpha)
+        controls = [np.ones_like(values), tilted_values]
+        if alpha is not None:
+            damped = _damped(tilted_values, squares, alpha)
+            controls += [damped, damped * tilted_values]
+        controls, r = np.stack(controls, axis=1), _reweights(squares, q)
+        if q == 0:
+            b = _control_coefficients(values, w)
+        else:
+            root = np.sqrt(r)
+            b = tuple(map(float, np.linalg.lstsq(controls * root[:, np.newaxis], w * root, rcond=None)[0]))
+        return _reweighted_variance(w - controls @ b, r), (b, alpha)
 
     return _least_variance(_tilts(cov, f), pilot)
 
@@ -414,33 +415,29 @@ def _pick_tilt(cov, f, n_pilot, seed):
 def _pick_shared_tilt(pq, g, params):
     """(q, c_q', log Z) of the tilt of the shared draws whose pilot leaves the least variance in omega H0^2.
 
-    The candidates are _tilts(pq.q, g). A pilot of min(n_outer, 256) shared
-    draws, from the substream (seed, NS_PILOT, 1), gives each candidate its
-    draws L through a copy of the same normals, and min(n_inner, 64) inner
-    draws of pq.p about each, one draw shared by every candidate, so they are
-    compared on common random numbers. H0(L) is the inner mean of exp G(T + L),
-    the partial average of the zero test function, and omega(L) = exp(log Z
-    + (q/2) |L|^2) the weight of the outer term. A half-density that is not
+    The candidates are _tilts(pq.q, g). One pilot, from the substream (seed,
+    NS_PILOT, 1), draws min(n_outer, 256) shared draws L from pq.q itself,
+    then min(n_inner, 64) inner draws of pq.p about each, and H0(L), the
+    inner mean of exp G(T + L) and the partial average of the zero test
+    function, is computed on it once. Each candidate scores the r-weighted
+    variance of omega H0^2 with _reweights(|L|^2, q), omega(L) = exp(log Z +
+    (q/2) |L|^2) the weight of the outer term. A half-density that is not
     tilted draws no pilot.
     """
     tilts = _tilts(pq.q, g)
     if len(tilts) == 1:
         return tilts[0]
     n_outer, n_inner = min(params.n_outer, _PILOT_OUTER), min(params.n_inner, _PILOT_INNER)
-    nh = pq.p.dim
     rng = substream(params.seed, NS_PILOT, 1)
-    z = rng.standard_normal((n_outer, nh))
-    # T + L site by site, the column layout eval_potential_batch reads, so it takes no transposed copy
-    inner = pq.p.draw(rng, n_outer * n_inner).reshape(n_outer, n_inner, nh).transpose(2, 0, 1)
-    s = np.empty((nh, n_outer, n_inner))
+    shared = pq.q.draw(rng, n_outer)
+    s = pq.p.draw(rng, n_outer * n_inner).reshape(n_outer, n_inner, -1)
+    s += shared[:, np.newaxis, :]
+    w = _importance_weights(eval_potential_batch(g, s.reshape(n_outer * n_inner, -1)), "half-density")
+    h0, squares = w.reshape(n_outer, n_inner).mean(axis=1), _row_squares(shared)
 
     def pilot(q, tilted, log_z):
-        shared = tilted._draws(lambda shape: z.copy(), n_outer)
-        np.add(inner, shared.T[:, :, np.newaxis], out=s)
-        values = eval_potential_batch(g, s.reshape(nh, -1).T).reshape(n_outer, n_inner)
-        h0 = _importance_weights(values, "half-density").mean(axis=1)
-        omega = _importance_weights(log_z + _half_squares(shared, q), "shared tilt")
-        return float(np.var(omega * h0 * h0)), ()
+        omega = _importance_weights(log_z + 0.5 * q * squares, "shared tilt")
+        return _reweighted_variance(omega * h0 * h0, _reweights(squares, q)), ()
 
     return _least_variance(tilts, pilot)
 
@@ -472,13 +469,13 @@ def gram_mc_direct(cov, lattice, f, phis, params):
     built as a PolynomialTable of n (n + 1) / 2 terms for the n terms of F';
     past _DAMPED_TERMS of them a tilt keeps (1, F').
 
-    q and b come from an independent pilot, which keeps the estimate
-    unbiased; q is the one of _tilts' grid whose pilot leaves the least
-    variance in w less its controls. F is evaluated once per draw, and |T|^2
-    is the row sum the tilt takes. A zero or constant density gives q = 0,
-    b2 = 0 and b1 the pilot's mean weight, so at zero density the estimate is
-    G0 exactly. The weights are used raw (no normalization); their effective
-    sample size sum(w)/max(w) is reported as a degeneracy diagnostic.
+    q and b come from an independent pilot from C, which keeps the estimate
+    unbiased; q is the one of _tilts' grid whose reweighted pilot leaves the
+    least variance in w less its controls. F is evaluated once per draw,
+    and |T|^2 is the row sum the tilt takes. A zero or constant density
+    gives q = 0, b2 = 0 and b1 the pilot's mean weight, so at zero density
+    the estimate is G0 exactly. The weights are used raw (no normalization);
+    their effective sample size sum(w)/max(w) is reported as a diagnostic.
 
     The base measure is centred, so for an even f the estimate is real in
     expectation; only its real part is accumulated. An odd term adds the
@@ -497,7 +494,10 @@ def gram_mc_direct(cov, lattice, f, phis, params):
         for _, block in iter_sample_chunks(tilted, params.n_samples, params.seed):
             a = block @ phi_mat
             phase_b = block @ theta_mat
-            values, squares = _tilted_density(f, block, q)
+            values = eval_potential_batch(f, block)
+            if q:  # F' = F + (q/2) |T|^2, from one row sum of squares
+                squares = _row_squares(block)
+                values += 0.5 * q * squares
             w = _importance_weights(values + log_z, "density")
             if alpha is None:
                 v = (w - b[0] - b[1] * values)[:, np.newaxis]
@@ -619,7 +619,8 @@ def gram_mc_factorized(pq, g, phis, params):
         for chunk_index, count in chunk_counts(params.n_outer, _OUTER_CHUNK):
             rng = substream(params.seed, NS_FACTORIZED, chunk_index)
             shared = tilted.draw(rng, count)
-            root_omega = _importance_weights(0.5 * (log_z + _half_squares(shared, q)), "shared tilt")[:, np.newaxis]
+            log_omega = log_z + 0.5 * q * _row_squares(shared)
+            root_omega = _importance_weights(0.5 * log_omega, "shared tilt")[:, np.newaxis]
             omega = root_omega * root_omega  # the weight the outer term carries
             halves = [draw_half(rng, shared, omega, pool) for _ in range(1 if params.share_inner else 2)]
             if pending is not None:

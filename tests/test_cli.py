@@ -698,6 +698,19 @@ MALFORMED_CONFIGS = {
     "density-site-fractional": {
         "density": {"terms": [{"coefficient": -0.1, "factors": [{"site": [1, 0.7], "power": 4}]}]}
     },
+    "density-not-an-object": {"density": [{"coefficient": -0.1}]},
+    "density-site-too-many-coordinates": {
+        "density": {"terms": [{"coefficient": -0.1, "factors": [{"site": [1, 0, 0], "power": 4}]}]}
+    },
+    "density-site-time-zero": {
+        "density": {"terms": [{"coefficient": -0.1, "factors": [{"site": [0, 0], "power": 4}]}]}
+    },
+    "density-site-time-beyond-extent": {
+        "density": {"terms": [{"coefficient": -0.1, "factors": [{"site": [-3, 0], "power": 4}]}]}
+    },
+    "density-site-spatial-out-of-range": {
+        "density": {"terms": [{"coefficient": -0.1, "factors": [{"site": [1, 4], "power": 4}]}]}
+    },
     "density-power-fractional": {
         "density": {"terms": [{"coefficient": -0.1, "factors": [{"site": [1, 0], "power": 2.9}]}]}
     },

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from rplattice import (
+    Covariance,
     Lattice,
+    Term,
     build_lattice,
     embed_plus,
     positive_support,
@@ -156,3 +158,20 @@ def test_positive_support_of_reflection():
     assert positive_support(lat, v)
     assert not positive_support(lat, reflect(lat, v))
     assert positive_support(lat, reflect(lat, np.zeros(lat.site_count)))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Term(-0.1, ((-1, 4),)), "negative site index"),
+        (lambda: Covariance(np.eye(3)[:2]), "covariance must be square"),
+        (lambda: embed_plus(build_lattice(2, [4]), np.zeros(7)), "half vector has shape"),
+    ],
+    ids=["term-negative-site", "covariance-not-square", "embed_plus-wrong-shape"],
+)
+def test_inputs_only_the_library_api_can_pass_are_rejected(build, message):
+    # a config names sites by coordinates, a matrix file is checked against the lattice's site
+    # count first, and test functions are full-lattice vectors: these checks are reached only
+    # through the library
+    with pytest.raises(ValueError, match=message):
+        build()

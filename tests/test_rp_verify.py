@@ -43,7 +43,7 @@ from rplattice import (
     theta_inner,
 )
 from rplattice import cli, rp_verify
-from rplattice.density import add_potentials
+from rplattice.density import PolynomialTable, add_potentials
 from rplattice.rp_verify import _control_coefficients, _stable_below
 from rplattice.streams import NS_BOOTSTRAP, NS_FACTORIZED, NS_PILOT, chunk_counts, substream
 
@@ -427,38 +427,21 @@ def test_control_coefficients_regress_the_weights_on_the_density():
         assert _control_coefficients(values, weights) == (weights.mean(), 0.0)
 
 
-@pytest.mark.parametrize("n_samples", [1_000, 2_048, 5_000])
-def test_direct_estimator_evaluates_the_density_once_per_draw(monkeypatch, n_samples):
-    # the pilot and every main draw: F feeds both the weight exp F and the control F exp(i(a - b))
-    rows = []
-
-    def counted(p, configs):
-        rows.append(len(configs))
-        return eval_potential_batch(p, configs)
-
-    monkeypatch.setattr(rp_verify, "eval_potential_batch", counted)
-    lat = build_lattice(2, [4])
-    cov, phis = free_field_covariance(lat, 1.0), random_test_functions(lat, 2, 0)
-    gram_mc_direct(cov, lat, phi4(lat, 0.1), phis, McParams(n_samples, seed=1))
-    # one pilot per tilt of the grid that phi^4 admits, q = 0 among them
-    assert sum(rows) == n_samples + len(rp_verify._TILT_GRID) * min(n_samples, 2048)
-
-
 @pytest.mark.parametrize("explicit", [False, True], ids=["column-table", "explicit"])
-def test_tilt_pilots_draw_their_normals_once_and_each_as_its_draw_would(monkeypatch, explicit):
+def test_the_tilt_pilot_is_one_draw_from_the_covariance_itself(monkeypatch, explicit):
     keys, pilots = [], []
     monkeypatch.setattr(rp_verify, "substream", lambda *key: keys.append(key) or substream(*key))
-    tilted_density = rp_verify._tilted_density
-    monkeypatch.setattr(rp_verify, "_tilted_density", lambda f, block, q: pilots.append(block) or tilted_density(f, block, q))
+    monkeypatch.setattr(
+        rp_verify, "eval_potential_batch", lambda p, configs: pilots.append(configs) or eval_potential_batch(p, configs)
+    )
     lat = build_lattice(2, [4])
     cov = free_field_covariance(lat, 1.0)
     cov = Covariance(cov.matrix) if explicit else cov
+    assert len(rp_verify._tilts(cov, phi4(lat, 0.1))) > 1
     rp_verify._pick_tilt(cov, phi4(lat, 0.1), 300, 5)
     assert keys == [(5, NS_PILOT, 0)]
-    tilts = rp_verify._tilts(cov, phi4(lat, 0.1))
-    assert len(pilots) == len(tilts) > 1
-    for block, (_, tilted, _) in zip(pilots, tilts):
-        assert np.array_equal(block, tilted.draw(substream(5, NS_PILOT, 0), 300))
+    (pilot,) = pilots
+    assert np.array_equal(pilot, cov.draw(substream(5, NS_PILOT, 0), 300))
 
 
 def untilted_densities(lat):
@@ -477,8 +460,11 @@ def untilted_densities(lat):
     }
 
 
-@pytest.mark.parametrize("name", sorted(untilted_densities(build_lattice(2, [4]))))
-def test_an_untilted_density_is_evaluated_on_one_pilot(monkeypatch, name):
+@pytest.mark.parametrize("n_samples", [1_000, 2_048, 5_000])
+@pytest.mark.parametrize("name", sorted([*untilted_densities(build_lattice(2, [4])), "phi4"]))
+def test_every_density_is_evaluated_once_per_draw_and_on_one_pilot(monkeypatch, name, n_samples):
+    # the pilot and every main draw: F feeds both the weight exp F and the control F exp(i(a - b)),
+    # and one pilot serves every tilt of the grid, tilted density or not
     rows = []
 
     def counted(p, configs):
@@ -487,11 +473,36 @@ def test_an_untilted_density_is_evaluated_on_one_pilot(monkeypatch, name):
 
     lat = build_lattice(2, [4])
     cov, phis = free_field_covariance(lat, 1.0), random_test_functions(lat, 2, 0)
-    density = untilted_densities(lat)[name]
-    assert [q for q, _, _ in rp_verify._tilts(cov, density)] == [0.0]
+    density = phi4(lat, 0.1) if name == "phi4" else untilted_densities(lat)[name]
+    assert (len(rp_verify._tilts(cov, density)) > 1) == (name == "phi4")
     monkeypatch.setattr(rp_verify, "eval_potential_batch", counted)
-    gram_mc_direct(cov, lat, density, phis, McParams(5_000, seed=1))
-    assert sum(rows) == 5_000 + 2048
+    gram_mc_direct(cov, lat, density, phis, McParams(n_samples, seed=1))
+    assert sum(rows) == n_samples + min(n_samples, 2048)
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["column-table", "explicit"])
+def test_the_pilot_reweighted_to_each_tilt_has_that_tilts_means(explicit):
+    # r = _reweights(|T|^2, q) turns the pilot's draws from C into draws from C': the r-mean of |T|^2 is
+    # tr C' and that of F' its closed form, within 5 self-normalised standard errors
+    # sqrt(sum r^2 (x - mean)^2) / sum r; a sign error in r puts the mean of |T|^2 13-19 of them off, an r
+    # that is not normalised 38-45
+    lat = build_lattice(2, [4])
+    cov, density = free_field_covariance(lat, 1.0), phi4(lat, 0.1)
+    cov = Covariance(cov.matrix) if explicit else cov
+    block = cov.draw(substream(0, NS_PILOT, 0), 2048)
+    squares, values = np.einsum("ij,ij->i", block, block), eval_potential_batch(density, block)
+    zeros = np.zeros((cov.dim, 1))
+    tilts = rp_verify._tilts(cov, density)
+    assert len(tilts) == len(rp_verify._TILT_GRID)
+    for q, tilted, _ in tilts:
+        r = rp_verify._reweights(squares, q)
+        tilted_density = PolynomialTable.of(density).plus_squares(q / 2, cov.dim)
+        for x, want in (
+            (squares, np.trace(tilted.matrix)),
+            (values + 0.5 * q * squares, gaussian_polynomial_gram(tilted, zeros, zeros, tilted_density)[0, 0]),
+        ):
+            mean = r @ x
+            assert abs(mean - want) <= 5.0 * math.sqrt(r * r @ (x - mean) ** 2) / r.sum(), (q, mean, want)
 
 
 def test_the_tilt_grid_is_scaled_by_the_row_sum_norm():
@@ -606,16 +617,24 @@ def test_criterion_4_tilts_its_shared_draws(seed):
 
 
 @pytest.mark.parametrize("n_outer, n_inner", [(2048, 1000), (100, 40)])
-def test_the_shared_tilt_pilot_draws_once_and_evaluates_the_half_density_per_candidate(monkeypatch, n_outer, n_inner):
+def test_the_shared_tilt_pilot_draws_once_and_evaluates_the_half_density_once(monkeypatch, n_outer, n_inner):
+    # shared draws L from c_q itself, then the inner draws about each, from one stream in that order
     pq, g, _ = _criterion_4_split()
-    keys, rows = [], []
+    keys, pilots = [], []
     monkeypatch.setattr(rp_verify, "substream", lambda *key: keys.append(key) or substream(*key))
     monkeypatch.setattr(
-        rp_verify, "eval_potential_batch", lambda p, configs: rows.append(len(configs)) or eval_potential_batch(p, configs)
+        rp_verify, "eval_potential_batch", lambda p, configs: pilots.append(configs) or eval_potential_batch(p, configs)
     )
     rp_verify._pick_shared_tilt(pq, g, McParams(1, seed=5, n_outer=n_outer, n_inner=n_inner))
     assert keys == [(5, NS_PILOT, 1)]
-    assert rows == [min(n_outer, 256) * min(n_inner, 64)] * len(rp_verify._tilts(pq.q, g))
+    assert len(rp_verify._tilts(pq.q, g)) > 1
+    n_outer, n_inner = min(n_outer, 256), min(n_inner, 64)
+    (pilot,) = pilots
+    assert pilot.shape == (n_outer * n_inner, pq.p.dim)
+    rng = substream(5, NS_PILOT, 1)
+    shared = pq.q.draw(rng, n_outer)
+    inner = pq.p.draw(rng, n_outer * n_inner).reshape(n_outer, n_inner, -1)
+    assert np.array_equal(pilot, (inner + shared[:, np.newaxis, :]).reshape(pilot.shape))
 
 
 @pytest.mark.parametrize("name", sorted(set(untilted_densities(build_lattice(2, [4]))) - {"mixed-support"}))
