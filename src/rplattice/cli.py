@@ -304,6 +304,14 @@ def _split_dict(lattice, result):
     return {"is_splitting": result.is_splitting, "violations": violations}
 
 
+def _gaussian_stage(checks, resolved):
+    """Write the exact Gaussian checks theta_invariance and gaussian_rp to checks, and return their report."""
+    rp = check_gaussian_rp(resolved.covariance, resolved.lattice, invariance_tol=resolved.tolerances["invariance_tol"])
+    checks["theta_invariance"] = _fields(rp.invariance)
+    checks["gaussian_rp"] = _fields(rp, omit=("invariance",))
+    return rp
+
+
 def cmd_check_gaussian(resolved, csv_dir=None):
     if resolved.covariance is None:
         _fail("check-gaussian needs a 'covariance' section")
@@ -311,12 +319,9 @@ def cmd_check_gaussian(resolved, csv_dir=None):
     checks = {}
     reasons = []
 
-    rp = check_gaussian_rp(cov, lattice, invariance_tol=resolved.tolerances["invariance_tol"])
-    checks["theta_invariance"] = _fields(rp.invariance)
+    rp = _gaussian_stage(checks, resolved)
     if not rp.invariance.passed:
         reasons.append("theta-invariance")
-
-    checks["gaussian_rp"] = _fields(rp, omit=("invariance",))
     if not rp.passed:
         reasons.append("gaussian-rp")
 
@@ -386,10 +391,7 @@ def cmd_verify_rp(resolved):
     checks = {}
     reasons = []
 
-    rp = check_gaussian_rp(cov, lattice, invariance_tol=resolved.tolerances["invariance_tol"])
-    checks["theta_invariance"] = _fields(rp.invariance)
-    checks["gaussian_rp"] = _fields(rp, omit=("invariance",))
-    if not rp.passed:
+    if not _gaussian_stage(checks, resolved).passed:
         reasons.append("gaussian-gate")
         return checks, reasons
 

@@ -87,7 +87,7 @@ def negate_potential(p):
 
 
 def is_even(p):
-    """True when every term of p has even total degree, so p(-x) = p(x).
+    """True when every term of p, a Potential or a PolynomialTable, has even total degree, so p(-x) = p(x).
 
     The constant does not count. The identity holds bit for bit under
     eval_potential_batch too: each power negates the running product
@@ -95,15 +95,22 @@ def is_even(p):
     not canonical is judged term by term, so odd terms that would cancel
     still make it odd.
     """
-    return all(sum(power for _, power in t.factors) % 2 == 0 for t in p.terms)
+    return all(sum(b.powers) % 2 == 0 for b in PolynomialTable.of(p).blocks)
 
 
 def check_sites(p, count, where):
-    """Raise ValueError when a factor of p names a site index >= count."""
-    for t in p.terms:
-        for site, _ in t.factors:
-            if site >= count:
-                raise ValueError(f"site index {site} out of range for {where}")
+    """Raise ValueError when a factor of p, a Potential or a PolynomialTable, names a site index >= count.
+
+    A table names the largest site of the first block that has one out of
+    range, a Potential the first such site in term order.
+    """
+    if isinstance(p, PolynomialTable):
+        sites = (int(b.sites.max()) for b in p.blocks if b.sites.size)
+    else:
+        sites = (site for t in p.terms for site, _ in t.factors)
+    for site in sites:
+        if site >= count:
+            raise ValueError(f"site index {site} out of range for {where}")
 
 
 @dataclass(frozen=True)
@@ -155,10 +162,6 @@ class PolynomialTable:
     @property
     def term_count(self):
         return sum(len(b.order) for b in self.blocks)
-
-    def is_even(self):
-        """True when every term has even total degree, as density.is_even decides a Potential."""
-        return all(sum(b.powers) % 2 == 0 for b in self.blocks)
 
     def plus_squares(self, coefficient, dim):
         """This polynomial plus coefficient * sum over the dim sites x of T_x^2, as one more block."""
@@ -346,9 +349,9 @@ def phi4(lattice, coupling):
     Bounded above by zero, so its exponential is integrable against any
     Gaussian base measure.
     """
-    lam = float(coupling)
-    if lam <= 0:
-        raise ValueError(f"coupling must be positive, got {coupling}")
+    lam = as_float(coupling, "coupling")
+    if not (lam > 0 and math.isfinite(lam)):  # NaN fails
+        raise ValueError(f"coupling must be positive and finite, got {coupling}")
     terms = tuple(Term(-lam, ((site, 4),)) for site in range(lattice.site_count))
     return canonicalize(Potential(terms, 0.0))
 

@@ -45,7 +45,7 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .density import PolynomialTable
+from .density import PolynomialTable, check_sites, is_even
 from .lattice import Lattice, as_float, as_int, reflect, restrict_plus, positive_support, _as_site_vector
 from .streams import CHUNK_SIZE, NS_FIELD, chunk_counts, substream
 
@@ -107,7 +107,12 @@ class Covariance:
         tol = _checked_tolerance(self.psd_tolerance)
         # factor the caller's array before copying it, so the factorization's
         # workspace and the copy are never alive together
-        factor = _psd_factor(m, tol)
+        gate, factor = _psd_root(m, tol)
+        if not gate.passed:
+            raise ValueError(
+                f"covariance is not positive semidefinite: eigenvalue {gate.min_eigenvalue:.3e} "
+                f"below {gate.threshold:.3e}"
+            )
         self._hold(tol, matrix=np.array(m), factor=factor)
 
     @classmethod
@@ -297,6 +302,16 @@ class PQPair:
     def both_psd(self):
         return self.report_p.passed and self.report_q.passed
 
+    def draw_halves(self, rng, shared, count):
+        """The half draws P + L of the theta-split: count draws P of p about each shared draw L, a row of shared.
+
+        One p.draw of len(shared) * count rows from rng, count consecutive
+        rows per L; the result has shape (len(shared), count, N+).
+        """
+        halves = self.p.draw(rng, shared.shape[0] * count).reshape(shared.shape[0], count, -1)
+        halves += shared[:, np.newaxis, :]
+        return halves
+
 
 @dataclass(frozen=True)
 class FieldSample:
@@ -377,10 +392,7 @@ def free_field_covariance(lattice, mass, psd_tolerance=DEFAULT_PSD_TOL):
     axes = tuple(range(len(extents)))
     cols = np.fft.ifftn(green, axes=axes).real
     cols += np.fft.ifftn(green @ np.fft.fftn(_residual(cols, mass), axes=axes), axes=axes).real  # one refinement step
-    # averaging with c[-d, s, t] makes C exactly symmetric, then with the
-    # time-flipped table exactly reflection invariant; each keeps the other
-    cols = (cols + _transposed(cols)) / 2.0
-    cols = (cols + cols[..., ::-1, ::-1]) / 2.0
+    cols = _symmetrised(cols, theta=True)
     # ||I - (-laplacian + mass^2) C||_inf, the largest row sum of the residual; NaN fails
     residual = float(np.abs(_residual(cols, mass)).sum(axis=(*axes, -1)).max())
     if not residual < 1.0:
@@ -418,9 +430,7 @@ def tilted_gaussian(cov, q):
     roots = _even_roots(np.linalg.solve(lower, roots.swapaxes(-1, -2)).swapaxes(-1, -2))
     log_z = -float(np.log(np.diagonal(lower, axis1=-2, axis2=-1)).sum())
     cols = np.fft.ifftn(roots @ roots.swapaxes(-1, -2), axes=tuple(range(roots.ndim - 2))).real
-    cols = (cols + _transposed(cols)) / 2.0
-    if np.array_equal(cov.columns, cov.columns[..., ::-1, ::-1]):
-        cols = (cols + cols[..., ::-1, ::-1]) / 2.0
+    cols = _symmetrised(cols, theta=np.array_equal(cov.columns, cov.columns[..., ::-1, ::-1]))
     return Covariance.from_columns(cols, roots, cov.psd_tolerance), log_z
 
 
@@ -460,6 +470,18 @@ def _apply_operator(cols, mass):
         if cols.shape[axis] > 1:  # extent 1 closes on itself; extent 2 links the pair twice
             out += 2.0 * cols - np.roll(cols, 1, axis) - np.roll(cols, -1, axis)
     return out
+
+
+def _symmetrised(cols, theta):
+    """cols averaged with _transposed(cols), so C is exactly symmetric, then, if theta, with its time flip.
+
+    The second average makes C exactly reflection invariant; each keeps
+    what the other made exact.
+    """
+    cols = (cols + _transposed(cols)) / 2.0
+    if theta:
+        cols = (cols + cols[..., ::-1, ::-1]) / 2.0
+    return cols
 
 
 def _transposed(cols):
@@ -543,9 +565,7 @@ def gaussian_polynomial_gram(cov, phi_mat, theta_mat, p):
     phi_mat = np.asarray(phi_mat, dtype=np.float64)
     theta_mat = np.asarray(theta_mat, dtype=np.float64)
     table = PolynomialTable.of(p)
-    for block in table.blocks:
-        if block.sites.size and block.sites.max() >= cov.dim:
-            raise ValueError(f"site index {block.sites.max()} out of range for a covariance of {cov.dim} sites")
+    check_sites(table, cov.dim, f"a covariance of {cov.dim} sites")
     c_phi, c_theta = c @ phi_mat, c @ theta_mat
     # u^T C u = phi^T C phi + theta^T C theta - 2 phi^T C theta, C being exactly symmetric
     phi_norms, theta_norms = (phi_mat * c_phi).sum(axis=0), (theta_mat * c_theta).sum(axis=0)
@@ -583,7 +603,7 @@ def gaussian_polynomial_gram(cov, phi_mat, theta_mat, p):
                 at = ends[b.order[rows]] - counts[b.order[rows]] - first + 1
                 shares[at[:, np.newaxis] + np.arange(m.shape[1])] = x
             part[...] = np.add.accumulate(shares, axis=0, out=shares)[-1]
-    if table.is_even():
+    if is_even(table):
         return g0 * parts[0]
     return g0 * (parts[0] + 1j * parts[1])
 
@@ -689,10 +709,8 @@ def _layout(cov, lattice):
         raise ValueError(f"covariance is {cov.dim}x{cov.dim}, lattice has {lattice.site_count} sites")
     tol, cols = cov.psd_tolerance, _columns_on(cov, lattice)
     if cols is not None:
-        axes = tuple(range(cols.ndim - 2))  # a Fourier transform over these block-diagonalises C
-
-        def momentum_blocks(half):
-            return np.fft.fftn((half + _transposed(half)) / 2.0, axes=axes)
+        def momentum_blocks(half):  # a Fourier transform over the spatial axes block-diagonalises C
+            return np.fft.fftn(_symmetrised(half, theta=False), axes=tuple(range(half.ndim - 2)))
 
         def hold(half, root):
             root = None if root is None else _even_roots(root.real)
@@ -826,16 +844,6 @@ def covariance_factor(matrix, psd_tolerance):
     return Covariance(matrix, psd_tolerance).factor
 
 
-def _psd_factor(matrix, psd_tolerance):
-    gate, root = _psd_root(matrix, psd_tolerance)
-    if not gate.passed:
-        raise ValueError(
-            f"covariance is not positive semidefinite: eigenvalue {gate.min_eigenvalue:.3e} "
-            f"below {gate.threshold:.3e}"
-        )
-    return root
-
-
 def iter_sample_chunks(cov, n, seed):
     """Yield (chunk_index, block) of Gaussian field draws, each block cov.draw of its substream.
 
@@ -874,7 +882,7 @@ def verify_convolution_identity(pq, n_samples=100_000, seed=0):
     """Sampling check of the factorized representation behind pq.
 
     Per sample, one shared Q drawn by pq.q and two independent P_1, P_2 by
-    pq.p give y = [P_1 + Q, P_2 + Q]. Over n_samples draws its
+    pq.draw_halves give y = [P_1 + Q, P_2 + Q]. Over n_samples draws its
     second moment must match S = [[A, B], [B, A]], the joint law of
     (restrict_plus(T), restrict_plus(reflect(T))), entrywise within five
     standard errors taken from S: Var(y_i y_j) = S_ii S_jj + S_ij^2 (Isserlis).
@@ -888,9 +896,7 @@ def verify_convolution_identity(pq, n_samples=100_000, seed=0):
     second = np.zeros_like(target)
     for k, count in chunk_counts(n_samples):
         rng = substream(seed, NS_FIELD, k)
-        shared = pq.q.draw(rng, count)
-        y = pq.p.draw(rng, 2 * count).reshape(count, -1)
-        y.reshape(count, 2, -1)[...] += shared[:, np.newaxis]
+        y = pq.draw_halves(rng, pq.q.draw(rng, count), 2).reshape(count, -1)
         second += y.T @ y
     delta = np.abs(second / n_samples - target)
     with np.errstate(divide="ignore", invalid="ignore"):

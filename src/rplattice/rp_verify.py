@@ -354,28 +354,54 @@ def _reweights(squares, q):
     return r / r.sum()
 
 
-def _reweighted_variance(x, r):
-    """The variance under C' of x, from its values at pilot draws from C and their reweights r, about its r-mean."""
-    return float(r @ (x - r @ x) ** 2)
+def _least_variance(tilts, squares, pilot):
+    """(q, C', log Z, *extra) of the tilt under whose C' the pilot's values x vary least.
 
-
-def _least_variance(tilts, pilot):
-    """(q, C', log Z, *extra) of the tilt whose pilot(q, C', log Z) = (variance, extra) is least.
-
-    Ties go to the smaller q, and so do tilts whose pilot weights overflow;
-    q = 0's overflow raises.
+    The pilot draws T come from C, with |T|^2 = squares; each candidate
+    reads them as draws from its C' through r = _reweights(squares, q).
+    pilot(q, C', log Z, r) gives (x, extra), x at the pilot draws, and the
+    score is the r-weighted variance of x about its r-weighted mean. Ties go
+    to the smaller q, and so do tilts whose pilot weights overflow; q = 0's
+    overflow raises.
     """
     best = None
     for q, tilted, log_z in tilts:
+        r = _reweights(squares, q)
         try:
-            variance, extra = pilot(q, tilted, log_z)
+            x, extra = pilot(q, tilted, log_z, r)
         except IllConditionedWeightsError:
             if q == 0:
                 raise
             continue
+        variance = float(r @ (x - r @ x) ** 2)
         if best is None or variance < best[0]:
             best = variance, (q, tilted, log_z, *extra)
     return best[1]
+
+
+def _residual(w, values, b, damped):
+    """The weights w less their fitted controls, w - b1 - b2 F' - d F' (b3 + b4 F'), at F' = values.
+
+    damped is d F' of _damped, or None for the pair (1, F') alone.
+    """
+    linear = w - b[0] - b[1] * values
+    return linear if damped is None else linear - damped * (b[2] + b[3] * values)
+
+
+def _inner_weights(g, halves):
+    """exp G at the half draws of PQPair.draw_halves, as an (outer, inner) array."""
+    values = eval_potential_batch(g, halves.reshape(-1, halves.shape[-1]))
+    return _importance_weights(values, "half-density").reshape(halves.shape[:2])
+
+
+def _outer_weights(q, log_z, squares):
+    """(sqrt(omega), omega) at shared draws L with |L|^2 = squares, omega = exp(log Z + (q/2) |L|^2).
+
+    omega, the weight of an outer term, is taken as the square of sqrt(omega),
+    the factor each half's partial averages carry.
+    """
+    root = _importance_weights(0.5 * (log_z + 0.5 * q * squares), "shared tilt")
+    return root, root * root
 
 
 def _pick_tilt(cov, f, n_pilot, seed):
@@ -384,8 +410,9 @@ def _pick_tilt(cov, f, n_pilot, seed):
     One pilot is drawn from cov itself, from the substream (seed, NS_PILOT,
     0), and F and |T|^2 are evaluated on it once. Each candidate reads it as
     draws from its C' through _reweights: both the fit and the score, the
-    variance of w less its controls, are r-weighted. q = 0 regresses w on
-    (1, F) by _control_coefficients, with alpha None. A q > 0 regresses w on
+    variance of w less its controls, are r-weighted, and the score's
+    residual is the run's, _residual. q = 0 regresses w on (1, F) by
+    _control_coefficients, with alpha None. A q > 0 regresses w on
     (1, F', d F', d F'^2), d = exp(-(alpha/2) |T|^2), with alpha from
     _damps, or on (1, F') when _damps gives None; singular values below
     lstsq's default cut, as of a density the tilt absorbs, fit nothing.
@@ -393,23 +420,21 @@ def _pick_tilt(cov, f, n_pilot, seed):
     block = cov.draw(substream(seed, NS_PILOT, 0), n_pilot)
     values, squares = eval_potential_batch(f, block), _row_squares(block)
 
-    def pilot(q, tilted, log_z):
+    def pilot(q, tilted, log_z, r):
         tilted_values = values + 0.5 * q * squares
         w = _importance_weights(tilted_values + log_z, "density")
         alpha = None if q == 0 else _damps(f, tilted)
-        controls = [np.ones_like(values), tilted_values]
-        if alpha is not None:
-            damped = _damped(tilted_values, squares, alpha)
-            controls += [damped, damped * tilted_values]
-        controls, r = np.stack(controls, axis=1), _reweights(squares, q)
+        damped = None if alpha is None else _damped(tilted_values, squares, alpha)
+        pair = [] if damped is None else [damped, damped * tilted_values]
+        controls = np.stack([np.ones_like(values), tilted_values, *pair], axis=1)
         if q == 0:
             b = _control_coefficients(values, w)
         else:
             root = np.sqrt(r)
             b = tuple(map(float, np.linalg.lstsq(controls * root[:, np.newaxis], w * root, rcond=None)[0]))
-        return _reweighted_variance(w - controls @ b, r), (b, alpha)
+        return _residual(w, tilted_values, b, damped), (b, alpha)
 
-    return _least_variance(_tilts(cov, f), pilot)
+    return _least_variance(_tilts(cov, f), squares, pilot)
 
 
 def _pick_shared_tilt(pq, g, params):
@@ -417,12 +442,12 @@ def _pick_shared_tilt(pq, g, params):
 
     The candidates are _tilts(pq.q, g). One pilot, from the substream (seed,
     NS_PILOT, 1), draws min(n_outer, 256) shared draws L from pq.q itself,
-    then min(n_inner, 64) inner draws of pq.p about each, and H0(L), the
-    inner mean of exp G(T + L) and the partial average of the zero test
-    function, is computed on it once. Each candidate scores the r-weighted
-    variance of omega H0^2 with _reweights(|L|^2, q), omega(L) = exp(log Z +
-    (q/2) |L|^2) the weight of the outer term. A half-density that is not
-    tilted draws no pilot.
+    then min(n_inner, 64) half draws about each by pq.draw_halves, and
+    H0(L), the inner mean of exp G(T + L) and the partial average of the
+    zero test function, is computed on it once. Each candidate scores
+    omega H0^2 by _least_variance, omega(L) the weight _outer_weights gives
+    the outer term in the run. A half-density that is not tilted draws no
+    pilot.
     """
     tilts = _tilts(pq.q, g)
     if len(tilts) == 1:
@@ -430,16 +455,8 @@ def _pick_shared_tilt(pq, g, params):
     n_outer, n_inner = min(params.n_outer, _PILOT_OUTER), min(params.n_inner, _PILOT_INNER)
     rng = substream(params.seed, NS_PILOT, 1)
     shared = pq.q.draw(rng, n_outer)
-    s = pq.p.draw(rng, n_outer * n_inner).reshape(n_outer, n_inner, -1)
-    s += shared[:, np.newaxis, :]
-    w = _importance_weights(eval_potential_batch(g, s.reshape(n_outer * n_inner, -1)), "half-density")
-    h0, squares = w.reshape(n_outer, n_inner).mean(axis=1), _row_squares(shared)
-
-    def pilot(q, tilted, log_z):
-        omega = _importance_weights(log_z + 0.5 * q * squares, "shared tilt")
-        return _reweighted_variance(omega * h0 * h0, _reweights(squares, q)), ()
-
-    return _least_variance(tilts, pilot)
+    h0, squares = _inner_weights(g, pq.draw_halves(rng, shared, n_inner)).mean(axis=1), _row_squares(shared)
+    return _least_variance(tilts, squares, lambda q, _, log_z, r: (_outer_weights(q, log_z, squares)[1] * h0 * h0, ()))
 
 
 def gram_mc_direct(cov, lattice, f, phis, params):
@@ -499,11 +516,7 @@ def gram_mc_direct(cov, lattice, f, phis, params):
                 squares = _row_squares(block)
                 values += 0.5 * q * squares
             w = _importance_weights(values + log_z, "density")
-            if alpha is None:
-                v = (w - b[0] - b[1] * values)[:, np.newaxis]
-            else:
-                damped = _damped(values, squares, alpha)
-                v = (w - b[0] - b[1] * values - damped * (b[2] + b[3] * values))[:, np.newaxis]
+            v = _residual(w, values, b, None if alpha is None else _damped(values, squares, alpha))[:, np.newaxis]
             _add_samples(moments, imag, v * np.cos(a), v * np.sin(a), np.cos(phase_b), np.sin(phase_b))
             weight_stats.append((float(w.sum()), float(w.max())))
     # F' as a table of terms, for the closed forms of its controls' means
@@ -555,9 +568,9 @@ def gram_mc_factorized(pq, g, phis, params):
     in chunk order, so the draws and the traced layers stay on it; one worker
     thread, scoped to the call, computes the phase kernel of each sub-block
     of outer draws, and chunks merge in order. The inner draws of a sub-block
-    are one pq.p.draw of n_inner rows per outer draw. The worker changes no
-    bit of the report, and neither do the sub-blocks for a column table with
-    n_inner >= 2; a dense pq.p at small n_inner, or n_inner = 1, rounds its
+    are one pq.draw_halves of n_inner rows per outer draw. The worker changes
+    no bit of the report, and neither do the sub-blocks for a column table
+    with n_inner >= 2; a dense pq.p at small n_inner, or n_inner = 1, rounds its
     draws as BLAS rounds a product of that many rows.
     """
     lattice = pq.lattice
@@ -568,8 +581,7 @@ def gram_mc_factorized(pq, g, phis, params):
             f"decomposition eigenvalue floors are {pq.report_p.min_eigenvalue:.3e} (independent) "
             f"and {pq.report_q.min_eigenvalue:.3e} (shared)"
         )
-    nh = lattice.n_plus
-    check_sites(g, nh, f"{nh} positive-time sites")
+    check_sites(g, lattice.n_plus, f"{lattice.n_plus} positive-time sites")
 
     h_mat = np.stack([restrict_plus(lattice, p) for p in phis], axis=1)
 
@@ -581,13 +593,9 @@ def gram_mc_factorized(pq, g, phis, params):
     def draw_half(rng, shared, omega, pool):
         futures, weights = [], []
         for start in range(0, shared.shape[0], _SUB_BLOCK):
-            rows = shared[start:start + _SUB_BLOCK]
-            s = pq.p.draw(rng, rows.shape[0] * n_inner).reshape(rows.shape[0], n_inner, nh)
-            s += rows[:, np.newaxis, :]
-            w = _importance_weights(eval_potential_batch(g, s.reshape(-1, nh)), "half-density")
-            w = w.reshape(-1, n_inner)
-            weights.append(w)
-            futures.append(pool.submit(partial_averages, s, w))
+            s = pq.draw_halves(rng, shared[start:start + _SUB_BLOCK], n_inner)
+            weights.append(_inner_weights(g, s))
+            futures.append(pool.submit(partial_averages, s, weights[-1]))
         # the weight of each inner sample in the estimate is omega(L) exp G(T + L)
         weights = np.concatenate(weights) * omega
         weight_stats.append((float(weights.sum()), float(weights.max())))
@@ -619,9 +627,7 @@ def gram_mc_factorized(pq, g, phis, params):
         for chunk_index, count in chunk_counts(params.n_outer, _OUTER_CHUNK):
             rng = substream(params.seed, NS_FACTORIZED, chunk_index)
             shared = tilted.draw(rng, count)
-            log_omega = log_z + 0.5 * q * _row_squares(shared)
-            root_omega = _importance_weights(0.5 * log_omega, "shared tilt")[:, np.newaxis]
-            omega = root_omega * root_omega  # the weight the outer term carries
+            root_omega, omega = (x[:, np.newaxis] for x in _outer_weights(q, log_z, _row_squares(shared)))
             halves = [draw_half(rng, shared, omega, pool) for _ in range(1 if params.share_inner else 2)]
             if pending is not None:
                 merge(*pending)

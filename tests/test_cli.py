@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rplattice
-from rplattice import build_lattice, cli, free_field_covariance, gaussian, phi4, potential_to_obj, rp_verify
+from rplattice import build_lattice, cli, density, free_field_covariance, gaussian, phi4, potential_to_obj, rp_verify
 from rplattice.cli import main, read_matrix_csv, write_matrix_csv
 
 
@@ -880,6 +880,15 @@ def _raise_in_the_estimator(*args, **kwargs):
     raise RuntimeError("estimator bug")
 
 
+_LIFT_HALF = density._lift_half
+
+
+def _lift_half_with_a_shifted_constant(lattice, g, to_minus):
+    # the two lifted halves then rebuild the density's constant plus 2, so split_check's rebuild misses
+    lifted = _LIFT_HALF(lattice, g, to_minus)
+    return density.Potential(lifted.terms, lifted.constant + 1.0)
+
+
 # a two-site verify-rp run that passes every check in well under a second
 SMALL_VERIFY_RP = {
     **TWO_SITES,
@@ -891,12 +900,24 @@ RUNAWAY_DENSITY = {
     "terms": [{"coefficient": 1000, "factors": [{"site": [t], "power": 2}]} for t in (1, -1)],
     "constant": 0,
 }
-# name -> (config overrides, or None for a missing config; estimator patch; exit code; stderr)
+# name -> (config overrides, or None for a missing config; (module, name, replacement) to patch, or None;
+# exit code; stderr)
 EXIT_CASES = {
     "missing-config": (None, None, 2, "error: cannot read config "),
     "malformed-value": ({"mc": {"n_samples": "1000"}}, None, 2, "error: invalid mc section: n_samples must be an integer"),
     "ill-conditioned-weights": ({"density": RUNAWAY_DENSITY}, None, 3, ""),
-    "internal-error": ({}, _raise_in_the_estimator, 4, "internal error: RuntimeError('estimator bug')"),
+    "internal-error": (
+        {},
+        (cli, "gram_mc_direct", _raise_in_the_estimator),
+        4,
+        "internal error: RuntimeError('estimator bug')",
+    ),
+    "witness-rebuild-misses": (
+        {},
+        (density, "_lift_half", _lift_half_with_a_shifted_constant),
+        4,
+        "internal error: AssertionError('witness reconstruction failed to reproduce the density exactly')",
+    ),
 }
 
 
@@ -906,7 +927,7 @@ def test_exit_codes_keep_errors_apart_from_verified_failures(tmp_path, capsys, m
     if overrides is not None:
         cfg = write_config(tmp_path / "cfg.json", {**SMALL_VERIFY_RP, **overrides})
     if patch is not None:
-        monkeypatch.setattr(cli, "gram_mc_direct", patch)
+        monkeypatch.setattr(*patch)
     out = tmp_path / "report.json"
     assert main(["verify-rp", "--config", cfg, "--out", str(out), "--quiet"]) == code
     stderr = capsys.readouterr().err

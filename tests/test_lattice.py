@@ -10,6 +10,7 @@ from rplattice import (
     Term,
     build_lattice,
     embed_plus,
+    phi4,
     positive_support,
     reflect,
     restrict_plus,
@@ -166,8 +167,21 @@ def test_positive_support_of_reflection():
         (lambda: Term(-0.1, ((-1, 4),)), "negative site index"),
         (lambda: Covariance(np.eye(3)[:2]), "covariance must be square"),
         (lambda: embed_plus(build_lattice(2, [4]), np.zeros(7)), "half vector has shape"),
+        # a config gives its density as terms, so phi4's coupling comes only through the library
+        (lambda: phi4(build_lattice(1, []), True), "coupling must be a number"),
+        (lambda: phi4(build_lattice(1, []), "0.1"), "coupling must be a number"),
+        (lambda: phi4(build_lattice(1, []), float("nan")), "coupling must be positive and finite"),
+        (lambda: phi4(build_lattice(1, []), float("inf")), "coupling must be positive and finite"),
     ],
-    ids=["term-negative-site", "covariance-not-square", "embed_plus-wrong-shape"],
+    ids=[
+        "term-negative-site",
+        "covariance-not-square",
+        "embed_plus-wrong-shape",
+        "phi4-bool-coupling",
+        "phi4-string-coupling",
+        "phi4-nan-coupling",
+        "phi4-inf-coupling",
+    ],
 )
 def test_inputs_only_the_library_api_can_pass_are_rejected(build, message):
     # a config names sites by coordinates, a matrix file is checked against the lattice's site
