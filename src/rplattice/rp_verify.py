@@ -14,8 +14,9 @@ Three estimators produce GramReports:
   exact Gaussian expectations: the unweighted phase, whose mean is the
   exact Gaussian entry (so the estimate is exact at zero density), F times
   the phase, whose mean is a Gaussian-polynomial closed form, and, for a
-  tilted density, F and F^2 times the phase damped by a Gaussian factor,
-  whose means are closed forms under a heavier Gaussian, and
+  tilted density, F, F^2 and the squared norm |T|^2 times the phase damped
+  by a Gaussian factor, whose means are closed forms under a heavier
+  Gaussian, and
 * a two-level factorized estimator that integrates partial averages H_m over
   the independent half-draw against the shared draw. With shared inner
   samples every outer draw contributes a rank-one Hermitian matrix, so the
@@ -78,7 +79,7 @@ _N_BOOTSTRAP = 200
 _STABLE_FRACTION = 0.99
 # q ||C||_inf of the tilted Gaussians the Monte Carlo estimators try; q ||C||_inf <= 0.8 keeps q lambda_max(C) < 1
 _TILT_GRID = (0.0, 0.2, 0.4, 0.8)
-# alpha ||C'||_inf of the damping exp(-(alpha/2) |T|^2) in the direct estimator's second-order controls
+# alpha ||C'||_inf of the damping exp(-(alpha/2) |T|^2) in the direct estimator's damped controls
 _DAMPING = 0.2
 # the most terms of F'^2 whose closed form those controls take; a tilt of a larger F' keeps (1, F')
 _DAMPED_TERMS = 1 << 14
@@ -338,12 +339,22 @@ def _row_squares(block):
 
 
 def _damped(values, squares, alpha):
-    """d F' at the draws, d = exp(-(alpha/2) |T|^2): the damped pair of controls is (d F', d F' F')."""
-    return np.exp(-0.5 * alpha * squares) * values
+    """The damped controls d F', d F'^2 and d |T|^2 at the draws, d = exp(-(alpha/2) |T|^2) and F' = values.
+
+    Their polynomials, in the same order, are _damped_polynomials.
+    """
+    d = np.exp(-0.5 * alpha * squares)
+    damped = d * values
+    return [damped, damped * values, d * squares]
+
+
+def _damped_polynomials(control, dim):
+    """F', F'^2 and |T|^2 as PolynomialTables over dim sites, F' = control: the P of _damped's controls d P."""
+    return [control, control.squared(), PolynomialTable().plus_squares(1.0, dim)]
 
 
 def _damps(f, tilted):
-    """alpha of the damped pair of controls under the tilted C', or None when F'^2 has over _DAMPED_TERMS terms."""
+    """alpha of the damped controls under the tilted C', or None when F'^2 has over _DAMPED_TERMS terms."""
     n = len(f.terms) + tilted.dim  # F' = F + (q/2) sum_x T_x^2
     return _DAMPING / tilted.inf_norm if n * (n + 1) // 2 <= _DAMPED_TERMS else None
 
@@ -380,12 +391,14 @@ def _least_variance(tilts, squares, pilot):
 
 
 def _residual(w, values, b, damped):
-    """The weights w less their fitted controls, w - b1 - b2 F' - d F' (b3 + b4 F'), at F' = values.
+    """The weights w less their fitted controls, w - b1 - b2 F' - b3 X1 - b4 X2 - b5 X3, at F' = values.
 
-    damped is d F' of _damped, or None for the pair (1, F') alone.
+    damped is the list X of _damped's controls, or empty for the pair (1, F') alone.
     """
-    linear = w - b[0] - b[1] * values
-    return linear if damped is None else linear - damped * (b[2] + b[3] * values)
+    residual = w - b[0] - b[1] * values
+    for coefficient, x in zip(b[2:], damped):
+        residual -= coefficient * x
+    return residual
 
 
 def _inner_weights(g, halves):
@@ -413,8 +426,8 @@ def _pick_tilt(cov, f, n_pilot, seed):
     variance of w less its controls, are r-weighted, and the score's
     residual is the run's, _residual. q = 0 regresses w on (1, F) by
     _control_coefficients, with alpha None. A q > 0 regresses w on
-    (1, F', d F', d F'^2), d = exp(-(alpha/2) |T|^2), with alpha from
-    _damps, or on (1, F') when _damps gives None; singular values below
+    (1, F', d F', d F'^2, d |T|^2), d = exp(-(alpha/2) |T|^2), with alpha
+    from _damps, or on (1, F') when _damps gives None; singular values below
     lstsq's default cut, as of a density the tilt absorbs, fit nothing.
     """
     block = cov.draw(substream(seed, NS_PILOT, 0), n_pilot)
@@ -424,9 +437,8 @@ def _pick_tilt(cov, f, n_pilot, seed):
         tilted_values = values + 0.5 * q * squares
         w = _importance_weights(tilted_values + log_z, "density")
         alpha = None if q == 0 else _damps(f, tilted)
-        damped = None if alpha is None else _damped(tilted_values, squares, alpha)
-        pair = [] if damped is None else [damped, damped * tilted_values]
-        controls = np.stack([np.ones_like(values), tilted_values, *pair], axis=1)
+        damped = [] if alpha is None else _damped(tilted_values, squares, alpha)
+        controls = np.stack([np.ones_like(values), tilted_values, *damped], axis=1)
         if q == 0:
             b = _control_coefficients(values, w)
         else:
@@ -475,16 +487,20 @@ def gram_mc_direct(cov, lattice, f, phis, params):
     (w - b1 - b2 F) exp(i(a_m - b_n)) are averaged and b1 G0 + b2 G1 is
     added, with b2 the regression slope of w on F and b1 = mean w - b2 mean F.
 
-    A q > 0 adds the damped pair d F' and d F'^2, d = exp(-(alpha/2) |T|^2)
-    with alpha = _DAMPING / ||C'||_inf: the samples are
-    (w - b1 - b2 F' - b3 d F' - b4 d F'^2) exp(i(a_m - b_n)), with b the least
-    squares fit of w on (1, F', d F', d F'^2), and exp(-(alpha/2) |T|^2) mu_C'
-    = Z_alpha mu_C'_alpha gives the pair's means Z_alpha G(C'_alpha, F') and
-    Z_alpha G(C'_alpha, F'^2), (C'_alpha, log Z_alpha) = tilted_gaussian(C',
-    alpha). Undamped, F'^2 has a heavy tail under C', and a pilot fit of it
-    widens the bound; the factor d keeps both controls bounded. F'^2 is
-    built as a PolynomialTable of n (n + 1) / 2 terms for the n terms of F';
-    past _DAMPED_TERMS of them a tilt keeps (1, F').
+    A q > 0 adds the damped controls d P for P = F', F'^2 and |T|^2,
+    d = exp(-(alpha/2) |T|^2) with alpha = _DAMPING / ||C'||_inf: the samples
+    are (w - b1 - b2 F' - b3 d F' - b4 d F'^2 - b5 d |T|^2) exp(i(a_m - b_n)),
+    with b the least squares fit of w on (1, F', d F', d F'^2, d |T|^2), and
+    exp(-(alpha/2) |T|^2) mu_C' = Z_alpha mu_C'_alpha gives each mean as
+    Z_alpha G(C'_alpha, P), (C'_alpha, log Z_alpha) = tilted_gaussian(C',
+    alpha). _damped and _damped_polynomials list the family once, in one
+    order, for the pilot fit, the residual and the offset. Undamped, F'^2
+    has a heavy tail under C', and a pilot fit of it widens the bound; the
+    factor d keeps every damped control bounded. d |T|^2 fits how the weight
+    moves with the squared norm, which (1, F') and the damped F' terms leave
+    in the residual. F'^2 is built as a PolynomialTable of n (n + 1) / 2
+    terms for the n terms of F', and |T|^2 as plus_squares of the empty
+    table; past _DAMPED_TERMS terms of F'^2 a tilt keeps (1, F').
 
     q and b come from an independent pilot from C, which keeps the estimate
     unbiased; q is the one of _tilts' grid whose reweighted pilot leaves the
@@ -516,7 +532,7 @@ def gram_mc_direct(cov, lattice, f, phis, params):
                 squares = _row_squares(block)
                 values += 0.5 * q * squares
             w = _importance_weights(values + log_z, "density")
-            v = _residual(w, values, b, None if alpha is None else _damped(values, squares, alpha))[:, np.newaxis]
+            v = _residual(w, values, b, [] if alpha is None else _damped(values, squares, alpha))[:, np.newaxis]
             _add_samples(moments, imag, v * np.cos(a), v * np.sin(a), np.cos(phase_b), np.sin(phase_b))
             weight_stats.append((float(w.sum()), float(w.max())))
     # F' as a table of terms, for the closed forms of its controls' means
@@ -526,8 +542,8 @@ def gram_mc_direct(cov, lattice, f, phis, params):
     if alpha is not None:
         # E_C'[d P exp(i(a - b))] = Z_alpha G(C'_alpha, P), exp(-(alpha/2) |T|^2) mu_C' = Z_alpha mu_C'_alpha
         heavier, log_z_alpha = tilted_gaussian(tilted, alpha)
-        g1d, g2d = (gaussian_polynomial_gram(heavier, phi_mat, theta_mat, p) for p in (control, control.squared()))
-        offset = offset + math.exp(log_z_alpha) * (b[2] * g1d + b[3] * g2d)
+        grams = (gaussian_polynomial_gram(heavier, phi_mat, theta_mat, p) for p in _damped_polynomials(control, cov.dim))
+        offset = offset + math.exp(log_z_alpha) * sum(c * g for c, g in zip(b[2:], grams))
     return _finish_mc_report(moments, cov.psd_tolerance, params.seed, "mc-direct", weight_stats, offset, imag)
 
 

@@ -1372,15 +1372,16 @@ def _table_values(table, x):
     return out
 
 
-@pytest.mark.parametrize("name", ["tilted", "square"])
+@pytest.mark.parametrize("name", ["tilted", "square", "norm"])
 def test_the_damped_mean_is_the_closed_form_of_the_heavier_gaussian(name):
-    # E_C[P d exp(i(a - b))] = Z_alpha G(C_alpha, P), d = exp(-(alpha/2) |T|^2): against Gauss-Hermite
-    # quadrature over the two sites, 80 nodes per axis
+    # E_C[P d exp(i(a - b))] = Z_alpha G(C_alpha, P), d = exp(-(alpha/2) |T|^2), for P = F', F'^2 and
+    # |T|^2, the three damped controls: against Gauss-Hermite quadrature over the two sites, 80 nodes
+    # per axis
     lat = build_lattice(1, [])
     cov = two_site_cov(0.3)
     alpha, q = 0.2 / cov.inf_norm, 0.3
     tilted = PolynomialTable.of(phi4(lat, 0.5)).plus_squares(q / 2, 2)
-    p = tilted if name == "tilted" else tilted.squared()
+    p = {"tilted": tilted, "square": tilted.squared(), "norm": PolynomialTable().plus_squares(1.0, 2)}[name]
     phis = [np.array([0.0, 1.0]), np.array([0.0, -0.7]), np.zeros(2)]
     phi_mat, theta_mat = np.stack(phis, axis=1), np.stack([reflect(lat, phi) for phi in phis], axis=1)
     damped, log_z = tilted_gaussian(cov, alpha)

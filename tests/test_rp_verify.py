@@ -531,11 +531,12 @@ def test_ties_and_overflowing_tilts_go_to_the_smaller_q(constant):
 
 
 def test_a_tilt_regresses_on_the_damped_pair_up_to_the_term_cap(monkeypatch):
-    # criterion 4: F' has 32 terms, F'^2 528; q = 0 keeps (1, F) and no damping
+    # criterion 4: F' has 32 terms, F'^2 528; a tilt fits (1, F', d F', d F'^2, d |T|^2), and q = 0
+    # keeps (1, F) and no damping
     lat = build_lattice(2, [4])
     cov, density = free_field_covariance(lat, 1.0), phi4(lat, 0.1)
     q, tilted, _, b, alpha = rp_verify._pick_tilt(cov, density, 2048, 0)
-    assert q > 0.0 and len(b) == 4 and alpha == rp_verify._DAMPING / tilted.inf_norm
+    assert q > 0.0 and len(b) == 5 and alpha == rp_verify._DAMPING / tilted.inf_norm
     monkeypatch.setattr(rp_verify, "_DAMPED_TERMS", 528)
     assert rp_verify._damps(density, tilted) == alpha
     monkeypatch.setattr(rp_verify, "_DAMPED_TERMS", 527)
@@ -570,6 +571,23 @@ def test_a_tilt_above_the_term_cap_keeps_the_first_order_control(monkeypatch):
     assert np.all(np.abs(rep.matrix - untilted.matrix) <= 5.0 * np.hypot(rep.stderr, untilted.stderr))
 
 
+@pytest.mark.parametrize(
+    "time_extent, extents, mass, coefficients",
+    [(2, [22], 1.0, 5), (2, [23], 1.0, 2), (6, [12, 16], 0.5, 2)],
+    ids=["N88", "N92", "N2304"],
+)
+def test_the_pilot_fits_the_damped_controls_only_below_the_term_cap(time_extent, extents, mass, coefficients):
+    # phi^4's F' has 2N terms, so F'^2 stays within 2^14 terms up to N = 90 (16290 terms): N = 88 and
+    # N = 92 are the T = 2 lattices on either side of it. At N = 2304 the pick, q ||C||_inf = 0.8,
+    # reads the pilot through weights r whose effective size 1 / sum r^2 is about 176 of 2048 draws;
+    # above the cap that thin pilot fits (1, F') and never the damped controls' coefficients
+    lat = build_lattice(time_extent, extents)
+    cov = free_field_covariance(lat, mass)
+    q, tilted, _, b, alpha = rp_verify._pick_tilt(cov, phi4(lat, 0.1), 2048, 0)
+    assert q > 0.0 and len(b) == coefficients
+    assert alpha == (rp_verify._DAMPING / tilted.inf_norm if coefficients == 5 else None)
+
+
 def test_the_damped_controls_keep_the_mean(monkeypatch):
     # tilted with the damped pair against untilted with (1, F) on the same seeds: per entry, the
     # difference averages to zero (largest |z| 2.1); dropping Z_alpha from the closed forms reads 6.1
@@ -587,6 +605,27 @@ def test_the_damped_controls_keep_the_mean(monkeypatch):
     diffs = np.array(diffs)
     z = diffs.mean(axis=0) / (diffs.std(axis=0, ddof=1) / math.sqrt(len(diffs)))
     assert np.abs(z).max() <= 3.0, z
+
+
+# E[e^F] of criterion 4 (free field, T=2, L=[4], m=1, phi^4 with lambda = 0.1), by transfer-matrix
+# quadrature along the time chain: K = 25, 31 and 41 nodes agree to 1e-11
+CRITERION_4_WEIGHT_MEAN = 0.692737664421
+
+
+def test_the_direct_weight_mean_matches_the_exact_phi4_value():
+    # the zero test function's entry is E[e^F]; over seeds 0-19 at 200k draws its z against the exact
+    # value read mean 0.02, sd 1.29 and max |z| 2.34 (mean -0.09 and max 2.74 without d |T|^2). Dropping
+    # Z_alpha, taking the damped means under C' instead of C'_alpha, or halving the |T|^2 control's
+    # polynomial put max |z| over seeds 0-4 at 6207, 166 and 2610
+    lat = build_lattice(2, [4])
+    cov, density, phis = free_field_covariance(lat, 1.0), phi4(lat, 0.1), random_test_functions(lat, 4, seed=2024)
+    z = []
+    for seed in range(20):
+        rep = gram_mc_direct(cov, lat, density, phis, McParams(200_000, seed=seed))
+        z.append((rep.matrix[-1, -1].real - CRITERION_4_WEIGHT_MEAN) / rep.stderr[-1, -1])
+    z = np.array(z)
+    assert np.abs(z).max() <= 3.5, z
+    assert abs(z.mean()) <= 0.75, z  # 3.4 standard errors of a mean of 20 unit normals
 
 
 @pytest.mark.parametrize("seed", [1005, 2000])

@@ -9,8 +9,9 @@ each outer product by the tilt of the shared draws the estimator picked. The
 estimators must agree with both to rounding, give the same verdicts, and
 never hold such a tensor themselves. The direct reference fits the same
 pilot coefficients and takes the same known means of its control variates,
-two untilted and four tilted, from its own closed forms (the Wick reference
-of tests/wick_reference.py for F'^2), at the tilt the estimator is held to.
+two untilted and five tilted, from its own closed forms (the Wick reference
+of tests/wick_reference.py for F'^2, the single-site one for F' and |T|^2),
+at the tilt the estimator is held to.
 For an even density the estimators
 accumulate only the real part, and the references keep only the real part
 of their tensors; for a density with an odd term the estimators accumulate
@@ -117,13 +118,13 @@ def tensor_gram_mc_direct(cov, lattice, f, phis, params, q=0.0):
     regression coefficients b2 = sum (F - mean F) w / sum (F - mean F)^2 and b1 = mean w - b2 mean F;
     b1 G0 + b2 G1 is added back, where G0[m, n] = exp(-d^T C' d / 2) for d = phi_m - theta phi_n is
     formed for all k^2 differences at once, and G1 is single_site_g1 of F. The pilot is drawn from
-    C at every q. At q > 0 the weight w = exp(F' + log Z) is regressed on (1, F', D F', D F'^2) by
-    least squares on the pilot, each row weighted by r = exp(-(q/2) |T|^2) / sum, d mu_C' / d mu_C
-    with log Z cancelled, with D = exp(-(alpha/2) |T|^2) and alpha = 0.2 / ||C'||_inf, and
-    Z_a (b3 G1a + b4 G2a) is added too:
-    under C'_a of tilted_gaussian(C', alpha), G1a is single_site_g1 of F' and G2a the Wick
-    reference of F'^2 built term by term. For an even f only the real part of each sample's
-    tensor is accumulated.
+    C at every q. At q > 0 the weight w = exp(F' + log Z) is regressed on
+    (1, F', D F', D F'^2, D |T|^2) by least squares on the pilot, each row weighted by
+    r = exp(-(q/2) |T|^2) / sum, d mu_C' / d mu_C with log Z cancelled, with D = exp(-(alpha/2) |T|^2)
+    and alpha = 0.2 / ||C'||_inf, and Z_a (b3 G1a + b4 G2a + b5 G3a) is added too: under C'_a of
+    tilted_gaussian(C', alpha), G1a is single_site_g1 of F', G2a the Wick reference of F'^2 built
+    term by term and G3a single_site_g1 of sum_x T_x^2. For an even f only the real part of each
+    sample's tensor is accumulated.
     """
     pilot = substream(params.seed, NS_PILOT, 0).standard_normal((min(params.n_samples, CHUNK_SIZE), cov.dim))
     pilot = pilot @ cov.factor.T
@@ -135,9 +136,9 @@ def tensor_gram_mc_direct(cov, lattice, f, phis, params, q=0.0):
     def tilted_values(x):
         sq = np.einsum("ij,ij->i", x, x)
         values = eval_potential_batch(f, x) + 0.5 * q * sq
-        damped = np.exp(-0.5 * alpha * sq) * values
-        controls = [np.ones_like(values), values] + ([damped, damped * values] if q else [])
-        return values, np.stack(controls, axis=1)
+        damping = np.exp(-0.5 * alpha * sq)
+        damped = [damping * values, damping * values * values, damping * sq] if q else []
+        return values, np.stack([np.ones_like(values), values, *damped], axis=1)
 
     phi_mat = np.stack(phis, axis=1)
     theta_mat = np.stack([reflect(lattice, p) for p in phis], axis=1)
@@ -157,9 +158,11 @@ def tensor_gram_mc_direct(cov, lattice, f, phis, params, q=0.0):
     if q:
         damped, log_z_alpha = tilted_gaussian(cov, alpha)
         g0_alpha = np.exp(-0.5 * np.einsum("imn,ij,jmn->mn", d, damped.matrix, d))
+        norm = Potential(tuple(Term(1.0, ((x, 2),)) for x in range(cov.dim)))
         means += [
             math.exp(log_z_alpha) * single_site_g1(damped, tilted_f, d, g0_alpha),
             math.exp(log_z_alpha) * wick_polynomial_gram(damped, phi_mat, theta_mat, product(tilted_f, tilted_f)),
+            math.exp(log_z_alpha) * single_site_g1(damped, norm, d, g0_alpha),
         ]
     offset = sum(b * (g.real if is_even(f) else g) for b, g in zip(coefficients, means))
     real, imag = tensor_parts(f)
@@ -281,8 +284,8 @@ def test_direct_gram_matches_the_tensor_path(criterion_4, monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", [0, 9])
 def test_tilted_direct_gram_matches_the_tensor_path(criterion_4, monkeypatch, seed):
-    # the grid held at the one tilt q ||C||_inf = 0.4 (phi^4 picks 0.2 or 0.4 by seed): four controls,
-    # the damped pair among them
+    # the grid held at the one tilt q ||C||_inf = 0.4 (phi^4 picks 0.2 or 0.4 by seed): five controls,
+    # the three damped ones among them
     monkeypatch.setattr(rp_verify, "_TILT_GRID", (0.4,))
     lat, cov, density, phis = criterion_4
     params = McParams(200_000, seed=seed)
@@ -322,11 +325,12 @@ def test_untilted_direct_reports_keep_their_bytes(criterion_4, name):
 
 # Reports of the tilted phi^4 density on the criterion-4 problem, seed 3 (numpy 2.4 with OpenBLAS
 # 0.3.31 on x86-64, the same at one and two BLAS threads): the direct estimate at 20k samples, whose
-# pilot fit is a weighted lstsq, taken once one pilot from C was reweighted to every tilt, and the
-# shared factorized estimate of the witness at 512 x 100 draws, taken before that and unchanged by
-# it, its pick being unchanged.
+# pilot fit is a weighted lstsq, taken again once d |T|^2 joined its damped controls (a fifth
+# coefficient moves every residual, and so every entry, per seed but not in law), and the shared
+# factorized estimate of the witness at 512 x 100 draws, which neither that nor the reweighted
+# direct pilot before it changed.
 TILTED_DIGESTS = {
-    "direct": "41e4bab512c8feb06cda30d15ebc76695f8c8c3bc8e90967a6f6835e784bb5de",
+    "direct": "e79c0d09f719ea818e69b327414759b7d34c38da74a5941dc7f99d579e07e285",
     "factorized": "8e6ef990283767f84e11d2617e9e632bdb2a5f3dfb4d28e2835f37b977fc5a57",
 }
 
