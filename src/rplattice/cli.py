@@ -30,6 +30,7 @@ from .density import (
     Potential,
     Term,
     ZERO_POTENTIAL,
+    _renamed,
     potential_from_obj,
     potential_to_obj,
     split_check,
@@ -48,12 +49,13 @@ from .gaussian import (
     tilted_gaussian,
     verify_convolution_identity,
 )
-from .gaussian import _checked_tolerance, _translates
-from .lattice import Lattice, as_float, as_int, build_lattice, reflect
+from .gaussian import _checked_tolerance, _max_ratio, _translates
+from .lattice import Lattice, as_float, as_int, build_lattice
 from .rp_verify import (
     FAIL,
     IllConditionedWeightsError,
     McParams,
+    _phase_matrices,
     gram_exact_gaussian,
     gram_mc_direct,
     gram_mc_factorized,
@@ -235,26 +237,31 @@ def resolve_config(raw, config_dir, seed_override=None):
         tf_cfg = _section(raw, "test_functions")
         kind = tf_cfg.get("kind", "random")
         if kind == "random":
-            count = _number(tf_cfg, "test_functions", "count", 4, int)
-            if count < 1:
-                _fail("test_functions count must be >= 1")
-            tf_seed = _number(tf_cfg, "test_functions", "seed", mc.seed if mc is not None else 0, int)
-            phis = random_test_functions(lattice, count, tf_seed)
-            echo["test_functions"] = {"kind": "random", "count": count, "seed": tf_seed}
+            phis = _random_family(lattice, echo, tf_cfg, mc)
         elif kind == "explicit":
             vectors = tf_cfg.get("vectors")
             if not isinstance(vectors, list) or not vectors:
                 _fail("explicit test_functions need a nonempty 'vectors' list")
             try:
-                phis = [np.asarray(vec, dtype=np.float64) for vec in vectors]
+                phis = [np.array([as_float(x, "a test function entry") for x in vec]) for vec in vectors]
                 require_positive_support(lattice, phis)
             except (TypeError, ValueError) as exc:
                 _fail(f"invalid explicit test_functions: {exc}")
-            echo["test_functions"] = {"kind": "explicit", "vectors": [list(map(float, v)) for v in vectors]}
+            echo["test_functions"] = {"kind": "explicit", "vectors": [phi.tolist() for phi in phis]}
         else:
             _fail(f"unknown test_functions kind {kind!r}")
 
     return Resolved(lattice, covariance, density, phis, mc, tolerances, echo)
+
+
+def _random_family(lattice, echo, tf_cfg, mc):
+    """The random test functions of the test_functions section tf_cfg, echoed: count 4 and seed mc.seed unless given."""
+    count = _number(tf_cfg, "test_functions", "count", 4, int)
+    if count < 1:
+        _fail("test_functions count must be >= 1")
+    seed = _number(tf_cfg, "test_functions", "seed", mc.seed if mc is not None else 0, int)
+    echo["test_functions"] = {"kind": "random", "count": count, "seed": seed}
+    return random_test_functions(lattice, count, seed)
 
 
 def _fields(report, omit=()):
@@ -287,29 +294,40 @@ def _gram_entry(report):
     return dict(entry, matrix_re=report.matrix.real, matrix_im=report.matrix.imag)
 
 
-def _pq_entry(pq):
-    return {
-        "passed": pq.both_psd,
-        "sum_exact": pq.sum_exact,
-        "p": _fields(pq.report_p, omit=("tol",)),
-        "q": _fields(pq.report_q, omit=("tol",)),
-    }
-
-
-def _split_dict(lattice, result):
-    violations = []
-    for v in result.violations:
-        wire = potential_to_obj(lattice, Potential((v.term,), 0.0))
-        violations.append({"term": wire["terms"][0], "reason": v.reason})
-    return {"is_splitting": result.is_splitting, "violations": violations}
-
-
 def _gaussian_stage(checks, resolved):
     """Write the exact Gaussian checks theta_invariance and gaussian_rp to checks, and return their report."""
     rp = check_gaussian_rp(resolved.covariance, resolved.lattice, invariance_tol=resolved.tolerances["invariance_tol"])
     checks["theta_invariance"] = _fields(rp.invariance)
     checks["gaussian_rp"] = _fields(rp, omit=("invariance",))
     return rp
+
+
+def _pq_stage(checks, reasons, resolved):
+    """Write the half-lattice split pq_decomposition to checks, and its reason on a fail; return the split."""
+    pq = decompose_pq(resolved.covariance, resolved.lattice)
+    checks["pq_decomposition"] = {
+        "passed": pq.both_psd,
+        "sum_exact": pq.sum_exact,
+        "p": _fields(pq.report_p, omit=("tol",)),
+        "q": _fields(pq.report_q, omit=("tol",)),
+    }
+    if not pq.both_psd:
+        reasons.append("pq-decomposition")
+    return pq
+
+
+def _split_stage(checks, reasons, resolved):
+    """Write the splitting decision split to checks, and its first violation's reason on a fail; return it."""
+    lattice = resolved.lattice
+    result = split_check(lattice, resolved.density)
+    violations = [
+        {"term": potential_to_obj(lattice, Potential((v.term,)))["terms"][0], "reason": v.reason}
+        for v in result.violations
+    ]
+    checks["split"] = {"is_splitting": result.is_splitting, "violations": violations}
+    if not result.is_splitting:
+        reasons.append("split:" + result.violations[0].reason)
+    return result
 
 
 def cmd_check_gaussian(resolved, csv_dir=None):
@@ -325,10 +343,7 @@ def cmd_check_gaussian(resolved, csv_dir=None):
     if not rp.passed:
         reasons.append("gaussian-rp")
 
-    pq = decompose_pq(cov, lattice)
-    checks["pq_decomposition"] = _pq_entry(pq)
-    if not pq.both_psd:
-        reasons.append("pq-decomposition")
+    pq = _pq_stage(checks, reasons, resolved)
 
     mc = resolved.mc
     # without an mc section the sample count and seed are verify_convolution_identity's defaults
@@ -351,13 +366,11 @@ def cmd_check_density(resolved):
     if resolved.density is None:
         _fail("check-density needs a 'density' section")
     lattice = resolved.lattice
-    result = split_check(lattice, resolved.density)
-    check = _split_dict(lattice, result)
-    check["witness"] = (
-        potential_to_obj(lattice, result.witness_g, half=True) if result.is_splitting else None
-    )
-    reasons = [] if result.is_splitting else ["split:" + result.violations[0].reason]
-    return {"split": check}, reasons
+    checks, reasons = {}, []
+    result = _split_stage(checks, reasons, resolved)
+    g = result.witness_g  # over half indices, written at the positive-time sites they index
+    checks["split"]["witness"] = None if g is None else potential_to_obj(lattice, _renamed(g, lattice.plus_sites))
+    return checks, reasons
 
 
 def _gram_stage(checks, reasons, name, estimate, *args):
@@ -385,8 +398,7 @@ def cmd_verify_rp(resolved):
     mc = resolved.mc
     phis = resolved.phis
     if phis is None:
-        phis = random_test_functions(lattice, 4, mc.seed)
-        resolved.echo["test_functions"] = {"kind": "random", "count": 4, "seed": mc.seed}
+        phis = _random_family(lattice, resolved.echo, {}, mc)
 
     checks = {}
     reasons = []
@@ -395,20 +407,16 @@ def cmd_verify_rp(resolved):
         reasons.append("gaussian-gate")
         return checks, reasons
 
-    split = split_check(lattice, resolved.density)
-    checks["split"] = _split_dict(lattice, split)
+    split = _split_stage(checks, reasons, resolved)
     if not split.is_splitting:
-        reasons.append("split:" + split.violations[0].reason)
         return checks, reasons
 
     direct = _gram_stage(checks, reasons, "gram_direct", gram_mc_direct, cov, lattice, resolved.density, phis, mc)
     if direct is None:
         return checks, reasons
 
-    pq = decompose_pq(cov, lattice)
-    checks["pq_decomposition"] = _pq_entry(pq)
+    pq = _pq_stage(checks, reasons, resolved)
     if not pq.both_psd:
-        reasons.append("pq-decomposition")
         return checks, reasons
 
     factorized = _gram_stage(checks, reasons, "gram_factorized", gram_mc_factorized, pq, split.witness_g, phis, mc)
@@ -429,15 +437,11 @@ def cmd_verify_rp(resolved):
     delta = np.abs(direct.matrix - factorized.matrix)
     gate = 5.0 * (direct.stderr + factorized.stderr + bias_allowance)
     agree = bool((delta <= gate).all())
-    # an entry with gate 0 and difference 0 agrees exactly: ratio 0, as in verify_convolution_identity;
-    # one with gate 0 and a difference has no finite ratio, written as null
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(gate > 0, delta / gate, np.where(delta <= gate, 0.0, np.inf))
-    ratio = float(ratios.max())
     checks["estimator_agreement"] = {
         "passed": agree,
         "max_abs_difference": float(delta.max()),
-        "max_gate_ratio": ratio if math.isfinite(ratio) else None,
+        # an entry with gate 0 agrees only exactly, and one that misses is written as null
+        "max_gate_ratio": _max_ratio(delta, gate, 0.0),
         "bias_allowance": bias_allowance,
     }
     if not agree:
@@ -535,9 +539,7 @@ def cmd_selftest(psd_tol=DEFAULT_PSD_TOL):
 
     # the polynomial closed form for sum_x T_x^2, whose mean against exp(iu.T) is minus twice the
     # q-derivative at q = 0 of the quadratic density's (below): exp(-(1/2) u^T C u) (tr C - |Cu|^2)
-    test_fns = random_test_functions(lat, 3, 7)
-    phi_mat = np.stack(test_fns, axis=1)
-    theta_mat = np.stack([reflect(lat, p) for p in test_fns], axis=1)
+    phi_mat, theta_mat = _phase_matrices(lat, random_test_functions(lat, 3, 7))
     d = phi_mat[:, :, np.newaxis] - theta_mat[:, np.newaxis, :]
     shifts = np.einsum("xy,ymn->xmn", cov.matrix, d)
     want = np.exp(-0.5 * (d * shifts).sum(axis=0)) * (np.trace(cov.matrix) - (shifts * shifts).sum(axis=0))

@@ -246,14 +246,17 @@ def eval_potential_exact(p, values):
     return total
 
 
+def _renamed(p, index):
+    """p with every factor's site s renamed index[s], terms in p's order; each Term sorts its renamed factors."""
+    return Potential(
+        tuple(Term(t.coefficient, tuple((int(index[s]), pw) for s, pw in t.factors)) for t in p.terms), p.constant
+    )
+
+
 def reflect_potential(lattice, p):
     """Substitute site -> theta(site) in every factor. An exact involution."""
-    theta = lattice.theta_perm
     check_sites(p, lattice.site_count, f"lattice of {lattice.site_count} sites")
-    terms = []
-    for t in p.terms:
-        terms.append(Term(t.coefficient, tuple((int(theta[s]), pw) for s, pw in t.factors)))
-    return canonicalize(Potential(tuple(terms), p.constant))
+    return canonicalize(_renamed(p, lattice.theta_perm))
 
 
 MIXED_SUPPORT = "mixed-support"
@@ -283,20 +286,6 @@ def _support_class(lattice, term):
     return "mixed"
 
 
-def _lift_half(lattice, g, to_minus):
-    """Rewrite a half-index potential over full-lattice sites (mirrored if asked)."""
-    plus = lattice.plus_sites
-    theta = lattice.theta_perm
-    terms = []
-    for t in g.terms:
-        mapped = []
-        for h, pw in t.factors:
-            site = int(plus[h])
-            mapped.append((int(theta[site]) if to_minus else site, pw))
-        terms.append(Term(t.coefficient, tuple(sorted(mapped))))
-    return Potential(tuple(terms), g.constant)
-
-
 def split_check(lattice, f):
     """Decide whether f splits across the reflection plane and extract a witness.
 
@@ -312,14 +301,14 @@ def split_check(lattice, f):
     """
     f = canonicalize(f)
 
-    mixed = [t for t in f.terms if _support_class(lattice, t) == "mixed"]
-    if mixed:
-        return SplitResult(False, None, tuple(Violation(t, MIXED_SUPPORT) for t in mixed))
+    support = {"plus": [], "minus": [], "mixed": []}
+    for t in f.terms:
+        support[_support_class(lattice, t)].append(t)
+    if support["mixed"]:
+        return SplitResult(False, None, tuple(Violation(t, MIXED_SUPPORT) for t in support["mixed"]))
 
-    plus_terms = tuple(t for t in f.terms if _support_class(lattice, t) == "plus")
-    minus_terms = tuple(t for t in f.terms if _support_class(lattice, t) == "minus")
-    f_plus = Potential(plus_terms, 0.0)
-    mirror = reflect_potential(lattice, Potential(minus_terms, 0.0))
+    f_plus = Potential(tuple(support["plus"]), 0.0)
+    mirror = reflect_potential(lattice, Potential(tuple(support["minus"]), 0.0))
 
     residual = add_potentials(f_plus, negate_potential(mirror))
     if residual.terms:
@@ -327,17 +316,10 @@ def split_check(lattice, f):
             False, None, tuple(Violation(t, UNMATCHED_MIRROR) for t in residual.terms)
         )
 
-    half_of = lattice.half_of
-    g_terms = tuple(
-        Term(t.coefficient, tuple((int(half_of[s]), pw) for s, pw in t.factors))
-        for t in plus_terms
-    )
-    witness = canonicalize(Potential(g_terms, f.constant / 2.0))
+    witness = canonicalize(_renamed(Potential(f_plus.terms, f.constant / 2.0), lattice.half_of))
 
-    rebuilt = add_potentials(
-        _lift_half(lattice, witness, to_minus=False),
-        _lift_half(lattice, witness, to_minus=True),
-    )
+    plus = lattice.plus_sites
+    rebuilt = add_potentials(_renamed(witness, plus), _renamed(witness, lattice.theta_perm[plus]))
     if rebuilt != f:
         raise AssertionError("witness reconstruction failed to reproduce the density exactly")
     return SplitResult(True, witness, ())
@@ -361,16 +343,11 @@ def _coeff_repr(c):
     return int(c) if float(c).is_integer() and abs(c) < 2**53 else float(c)
 
 
-def potential_to_obj(lattice, p, half=False):
+def potential_to_obj(lattice, p):
     """Wire form: terms with site coordinates, suitable for JSON."""
     terms = []
     for t in p.terms:
-        factors = []
-        for site, power in t.factors:
-            full = int(lattice.plus_sites[site]) if half else int(site)
-            factors.append(
-                {"site": [int(x) for x in lattice.coords[full]], "power": int(power)}
-            )
+        factors = [{"site": [int(x) for x in lattice.coords[site]], "power": int(power)} for site, power in t.factors]
         terms.append({"coefficient": _coeff_repr(t.coefficient), "factors": factors})
     return {"terms": terms, "constant": _coeff_repr(p.constant)}
 

@@ -899,10 +899,17 @@ def verify_convolution_identity(pq, n_samples=100_000, seed=0):
         y = pq.draw_halves(rng, pq.q.draw(rng, count), 2).reshape(count, -1)
         second += y.T @ y
     delta = np.abs(second / n_samples - target)
+    stderr = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n_samples)
+    max_sigma = _max_ratio(delta, stderr, 1e-12)
+    return ConvolutionReport(max_sigma is not None and max_sigma <= 5.0, max_sigma, int(n_samples), int(seed))
+
+
+def _max_ratio(delta, scale, exact):
+    """The largest delta / scale, or None when it is not finite.
+
+    An entry with scale 0 counts 0 when its delta is at most exact, and
+    makes the ratio infinite otherwise: no multiple of a zero scale measures it.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        stderr = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / n_samples)
-        sigmas = np.where(stderr > 0, delta / stderr, np.where(delta <= 1e-12, 0.0, np.inf))
-    max_sigma = float(sigmas.max())
-    if math.isinf(max_sigma):
-        return ConvolutionReport(False, None, int(n_samples), int(seed))
-    return ConvolutionReport(max_sigma <= 5.0, max_sigma, int(n_samples), int(seed))
+        ratio = float(np.where(scale > 0, delta / scale, np.where(delta <= exact, 0.0, np.inf)).max())
+    return ratio if math.isfinite(ratio) else None

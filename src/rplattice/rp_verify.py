@@ -348,6 +348,17 @@ def _damped(values, squares, alpha):
     return [damped, damped * values, d * squares]
 
 
+def _tilted_weights(values, squares, q, log_z, alpha):
+    """F' = F + (q/2) |T|^2 at draws with F = values and |T|^2 = squares, w = exp(F' + log Z), and _damped's controls.
+
+    The controls are empty when alpha is None. The pilot and the run both
+    weigh their draws here.
+    """
+    tilted_values = values + 0.5 * q * squares
+    w = _importance_weights(tilted_values + log_z, "density")
+    return tilted_values, w, [] if alpha is None else _damped(tilted_values, squares, alpha)
+
+
 def _damped_polynomials(control, dim):
     """F', F'^2 and |T|^2 as PolynomialTables over dim sites, F' = control: the P of _damped's controls d P."""
     return [control, control.squared(), PolynomialTable().plus_squares(1.0, dim)]
@@ -434,10 +445,8 @@ def _pick_tilt(cov, f, n_pilot, seed):
     values, squares = eval_potential_batch(f, block), _row_squares(block)
 
     def pilot(q, tilted, log_z, r):
-        tilted_values = values + 0.5 * q * squares
-        w = _importance_weights(tilted_values + log_z, "density")
         alpha = None if q == 0 else _damps(f, tilted)
-        damped = [] if alpha is None else _damped(tilted_values, squares, alpha)
+        tilted_values, w, damped = _tilted_weights(values, squares, q, log_z, alpha)
         controls = np.stack([np.ones_like(values), tilted_values, *damped], axis=1)
         if q == 0:
             b = _control_coefficients(values, w)
@@ -504,8 +513,9 @@ def gram_mc_direct(cov, lattice, f, phis, params):
 
     q and b come from an independent pilot from C, which keeps the estimate
     unbiased; q is the one of _tilts' grid whose reweighted pilot leaves the
-    least variance in w less its controls. F is evaluated once per draw,
-    and |T|^2 is the row sum the tilt takes. A zero or constant density
+    least variance in w less its controls. F and |T|^2 are evaluated once
+    per draw, and _tilted_weights forms F', w and the damped controls from
+    them, in the pilot and in the run alike. A zero or constant density
     gives q = 0, b2 = 0 and b1 the pilot's mean weight, so at zero density
     the estimate is G0 exactly. The weights are used raw (no normalization);
     their effective sample size sum(w)/max(w) is reported as a diagnostic.
@@ -527,12 +537,8 @@ def gram_mc_direct(cov, lattice, f, phis, params):
         for _, block in iter_sample_chunks(tilted, params.n_samples, params.seed):
             a = block @ phi_mat
             phase_b = block @ theta_mat
-            values = eval_potential_batch(f, block)
-            if q:  # F' = F + (q/2) |T|^2, from one row sum of squares
-                squares = _row_squares(block)
-                values += 0.5 * q * squares
-            w = _importance_weights(values + log_z, "density")
-            v = _residual(w, values, b, [] if alpha is None else _damped(values, squares, alpha))[:, np.newaxis]
+            values, w, damped = _tilted_weights(eval_potential_batch(f, block), _row_squares(block), q, log_z, alpha)
+            v = _residual(w, values, b, damped)[:, np.newaxis]
             _add_samples(moments, imag, v * np.cos(a), v * np.sin(a), np.cos(phase_b), np.sin(phase_b))
             weight_stats.append((float(w.sum()), float(w.max())))
     # F' as a table of terms, for the closed forms of its controls' means

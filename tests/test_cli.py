@@ -432,6 +432,64 @@ def test_check_density_rejects_one_sided_quartic(tmp_path):
     assert code == 1
 
 
+def _density_obj(terms, constant=0):
+    """Config form of a density on a lattice with one spatial axis: terms as (coefficient, ((t, x, power), ...))."""
+    return {
+        "terms": [
+            {"coefficient": c, "factors": [{"site": [t, x], "power": p} for t, x, p in factors]}
+            for c, factors in terms
+        ],
+        "constant": constant,
+    }
+
+
+_PHI4_TERMS = [(-0.1, ((t, x, 4),)) for t in (-2, -1, 1, 2) for x in range(4)]
+# criterion 4's lattice; name -> (density, exit code)
+CHECK_DENSITY_CASES = {
+    "phi4": (_density_obj(_PHI4_TERMS), 0),
+    # a two-site product with an odd power in each half and a nonzero constant: the witness has
+    # multi-factor terms, each renamed from half indices back to sites when it is written
+    "split-products": (
+        _density_obj(
+            [(0.5, ((s, 0, 1), (2 * s, 1, 3))) for s in (1, -1)]
+            + [(-0.25, ((s, 3, 2), (2 * s, 2, 2))) for s in (1, -1)]
+            + [(0.125, ((s, 2, 1),)) for s in (1, -1)],
+            0.75,
+        ),
+        0,
+    ),
+    # -1.2 sum_x T(1, x) T(-1, x) plus phi^4: four terms across the plane
+    "mixed-support": (_density_obj([(-1.2, ((1, x, 1), (-1, x, 1))) for x in range(4)] + _PHI4_TERMS), 1),
+    # mirrored coefficients that disagree, and a two-site term on the positive half alone
+    "unmatched-mirror": (
+        _density_obj([(-0.1, ((1, 0, 4),)), (-0.2, ((-1, 0, 4),)), (0.3, ((2, 1, 1), (1, 2, 1)))]),
+        1,
+    ),
+}
+# sha256 of each check-density report without its wall_time_s line; the reports are symbolic and
+# read no BLAS, so the bytes are the same at every thread count
+CHECK_DENSITY_DIGESTS = {
+    "phi4": "2202f8c35c50830d0d78f3386953474a69d15aebe62045a7719c9ec2d5261a98",
+    "split-products": "af61be32ba26084fc0d00aea4cd71027f4d07616b0a4c50da06f733dcbbd37de",
+    "mixed-support": "175108ef5d7995299a552ef8b225cd588b10733a031b13df1fe55537c10c5e53",
+    "unmatched-mirror": "d01695355ba6656ff425873a00af8e65ad7e6ec2678408a6ffc39115610142af",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_DENSITY_CASES))
+def test_check_density_report_bytes_are_pinned(tmp_path, name):
+    density_obj, code = CHECK_DENSITY_CASES[name]
+    cfg = write_config(
+        tmp_path / "cfg.json", {"lattice": {"time_extent": 2, "spatial_extents": [4]}, "density": density_obj}
+    )
+    out = tmp_path / "report.json"
+    assert main(["check-density", "--config", cfg, "--out", str(out), "--quiet"]) == code
+    lines = out.read_bytes().splitlines(keepends=True)
+    body = b"".join(line for line in lines if not line.lstrip().startswith(b'"wall_time_s"'))
+    assert len(body) < sum(map(len, lines))
+    assert hashlib.sha256(body).hexdigest() == CHECK_DENSITY_DIGESTS[name]
+
+
 def test_verify_rp_full_pipeline_passes(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",
@@ -733,6 +791,8 @@ MALFORMED_CONFIGS = {
     # json.loads reads NaN and Infinity; a 16-site vector that is zero on the negative half
     "test_functions-nan": {"test_functions": {"kind": "explicit", "vectors": [[0.0] * 8 + [NAN] + [0.0] * 7]}},
     "test_functions-infinity": {"test_functions": {"kind": "explicit", "vectors": [[0.0] * 8 + [INF] + [0.0] * 7]}},
+    "test_functions-entry-string": {"test_functions": {"kind": "explicit", "vectors": [[0.0] * 8 + ["1"] + [0.0] * 7]}},
+    "test_functions-entry-bool": {"test_functions": {"kind": "explicit", "vectors": [[0.0] * 8 + [True] + [0.0] * 7]}},
     "density-coefficient-nan": {
         "density": {"terms": [{"coefficient": NAN, "factors": [{"site": [1, 0], "power": 4}]}]}
     },
@@ -880,13 +940,13 @@ def _raise_in_the_estimator(*args, **kwargs):
     raise RuntimeError("estimator bug")
 
 
-_LIFT_HALF = density._lift_half
+_RENAMED = density._renamed
 
 
-def _lift_half_with_a_shifted_constant(lattice, g, to_minus):
-    # the two lifted halves then rebuild the density's constant plus 2, so split_check's rebuild misses
-    lifted = _LIFT_HALF(lattice, g, to_minus)
-    return density.Potential(lifted.terms, lifted.constant + 1.0)
+def _renamed_with_a_shifted_constant(p, index):
+    # every renaming adds 1 to the constant, so the witness's two renamed halves miss the density's
+    renamed = _RENAMED(p, index)
+    return density.Potential(renamed.terms, renamed.constant + 1.0)
 
 
 # a two-site verify-rp run that passes every check in well under a second
@@ -914,7 +974,7 @@ EXIT_CASES = {
     ),
     "witness-rebuild-misses": (
         {},
-        (density, "_lift_half", _lift_half_with_a_shifted_constant),
+        (density, "_renamed", _renamed_with_a_shifted_constant),
         4,
         "internal error: AssertionError('witness reconstruction failed to reproduce the density exactly')",
     ),

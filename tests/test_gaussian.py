@@ -921,8 +921,9 @@ def test_free_field_split_and_its_draws_at_n4096_allocate_no_half_block():
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
-        pq = decompose_pq(cov, lat)
-        assert pq.sum_exact and cli._pq_entry(pq)["sum_exact"]
+        checks = {}
+        pq = cli._pq_stage(checks, [], cli.Resolved(lat, cov, None, None, None, {}, {}))
+        assert pq.sum_exact and checks["pq_decomposition"]["sum_exact"]
         assert cov == twin and pq == twin_pq
         for summand in (pq.p, pq.q):
             for _ in range(8):
