@@ -45,6 +45,7 @@ from .gaussian import (
     decompose_pq,
     free_field_covariance,
     gaussian_polynomial_gram,
+    symmetrized,
     theta_inner,
     tilted_gaussian,
     verify_convolution_identity,
@@ -65,7 +66,6 @@ from .rp_verify import (
     small_lambda_probe,
 )
 
-STRUCTURAL_PSD_FLOOR = -1e-10
 ILL_CONDITIONED = "ill-conditioned-weights"
 # exit code -> report verdict; 3 is an unusable estimate, which is not a verified failure
 VERDICTS = {0: "pass", 1: "fail", 3: "inconclusive"}
@@ -90,11 +90,16 @@ def write_matrix_csv(path, matrix):
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def read_matrix_csv(path):
+def _read_text(path, what):
+    """The UTF-8 text of the file at path; a file that cannot be read is a config error naming it as what."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        _fail(f"cannot read matrix file {path}: {exc}")
+        _fail(f"cannot read {what} {path}: {exc}")
+
+
+def read_matrix_csv(path):
+    text = _read_text(path, "matrix file")
     try:
         rows = [
             [float(tok) for tok in line.split(",")]
@@ -123,11 +128,7 @@ class Resolved:
 
 def load_config(path):
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        _fail(f"cannot read config {path}: {exc}")
-    try:
-        raw = json.loads(text)
+        raw = json.loads(_read_text(path, "config"))
     except json.JSONDecodeError as exc:
         _fail(f"config {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
@@ -424,11 +425,11 @@ def cmd_verify_rp(resolved):
         return checks, reasons
 
     if mc.share_inner:
-        structural_ok = factorized.min_eigenvalue >= STRUCTURAL_PSD_FLOOR
+        structural_ok = factorized.min_eigenvalue >= -factorized.tol
         checks["structural_psd"] = {
             "passed": structural_ok,
             "min_eigenvalue": factorized.min_eigenvalue,
-            "floor": STRUCTURAL_PSD_FLOOR,
+            "floor": -factorized.tol,
         }
         if not structural_ok:
             reasons.append("structural-psd")
@@ -497,7 +498,7 @@ def cmd_selftest(psd_tol=DEFAULT_PSD_TOL):
         a, b = x @ x.T, y @ y.T
         prod = schur_product(a, b)
         scale = float(np.linalg.norm(a, 2) * np.linalg.norm(b, 2))
-        rel = float(np.linalg.eigvalsh((prod + prod.T) / 2.0).min()) / max(scale, 1e-300)
+        rel = float(np.linalg.eigvalsh(symmetrized(prod)).min()) / max(scale, 1e-300)
         worst = min(worst, rel)
     entry("schur-psd-battery", worst >= -psd_tol, worst, -psd_tol)
 
@@ -576,8 +577,7 @@ def cmd_selftest(psd_tol=DEFAULT_PSD_TOL):
 
     params = McParams(n_samples=1, seed=7, n_outer=256, n_inner=64, share_inner=True)
     fact = gram_mc_factorized(pq, ZERO_POTENTIAL, phis, params)
-    gate = min(STRUCTURAL_PSD_FLOOR, -psd_tol)
-    entry("factorized-structural-psd", fact.min_eigenvalue >= gate, fact.min_eigenvalue, gate)
+    entry("factorized-structural-psd", fact.min_eigenvalue >= -fact.tol, fact.min_eigenvalue, -fact.tol)
 
     reasons = [e["name"] for e in entries if not e["passed"]]
     return {"selftest": entries}, reasons

@@ -117,24 +117,22 @@ def check_sites(p, count, where):
 class TermBlock:
     """Terms of one power shape as arrays: term i is coefficients[i] * prod_j T[sites[i, j]] ** powers[j].
 
-    order[i] is the term's place in its polynomial's term order, ascending
-    along the block. A row may name one site twice: the product is the same.
+    A row may name one site twice: the product is the same.
     """
 
     powers: tuple
     coefficients: np.ndarray
     sites: np.ndarray
-    order: np.ndarray
 
 
 @dataclass(frozen=True)
 class PolynomialTable:
     """A polynomial as TermBlocks, one block per power shape, plus a constant.
 
-    The array form of a Potential: of(p) keeps p's terms, each at its place
-    in p's term order. plus_squares and squared build polynomials of many
-    terms, such as the square of a tilted density, without a Term object
-    per term; their terms are ordered block by block.
+    The array form of a Potential: of(p) groups p's terms by power shape,
+    shapes in order of first appearance, each block in p's term order.
+    plus_squares and squared build polynomials of many terms, such as the
+    square of a tilted density, without a Term object per term.
     """
 
     blocks: tuple = ()
@@ -146,14 +144,13 @@ class PolynomialTable:
         if isinstance(p, PolynomialTable):
             return p
         shapes = {}
-        for i, t in enumerate(p.terms):
-            shapes.setdefault(tuple(power for _, power in t.factors), []).append((i, t))
+        for t in p.terms:
+            shapes.setdefault(tuple(power for _, power in t.factors), []).append(t)
         blocks = tuple(
             TermBlock(
                 powers,
-                np.array([t.coefficient for _, t in terms]),
-                np.array([[site for site, _ in t.factors] for _, t in terms], dtype=np.intp).reshape(len(terms), -1),
-                np.array([i for i, _ in terms], dtype=np.intp),
+                np.array([t.coefficient for t in terms]),
+                np.array([[site for site, _ in t.factors] for t in terms], dtype=np.intp).reshape(len(terms), -1),
             )
             for powers, terms in shapes.items()
         )
@@ -161,12 +158,12 @@ class PolynomialTable:
 
     @property
     def term_count(self):
-        return sum(len(b.order) for b in self.blocks)
+        return sum(len(b.coefficients) for b in self.blocks)
 
     def plus_squares(self, coefficient, dim):
         """This polynomial plus coefficient * sum over the dim sites x of T_x^2, as one more block."""
-        squares = ((2,), np.full(dim, float(coefficient)), np.arange(dim).reshape(dim, 1))
-        return _ordered([(b.powers, b.coefficients, b.sites) for b in self.blocks] + [squares], self.constant)
+        squares = TermBlock((2,), np.full(dim, float(coefficient)), np.arange(dim).reshape(dim, 1))
+        return PolynomialTable(self.blocks + (squares,), self.constant)
 
     def squared(self):
         """The square: each unordered pair of terms once, the pairs of two distinct terms twice, and 2 c P + c^2.
@@ -178,25 +175,16 @@ class PolynomialTable:
         for a, left in enumerate(self.blocks):
             for right in self.blocks[a:]:
                 if right is left:
-                    i, j = np.triu_indices(len(left.order))
+                    i, j = np.triu_indices(len(left.coefficients))
                     scale = np.where(i == j, 1.0, 2.0)
                 else:
-                    i, j = (index.ravel() for index in np.indices((len(left.order), len(right.order))))
+                    i, j = (index.ravel() for index in np.indices((len(left.coefficients), len(right.coefficients))))
                     scale = 2.0
                 sites = np.concatenate([left.sites[i], right.sites[j]], axis=1)
                 blocks.append((left.powers + right.powers, scale * left.coefficients[i] * right.coefficients[j], sites))
         if self.constant:
             blocks += [(b.powers, 2.0 * self.constant * b.coefficients, b.sites) for b in self.blocks]
-        return _ordered(blocks, self.constant * self.constant)
-
-
-def _ordered(blocks, constant):
-    """The PolynomialTable of blocks given as (powers, coefficients, sites), its terms numbered block by block."""
-    start, ordered = 0, []
-    for powers, coefficients, sites in blocks:
-        ordered.append(TermBlock(powers, coefficients, sites, np.arange(start, start + len(coefficients))))
-        start += len(coefficients)
-    return PolynomialTable(tuple(ordered), constant)
+        return PolynomialTable(tuple(TermBlock(*b) for b in blocks), self.constant * self.constant)
 
 
 def eval_potential(p, values):

@@ -328,16 +328,20 @@ class ConvolutionReport:
     seed: int
 
 
+def _gate(eigs, threshold, tol):
+    """The PsdReport of a spectrum gated at threshold: min eigenvalue >= threshold, an empty spectrum's minimum 0."""
+    min_eig = float(eigs.min()) if eigs.size else 0.0
+    return PsdReport(min_eig >= threshold, min_eig, threshold, tol)
+
+
 def _spectral_psd(eigs, tol):
     """PSD gate on a spectrum: min eigenvalue >= -tol * max(1, max |eigenvalue|).
 
     The threshold scales with the spectral norm but is never tighter than
     -tol; an empty spectrum passes with minimum 0.
     """
-    min_eig = float(eigs.min()) if eigs.size else 0.0
     scale = max(1.0, float(np.abs(eigs).max())) if eigs.size else 1.0
-    threshold = -tol * scale
-    return PsdReport(min_eig >= threshold, min_eig, threshold, tol)
+    return _gate(eigs, -tol * scale, tol)
 
 
 def symmetrized(matrix):
@@ -416,9 +420,7 @@ def tilted_gaussian(cov, q):
     rounding. A dense C takes one solve and the Covariance eigh, and log Z
     its slogdet. C' keeps cov's psd_tolerance.
     """
-    q = as_float(q, "q")
-    if not (q >= 0 and math.isfinite(q)):  # NaN fails
-        raise ValueError(f"tilt q must be finite and nonnegative, got {q}")
+    q = _checked_tolerance(q, "tilt q")
     if q == 0:
         return cov, 0.0
     if cov.momentum_roots is None:
@@ -555,9 +557,10 @@ def gaussian_polynomial_gram(cov, phi_mat, theta_mat, p):
     a term's factors. C Phi and C Theta are the only products with C, so all
     k^2 shifts are exact at once, with no sampling. The terms of one power
     shape are evaluated together, as arrays, a chunk of terms at a time, so
-    the temporaries stay near _POLYNOMIAL_BLOCK doubles; the terms' shares
-    are still added one by one in term order, so the result does not depend
-    on the grouping or the chunks. The matrix is real when every term of P
+    the temporaries stay near _POLYNOMIAL_BLOCK doubles. The terms' shares
+    are added one by one, block by block in the table's order, so the result
+    does not depend on the chunks; a Potential's terms add in the order of
+    PolynomialTable.of(P). The matrix is real when every term of P
     has even degree and complex otherwise; the constant polynomial 1 gives
     the Gaussian Gram G0 = exp(-(1/2) u^T C u).
     """
@@ -574,34 +577,20 @@ def gaussian_polynomial_gram(cov, phi_mat, theta_mat, p):
 
     # the even-degree terms of E[P(Y + iv)] are real, the odd-degree ones imaginary
     parts = [np.full(g0.shape, table.constant), np.zeros(g0.shape)]
-    for parity, part in enumerate(parts):
-        blocks = [b for b in table.blocks if sum(b.powers) % 2 == parity]
-        if not blocks:
-            continue
-        patterns = [_wick_patterns(b.powers) for b in blocks]
-        moments = [_wick_moments(c, b.sites, slots) for b, (slots, *_) in zip(blocks, patterns)]
-        # each term's shares, one per pattern, are added at its place in term order
-        counts = np.zeros(table.term_count, dtype=np.intp)
-        for b, m in zip(blocks, moments):
-            counts[b.order] = m.shape[1]
-        ends = np.cumsum(counts)
-        step = max(1, _POLYNOMIAL_BLOCK // (3 * counts.max() * g0.size))
-        for lo in range(0, len(counts), step):
-            hi = min(lo + step, len(counts))
-            first = ends[lo] - counts[lo]
-            shares = np.empty((1 + ends[hi - 1] - first, *g0.shape))
-            shares[0] = part
-            for b, (_, signs, binomials, exponents), m in zip(blocks, patterns, moments):
-                rows = slice(*np.searchsorted(b.order, (lo, hi)))
-                if rows.start == rows.stop:
-                    continue
-                x = (b.coefficients[rows, np.newaxis] * m[rows] * signs * binomials)[:, :, np.newaxis, np.newaxis]
-                for shift in _shift_powers(c_phi, c_theta, b.sites[rows], exponents):
-                    x = x * shift
-                if not m[rows].all():  # a zero moment shares -0.0, which adds nothing
-                    x = np.where((m[rows] == 0.0)[:, :, np.newaxis, np.newaxis], -0.0, x)
-                at = ends[b.order[rows]] - counts[b.order[rows]] - first + 1
-                shares[at[:, np.newaxis] + np.arange(m.shape[1])] = x
+    for b in table.blocks:
+        part = parts[sum(b.powers) % 2]
+        slots, signs, binomials, exponents = _wick_patterns(b.powers)
+        step = max(1, _POLYNOMIAL_BLOCK // (3 * len(slots) * max(g0.size, 1)))  # k = 0 is sized as k = 1
+        for lo in range(0, len(b.coefficients), step):
+            rows = slice(lo, lo + step)
+            m = _wick_moments(c, b.sites[rows], slots)
+            x = (b.coefficients[rows, np.newaxis] * m * signs * binomials)[:, :, np.newaxis, np.newaxis]
+            for shift in _shift_powers(c_phi, c_theta, b.sites[rows], exponents):
+                x = x * shift
+            if not m.all():  # a zero moment shares -0.0, which adds nothing
+                x = np.where((m == 0.0)[:, :, np.newaxis, np.newaxis], -0.0, x)
+            # each term's shares, one per pattern, add onto the part in the block's term order
+            shares = np.concatenate([part[np.newaxis], x.reshape(x.shape[0] * x.shape[1], *g0.shape)])
             part[...] = np.add.accumulate(shares, axis=0, out=shares)[-1]
     if is_even(table):
         return g0 * parts[0]

@@ -48,8 +48,8 @@ import numpy as np
 
 from .density import Potential, PolynomialTable, check_sites, eval_potential_batch, is_even
 from .gaussian import (
-    PsdReport,
     _checked_tolerance,
+    _gate,
     char_fn,
     gaussian_polynomial_gram,
     iter_sample_chunks,
@@ -57,7 +57,7 @@ from .gaussian import (
     tilted_gaussian,
     warn_unless_invariant,
 )
-from .lattice import _as_site_vector, as_int, embed_plus, positive_support, reflect, restrict_plus
+from .lattice import _as_site_vector, as_float, as_int, embed_plus, positive_support, reflect, restrict_plus
 from .streams import (
     CHUNK_SIZE,
     NS_BOOTSTRAP,
@@ -149,9 +149,7 @@ def psd_check(matrix, tol, eig_error_bound=0.0):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     tol, bound = _checked_tolerance(tol, "tol"), _checked_tolerance(eig_error_bound, "eig_error_bound")
-    min_eig = float(np.linalg.eigvalsh(symmetrized(m)).min()) if m.size else 0.0
-    threshold = -tol - 5.0 * bound
-    return PsdReport(min_eig >= threshold, min_eig, threshold, tol)
+    return _gate(np.linalg.eigvalsh(symmetrized(m)), -tol - 5.0 * bound, tol)
 
 
 def schur_product(a, b):
@@ -200,7 +198,7 @@ def small_lambda_probe(cov, lattice, phi, lambdas):
     diff = phi - reflect(lattice, phi)
     out = []
     for lam in lambdas:
-        lam = float(lam)
+        lam = as_float(lam, "probe scale")
         if not (lam > 0 and 0.0 < lam * lam < math.inf):  # NaN fails; a square that under- or overflows too
             raise ValueError(f"probe scale must be positive with a finite, positive square, got {lam}")
         value = (char_fn(cov, lam * diff) - 2.0 * char_fn(cov, lam * phi) + 1.0) / lam**2
@@ -281,12 +279,12 @@ def _finish_mc_report(moments, tol, seed, kind, weight_stats, offset=None, imag=
             mean_im, stderr_im = imag.mean_and_stderr()
             mean, stderr = mean + 1j * mean_im, np.sqrt(stderr**2 + stderr_im**2)
             sums = [re + 1j * im for re, im in zip(sums, imag.sums)]
+        if offset is not None:
+            # a control variate's known mean, also in each chunk sum for the bootstrap
+            mean = mean + offset
+            sums = [s + count * offset for count, s in zip(moments.counts, sums)]
     if not (np.isfinite(mean).all() and np.isfinite(stderr).all()):
         raise IllConditionedWeightsError(f"the weighted moments of the {kind} estimate overflowed")
-    if offset is not None:
-        # a control variate's known mean, also in each chunk sum for the bootstrap
-        mean = mean + offset
-        sums = [s + count * offset for count, s in zip(moments.counts, sums)]
     # effective sample size sum(w)/max(w) from per-batch (sum, max) of the weights
     w_sum, w_max = sum(s for s, _ in weight_stats), max(m for _, m in weight_stats)
     ess = w_sum / w_max if w_max > 0 else 0.0
@@ -383,8 +381,8 @@ def _least_variance(tilts, squares, pilot):
     reads them as draws from its C' through r = _reweights(squares, q).
     pilot(q, C', log Z, r) gives (x, extra), x at the pilot draws, and the
     score is the r-weighted variance of x about its r-weighted mean. Ties go
-    to the smaller q, and so do tilts whose pilot weights overflow; q = 0's
-    overflow raises.
+    to the smaller q, and so do tilts whose pilot weights or controls
+    overflow; q = 0's overflow raises.
     """
     best = None
     for q, tilted, log_z in tilts:
@@ -448,6 +446,8 @@ def _pick_tilt(cov, f, n_pilot, seed):
         alpha = None if q == 0 else _damps(f, tilted)
         tilted_values, w, damped = _tilted_weights(values, squares, q, log_z, alpha)
         controls = np.stack([np.ones_like(values), tilted_values, *damped], axis=1)
+        if not np.isfinite(controls).all():
+            raise IllConditionedWeightsError("a control of the density overflowed in the tilt pilot")
         if q == 0:
             b = _control_coefficients(values, w)
         else:
@@ -531,7 +531,8 @@ def gram_mc_direct(cov, lattice, f, phis, params):
     moments = ChunkMoments()
     imag = None if is_even(f) else ChunkMoments()
     weight_stats = []
-    # huge but finite weights overflow the sums; _finish_mc_report rejects what is not finite
+    # huge but finite weights overflow the sums, and huge draws the closed forms; _finish_mc_report
+    # rejects what is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         q, tilted, log_z, b, alpha = _pick_tilt(cov, f, min(params.n_samples, CHUNK_SIZE), params.seed)
         for _, block in iter_sample_chunks(tilted, params.n_samples, params.seed):
@@ -541,15 +542,15 @@ def gram_mc_direct(cov, lattice, f, phis, params):
             v = _residual(w, values, b, damped)[:, np.newaxis]
             _add_samples(moments, imag, v * np.cos(a), v * np.sin(a), np.cos(phase_b), np.sin(phase_b))
             weight_stats.append((float(w.sum()), float(w.max())))
-    # F' as a table of terms, for the closed forms of its controls' means
-    control = f if q == 0 else PolynomialTable.of(f).plus_squares(q / 2, cov.dim)
-    g0, g1 = (gaussian_polynomial_gram(tilted, phi_mat, theta_mat, p) for p in (_ONE, control))
-    offset = b[0] * g0 + b[1] * g1
-    if alpha is not None:
-        # E_C'[d P exp(i(a - b))] = Z_alpha G(C'_alpha, P), exp(-(alpha/2) |T|^2) mu_C' = Z_alpha mu_C'_alpha
-        heavier, log_z_alpha = tilted_gaussian(tilted, alpha)
-        grams = (gaussian_polynomial_gram(heavier, phi_mat, theta_mat, p) for p in _damped_polynomials(control, cov.dim))
-        offset = offset + math.exp(log_z_alpha) * sum(c * g for c, g in zip(b[2:], grams))
+        # F' as a table of terms, for the closed forms of its controls' means
+        control = f if q == 0 else PolynomialTable.of(f).plus_squares(q / 2, cov.dim)
+        g0, g1 = (gaussian_polynomial_gram(tilted, phi_mat, theta_mat, p) for p in (_ONE, control))
+        offset = b[0] * g0 + b[1] * g1
+        if alpha is not None:
+            # E_C'[d P exp(i(a - b))] = Z_alpha G(C'_alpha, P), exp(-(alpha/2) |T|^2) mu_C' = Z_alpha mu_C'_alpha
+            heavier, log_z_alpha = tilted_gaussian(tilted, alpha)
+            grams = (gaussian_polynomial_gram(heavier, phi_mat, theta_mat, p) for p in _damped_polynomials(control, cov.dim))
+            offset = offset + math.exp(log_z_alpha) * sum(c * g for c, g in zip(b[2:], grams))
     return _finish_mc_report(moments, cov.psd_tolerance, params.seed, "mc-direct", weight_stats, offset, imag)
 
 

@@ -1171,6 +1171,38 @@ def test_a_shared_estimate_below_the_structural_floor_is_its_own_reason(tmp_path
     assert report["failure_reasons"] == ["structural-psd"]
 
 
+def test_the_structural_floor_is_the_psd_tolerance(tmp_path, monkeypatch):
+    estimate = rp_verify.gram_mc_factorized
+    monkeypatch.setattr(
+        cli, "gram_mc_factorized", lambda *args: dataclasses.replace(estimate(*args), min_eigenvalue=-5e-9)
+    )
+    cfg = write_config(tmp_path / "cfg.json", {**SMALL_VERIFY_RP, "tolerances": {"psd_tol": 1e-8}})
+    out = tmp_path / "report.json"
+    assert main(["verify-rp", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = load_report(out)
+    assert report["checks"]["structural_psd"] == {"passed": True, "min_eigenvalue": -5e-9, "floor": -1e-8}
+
+
+def test_draws_whose_controls_overflow_exit_three_with_nothing_on_stderr(tmp_path):
+    # C = 1e80 I on four sites: the run exited 4 on a LinAlgError, after LAPACK printed on stdout
+    write_matrix_csv(tmp_path / "cov.csv", 1e80 * np.eye(4))
+    quartic = [{"coefficient": -0.1, "factors": [{"site": [t], "power": 4}]} for t in (-2, -1, 1, 2)]
+    cfg = write_config(tmp_path / "cfg.json", {
+        "lattice": {"time_extent": 2, "spatial_extents": []},
+        "covariance": {"kind": "explicit", "matrix_file": "cov.csv"},
+        "density": {"terms": quartic},
+        "mc": {"n_samples": 2000, "seed": 1, "n_outer": 64, "n_inner": 16},
+    })
+    out = tmp_path / "report.json"
+    src = str(Path(rplattice.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "rplattice.cli", "verify-rp", "--config", cfg, "--out", str(out), "--quiet"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "")
+    assert load_report(out)["failure_reasons"] == ["ill-conditioned-weights"]
+
+
 @pytest.mark.parametrize("estimator", ["direct", "factorized"])
 def test_a_stable_fail_of_either_estimate_is_its_own_reason(tmp_path, monkeypatch, estimator):
     estimate = getattr(rp_verify, f"gram_mc_{estimator}")

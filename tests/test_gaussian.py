@@ -1297,8 +1297,11 @@ def _array_form_problems(lat, cov):
         tuple(Term(-1.5, ((a, 1), (b, 1))) for a, b in zip(plus, minus))
         + (Term(0.25, ((plus[1], 2), (minus[1], 1), (minus[2], 1))),)
     )
+    # phi^4 plus a mass term: two even power shapes whose terms interleave in term order
+    massive = add_potentials(f, Potential(tuple(Term(0.05, ((x, 2),)) for x in range(lat.site_count))))
     return {
         "phi4": (f, f),
+        "phi4-mass": (massive, massive),
         "tilted-square": (
             PolynomialTable.of(f).plus_squares(q / 2, lat.site_count).squared(),
             product(tilted_f, tilted_f),
@@ -1310,7 +1313,7 @@ def _array_form_problems(lat, cov):
 
 
 @pytest.mark.parametrize("cov_kind", ["column-table", "explicit", "diagonal"])
-@pytest.mark.parametrize("name", ["phi4", "tilted-square", "odd", "mixed-support", "mixed-support-square"])
+@pytest.mark.parametrize("name", ["phi4", "phi4-mass", "tilted-square", "odd", "mixed-support", "mixed-support-square"])
 def test_the_array_form_matches_the_wick_reference(cov_kind, name):
     lat = build_lattice(2, [4])
     cov = free_field_covariance(lat, 1.0)
@@ -1327,8 +1330,17 @@ def test_the_array_form_matches_the_wick_reference(cov_kind, name):
     assert np.iscomplexobj(got) == np.iscomplexobj(want) == (name == "odd")
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     if isinstance(p, Potential):
-        # a Potential's shares are added in its term order, as the reference adds them: the same bits
+        # a Potential's shares are added block by block, shapes in order of first appearance, as the
+        # reference adds them: the same bits
         assert np.array_equal(got, want)
+
+
+def test_no_test_functions_give_an_empty_matrix():
+    # k = 0: no entry to size a chunk of terms by, and an empty Gram, without a warning
+    lat = build_lattice(2, [4])
+    empty = np.zeros((lat.site_count, 0))
+    got = gaussian_polynomial_gram(free_field_covariance(lat, 1.0), empty, empty, phi4(lat, 0.1))
+    assert got.shape == (0, 0)
 
 
 def test_the_array_form_does_not_depend_on_its_chunks(monkeypatch):
@@ -1360,8 +1372,6 @@ def test_a_square_has_every_pair_of_terms_once():
     x = np.random.default_rng(0).standard_normal((50, lat.site_count))
     values = eval_potential_batch(f, x) + 0.2 * (x * x).sum(axis=1)
     np.testing.assert_allclose(_table_values(square, x), values * values, rtol=1e-12, atol=1e-14)
-    # its terms are ordered block by block
-    assert np.array_equal(np.concatenate([b.order for b in square.blocks]), np.arange(square.term_count))
 
 
 def _table_values(table, x):

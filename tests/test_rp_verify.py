@@ -196,11 +196,12 @@ def test_a_psd_tolerance_passed_to_a_derived_gate_is_refused(call):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 1e-300, 1e200, 0.0, -0.1])
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 1e-300, 1e200, 0.0, -0.1, True, "0.1"])
 def test_probe_refuses_a_scale_whose_square_is_not_positive_and_finite(scale):
-    # NaN returned [nan], inf warned, 1e-300 divided by a square that underflows to zero
+    # NaN returned [nan], inf warned, 1e-300 divided by a square that underflows to zero, and
+    # float() read True as 1 and "0.1" as 0.1
     lat = build_lattice(1, [])
-    with pytest.raises(ValueError, match="probe scale must be positive"):
+    with pytest.raises(ValueError, match="probe scale must be (positive|a number)"):
         small_lambda_probe(two_site_cov(0.5), lat, np.array([0.0, 1.0]), [scale])
 
 
@@ -862,6 +863,18 @@ def test_huge_finite_weights_raise_instead_of_overflowing_the_moments(estimator,
         "mc": {"n_samples": 2000, "seed": 0, "n_outer": 200, "n_inner": 20},
     }), encoding="utf-8")
     assert cli.main(["verify-rp", "--config", str(cfg), "--quiet"]) == 3
+
+
+def test_draws_whose_controls_overflow_raise_instead_of_failing_the_fit():
+    # C = 1e80 I: d F'^2 overflows the pilot of every q > 0, whose lstsq raised a LinAlgError, and
+    # the q = 0 offset overflows to NaN, which reached eigvalsh past the finiteness check
+    lat = build_lattice(2, [])
+    cov = Covariance(1e80 * np.eye(lat.site_count))
+    phis = random_test_functions(lat, 2, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditionedWeightsError, match="moments of the mc-direct"):
+            gram_mc_direct(cov, lat, phi4(lat, 0.1), phis, McParams(2000, seed=1))
 
 
 def test_hermiticity_gap_is_within_noise():

@@ -4,8 +4,10 @@ wick_polynomial_gram walks a Potential one Term at a time: each factor
 (Y_x + i v_x)^p expands binomially, and each mixed moment of Y comes from a
 Wick recursion over the multiset of sites, cached by that multiset. The
 library evaluates the terms of one power shape together, as arrays; this is
-the plain loop it replaced. product builds the square of a density as a
-canonical Potential, Term by Term, for the reference to read.
+the plain loop it replaced, adding the terms in the library's order: grouped
+by power shape, shapes in order of first appearance. product builds the
+square of a density as a canonical Potential, Term by Term, for the
+reference to read.
 """
 
 import itertools
@@ -41,7 +43,10 @@ def wick_polynomial_gram(cov, phi_mat, theta_mat, p):
 
     # the even-degree terms of E[P(Y + iv)] are real, the odd-degree ones imaginary
     parts = [np.full(g0.shape, p.constant), np.zeros(g0.shape)]
+    shapes = {}
     for term in p.terms:
+        shapes.setdefault(tuple(power for _, power in term.factors), []).append(term)
+    for term in itertools.chain.from_iterable(shapes.values()):
         sites, powers = zip(*term.factors)
         shifts = c_phi[list(sites)][:, :, np.newaxis] - c_theta[list(sites)][:, np.newaxis, :]
         for taken in itertools.product(*(range(power + 1) for power in powers)):
