@@ -10,8 +10,9 @@ the wall_time_s field.
 
 Exit codes: 0 all checks pass (or are inconclusive but consistent with a
 pass), 1 a check failed, 2 usage, config or IO error, 3 an estimate was
-unusable (ill-conditioned weights) and nothing else failed, 4 an internal
-error (an unexpected exception, named in one line on stderr).
+unusable (ill-conditioned weights, or too few samples to gate) and nothing
+else failed, 4 an internal error (an unexpected exception, named in one
+line on stderr).
 Reports are strict JSON: a ratio with no finite value is written as null.
 """
 
@@ -378,7 +379,9 @@ def _gram_stage(checks, reasons, name, estimate, *args):
     """Write estimate(*args) to checks[name], and its reason on a fail.
 
     Ill-conditioned weights write None and ill-conditioned-weights, and the
-    None returned stops the command.
+    None returned stops the command. So does an estimate of fewer than two
+    samples, whatever its verdict: it has no error to gate on or to compare
+    the estimators with. It is written, with the reason <name>-too-few-samples.
     """
     try:
         report = estimate(*args)
@@ -389,6 +392,9 @@ def _gram_stage(checks, reasons, name, estimate, *args):
     checks[name] = _gram_entry(report)
     if report.verdict == FAIL:
         reasons.append(name.replace("_", "-") + "-stable-fail")
+    elif report.n_samples < 2:
+        reasons.append(name.replace("_", "-") + "-too-few-samples")
+        return None
     return report
 
 
@@ -679,7 +685,7 @@ def _run(args):
     if not reasons:
         exit_code = 0
     else:
-        exit_code = 3 if set(reasons) == {ILL_CONDITIONED} else 1
+        exit_code = 3 if all(r == ILL_CONDITIONED or r.endswith("-too-few-samples") for r in reasons) else 1
     report = {
         "command": args.command,
         "tool_version": __version__,

@@ -16,7 +16,7 @@ Three estimators produce GramReports:
   the phase, whose mean is a Gaussian-polynomial closed form, and, for a
   tilted density, F, F^2 and the squared norm |T|^2 times the phase damped
   by a Gaussian factor, whose means are closed forms under a heavier
-  Gaussian, and
+  Gaussian; _controls lists them once, and
 * a two-level factorized estimator that integrates partial averages H_m over
   the independent half-draw against the shared draw. With shared inner
   samples every outer draw contributes a rank-one Hermitian matrix, so the
@@ -35,14 +35,17 @@ clears -tol - 5 * eig_error_bound, where tol is the psd_tolerance of the
 covariance the estimate samples and eig_error_bound is the coarse
 Frobenius-type bound K * max entrywise standard error. Below the gate the
 verdict is a fail only when the sign survives a bootstrap over sample
-chunks; otherwise the run is inconclusive. Estimates are never divided by
+chunks; otherwise the run is inconclusive, as is every fail of fewer than
+two samples, which have no error to gate on. Estimates are never divided by
 the weight sum: the weighted measure is a finite measure, not a probability
 measure, and its total mass is part of what the Gram matrix encodes.
 """
 
 import math
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -236,14 +239,15 @@ def _gram_report(mean, stderr, tol, kind, n_samples=0, seed=None, ess=None, chun
     """The GramReport of an estimate and its entrywise stderr, gated at eig_error_bound = k * max stderr.
 
     chunks, the (counts, sums) of a Monte Carlo estimate, let a fail be
-    resampled: it stays a fail only when its sign survives the bootstrap. An
-    exact estimate has stderr 0 and no chunks.
+    resampled: it stays a fail only when its sign survives the bootstrap.
+    Fewer than two samples have no error to gate on, and their fail is
+    inconclusive. An exact estimate has stderr 0 and no chunks.
     """
     hermitized = symmetrized(mean)
     eig_error_bound = float(mean.shape[0] * stderr.max())
     check = psd_check(hermitized, tol, eig_error_bound)
     verdict = PASS if check.passed else FAIL
-    if verdict == FAIL and chunks is not None and not _stable_below(*chunks, check.threshold, seed):
+    if verdict == FAIL and chunks is not None and (n_samples < 2 or not _stable_below(*chunks, check.threshold, seed)):
         verdict = INCONCLUSIVE
     return GramReport(
         matrix=hermitized,
@@ -336,36 +340,41 @@ def _row_squares(block):
     return np.einsum("ij,ij->i", block, block)
 
 
-def _damped(values, squares, alpha):
-    """The damped controls d F', d F'^2 and d |T|^2 at the draws, d = exp(-(alpha/2) |T|^2) and F' = values.
+# a control x = d P(T) of the direct estimator, d = exp(-(alpha/2) |T|^2) and alpha = 0 for none:
+# polynomial(F') builds P from the table of F', for the mean Z_alpha G(C'_alpha, P) of x exp(i(a - b)),
+# and samples(F', |T|^2, d) gives x at draws, with d None when alpha = 0
+_Control = namedtuple("_Control", "polynomial samples alpha", defaults=(0.0,))
 
-    Their polynomials, in the same order, are _damped_polynomials.
+
+def _controls(f, q, tilted):
+    """The direct estimator's controls for f under the tilt (q, C'), in the order of their coefficients.
+
+    (1, F') with F' = F + (q/2) |T|^2, and for q > 0 the damped d F', d F'^2
+    and d |T|^2 with alpha = _DAMPING / ||C'||_inf, while F'^2 has at most
+    _DAMPED_TERMS terms.
     """
-    d = np.exp(-0.5 * alpha * squares)
-    damped = d * values
-    return [damped, damped * values, d * squares]
+    controls = [_Control(lambda p: _ONE, lambda v, s, d: np.ones_like(v)), _Control(lambda p: p, lambda v, s, d: v)]
+    n = len(f.terms) + tilted.dim  # F' = F + (q/2) sum_x T_x^2
+    if q > 0 and n * (n + 1) // 2 <= _DAMPED_TERMS:
+        alpha = _DAMPING / tilted.inf_norm
+        controls += [
+            _Control(lambda p: p, lambda v, s, d: d * v, alpha),
+            _Control(lambda p: p.squared(), lambda v, s, d: d * v * v, alpha),
+            _Control(lambda p: PolynomialTable().plus_squares(1.0, tilted.dim), lambda v, s, d: d * s, alpha),
+        ]
+    return controls
 
 
-def _tilted_weights(values, squares, q, log_z, alpha):
-    """F' = F + (q/2) |T|^2 at draws with F = values and |T|^2 = squares, w = exp(F' + log Z), and _damped's controls.
+def _tilted_weights(values, squares, q, log_z, controls):
+    """w = exp(F' + log Z) and the controls' samples at draws with F = values and |T|^2 = squares.
 
-    The controls are empty when alpha is None. The pilot and the run both
-    weigh their draws here.
+    F' = F + (q/2) |T|^2, and each damping d is taken once. The pilot and the
+    run both weigh their draws here.
     """
     tilted_values = values + 0.5 * q * squares
     w = _importance_weights(tilted_values + log_z, "density")
-    return tilted_values, w, [] if alpha is None else _damped(tilted_values, squares, alpha)
-
-
-def _damped_polynomials(control, dim):
-    """F', F'^2 and |T|^2 as PolynomialTables over dim sites, F' = control: the P of _damped's controls d P."""
-    return [control, control.squared(), PolynomialTable().plus_squares(1.0, dim)]
-
-
-def _damps(f, tilted):
-    """alpha of the damped controls under the tilted C', or None when F'^2 has over _DAMPED_TERMS terms."""
-    n = len(f.terms) + tilted.dim  # F' = F + (q/2) sum_x T_x^2
-    return _DAMPING / tilted.inf_norm if n * (n + 1) // 2 <= _DAMPED_TERMS else None
+    damping = {alpha: np.exp(-0.5 * alpha * squares) for alpha in {c.alpha for c in controls} if alpha}
+    return w, [c.samples(tilted_values, squares, damping.get(c.alpha)) for c in controls]
 
 
 def _reweights(squares, q):
@@ -399,15 +408,11 @@ def _least_variance(tilts, squares, pilot):
     return best[1]
 
 
-def _residual(w, values, b, damped):
-    """The weights w less their fitted controls, w - b1 - b2 F' - b3 X1 - b4 X2 - b5 X3, at F' = values.
-
-    damped is the list X of _damped's controls, or empty for the pair (1, F') alone.
-    """
-    residual = w - b[0] - b[1] * values
-    for coefficient, x in zip(b[2:], damped):
-        residual -= coefficient * x
-    return residual
+def _residual(w, samples, b):
+    """The weights w less their fitted controls, w - b1 x1 - b2 x2 - ..., in the order of the controls' samples x."""
+    for coefficient, x in zip(b, samples):
+        w = w - coefficient * x
+    return w
 
 
 def _inner_weights(g, halves):
@@ -427,33 +432,32 @@ def _outer_weights(q, log_z, squares):
 
 
 def _pick_tilt(cov, f, n_pilot, seed):
-    """(q, C', log Z, b, alpha) of the tilt whose pilot leaves the least variance in w less its controls.
+    """(q, C', log Z, b, controls) of the tilt whose pilot leaves the least variance in w less its controls.
 
     One pilot is drawn from cov itself, from the substream (seed, NS_PILOT,
     0), and F and |T|^2 are evaluated on it once. Each candidate reads it as
     draws from its C' through _reweights: both the fit and the score, the
     variance of w less its controls, are r-weighted, and the score's
-    residual is the run's, _residual. q = 0 regresses w on (1, F) by
-    _control_coefficients, with alpha None. A q > 0 regresses w on
-    (1, F', d F', d F'^2, d |T|^2), d = exp(-(alpha/2) |T|^2), with alpha
-    from _damps, or on (1, F') when _damps gives None; singular values below
-    lstsq's default cut, as of a density the tilt absorbs, fit nothing.
+    residual is the run's, _residual. The controls are _controls(f, q, C').
+    q = 0 regresses w on (1, F) by _control_coefficients; a q > 0 on its
+    controls by least squares, where singular values below lstsq's default
+    cut, as of a density the tilt absorbs, fit nothing.
     """
     block = cov.draw(substream(seed, NS_PILOT, 0), n_pilot)
     values, squares = eval_potential_batch(f, block), _row_squares(block)
 
     def pilot(q, tilted, log_z, r):
-        alpha = None if q == 0 else _damps(f, tilted)
-        tilted_values, w, damped = _tilted_weights(values, squares, q, log_z, alpha)
-        controls = np.stack([np.ones_like(values), tilted_values, *damped], axis=1)
-        if not np.isfinite(controls).all():
+        controls = _controls(f, q, tilted)
+        w, samples = _tilted_weights(values, squares, q, log_z, controls)
+        stack = np.stack(samples, axis=1)
+        if not np.isfinite(stack).all():
             raise IllConditionedWeightsError("a control of the density overflowed in the tilt pilot")
         if q == 0:
             b = _control_coefficients(values, w)
         else:
             root = np.sqrt(r)
-            b = tuple(map(float, np.linalg.lstsq(controls * root[:, np.newaxis], w * root, rcond=None)[0]))
-        return _residual(w, tilted_values, b, damped), (b, alpha)
+            b = tuple(map(float, np.linalg.lstsq(stack * root[:, np.newaxis], w * root, rcond=None)[0]))
+        return _residual(w, samples, b), (b, controls)
 
     return _least_variance(_tilts(cov, f), squares, pilot)
 
@@ -502,19 +506,24 @@ def gram_mc_direct(cov, lattice, f, phis, params):
     with b the least squares fit of w on (1, F', d F', d F'^2, d |T|^2), and
     exp(-(alpha/2) |T|^2) mu_C' = Z_alpha mu_C'_alpha gives each mean as
     Z_alpha G(C'_alpha, P), (C'_alpha, log Z_alpha) = tilted_gaussian(C',
-    alpha). _damped and _damped_polynomials list the family once, in one
-    order, for the pilot fit, the residual and the offset. Undamped, F'^2
-    has a heavy tail under C', and a pilot fit of it widens the bound; the
-    factor d keeps every damped control bounded. d |T|^2 fits how the weight
-    moves with the squared norm, which (1, F') and the damped F' terms leave
-    in the residual. F'^2 is built as a PolynomialTable of n (n + 1) / 2
-    terms for the n terms of F', and |T|^2 as plus_squares of the empty
-    table; past _DAMPED_TERMS terms of F'^2 a tilt keeps (1, F').
+    alpha). Undamped, F'^2 has a heavy tail under C', and a pilot fit of it
+    widens the bound; the factor d keeps every damped control bounded.
+    d |T|^2 fits how the weight moves with the squared norm, which (1, F')
+    and the damped F' terms leave in the residual. Past _DAMPED_TERMS terms
+    of F'^2 a tilt keeps (1, F').
+
+    _controls lists the family once, in the order of b: each control's
+    alpha, its samples at the draws and its polynomial P. The pilot fits
+    over the list, _residual subtracts over it, and the offset sums over it,
+    one tilted_gaussian(C', alpha) per run of equal alpha (alpha = 0 gives
+    C' and log Z = 0). The polynomials are built only there, from one table
+    of F'; F'^2 as a PolynomialTable of n (n + 1) / 2 terms for the n terms
+    of F', and |T|^2 as plus_squares of the empty table.
 
     q and b come from an independent pilot from C, which keeps the estimate
     unbiased; q is the one of _tilts' grid whose reweighted pilot leaves the
     least variance in w less its controls. F and |T|^2 are evaluated once
-    per draw, and _tilted_weights forms F', w and the damped controls from
+    per draw, and _tilted_weights forms w and the controls' samples from
     them, in the pilot and in the run alike. A zero or constant density
     gives q = 0, b2 = 0 and b1 the pilot's mean weight, so at zero density
     the estimate is G0 exactly. The weights are used raw (no normalization);
@@ -534,23 +543,22 @@ def gram_mc_direct(cov, lattice, f, phis, params):
     # huge but finite weights overflow the sums, and huge draws the closed forms; _finish_mc_report
     # rejects what is not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        q, tilted, log_z, b, alpha = _pick_tilt(cov, f, min(params.n_samples, CHUNK_SIZE), params.seed)
+        q, tilted, log_z, b, controls = _pick_tilt(cov, f, min(params.n_samples, CHUNK_SIZE), params.seed)
         for _, block in iter_sample_chunks(tilted, params.n_samples, params.seed):
             a = block @ phi_mat
             phase_b = block @ theta_mat
-            values, w, damped = _tilted_weights(eval_potential_batch(f, block), _row_squares(block), q, log_z, alpha)
-            v = _residual(w, values, b, damped)[:, np.newaxis]
+            w, samples = _tilted_weights(eval_potential_batch(f, block), _row_squares(block), q, log_z, controls)
+            v = _residual(w, samples, b)[:, np.newaxis]
             _add_samples(moments, imag, v * np.cos(a), v * np.sin(a), np.cos(phase_b), np.sin(phase_b))
             weight_stats.append((float(w.sum()), float(w.max())))
         # F' as a table of terms, for the closed forms of its controls' means
-        control = f if q == 0 else PolynomialTable.of(f).plus_squares(q / 2, cov.dim)
-        g0, g1 = (gaussian_polynomial_gram(tilted, phi_mat, theta_mat, p) for p in (_ONE, control))
-        offset = b[0] * g0 + b[1] * g1
-        if alpha is not None:
+        tilted_f = f if q == 0 else PolynomialTable.of(f).plus_squares(q / 2, cov.dim)
+        offset = 0.0
+        for alpha, group in groupby(zip(b, controls), key=lambda pair: pair[1].alpha):
             # E_C'[d P exp(i(a - b))] = Z_alpha G(C'_alpha, P), exp(-(alpha/2) |T|^2) mu_C' = Z_alpha mu_C'_alpha
             heavier, log_z_alpha = tilted_gaussian(tilted, alpha)
-            grams = (gaussian_polynomial_gram(heavier, phi_mat, theta_mat, p) for p in _damped_polynomials(control, cov.dim))
-            offset = offset + math.exp(log_z_alpha) * sum(c * g for c, g in zip(b[2:], grams))
+            grams = (c * gaussian_polynomial_gram(heavier, phi_mat, theta_mat, x.polynomial(tilted_f)) for c, x in group)
+            offset = offset + math.exp(log_z_alpha) * sum(grams)
     return _finish_mc_report(moments, cov.psd_tolerance, params.seed, "mc-direct", weight_stats, offset, imag)
 
 

@@ -960,12 +960,33 @@ RUNAWAY_DENSITY = {
     "terms": [{"coefficient": 1000, "factors": [{"site": [t], "power": 2}]} for t in (1, -1)],
     "constant": 0,
 }
+CRITERION_4 = {"lattice": {"time_extent": 2, "spatial_extents": [4]}, "density": phi4_density_obj()}
 # name -> (config overrides, or None for a missing config; (module, name, replacement) to patch, or None;
 # exit code; stderr)
 EXIT_CASES = {
     "missing-config": (None, None, 2, "error: cannot read config "),
     "malformed-value": ({"mc": {"n_samples": "1000"}}, None, 2, "error: invalid mc section: n_samples must be an integer"),
     "ill-conditioned-weights": ({"density": RUNAWAY_DENSITY}, None, 3, ""),
+    # one direct sample, or one outer draw: no error to gate on or to compare the estimators with, where a
+    # fail read as stable and exited 1, and one shared outer draw, PSD by construction, exited 0
+    "one-direct-sample": (
+        {**CRITERION_4, "mc": {"n_samples": 1, "seed": 0, "n_outer": 64, "n_inner": 16}},
+        None,
+        3,
+        "",
+    ),
+    "one-outer-draw": (
+        {**CRITERION_4, "mc": {"n_samples": 1_000, "seed": 0, "n_outer": 1, "n_inner": 16, "share_inner": False}},
+        None,
+        3,
+        "",
+    ),
+    "one-shared-outer-draw": (
+        {**CRITERION_4, "mc": {"n_samples": 1_000, "seed": 0, "n_outer": 1, "n_inner": 16}},
+        None,
+        3,
+        "",
+    ),
     "internal-error": (
         {},
         (cli, "gram_mc_direct", _raise_in_the_estimator),

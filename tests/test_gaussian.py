@@ -37,7 +37,7 @@ from rplattice import cli, gaussian, rp_verify
 from rplattice.density import Potential, PolynomialTable, Term, add_potentials, eval_potential_batch
 from rplattice.gaussian import covariance_factor, iter_sample_chunks, symmetrized
 from rplattice.streams import NS_FIELD, chunk_counts, substream
-from wick_reference import product, wick_polynomial_gram
+from wick_reference import product, table_values, wick_polynomial_gram
 
 
 def two_site_cov(c):
@@ -454,6 +454,30 @@ def test_gaussian_rp_two_site_verdicts():
     assert not bad.passed
     assert bad.failure_kind == "cross-block-not-psd"
     assert bad.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
+
+
+def crossed_free_field(lat, c):
+    """The free field at m = 1 weighted by exp(-c sum_x T(1, x) T(-1, x)): (C^-1 + cM)^-1, M pairing the two slices."""
+    pairs = np.array([[lat.index_of([1, *x]), lat.index_of([-1, *x])] for x in np.ndindex(*lat.spatial_extents)])
+    m = np.zeros((lat.site_count, lat.site_count))
+    m[pairs[:, 0], pairs[:, 1]] = m[pairs[:, 1], pairs[:, 0]] = 1.0
+    return Covariance(symmetrized(np.linalg.inv(np.linalg.inv(free_field_covariance(lat, 1.0).matrix) + c * m)))
+
+
+def test_the_crossing_kernel_is_reflection_positive_exactly_up_to_c_one():
+    # the crossing link becomes the kernel exp(-x^2/2 - y^2/2 + (1 - c) x y), positive definite exactly
+    # when c <= 1: the Gaussian side of the RP boundary, at N = 16
+    lat = build_lattice(2, [4])
+    for c in (-0.5, 0.99, 1.0):
+        report = check_gaussian_rp(crossed_free_field(lat, c), lat)
+        assert report.passed and report.min_eigenvalue >= -2.1e-17, (c, report.min_eigenvalue)
+    report = check_gaussian_rp(crossed_free_field(lat, 1.01), lat)
+    assert not report.passed and report.failure_kind == "cross-block-not-psd"
+    assert report.min_eigenvalue == pytest.approx(-2.0e-3, rel=1e-3)
+    # +0.7 T(-1) T(1) at T = 1, which split_check rejects as mixed support: its measure is RP all the same
+    lat = build_lattice(1, [])
+    report = check_gaussian_rp(crossed_free_field(lat, -0.7), lat)
+    assert report.passed and report.min_eigenvalue == pytest.approx(1.53, abs=5e-3)
 
 
 def test_gaussian_rp_reports_invariance_violation_distinctly():
@@ -1371,16 +1395,7 @@ def test_a_square_has_every_pair_of_terms_once():
     assert square.term_count == 32 * 33 // 2 + 32 and square.constant == 0.25
     x = np.random.default_rng(0).standard_normal((50, lat.site_count))
     values = eval_potential_batch(f, x) + 0.2 * (x * x).sum(axis=1)
-    np.testing.assert_allclose(_table_values(square, x), values * values, rtol=1e-12, atol=1e-14)
-
-
-def _table_values(table, x):
-    """A PolynomialTable at the rows of x, term by term."""
-    out = np.full(len(x), table.constant)
-    for b in table.blocks:
-        for c, sites in zip(b.coefficients, b.sites):
-            out += c * np.prod([x[:, s] ** p for s, p in zip(sites, b.powers)], axis=0)
-    return out
+    np.testing.assert_allclose(table_values(square, x), values * values, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("name", ["tilted", "square", "norm"])
@@ -1401,7 +1416,7 @@ def test_the_damped_mean_is_the_closed_form_of_the_heavier_gaussian(name):
     z = np.sqrt(2.0) * np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
     w = np.outer(weights, weights).ravel() / np.pi
     t = z @ np.linalg.cholesky(cov.matrix).T
-    integrand = w * _table_values(p, t) * np.exp(-0.5 * alpha * (t * t).sum(axis=1))
+    integrand = w * table_values(p, t) * np.exp(-0.5 * alpha * (t * t).sum(axis=1))
     phase = (t @ phi_mat)[:, :, np.newaxis] - (t @ theta_mat)[:, np.newaxis, :]
     want = np.einsum("i,imn->mn", integrand, np.cos(phase))
     assert np.isrealobj(got)

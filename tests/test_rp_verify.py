@@ -46,6 +46,7 @@ from rplattice import cli, rp_verify
 from rplattice.density import PolynomialTable, add_potentials
 from rplattice.rp_verify import _control_coefficients, _stable_below
 from rplattice.streams import NS_BOOTSTRAP, NS_FACTORIZED, NS_PILOT, chunk_counts, substream
+from wick_reference import table_values
 
 
 def two_site_cov(c):
@@ -531,22 +532,51 @@ def test_ties_and_overflowing_tilts_go_to_the_smaller_q(constant):
         assert rp_verify._pick_tilt(cov, density, 2048, 0)[0] == 0.0
 
 
+def alphas(controls):
+    return [c.alpha for c in controls]
+
+
 def test_a_tilt_regresses_on_the_damped_pair_up_to_the_term_cap(monkeypatch):
     # criterion 4: F' has 32 terms, F'^2 528; a tilt fits (1, F', d F', d F'^2, d |T|^2), and q = 0
     # keeps (1, F) and no damping
     lat = build_lattice(2, [4])
     cov, density = free_field_covariance(lat, 1.0), phi4(lat, 0.1)
-    q, tilted, _, b, alpha = rp_verify._pick_tilt(cov, density, 2048, 0)
-    assert q > 0.0 and len(b) == 5 and alpha == rp_verify._DAMPING / tilted.inf_norm
+    q, tilted, _, b, controls = rp_verify._pick_tilt(cov, density, 2048, 0)
+    assert q > 0.0 and len(b) == 5 and alphas(controls) == [0.0, 0.0] + [rp_verify._DAMPING / tilted.inf_norm] * 3
     monkeypatch.setattr(rp_verify, "_DAMPED_TERMS", 528)
-    assert rp_verify._damps(density, tilted) == alpha
+    assert alphas(rp_verify._controls(density, q, tilted)) == alphas(controls)
     monkeypatch.setattr(rp_verify, "_DAMPED_TERMS", 527)
-    assert rp_verify._damps(density, tilted) is None
-    q, _, _, b, alpha = rp_verify._pick_tilt(cov, density, 2048, 0)
-    assert q > 0.0 and len(b) == 2 and alpha is None
+    assert alphas(rp_verify._controls(density, q, tilted)) == [0.0, 0.0]
+    q, _, _, b, controls = rp_verify._pick_tilt(cov, density, 2048, 0)
+    assert q > 0.0 and len(b) == 2 and alphas(controls) == [0.0, 0.0]
     monkeypatch.setattr(rp_verify, "_TILT_GRID", (0.0,))
-    q, _, _, b, alpha = rp_verify._pick_tilt(cov, density, 2048, 0)
-    assert q == 0.0 and len(b) == 2 and alpha is None
+    q, _, _, b, controls = rp_verify._pick_tilt(cov, density, 2048, 0)
+    assert q == 0.0 and len(b) == 2 and alphas(controls) == [0.0, 0.0]
+    # (1, F) at the draws, the pair _control_coefficients fits
+    block = cov.draw(np.random.default_rng(3), 64)
+    values = eval_potential_batch(density, block)
+    _, samples = rp_verify._tilted_weights(values, np.einsum("ij,ij->i", block, block), 0.0, 0.0, controls)
+    assert np.array_equal(samples[0], np.ones(64)) and np.array_equal(samples[1], values)
+
+
+@pytest.mark.parametrize("damped_terms", [rp_verify._DAMPED_TERMS, 527], ids=["below-the-cap", "above-the-cap"])
+def test_each_controls_samples_are_its_polynomial(monkeypatch, damped_terms):
+    # the one invariant of the list: at draws T, each control's samples are exp(-(alpha/2) |T|^2) P(T),
+    # with P the polynomial of F' = F + (q/2) |T|^2 whose closed-form mean the offset takes; at each
+    # tilt of criterion 4's grid
+    monkeypatch.setattr(rp_verify, "_DAMPED_TERMS", damped_terms)
+    lat = build_lattice(2, [4])
+    cov, density = free_field_covariance(lat, 1.0), phi4(lat, 0.1)
+    block = cov.draw(np.random.default_rng(11), 256)
+    values, squares = eval_potential_batch(density, block), np.einsum("ij,ij->i", block, block)
+    for q, tilted, log_z in rp_verify._tilts(cov, density):
+        controls = rp_verify._controls(density, q, tilted)
+        assert len(controls) == (5 if q > 0 and damped_terms > 527 else 2)
+        _, samples = rp_verify._tilted_weights(values, squares, q, log_z, controls)
+        tilted_f = PolynomialTable.of(density).plus_squares(q / 2, cov.dim)
+        for control, x in zip(controls, samples):
+            want = np.exp(-0.5 * control.alpha * squares) * table_values(control.polynomial(tilted_f), block)
+            assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max(), (q, control.alpha)
 
 
 def test_a_tilt_above_the_term_cap_keeps_the_first_order_control(monkeypatch):
@@ -563,8 +593,8 @@ def test_a_tilt_above_the_term_cap_keeps_the_first_order_control(monkeypatch):
     )
     params = McParams(4096, seed=1)
     rep = gram_mc_direct(cov, lat, density, phis, params)
-    ((q, _, _, b, alpha),) = picks
-    assert q > 0.0 and len(b) == 2 and alpha is None
+    ((q, _, _, b, controls),) = picks
+    assert q > 0.0 and len(b) == 2 and alphas(controls) == [0.0, 0.0]
     assert len(closed_forms) == 2
     monkeypatch.setattr(rp_verify, "_TILT_GRID", (0.0,))
     untilted = gram_mc_direct(cov, lat, density, phis, params)
@@ -584,9 +614,9 @@ def test_the_pilot_fits_the_damped_controls_only_below_the_term_cap(time_extent,
     # above the cap that thin pilot fits (1, F') and never the damped controls' coefficients
     lat = build_lattice(time_extent, extents)
     cov = free_field_covariance(lat, mass)
-    q, tilted, _, b, alpha = rp_verify._pick_tilt(cov, phi4(lat, 0.1), 2048, 0)
+    q, tilted, _, b, controls = rp_verify._pick_tilt(cov, phi4(lat, 0.1), 2048, 0)
     assert q > 0.0 and len(b) == coefficients
-    assert alpha == (rp_verify._DAMPING / tilted.inf_norm if coefficients == 5 else None)
+    assert alphas(controls)[2:] == ([rp_verify._DAMPING / tilted.inf_norm] * 3 if coefficients == 5 else [])
 
 
 def test_the_damped_controls_keep_the_mean(monkeypatch):
@@ -597,7 +627,7 @@ def test_the_damped_controls_keep_the_mean(monkeypatch):
     diffs = []
     for seed in range(7000, 7024):
         params = McParams(20_000, seed=seed)
-        assert rp_verify._pick_tilt(cov, density, 2048, seed)[4] is not None
+        assert len(rp_verify._pick_tilt(cov, density, 2048, seed)[4]) == 5
         damped = gram_mc_direct(cov, lat, density, phis, params)
         with monkeypatch.context() as m:
             m.setattr(rp_verify, "_TILT_GRID", (0.0,))
@@ -1053,6 +1083,26 @@ def test_verdict_rule_constants():
 # An odd term whose weight exp(1e-300 x) rounds to 1: the zero density's draws and
 # estimate, taken through the complex path of a density with an odd term.
 ODD_UNIT_WEIGHT = Potential((Term(1e-300, ((1, 1),)),))
+
+
+def test_a_fail_of_fewer_than_two_samples_is_inconclusive():
+    # criterion 4 is RP, yet one direct sample read a stable fail on 19 of seeds 0-19, and one outer draw
+    # with independent inner draws on all 20: one sample's stderr is rounding noise, and a bootstrap over
+    # one chunk always persists. Such an estimate has no error to gate on
+    lat = build_lattice(2, [4])
+    cov, density = free_field_covariance(lat, 1.0), phi4(lat, 0.1)
+    pq, g, phis = decompose_pq(cov, lat), split_check(lat, density).witness_g, random_test_functions(lat, 4, seed=1)
+    for seed in range(5):
+        direct = gram_mc_direct(cov, lat, density, phis, McParams(1, seed=seed))
+        factorized = gram_mc_factorized(pq, g, phis, McParams(1, seed=seed, n_outer=1, n_inner=16, share_inner=False))
+        for rep in (direct, factorized):
+            assert rep.n_samples == 1 and rep.min_eigenvalue < -rep.tol - 5.0 * rep.eig_error_bound
+            assert rep.verdict == INCONCLUSIVE
+    # from two samples on, a fail whose sign persists stays a fail
+    below, stderr = np.diag([-1.0, 1.0]), np.zeros((2, 2))
+    for n, verdict in ((1, INCONCLUSIVE), (2, FAIL)):
+        rep = rp_verify._gram_report(below, stderr, 0.0, "mc-direct", n, 0, chunks=([1] * n, [below] * n))
+        assert rep.verdict == verdict
 
 
 def test_unstable_fail_is_downgraded_to_inconclusive(monkeypatch):

@@ -7,7 +7,8 @@ library evaluates the terms of one power shape together, as arrays; this is
 the plain loop it replaced, adding the terms in the library's order: grouped
 by power shape, shapes in order of first appearance. product builds the
 square of a density as a canonical Potential, Term by Term, for the
-reference to read.
+reference to read, and table_values evaluates a polynomial at draws term by
+term.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from functools import cache
 import numpy as np
 
 from rplattice import Potential, Term, is_even
-from rplattice.density import canonicalize
+from rplattice.density import PolynomialTable, canonicalize
 
 
 def wick_polynomial_gram(cov, phi_mat, theta_mat, p):
@@ -75,3 +76,13 @@ def product(p, q):
             powers[site] = powers.get(site, 0) + power
         terms.append(Term(a.coefficient * b.coefficient, tuple(powers.items())))
     return canonicalize(Potential(tuple(terms)))
+
+
+def table_values(p, x):
+    """A PolynomialTable or Potential at the rows of x, term by term from its table."""
+    table = PolynomialTable.of(p)
+    out = np.full(len(x), table.constant)
+    for b in table.blocks:
+        for c, sites in zip(b.coefficients, b.sites):
+            out += c * np.prod([x[:, s] ** p for s, p in zip(sites, b.powers)], axis=0)
+    return out
