@@ -380,7 +380,7 @@ def _gram_stage(checks, reasons, name, estimate, *args):
 
     Ill-conditioned weights write None and ill-conditioned-weights, and the
     None returned stops the command. So does an estimate of fewer than two
-    samples, whatever its verdict: it has no error to gate on or to compare
+    samples, which is inconclusive: it has no error to gate on or to compare
     the estimators with. It is written, with the reason <name>-too-few-samples.
     """
     try:
@@ -390,11 +390,11 @@ def _gram_stage(checks, reasons, name, estimate, *args):
         reasons.append(ILL_CONDITIONED)
         return None
     checks[name] = _gram_entry(report)
-    if report.verdict == FAIL:
-        reasons.append(name.replace("_", "-") + "-stable-fail")
-    elif report.n_samples < 2:
+    if report.n_samples < 2:
         reasons.append(name.replace("_", "-") + "-too-few-samples")
         return None
+    if report.verdict == FAIL:
+        reasons.append(name.replace("_", "-") + "-stable-fail")
     return report
 
 

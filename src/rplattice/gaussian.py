@@ -205,7 +205,11 @@ class Covariance:
         return reduce(np.kron, bases), np.ascontiguousarray(roots.reshape(-1, *roots.shape[-2:]).swapaxes(-1, -2))
 
     def draw(self, rng, count):
-        """A fresh (count, dim) array x = z F^T for z = rng.standard_normal((count, dim)).
+        """A fresh (count, dim) array x = z F^T for z = rng.standard_normal((count, dim)); see transformed."""
+        return self.transformed(count, rng.standard_normal)
+
+    def transformed(self, count, normals):
+        """A fresh (count, dim) array x = z F^T for the fresh array z = normals((count, dim)).
 
         A column table reads each row of z as the coefficients z[(k, s)] of
         the spatial modes k at times s: a batched product of each mode's
@@ -219,7 +223,7 @@ class Covariance:
         for bit what the two products over the whole of z at once give.
         """
         if self.momentum_roots is None:
-            return rng.standard_normal((count, self.dim)) @ self.factor.T
+            return normals((count, self.dim)) @ self.factor.T
         basis, roots_t = self._modes
         spatial, times = basis.shape[0], roots_t.shape[-1]
         dim = spatial * times
@@ -227,7 +231,7 @@ class Covariance:
         blocks = max(1, count // max(_DRAW_MIN_ROWS, _DRAW_BLOCK // dim))
         # taken before z, so its free leaves a hole under z, not a heap top that glibc trims and refaults
         scratch = np.empty(-(-count // blocks) * dim)
-        z = rng.standard_normal((count, dim))
+        z = normals((count, dim))
         for b in range(blocks):
             start, stop = count * b // blocks, count * (b + 1) // blocks
             rows, m = z[start:stop], stop - start

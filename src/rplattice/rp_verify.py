@@ -24,7 +24,8 @@ Three estimators produce GramReports:
   O(1/n_inner) bias; with independent inner samples the entries are
   unbiased products but the structural guarantee is lost. The shared draws
   may come from a tilted Gaussian, each outer term weighted by a positive
-  importance weight, which keeps both properties.
+  importance weight, which keeps both properties, and each chunk of them
+  is a randomised Sobol block, whose spread over chunks gives the error.
 
 Both Monte Carlo estimators add their samples through _add_samples: real
 chunks (streams.ChunkMoments), and for a density with an odd term the
@@ -67,8 +68,10 @@ from .streams import (
     NS_FACTORIZED,
     NS_PILOT,
     NS_TESTFN,
+    SOBOL_POINTS,
     ChunkMoments,
     chunk_counts,
+    sobol_normals,
     substream,
 )
 
@@ -76,8 +79,11 @@ PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
-_OUTER_CHUNK = 64
+# one randomised Sobol block of shared draws per outer chunk
+_OUTER_CHUNK = SOBOL_POINTS
 _SUB_BLOCK = 16
+# the fewest chunks whose spread gives the factorized stderr; fewer keep the per-sample formula
+_SPREAD_CHUNKS = 32
 _N_BOOTSTRAP = 200
 _STABLE_FRACTION = 0.99
 # q ||C||_inf of the tilted Gaussians the Monte Carlo estimators try; q ||C||_inf <= 0.8 keeps q lambda_max(C) < 1
@@ -240,14 +246,15 @@ def _gram_report(mean, stderr, tol, kind, n_samples=0, seed=None, ess=None, chun
 
     chunks, the (counts, sums) of a Monte Carlo estimate, let a fail be
     resampled: it stays a fail only when its sign survives the bootstrap.
-    Fewer than two samples have no error to gate on, and their fail is
-    inconclusive. An exact estimate has stderr 0 and no chunks.
+    Fewer than two samples have no error to gate on, and their estimate is
+    inconclusive whatever its sign. An exact estimate has stderr 0 and no
+    chunks.
     """
     hermitized = symmetrized(mean)
     eig_error_bound = float(mean.shape[0] * stderr.max())
     check = psd_check(hermitized, tol, eig_error_bound)
     verdict = PASS if check.passed else FAIL
-    if verdict == FAIL and chunks is not None and (n_samples < 2 or not _stable_below(*chunks, check.threshold, seed)):
+    if chunks is not None and (n_samples < 2 or verdict == FAIL and not _stable_below(*chunks, check.threshold, seed)):
         verdict = INCONCLUSIVE
     return GramReport(
         matrix=hermitized,
@@ -275,12 +282,19 @@ def _add_samples(moments, imag, a, b, c, d):
         imag.add_real(b, -a, c, d)
 
 
-def _finish_mc_report(moments, tol, seed, kind, weight_stats, offset=None, imag=None):
+def _finish_mc_report(moments, tol, seed, kind, weight_stats, offset=None, imag=None, by_chunk=False):
+    """The GramReport of the accumulated samples; by_chunk takes the stderr from the chunks' spread.
+
+    by_chunk is for chunks that are independent but whose samples are not:
+    from _SPREAD_CHUNKS chunks on, the stderr is mean_and_chunk_stderr's;
+    below, the per-sample formula stays.
+    """
     sums = moments.sums
+    spread = by_chunk and len(moments.counts) >= _SPREAD_CHUNKS
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, stderr = moments.mean_and_stderr()
+        mean, stderr = moments.mean_and_chunk_stderr() if spread else moments.mean_and_stderr()
         if imag is not None:
-            mean_im, stderr_im = imag.mean_and_stderr()
+            mean_im, stderr_im = imag.mean_and_chunk_stderr() if spread else imag.mean_and_stderr()
             mean, stderr = mean + 1j * mean_im, np.sqrt(stderr**2 + stderr_im**2)
             sums = [re + 1j * im for re, im in zip(sums, imag.sums)]
         if offset is not None:
@@ -429,6 +443,23 @@ def _outer_weights(q, log_z, squares):
     """
     root = _importance_weights(0.5 * (log_z + 0.5 * q * squares), "shared tilt")
     return root, root * root
+
+
+def _shared_draws(tilted, rng, count):
+    """count <= SOBOL_POINTS shared draws L of a factorized outer chunk from tilted, by tilted.transformed.
+
+    The normals are rng's, then their first min(dim, SOBOL_POINTS) columns
+    are replaced by sobol_normals(rng, count, ...): each draw still has
+    tilted's law, and the chunk's draws cover it more evenly.
+    """
+
+    def normals(shape):
+        z = rng.standard_normal(shape)
+        columns = min(shape[1], SOBOL_POINTS)
+        z[:, :columns] = sobol_normals(rng, count, columns)
+        return z
+
+    return tilted.transformed(count, normals)
 
 
 def _pick_tilt(cov, f, n_pilot, seed):
@@ -581,6 +612,17 @@ def gram_mc_factorized(pq, g, phis, params):
     Im(conj(H_m) H_n) in a second accumulator, both by _add_samples.
     The verdict gates at pq.covariance.psd_tolerance, the tol of pq's reports.
 
+    Each chunk of _OUTER_CHUNK shared draws is a randomised quasi-Monte
+    Carlo block (L'Ecuyer and Lemieux 2002): _shared_draws takes the first
+    min(dim, SOBOL_POINTS) normal columns from a randomly shifted Sobol
+    block, so each draw still has its covariance's law and the estimate
+    keeps its mean and its rank-one PSD terms, while the chunk covers the
+    shared measure more evenly than independent draws. Draws within a
+    chunk are dependent and the chunks independent, so from _SPREAD_CHUNKS
+    chunks on the stderr is the spread of the chunk means; below, too few
+    chunks make that spread noisy, and the per-sample formula, a wider
+    bound, stays.
+
     The outer draws are importance sampled as gram_mc_direct's draws are:
     L comes from the tilted c_q' of tilted_gaussian(pq.q, q), and each outer
     term is weighted by omega(L) = exp(log Z + (q/2) |L|^2) = d mu_{c_q} / d mu_{c_q'},
@@ -657,7 +699,7 @@ def gram_mc_factorized(pq, g, phis, params):
         pending = None
         for chunk_index, count in chunk_counts(params.n_outer, _OUTER_CHUNK):
             rng = substream(params.seed, NS_FACTORIZED, chunk_index)
-            shared = tilted.draw(rng, count)
+            shared = _shared_draws(tilted, rng, count)
             root_omega, omega = (x[:, np.newaxis] for x in _outer_weights(q, log_z, _row_squares(shared)))
             halves = [draw_half(rng, shared, omega, pool) for _ in range(1 if params.share_inner else 2)]
             if pending is not None:
@@ -666,4 +708,4 @@ def gram_mc_factorized(pq, g, phis, params):
         merge(*pending)
 
     kind = "mc-factorized-shared" if params.share_inner else "mc-factorized-independent"
-    return _finish_mc_report(moments, pq.covariance.psd_tolerance, params.seed, kind, weight_stats, imag=imag)
+    return _finish_mc_report(moments, pq.covariance.psd_tolerance, params.seed, kind, weight_stats, imag=imag, by_chunk=True)

@@ -1021,6 +1021,19 @@ def test_exit_codes_keep_errors_apart_from_verified_failures(tmp_path, capsys, m
         assert stderr == "" and (report["exit_code"], report["verdict"]) == (code, "inconclusive")
 
 
+@pytest.mark.parametrize("name, stage", [("one-direct-sample", "gram_direct"), ("one-shared-outer-draw", "gram_factorized")])
+def test_an_estimate_of_one_sample_is_written_inconclusive(tmp_path, name, stage):
+    # one direct sample at seed 8 clears its gate, and one shared outer draw is PSD by construction:
+    # each entry read pass before an estimate of fewer than two samples became inconclusive
+    overrides = dict(EXIT_CASES[name][0], mc={**EXIT_CASES[name][0]["mc"], "seed": 8})
+    cfg = write_config(tmp_path / "cfg.json", {**SMALL_VERIFY_RP, **overrides})
+    out = tmp_path / "report.json"
+    assert main(["verify-rp", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    report = load_report(out)
+    assert report["checks"][stage]["verdict"] == "inconclusive"
+    assert report["failure_reasons"] == [stage.replace("_", "-") + "-too-few-samples"]
+
+
 def test_summary_names_the_verdict_and_the_failure_reasons(tmp_path, capsys):
     write_matrix_csv(tmp_path / "cov.csv", np.array([[1.0, -0.5], [-0.5, 1.0]]))
     failing = write_config(

@@ -45,7 +45,7 @@ from rplattice import (
 from rplattice import cli, rp_verify
 from rplattice.density import PolynomialTable, add_potentials
 from rplattice.rp_verify import _control_coefficients, _stable_below
-from rplattice.streams import NS_BOOTSTRAP, NS_FACTORIZED, NS_PILOT, chunk_counts, substream
+from rplattice.streams import NS_BOOTSTRAP, NS_FACTORIZED, NS_PILOT, ChunkMoments, chunk_counts, substream
 from wick_reference import table_values
 
 
@@ -737,7 +737,8 @@ def test_the_shared_tilt_keeps_the_mean(monkeypatch):
 
 @pytest.mark.parametrize("coupling", [0.1, 0.5, 1.0])
 def test_the_shared_tilt_narrows_the_bound(monkeypatch, coupling):
-    # at 512 x 100 draws the tilted bound reads 0.83-0.87, 0.47-0.50 and 0.57-0.60 of the untilted one
+    # at 512 x 100 draws (16 outer chunks, so the per-sample stderr) the tilted bound reads 0.84-0.87,
+    # 0.48-0.50 and 0.60-0.62 of the untilted one
     pq, g, phis = _criterion_4_split(coupling)
     for seed in (0, 1):
         params = McParams(1, seed=seed, n_outer=512, n_inner=100)
@@ -760,7 +761,7 @@ def test_the_factorized_effective_sample_size_counts_the_outer_weights():
     weighted, inner = [], []
     for chunk_index, count in chunk_counts(params.n_outer, rp_verify._OUTER_CHUNK):
         rng = substream(params.seed, NS_FACTORIZED, chunk_index)
-        shared = tilted.draw(rng, count)
+        shared = rp_verify._shared_draws(tilted, rng, count)
         s = shared[:, np.newaxis, :] + pq.p.draw(rng, count * params.n_inner).reshape(count, params.n_inner, -1)
         w = np.exp(eval_potential_batch(g, s.reshape(-1, s.shape[-1]))).reshape(count, params.n_inner)
         omega = np.exp(log_z + 0.5 * q * np.einsum("ij,ij->i", shared, shared))
@@ -771,11 +772,12 @@ def test_the_factorized_effective_sample_size_counts_the_outer_weights():
     assert rep.effective_sample_size < 0.5 * inner.sum() / inner.max()
 
 
-@pytest.mark.parametrize("tilt", [0.2, 0.8])
+@pytest.mark.parametrize("tilt", [0.0, 0.2, 0.8])
 @pytest.mark.parametrize("n_outer", [1, 3, 8])
 def test_the_tilted_shared_estimate_is_psd_by_construction(monkeypatch, tilt, n_outer):
-    # each outer draw adds omega (Re H Re H^T + Im H Im H^T) with omega > 0: at fewer outer draws than
-    # test functions the estimate is singular, and still PSD to rounding; the grid is held at one tilt
+    # each outer draw adds omega (Re H Re H^T + Im H Im H^T) with omega > 0, whether its shared draw is
+    # quasi-random or not: at fewer outer draws than test functions the estimate is singular, and still
+    # PSD to rounding; the grid is held at one tilt, q = 0 (omega = 1) among them
     monkeypatch.setattr(rp_verify, "_TILT_GRID", (tilt,))
     pq, g, phis = _criterion_4_split(coupling=1.0)
     params = McParams(1, seed=11, n_outer=n_outer, n_inner=16)
@@ -783,6 +785,69 @@ def test_the_tilted_shared_estimate_is_psd_by_construction(monkeypatch, tilt, n_
     rep = gram_mc_factorized(pq, g, phis, params)
     assert np.linalg.eigvalsh(rep.matrix.real).min() >= -1e-15 * np.abs(rep.matrix).max()
     assert rep.min_eigenvalue >= -1e-15
+
+
+def _kept_moments(monkeypatch):
+    """The ChunkMoments each estimator call makes, in the order it makes them."""
+    kept = []
+
+    class Kept(ChunkMoments):
+        def __init__(self):
+            super().__init__()
+            kept.append(self)
+
+    monkeypatch.setattr(rp_verify, "ChunkMoments", Kept)
+    return kept
+
+
+@pytest.mark.parametrize("n_outer, chunks", [(992, 31), (993, 32)])
+def test_the_factorized_stderr_is_the_chunk_spread_from_32_chunks(monkeypatch, n_outer, chunks):
+    # 31 outer chunks of 32 keep the per-sample formula; one more outer draw opens a 32nd chunk, and
+    # the stderr becomes the spread of the chunk means, each chunk one randomised Sobol block
+    kept = _kept_moments(monkeypatch)
+    pq, g, phis = _criterion_4_split()
+    rep = gram_mc_factorized(pq, g, phis, McParams(1, seed=2, n_outer=n_outer, n_inner=16))
+    (moments,) = kept
+    assert len(moments.counts) == chunks and rp_verify._SPREAD_CHUNKS == 32
+    per_sample, spread = moments.mean_and_stderr()[1], moments.mean_and_chunk_stderr()[1]
+    assert np.array_equal(rep.stderr, spread if chunks == 32 else per_sample)
+    assert not np.array_equal(per_sample, spread)
+    assert rep.eig_error_bound == len(phis) * rep.stderr.max()
+
+
+def test_the_chunk_spread_stderr_matches_the_spread_over_seeds(monkeypatch):
+    # criterion 4 at 1024 x 256 draws, 32 outer chunks: the stderr from the chunk means must neither
+    # understate nor overstate the spread of each real entry over seeds. The per-sample formula on
+    # the same accumulators ignores how evenly each quasi-random block covers c_q, and overstates it
+    # (spread / stderr reads a median 0.56 over the entries, against 0.89 from the chunk means)
+    kept = _kept_moments(monkeypatch)
+    pq, g, phis = _criterion_4_split()
+    reports = [gram_mc_factorized(pq, g, phis, McParams(1, seed=seed, n_outer=1024, n_inner=256)) for seed in range(20)]
+    assert len(kept) == 20 and all(len(m.counts) == 32 for m in kept)
+    spread = np.stack([rep.matrix.real for rep in reports]).std(axis=0, ddof=1)
+    ratio = spread / np.median(np.stack([rep.stderr for rep in reports]), axis=0)
+    assert ratio.max() <= 2.0, ratio
+    assert np.diag(ratio).min() >= 0.5, ratio
+    per_sample = spread / np.median(np.stack([m.mean_and_stderr()[1] for m in kept]), axis=0)
+    assert per_sample.max() <= 2.0, per_sample
+    assert np.median(per_sample) < 0.8 * np.median(ratio)
+
+
+def test_the_quasi_random_factorized_estimate_is_unbiased():
+    # zero density and independent inner draws: each entry averages conj(H1_m) H2_n, whose mean is the
+    # exact Gaussian Gram entry; over 24 seeds at 32 chunks each entry's mean deviation is within 3
+    # of its standard errors (the zero function's entry is 1 on every seed)
+    lat = build_lattice(2, [4])
+    cov = free_field_covariance(lat, 1.0)
+    pq, phis = decompose_pq(cov, lat), random_test_functions(lat, 4, seed=2024)
+    exact = gram_exact_gaussian(cov, lat, phis).matrix.real
+    params = [McParams(1, seed=seed, n_outer=1024, n_inner=16, share_inner=False) for seed in range(24)]
+    diffs = np.stack([gram_mc_factorized(pq, ZERO_POTENTIAL, phis, p).matrix.real for p in params]) - exact
+    sd = diffs.std(axis=0, ddof=1)
+    assert sd[-1, -1] == 0.0 and not diffs[:, -1, -1].any()
+    sd[-1, -1] = 1.0
+    z = diffs.mean(axis=0) / (sd / math.sqrt(len(diffs)))
+    assert np.abs(z).max() <= 3.0, z
 
 
 def test_a_last_ulp_change_of_c_moves_the_factorized_estimate_only_at_rounding():
@@ -847,12 +912,13 @@ def test_factorized_overflow_raises_with_sub_blocks_pending_and_joins_the_worker
     monkeypatch.setattr(rp_verify, "ThreadPoolExecutor", HeldPool)
     lat = build_lattice(2, [2])
     pq = decompose_pq(free_field_covariance(lat, 1.0), lat)
-    # exp(200 x^2) overflows at |x| > 1.9; with seed 60 the sixth sub-block is the first to reach it
+    # exp(200 x^2) overflows at |x| > 1.9; with seed 6 the fourth sub-block, the second of the second
+    # outer chunk, is the first to reach it, before the first chunk merges
     g = Potential((Term(200.0, ((0, 2),)),))
     before = threading.active_count()
     with pytest.raises(IllConditionedWeightsError, match="half-density"):
-        gram_mc_factorized(pq, g, random_test_functions(lat, 2, 0), McParams(1, seed=60, n_outer=200, n_inner=20))
-    assert pending == [5]
+        gram_mc_factorized(pq, g, random_test_functions(lat, 2, 0), McParams(1, seed=6, n_outer=200, n_inner=20))
+    assert pending == [3]
     assert all(future.done() for future in futures)
     assert threading.active_count() == before
 
@@ -1102,6 +1168,26 @@ def test_a_fail_of_fewer_than_two_samples_is_inconclusive():
     below, stderr = np.diag([-1.0, 1.0]), np.zeros((2, 2))
     for n, verdict in ((1, INCONCLUSIVE), (2, FAIL)):
         rep = rp_verify._gram_report(below, stderr, 0.0, "mc-direct", n, 0, chunks=([1] * n, [below] * n))
+        assert rep.verdict == verdict
+
+
+def test_an_estimate_of_fewer_than_two_samples_is_inconclusive_whatever_its_sign():
+    # one direct sample that clears its gate (seed 8), and one shared outer draw, PSD by construction:
+    # both read pass, with an eig_error_bound of rounding noise or none, until such an estimate became
+    # inconclusive whatever its sign
+    lat = build_lattice(2, [4])
+    cov, density = free_field_covariance(lat, 1.0), phi4(lat, 0.1)
+    pq, g, phis = decompose_pq(cov, lat), split_check(lat, density).witness_g, random_test_functions(lat, 4, seed=1)
+    reports = [gram_mc_direct(cov, lat, density, phis, McParams(1, seed=8))]
+    reports += [gram_mc_factorized(pq, g, phis, McParams(1, seed=seed, n_outer=1, n_inner=16)) for seed in range(5)]
+    for rep in reports:
+        assert rep.n_samples == 1 and rep.min_eigenvalue >= -rep.tol - 5.0 * rep.eig_error_bound
+        assert rep.verdict == INCONCLUSIVE
+    # an exact estimate has no chunks and keeps its pass; two samples that clear the gate pass
+    psd, stderr = np.diag([1.0, 0.5]), np.zeros((2, 2))
+    assert rp_verify._gram_report(psd, stderr, 0.0, "exact-gaussian").verdict == PASS
+    for n, verdict in ((1, INCONCLUSIVE), (2, PASS)):
+        rep = rp_verify._gram_report(psd, stderr, 0.0, "mc-direct", n, 0, chunks=([1] * n, [psd] * n))
         assert rep.verdict == verdict
 
 

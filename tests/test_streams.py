@@ -1,8 +1,21 @@
+import statistics
+
 import numpy as np
 import pytest
 
 from rplattice import streams
-from rplattice.streams import CHUNK_SIZE, NS_FIELD, NS_PILOT, ChunkMoments, chunk_counts, substream
+from rplattice.streams import (
+    CHUNK_SIZE,
+    NS_FIELD,
+    NS_PILOT,
+    SOBOL_POINTS,
+    ChunkMoments,
+    chunk_counts,
+    normal_quantile,
+    sobol_block,
+    sobol_normals,
+    substream,
+)
 
 SPLIT = (2048, 2048, 17)
 
@@ -116,3 +129,84 @@ def test_single_sample_has_zero_stderr():
     mean, stderr = moments.mean_and_stderr()
     assert mean[0, 0] == 4.0
     assert stderr[0, 0] == 0.0
+
+
+def test_the_chunk_stderr_is_the_spread_of_the_chunk_means():
+    # equal chunks: the sample standard deviation of the chunk means over sqrt(K); an unequal last
+    # chunk weighs its deviation from the mean by its share of the samples
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((96, 2)) + 1.0
+    moments = ChunkMoments()
+    for rows in np.split(np.arange(96), 3):
+        moments.add_real(x[rows], np.zeros_like(x[rows]), np.ones_like(x[rows]), np.zeros_like(x[rows]))
+    mean, stderr = moments.mean_and_chunk_stderr()
+    means = x.reshape(3, 32, 2).mean(axis=1)  # the chunk means, one row per chunk, of entry (m, 0) = x[:, m]
+    np.testing.assert_allclose(mean[:, 0], x.mean(axis=0), rtol=1e-15)
+    np.testing.assert_allclose(stderr[:, 0], means.std(axis=0, ddof=1) / np.sqrt(3), rtol=1e-13)
+    moments.add_real(x[:8], np.zeros((8, 2)), np.ones((8, 2)), np.zeros((8, 2)))
+    mean, stderr = moments.mean_and_chunk_stderr()
+    sums, counts = np.concatenate([means * 32, [x[:8].sum(axis=0)]]), np.array([32, 32, 32, 8])[:, np.newaxis]
+    want = np.sqrt(4 / 3 * (((sums - counts * mean[:, 0]) / 104) ** 2).sum(axis=0))
+    np.testing.assert_allclose(stderr[:, 0], want, rtol=1e-13)
+
+
+# p in each branch of AS241: the central one (|p - 1/2| <= 0.425), the near tails (r <= 5, with
+# r = sqrt(-log min(p, 1 - p)), down to p = e^-25) and the far tails, to the last double below 1;
+# 0.925 - 0.5 rounds above 0.425, so 0.925 is in a tail
+QUANTILE_POINTS = {
+    "central": [0.5, 0.075, 0.3, np.nextafter(0.075, 1.0), np.nextafter(0.925, 0.0), 0.999 / 2],
+    "near-tail": [np.nextafter(0.075, 0.0), 0.925, 1e-5, 1.0 - 1e-5, 0.01, 0.99, 1.4e-11, 1.0 - 1.4e-11],
+    "far-tail": [1e-300, 5e-324, 1e-20, 2.0**-53, 1.0 - 2.0**-53, 1e-12, 1.0 - 1e-12],
+}
+
+
+@pytest.mark.parametrize("branch", sorted(QUANTILE_POINTS))
+def test_the_normal_quantile_matches_the_stdlib_to_2_ulp(branch):
+    rng = np.random.default_rng(sorted(QUANTILE_POINTS).index(branch))
+    low, high = {"central": (0.075, 0.925), "near-tail": (1.4e-11, 0.075), "far-tail": (1e-300, 1.4e-11)}[branch]
+    # uniform in log p across a tail, so every decade is reached, and mirrored into the upper tail
+    draws = rng.uniform(low, high, 5000) if branch == "central" else np.exp(rng.uniform(np.log(low), np.log(high), 5000))
+    mirrored = [] if branch == "central" else (1.0 - draws)[1.0 - draws < 1.0]
+    p = np.concatenate([QUANTILE_POINTS[branch], draws, mirrored])
+    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+    assert {"central": np.abs(p - 0.5) <= 0.425, "near-tail": (np.abs(p - 0.5) > 0.425) & (r <= 5.0),
+            "far-tail": r > 5.0}[branch].all()
+    want = np.array([statistics.NormalDist().inv_cdf(float(x)) for x in p])
+    got = normal_quantile(p)
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want))), np.abs(got - want).max()
+
+
+def test_a_sobol_block_holds_one_point_per_cell_of_each_coordinate():
+    block = sobol_block(SOBOL_POINTS)
+    assert block.shape == (SOBOL_POINTS, SOBOL_POINTS) and block.max() < 2**32
+    for column in (block >> 27).T:  # the cell of width 2^-5 of each point
+        assert sorted(column.tolist()) == list(range(32))
+    assert np.array_equal(sobol_block(8), block[:, :8])
+
+
+def test_a_sobol_block_is_scipys():
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    want = qmc.Sobol(SOBOL_POINTS, scramble=False, bits=32).random_base2(5)
+    assert np.array_equal(sobol_block(SOBOL_POINTS) * 2.0**-32, want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shifted_sobol_normals_keep_one_point_per_cell(seed):
+    # the k-th smallest normal of a column lies in the k-th of 32 equal-probability intervals
+    z = sobol_normals(substream(seed, NS_PILOT, 0), SOBOL_POINTS, 5)
+    edges = normal_quantile(np.arange(1, 32) / 32)
+    for column in z.T:
+        column = np.sort(column)
+        assert (column[1:] >= edges).all() and (column[:-1] <= edges).all()
+    # a partial block is the full block's first rows
+    assert np.array_equal(sobol_normals(substream(seed, NS_PILOT, 0), 3, 5), z[:3])
+
+
+def test_shifted_sobol_normals_are_standard_normal():
+    # 400 blocks of 32: each point is N(0, I), so mean 0 and variance 1 per column, and the columns of
+    # one block uncorrelated, within 5 standard errors of independent normals
+    z = np.concatenate([sobol_normals(substream(seed, NS_PILOT, 1), SOBOL_POINTS, 3) for seed in range(400)])
+    n = len(z)
+    assert np.abs(z.mean(axis=0)).max() <= 5 / np.sqrt(n)
+    assert np.abs(z.var(axis=0) - 1.0).max() <= 5 * np.sqrt(2 / n)
+    assert np.abs(np.corrcoef(z.T)[np.triu_indices(3, 1)]).max() <= 5 / np.sqrt(n)

@@ -76,6 +76,13 @@ class TensorMoments:
         self.sums.append(x.sum(axis=0))
         self.squares = self.squares + (x**2).sum(axis=0)
 
+    def mean_and_chunk_stderr(self):
+        # the spread of the chunk sums about their share of the mean, over the stacked chunks
+        sums, counts = np.stack(self.sums), np.array(self.counts, dtype=np.float64)[:, np.newaxis, np.newaxis]
+        n, k = counts.sum(), len(self.counts)
+        mean = sums.sum(axis=0) / n
+        return mean, np.sqrt((((sums - counts * mean) / n) ** 2).sum(axis=0) * k / (k - 1))
+
     def mean_and_stderr(self):
         n = sum(self.counts)
         mean = sum(self.sums) / n
@@ -181,12 +188,13 @@ def tensor_gram_mc_direct(cov, lattice, f, phis, params, q=0.0):
 def exp_gram_mc_factorized(cov, lattice, g, phis, params):
     """gram_mc_factorized with each chunk's inner draws as one 3-D batch and an inner mean of w exp(-i phase).
 
-    The shared draws L come from the tilted c_q' of the tilt q the estimator picks, and the outer
-    products omega conj(H_m) H_n, omega = exp(log Z + (q/2) |L|^2), are formed and split into their
-    parts; for an even g only the real part is accumulated. The effective sample size is that of
-    the weights omega exp G of the inner samples. Both levels draw through Covariance.draw, whose
-    rows do not depend on how many are drawn at once, so the weights, and with them the effective
-    sample size, are the estimator's bit for bit.
+    The shared draws L are the library's quasi-random ones, rp_verify._shared_draws from the tilted
+    c_q' of the tilt q the estimator picks, and the outer products omega conj(H_m) H_n,
+    omega = exp(log Z + (q/2) |L|^2), are formed and split into their parts; for an even g only the
+    real part is accumulated, and from 32 outer chunks on the stderr is the spread of the chunk
+    means. The effective sample size is that of the weights omega exp G of the inner samples. Both
+    levels draw through Covariance.transformed, whose rows do not depend on how many are drawn at
+    once, so the weights, and with them the effective sample size, are the estimator's bit for bit.
     """
     pq = decompose_pq(cov, lattice)
     nh = lattice.n_plus
@@ -206,7 +214,7 @@ def exp_gram_mc_factorized(cov, lattice, g, phis, params):
 
     for chunk_index, count in chunk_counts(params.n_outer, _OUTER_CHUNK):
         rng = substream(params.seed, NS_FACTORIZED, chunk_index)
-        shared = tilted.draw(rng, count)
+        shared = rp_verify._shared_draws(tilted, rng, count)
         # the estimator's sqrt(omega), squared: the weight of the outer term, bit for bit
         root = np.exp(0.5 * (log_z + 0.5 * q * np.einsum("ij,ij->i", shared, shared)))
         w = root * root
@@ -214,7 +222,7 @@ def exp_gram_mc_factorized(cov, lattice, g, phis, params):
         h2 = h1 if params.share_inner else partial_averages(rng, shared, w)
         add_complex(real, imag, w[:, np.newaxis, np.newaxis] * np.conj(h1)[:, :, np.newaxis] * h2[:, np.newaxis, :])
     kind = "mc-factorized-shared" if params.share_inner else "mc-factorized-independent"
-    return _finish_mc_report(real, cov.psd_tolerance, params.seed, kind, weight_stats, imag=imag)
+    return _finish_mc_report(real, cov.psd_tolerance, params.seed, kind, weight_stats, imag=imag, by_chunk=True)
 
 
 @pytest.fixture(scope="module")
@@ -248,11 +256,13 @@ def report_digest(report):
 # most 2e-16 of the largest matrix entry and 6e-15 of the largest stderr. The direct digest was
 # taken again, at one and two BLAS threads, once free-field draws read their normals as
 # coefficients of the spatial modes: its draws, not their law, changed per seed. The factorized
-# digests were taken again the same way once the half-lattice summands drew through those modes.
+# digests were taken again the same way once the half-lattice summands drew through those modes,
+# and again once the shared draws came from randomised Sobol blocks of 32 outer draws, with the
+# stderr from the spread of the 32 chunk means: the draws, not their law, changed per seed.
 ODD_DIRECT_DIGEST = "652fdbcd0c488c67a6dadb38bac931da7fd72b491b4a3b303bfc913b3075c26b"
 ODD_FACTORIZED_DIGESTS = {
-    True: "870f34bdd94d08ba14961e7d682629b5e36da141fe6f653d2beddbd0b38383a5",
-    False: "4512079087489c60fde2c1e53bbfe2bd30dd072d149c19a51dba3a513ceec4c2",
+    True: "1c32eae73ed14eb4e1e256064dd2969dfff69223be2a49bddda0f10aa455fc68",
+    False: "237d1d55a482ee162d42a625d7d3140f48b4f4c98edf5b36f562eb4b5badc135",
 }
 
 
@@ -330,10 +340,12 @@ def test_untilted_direct_reports_keep_their_bytes(criterion_4, name):
 # pilot fit is a weighted lstsq, taken again once d |T|^2 joined its damped controls (a fifth
 # coefficient moves every residual, and so every entry, per seed but not in law), and the shared
 # factorized estimate of the witness at 512 x 100 draws, which neither that nor the reweighted
-# direct pilot before it changed.
+# direct pilot before it changed. The factorized digest was taken again once the shared draws came
+# from randomised Sobol blocks of 32 (16 chunks, below the chunk-spread stderr's 32): its draws,
+# not their law, changed per seed.
 TILTED_DIGESTS = {
     "direct": "e79c0d09f719ea818e69b327414759b7d34c38da74a5941dc7f99d579e07e285",
-    "factorized": "8e6ef990283767f84e11d2617e9e632bdb2a5f3dfb4d28e2835f37b977fc5a57",
+    "factorized": "ffdb5d8830d191ac116eccaae7b32c7af793b2decf476bc2bb4bcbe3bf5d785b",
 }
 
 
@@ -353,11 +365,13 @@ def test_tilted_reports_keep_their_bytes(criterion_4):
 # Shared factorized reports of half-densities the estimator does not tilt, on the criterion-4
 # problem at 1000 x 200 draws, seed 3, taken before the tilt of the shared draws existed (numpy 2.4
 # with OpenBLAS 0.3.31 on x86-64, the same at one and two BLAS threads): the tilt, and drawing
-# the inner draws of a sub-block in one call, must leave them byte-identical.
+# the inner draws of a sub-block in one call, left them byte-identical. They were taken again once
+# the shared draws came from randomised Sobol blocks of 32, with the stderr from the spread of the
+# 32 chunk means: the draws, not their law, changed per seed.
 UNTILTED_FACTORIZED_DIGESTS = {
-    "mixed-sign": "118c8d675cecf5f922828c7ccc9eed71a8fac058f0f3b93bcda08cae66519d81",
-    "positive-coefficient": "d9a2f906c6b44eceb9d3c8b216e50f9546dbf8a96ee8953c3324681b5f8152ae",
-    "zero": "a4ab543334f46815889cac66d903af6455a88197a41e932a87c5b067ac0abba8",
+    "mixed-sign": "8662b42e800d05bcda8839f11e573ff53375d7ca6499a234016b99bfbc222245",
+    "positive-coefficient": "e178e5cbbbf0c9e8f9e0a093584ba03779acc9e0870073735b97d2909ecaa27d",
+    "zero": "a26efe6f84be3bb325aaa51aa6c944eda6e24535c5a39f1256d61313635b9ef3",
 }
 
 
