@@ -156,10 +156,6 @@ class PolynomialTable:
         )
         return cls(blocks, p.constant)
 
-    @property
-    def term_count(self):
-        return sum(len(b.coefficients) for b in self.blocks)
-
     def plus_squares(self, coefficient, dim):
         """This polynomial plus coefficient * sum over the dim sites x of T_x^2, as one more block."""
         squares = TermBlock((2,), np.full(dim, float(coefficient)), np.arange(dim).reshape(dim, 1))
@@ -185,12 +181,6 @@ class PolynomialTable:
         if self.constant:
             blocks += [(b.powers, 2.0 * self.constant * b.coefficients, b.sites) for b in self.blocks]
         return PolynomialTable(tuple(TermBlock(*b) for b in blocks), self.constant * self.constant)
-
-
-def eval_potential(p, values):
-    """Evaluate at one configuration (full or half vector, as indexed)."""
-    row = np.asarray(values, dtype=np.float64)[np.newaxis, :]
-    return float(eval_potential_batch(p, row)[0])
 
 
 def eval_potential_batch(p, configs):

@@ -6,10 +6,12 @@ chunks, and chunk k of a run reads from an independent PCG64 stream keyed by
 number of workers, and still merge to bit-identical output.
 
 A chunk may also read quasi-random normals from its stream: sobol_normals
-maps a randomly shifted block of Sobol points through normal_quantile, so
-each point is still a standard normal vector, and the block's points are
-spread more evenly than independent draws.
+maps a randomly shifted block of Sobol points through the standard normal
+quantile, so each point is still a standard normal vector, and the block's
+points are spread more evenly than independent draws.
 """
+
+from statistics import NormalDist
 
 import numpy as np
 
@@ -34,29 +36,6 @@ _SOBOL_M = (
     (1, 1, 5, 5, 19), (1, 3, 7, 11, 23), (1, 3, 7, 13, 13), (1, 1, 3, 13, 7), (1, 3, 5, 9, 1), (1, 3, 1, 13, 9),
     (1, 3, 1, 5, 27), (1, 1, 5, 11, 19), (1, 3, 5, 3, 3), (1, 1, 7, 13, 1), (1, 3, 7, 5, 13), (1, 1, 3, 9, 25),
     (1, 3, 5, 13, 23), (1, 3, 7, 3, 13),
-)
-# Wichura's AS241 (PPND16) rational approximations, highest power first, as statistics.NormalDist.inv_cdf
-# evaluates them: |p - 1/2| <= 0.425 in r = 0.180625 - (p - 1/2)^2, then the tails in r = sqrt(-log min(p, 1 - p))
-# less 1.6 for r <= 5, and less 5 beyond
-_AS241 = (
-    (
-        (2509.0809287301226727, 33430.575583588128105, 67265.770927008700853, 45921.953931549871457,
-         13731.693765509461125, 1971.5909503065514427, 133.14166789178437745, 3.387132872796366608),
-        (5226.495278852854561, 28729.085735721942674, 39307.89580009271061, 21213.794301586595867,
-         5394.1960214247511077, 687.1870074920579083, 42.313330701600911252, 1.0),
-    ),
-    (
-        (7.7454501427834140764e-4, 0.0227238449892691845833, 0.24178072517745061177, 1.27045825245236838258,
-         3.64784832476320460504, 5.7694972214606914055, 4.6303378461565452959, 1.42343711074968357734),
-        (1.05075007164441684324e-9, 5.475938084995344946e-4, 0.0151986665636164571966, 0.14810397642748007459,
-         0.68976733498510000455, 1.6763848301838038494, 2.05319162663775882187, 1.0),
-    ),
-    (
-        (2.01033439929228813265e-7, 2.71155556874348757815e-5, 0.0012426609473880784386, 0.026532189526576123093,
-         0.29656057182850489123, 1.7848265399172913358, 5.4637849111641143699, 6.6579046435011037772),
-        (2.04426310338993978564e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-         7.868691311456132591e-4, 0.0148753612908506148525, 0.13692988092273580531, 0.59983220655588793769, 1.0),
-    ),
 )
 
 
@@ -144,34 +123,13 @@ def sobol_block(dim):
     return np.bitwise_xor.reduce(bits[:, np.newaxis, :] * v, axis=-1)
 
 
-def normal_quantile(p):
-    """The standard normal quantile at each p in (0, 1), as statistics.NormalDist().inv_cdf computes it (AS241).
-
-    The same rational approximations in the same order of operations; only
-    log and sqrt are numpy's, so a value may differ from the stdlib's in its
-    last bits.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = p - 0.5
-    r = 0.180625 - q * q
-    (num, den), near, far = _AS241
-    x = np.polyval(num, r) * q / np.polyval(den, r)
-    tail = np.abs(q) > 0.425
-    r = np.sqrt(-np.log(np.where(q[tail] <= 0.0, p[tail], 1.0 - p[tail])))
-    inner = r <= 5.0
-    r = np.where(inner, r - 1.6, r - 5.0)
-    num, den = (np.where(inner, np.polyval(a, r), np.polyval(b, r)) for a, b in zip(near, far))
-    x[tail] = np.copysign(num / den, q[tail])
-    return x
-
-
 def sobol_normals(rng, count, dim):
     """(count, dim) normals from the first count <= SOBOL_POINTS points of a randomly shifted Sobol block.
 
     Each coordinate's 32-bit words are XORed with one random 32-bit word
     (a digital shift, Matousek 1998) and extended by 20 random bits per
     point, both from rng, then read as the midpoint u of one of 2^52 equal
-    cells of (0, 1) and mapped through normal_quantile. Each point is a
+    cells of (0, 1) and mapped through NormalDist().inv_cdf. Each point is a
     standard normal vector (to the 2^-52 grid of u), and each coordinate of
     a full block still holds one point per interval of width 2^-5 before the
     map.
@@ -179,4 +137,4 @@ def sobol_normals(rng, count, dim):
     shift = rng.integers(0, 1 << 32, size=dim, dtype=np.uint64)
     jitter = rng.integers(0, 1 << 20, size=(count, dim), dtype=np.uint64)
     cells = ((sobol_block(dim)[:count] ^ shift) << np.uint64(20)) | jitter
-    return normal_quantile((cells + 0.5) * 2.0**-52)
+    return np.vectorize(NormalDist().inv_cdf, otypes=[float])((cells + 0.5) * 2.0**-52)

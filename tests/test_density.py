@@ -7,7 +7,6 @@ from rplattice import (
     ZERO_POTENTIAL,
     build_lattice,
     canonicalize,
-    eval_potential,
     eval_potential_batch,
     eval_potential_exact,
     is_even,
@@ -64,21 +63,20 @@ def test_term_rejects_repeated_site_and_zero_power():
 
 def test_eval_phi4_by_hand():
     lat = build_lattice(1, [])
-    value = eval_potential(phi4(lat, 0.1), [1.0, 2.0])
+    value = eval_potential_batch(phi4(lat, 0.1), [[1.0, 2.0]])[0]
     assert value == pytest.approx(-1.7, abs=1e-12)
 
 
 def test_eval_zero_and_constant():
-    assert eval_potential(ZERO_POTENTIAL, [4.0, 5.0]) == 0.0
-    assert eval_potential(Potential((), 2.25), [0.0]) == 2.25
+    assert eval_potential_batch(ZERO_POTENTIAL, [[4.0, 5.0]])[0] == 0.0
+    assert eval_potential_batch(Potential((), 2.25), [[0.0]])[0] == 2.25
 
 
 def test_eval_rejects_out_of_range_site():
     p = Potential((Term(1.0, ((3, 1),)),))
-    with pytest.raises(ValueError):
-        eval_potential(p, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        eval_potential_batch(p, np.ones((4, 2)))
+    for configs in ([[1.0, 2.0]], np.ones((4, 2))):
+        with pytest.raises(ValueError):
+            eval_potential_batch(p, configs)
 
 
 def test_batch_eval_matches_scalar_bitwise():
@@ -87,7 +85,7 @@ def test_batch_eval_matches_scalar_bitwise():
     p = canonicalize(random_potential(rng, lat.site_count))
     configs = rng.standard_normal((64, lat.site_count))
     batch = eval_potential_batch(p, configs)
-    singles = np.array([eval_potential(p, row) for row in configs])
+    singles = np.concatenate([eval_potential_batch(p, row[np.newaxis]) for row in configs])
     assert np.array_equal(batch, singles)
 
 
@@ -159,7 +157,7 @@ def test_phi4_canonical_form_and_sign():
     lat = build_lattice(1, [])
     p = phi4(lat, 1.0)
     assert p == Potential((Term(-1.0, ((0, 4),)), Term(-1.0, ((1, 4),))), 0.0)
-    assert eval_potential(p, [0.0, 0.0]) == 0.0
+    assert eval_potential_batch(p, [[0.0, 0.0]])[0] == 0.0
     with pytest.raises(ValueError):
         phi4(lat, 0.0)
     with pytest.raises(ValueError):

@@ -1373,7 +1373,7 @@ def test_the_array_form_does_not_depend_on_its_chunks(monkeypatch):
     cov = free_field_covariance(lat, 1.0)
     _, phi_mat, theta_mat = _phase_problem(lat, 3, 7)
     square = PolynomialTable.of(phi4(lat, 0.1)).plus_squares(0.1, lat.site_count).squared()
-    assert square.term_count == 128 * 129 // 2
+    assert sum(len(b.coefficients) for b in square.blocks) == 128 * 129 // 2
     cov.matrix  # expanded outside the traced call
     tracemalloc.start()
     try:
@@ -1392,7 +1392,7 @@ def test_a_square_has_every_pair_of_terms_once():
     table = PolynomialTable.of(f).plus_squares(0.2, lat.site_count)
     square = table.squared()
     # n (n + 1) / 2 pairs, and the constant's 2 c P: n more
-    assert square.term_count == 32 * 33 // 2 + 32 and square.constant == 0.25
+    assert sum(len(b.coefficients) for b in square.blocks) == 32 * 33 // 2 + 32 and square.constant == 0.25
     x = np.random.default_rng(0).standard_normal((50, lat.site_count))
     values = eval_potential_batch(f, x) + 0.2 * (x * x).sum(axis=1)
     np.testing.assert_allclose(table_values(square, x), values * values, rtol=1e-12, atol=1e-14)

@@ -11,7 +11,6 @@ from rplattice.streams import (
     SOBOL_POINTS,
     ChunkMoments,
     chunk_counts,
-    normal_quantile,
     sobol_block,
     sobol_normals,
     substream,
@@ -150,32 +149,6 @@ def test_the_chunk_stderr_is_the_spread_of_the_chunk_means():
     np.testing.assert_allclose(stderr[:, 0], want, rtol=1e-13)
 
 
-# p in each branch of AS241: the central one (|p - 1/2| <= 0.425), the near tails (r <= 5, with
-# r = sqrt(-log min(p, 1 - p)), down to p = e^-25) and the far tails, to the last double below 1;
-# 0.925 - 0.5 rounds above 0.425, so 0.925 is in a tail
-QUANTILE_POINTS = {
-    "central": [0.5, 0.075, 0.3, np.nextafter(0.075, 1.0), np.nextafter(0.925, 0.0), 0.999 / 2],
-    "near-tail": [np.nextafter(0.075, 0.0), 0.925, 1e-5, 1.0 - 1e-5, 0.01, 0.99, 1.4e-11, 1.0 - 1.4e-11],
-    "far-tail": [1e-300, 5e-324, 1e-20, 2.0**-53, 1.0 - 2.0**-53, 1e-12, 1.0 - 1e-12],
-}
-
-
-@pytest.mark.parametrize("branch", sorted(QUANTILE_POINTS))
-def test_the_normal_quantile_matches_the_stdlib_to_2_ulp(branch):
-    rng = np.random.default_rng(sorted(QUANTILE_POINTS).index(branch))
-    low, high = {"central": (0.075, 0.925), "near-tail": (1.4e-11, 0.075), "far-tail": (1e-300, 1.4e-11)}[branch]
-    # uniform in log p across a tail, so every decade is reached, and mirrored into the upper tail
-    draws = rng.uniform(low, high, 5000) if branch == "central" else np.exp(rng.uniform(np.log(low), np.log(high), 5000))
-    mirrored = [] if branch == "central" else (1.0 - draws)[1.0 - draws < 1.0]
-    p = np.concatenate([QUANTILE_POINTS[branch], draws, mirrored])
-    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
-    assert {"central": np.abs(p - 0.5) <= 0.425, "near-tail": (np.abs(p - 0.5) > 0.425) & (r <= 5.0),
-            "far-tail": r > 5.0}[branch].all()
-    want = np.array([statistics.NormalDist().inv_cdf(float(x)) for x in p])
-    got = normal_quantile(p)
-    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want))), np.abs(got - want).max()
-
-
 def test_a_sobol_block_holds_one_point_per_cell_of_each_coordinate():
     block = sobol_block(SOBOL_POINTS)
     assert block.shape == (SOBOL_POINTS, SOBOL_POINTS) and block.max() < 2**32
@@ -194,12 +167,25 @@ def test_a_sobol_block_is_scipys():
 def test_shifted_sobol_normals_keep_one_point_per_cell(seed):
     # the k-th smallest normal of a column lies in the k-th of 32 equal-probability intervals
     z = sobol_normals(substream(seed, NS_PILOT, 0), SOBOL_POINTS, 5)
-    edges = normal_quantile(np.arange(1, 32) / 32)
+    edges = [statistics.NormalDist().inv_cdf(k / 32) for k in range(1, 32)]
     for column in z.T:
         column = np.sort(column)
         assert (column[1:] >= edges).all() and (column[:-1] <= edges).all()
     # a partial block is the full block's first rows
     assert np.array_equal(sobol_normals(substream(seed, NS_PILOT, 0), 3, 5), z[:3])
+
+
+# a partial and a full block, and a full block at the cap of SOBOL_POINTS columns
+@pytest.mark.parametrize("count,dim", [(5, 7), (SOBOL_POINTS, 7), (SOBOL_POINTS, SOBOL_POINTS)])
+def test_shifted_sobol_normals_are_the_stdlib_quantile_of_the_cell_midpoints(count, dim):
+    # replay the stream: one 32-bit shift per column, then 20 low bits per point
+    rng = substream(11, NS_PILOT, 2)
+    shift = rng.integers(0, 1 << 32, size=dim, dtype=np.uint64)
+    jitter = rng.integers(0, 1 << 20, size=(count, dim), dtype=np.uint64)
+    cells = ((sobol_block(dim)[:count] ^ shift) << np.uint64(20)) | jitter
+    want = [[statistics.NormalDist().inv_cdf((int(c) + 0.5) / 2**52) for c in row] for row in cells]
+    got = sobol_normals(substream(11, NS_PILOT, 2), count, dim)
+    assert got.dtype == np.float64 and got.tolist() == want
 
 
 def test_shifted_sobol_normals_are_standard_normal():
